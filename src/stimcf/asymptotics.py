@@ -40,10 +40,8 @@ class BlowdownTrace:
 
 def _sample_u(rec, points_radii):
     dom = rec.domain
-    if dom.kind == "radial":
-        u = np.maximum.accumulate(rec.u)
-        return np.interp(points_radii, dom.r, u)
-    raise NotImplementedError("blowdown sampling runs on the radial lane")
+    dom.require_radial("blowdown sampling")
+    return np.interp(points_radii, dom.r, np.maximum.accumulate(rec.u))
 
 
 def blowdown_compare(rec, scales, annulus=DEFAULT_ANNULUS, n_samples=512):
@@ -139,25 +137,8 @@ def starshaped_check(rec, delta, R_reg, n_shells=24):
             raise FlowError(
                 f"jump region beyond R_reg={R_reg}: starshapedness "
                 "hypothesis violated")
-    dom = rec.domain
-    if dom.kind == "radial":
-        r = dom.r
-        inner = np.asarray(rec.normal_field.vectors, float)  # +-1 signs
-        shells = np.geomspace(R_reg, r[-1] * 0.98, n_shells)
-        mins = np.array([float(np.interp(s, r, inner)) for s in shells])
-    else:
-        act_r = dom.r_act
-        nu = rec.normal_field.vectors
-        gin = dom.ginv_cells
-        mag = np.sqrt(np.sum(gin * nu * nu, axis=1))
-        xhat = dom.centers[np.where(dom.active)[0]] / np.maximum(
-            act_r, 1e-300)[:, None]
-        ip = np.sum(nu * xhat, axis=1) / np.maximum(
-            np.sqrt(np.sum(nu * nu, axis=1)), 1e-300)
-        shells = np.linspace(R_reg, dom.R_L * 0.9, n_shells)
-        mins = np.array([
-            float(np.min(ip[(act_r >= s - dom.h) & (act_r < s + dom.h)],
-                         initial=1.0)) for s in shells])
+    shells, mins = rec.domain.shell_minima(rec.normal_field.vectors, R_reg,
+                                           n_shells)
     ok_from = None
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(mins >= 1 - delta)))
     idx = np.where(suffix_ok)[0]

@@ -18,7 +18,7 @@ from . import weak_flow as wf
 from . import variational as vr
 from . import asymptotics as asym
 from . import records
-from .domain import build_domain, DomainError
+from .domain import build_domain, DomainError, LaneError
 from .solver import SolverError
 
 CONFIG_KEYS = {
@@ -151,48 +151,51 @@ def cmd_verify(args):
     wf.reconstruct_normal_field(rec)
     failures = []
     for ck in checks:
-        if ck == "minimality":
-            rep = vr.minimality_test(rec, n_random=30)
-            print(f"minimality: {len(rep.rows)} competitors, "
-                  f"{'ok' if rep.ok else 'FAIL'}")
-            if not rep.ok:
-                failures.append(ck)
-        elif ck == "monotone":
-            tr = vr.monotone_quantity(rec)
-            dq = np.diff(tr["Q"])
-            ok = np.all(dq > -1e-8 * np.abs(tr["Q"][:-1]).max())
-            print(f"monotone: min dQ = {dq.min():.3e} "
-                  f"{'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(ck)
-        elif ck == "blowdown":
-            scales = []
-            for lam in (1.0, 0.5, 0.25, 0.125):
-                try:
-                    asym.blowdown_compare(rec, [lam], n_samples=8)
-                    scales.append(lam)
-                except wf.FlowError:
-                    break
-            if len(scales) < 2:
-                print("blowdown: skipped (domain too small)")
-            else:
-                bt = asym.blowdown_compare(rec, scales)
-                ok = bt.nonincreasing() and bt.errors[-1] < 0.1
-                print(f"blowdown: errors {np.round(bt.errors, 5).tolist()} "
+        try:
+            if ck == "minimality":
+                rep = vr.minimality_test(rec, n_random=30)
+                print(f"minimality: {len(rep.rows)} competitors, "
+                      f"{'ok' if rep.ok else 'FAIL'}")
+                if not rep.ok:
+                    failures.append(ck)
+            elif ck == "monotone":
+                tr = vr.monotone_quantity(rec)
+                dq = np.diff(tr["Q"])
+                ok = np.all(dq > -1e-8 * np.abs(tr["Q"][:-1]).max())
+                print(f"monotone: min dQ = {dq.min():.3e} "
                       f"{'ok' if ok else 'FAIL'}")
                 if not ok:
                     failures.append(ck)
-        elif ck == "horizon":
-            for j in rec.jumps:
-                hr = wf.verify_horizon(rec, j)
-                print(f"horizon: {hr}")
-                if not hr.passed:
-                    failures.append(ck)
-            if not rec.jumps:
-                print("horizon: no jumps (vacuous pass)")
-        else:
-            print(f"unknown check '{ck}'", file=sys.stderr)
-            return 2
+            elif ck == "blowdown":
+                scales = []
+                for lam in (1.0, 0.5, 0.25, 0.125):
+                    try:
+                        asym.blowdown_compare(rec, [lam], n_samples=8)
+                        scales.append(lam)
+                    except wf.FlowError:
+                        break
+                if len(scales) < 2:
+                    print("blowdown: skipped (domain too small)")
+                else:
+                    bt = asym.blowdown_compare(rec, scales)
+                    ok = bt.nonincreasing() and bt.errors[-1] < 0.1
+                    print(f"blowdown: errors {np.round(bt.errors, 5).tolist()} "
+                          f"{'ok' if ok else 'FAIL'}")
+                    if not ok:
+                        failures.append(ck)
+            elif ck == "horizon":
+                for j in rec.jumps:
+                    hr = wf.verify_horizon(rec, j)
+                    print(f"horizon: {hr}")
+                    if not hr.passed:
+                        failures.append(ck)
+                if not rec.jumps:
+                    print("horizon: no jumps (vacuous pass)")
+            else:
+                print(f"unknown check '{ck}'", file=sys.stderr)
+                return 2
+        except LaneError:
+            print(f"{ck}: skipped (radial lane only)")
     return 4 if failures else 0
 
 
@@ -206,47 +209,50 @@ def cmd_plotdata(args):
     os.makedirs(args.out, exist_ok=True)
     kind = args.kind
     path = os.path.join(args.out, f"{kind}.csv")
-    if kind == "levelsets":
-        lo, hi = rec.valid_time_range()
-        ts = np.linspace(lo, hi * 0.95, 60)
-        with open(path, "w") as fh:
-            fh.write("t,radius\n")
-            for t in ts:
-                fh.write("%.17g,%.17g\n" % (t, wf.level_radius(rec, t)))
-    elif kind == "Q-trace":
-        tr = vr.monotone_quantity(rec)
-        with open(path, "w") as fh:
-            fh.write("t,Q,dQ_dt,predicted_dQ_dt,area\n")
-            for i in range(len(tr["t"])):
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                    tr["t"][i], tr["Q"][i], tr["dQ_dt"][i],
-                    tr["predicted"][i], tr["area"][i]))
-    elif kind == "blowdown":
-        scales = []
-        for lam in (1.0, 0.5, 0.25, 0.125):
-            try:
-                asym.blowdown_compare(rec, [lam], n_samples=8)
-                scales.append(lam)
-            except wf.FlowError:
-                break
-        if not scales:
-            print("domain too small for any blowdown scale", file=sys.stderr)
+    try:
+        if kind == "levelsets":
+            lo, hi = rec.valid_time_range()
+            ts = np.linspace(lo, hi * 0.95, 60)
+            with open(path, "w") as fh:
+                fh.write("t,radius\n")
+                for t in ts:
+                    fh.write("%.17g,%.17g\n" % (t, wf.level_radius(rec, t)))
+        elif kind == "Q-trace":
+            tr = vr.monotone_quantity(rec)
+            with open(path, "w") as fh:
+                fh.write("t,Q,dQ_dt,predicted_dQ_dt,area\n")
+                for i in range(len(tr["t"])):
+                    fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                        tr["t"][i], tr["Q"][i], tr["dQ_dt"][i],
+                        tr["predicted"][i], tr["area"][i]))
+        elif kind == "blowdown":
+            scales = []
+            for lam in (1.0, 0.5, 0.25, 0.125):
+                try:
+                    asym.blowdown_compare(rec, [lam], n_samples=8)
+                    scales.append(lam)
+                except wf.FlowError:
+                    break
+            if not scales:
+                print("domain too small for any blowdown scale", file=sys.stderr)
+                return 2
+            bt = asym.blowdown_compare(rec, scales)
+            with open(path, "w") as fh:
+                fh.write("scale,sup_error,normalization,floor\n")
+                for i in range(len(bt.scales)):
+                    fh.write("%.17g,%.17g,%.17g,%.17g\n" % (
+                        bt.scales[i], bt.errors[i], bt.normalizations[i],
+                        bt.floor[i]))
+        elif kind == "jump-profile":
+            with open(path, "w") as fh:
+                fh.write("r,u\n")
+                for r, u in zip(rec.domain.radii, rec.u):
+                    fh.write("%.17g,%.17g\n" % (r, u))
+        else:
+            print(f"unknown kind '{args.kind}'", file=sys.stderr)
             return 2
-        bt = asym.blowdown_compare(rec, scales)
-        with open(path, "w") as fh:
-            fh.write("scale,sup_error,normalization,floor\n")
-            for i in range(len(bt.scales)):
-                fh.write("%.17g,%.17g,%.17g,%.17g\n" % (
-                    bt.scales[i], bt.errors[i], bt.normalizations[i],
-                    bt.floor[i]))
-    elif kind == "jump-profile":
-        dom = rec.domain
-        with open(path, "w") as fh:
-            fh.write("r,u\n")
-            for i in range(len(dom.r)):
-                fh.write("%.17g,%.17g\n" % (dom.r[i], rec.u[i]))
-    else:
-        print(f"unknown kind '{args.kind}'", file=sys.stderr)
+    except LaneError as exc:
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {path}")
     return 0

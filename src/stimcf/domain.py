@@ -1,32 +1,52 @@
 """Discrete annular domains Omega_L = F_L \\ E0 and the regularized operator.
 
-Two lanes share one solver interface (``residual``, ``jacobian``, masks and
-boundary data): a 1D radial lane for spherically symmetric data and a
-cell-centered Cartesian lane (2D/3D) for general grids.  The outer boundary
-sits where the log subsolution v = alpha ln(|x|/R0) reaches the level L; all
-solutions carry u = 0 on the inner boundary and u = s (L - 2) outside.
+Two lanes implement one protocol: a 1D radial lane for spherically symmetric
+data (``RadialDomain``) and a cell-centered Cartesian lane in 2D/3D for
+general grids (``GridDomain``).  The outer boundary sits where the log
+subsolution v = alpha ln(|x|/R0) reaches the level L; all solutions carry
+u = 0 on the inner boundary and u = bc = s (L - 2) outside.
+
+A *field point* is a radial node, both boundary nodes included, or an
+active grid cell.  The unknowns (``interior``, ``n_unknowns`` of them) are
+the radial nodes strictly inside, or all active cells.  Every lane decision
+of the package lives here; callers use only the protocol:
+
+- operator: ``residual`` and ``jacobian`` of (interior, eps, s, bc,
+  variant), ``solve(J, rhs)`` for the linear step, ``initial_guess`` for a
+  cold start;
+- fields over the field points: ``full_field``, ``gradient`` (signed d/dr
+  over a on the radial lane, the per-axis stack on grids),
+  ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
+- data: ``feasibility()``, ``subsolution_values``, ``k_is_zero()``,
+  ``boundary_gradients`` (the a-priori criterion (iii) inputs);
+- geometry read off a solution: ``components(mask)`` (lists of field-point
+  indices), ``plateau_radii``, ``plateau_meshes``, ``level_mesh``,
+  ``boundary_level_set``, ``tail_normals``, ``extrema_excess``,
+  ``shell_minima``;
+- records: ``fingerprint_arrays`` and ``record_arrays``;
+- ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
+  grids, for diagnostics that exist on the radial lane only.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.integrate import cumulative_trapezoid
 
-from .initial_data import InitialDataError
+from . import surface_geometry as sg
+from .extraction import extract_isosurface
 from .radial_oracle import RadialProfile, sphere_area
 
 SUBSOLUTION_MARGIN = 1e-3
 FEASIBILITY_SAFETY = 0.9
-# optional face-averaged share in the RHS |grad u|^2.  The centered square
-# admits an odd-even near-null family near Dirichlet boundaries (the
-# divergence term is gradient-magnitude blind once |grad u| >> eps), seen as
-# an O(h) boundary-localized slope sawtooth; a face-averaged share removes it
-# but costs Newton robustness at plateau-onset kinks, so the default keeps
-# the centered scheme and the monitors read parity-averaged slopes instead.
-RHS_FACE_BLEND_BOUNDARY = 0.0
-RHS_FACE_BLEND_GLOBAL = 0.0
 
 
 class DomainError(ValueError):
     pass
+
+
+class LaneError(NotImplementedError):
+    """A diagnostic that runs on the radial lane only met a grid domain."""
 
 
 def rhs_value(W2, T, s, variant):
@@ -57,6 +77,27 @@ def rhs_derivs(W2, T, s, variant):
 
 def outer_radius(L, alpha, R0):
     return R0 * np.exp(L / alpha)
+
+
+def _feasibility(area, vol, H_plus, lam, C1, b_L):
+    """Divergence feasibility of eps for boundary area `area` and volume
+    `vol`, with the e^{-A b_L} lower-barrier cap, A = 2(C2 + |lambda| + 4)
+    and C2 = H+ + C1 b_L.
+
+    The cap is recorded as a diagnostic only: for any usable domain it
+    underflows to zero, so it cannot gate schedules (see the run manifest).
+    """
+    eps_div = area / vol
+    A = 2.0 * (H_plus + C1 * b_L + lam + 4.0)
+    with np.errstate(under="ignore"):
+        cap = float(np.exp(-A * b_L))
+    return {
+        "eps_divergence_bound": eps_div,
+        "eps_max": FEASIBILITY_SAFETY * eps_div,
+        "volume": vol,
+        "boundary_area": area,
+        "eps_theoretical_cap": cap,
+    }
 
 
 class RadialDomain:
@@ -97,10 +138,28 @@ class RadialDomain:
         self.n_unknowns = N - 1
         self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
 
-    # geometry helpers -----------------------------------------------------
-    def cell_volumes(self):
-        # dual volumes of interior nodes, metric measure a (b r)^n dr dOmega
-        return sphere_area(self.n) * self.A[1:-1] * self.a[1:-1] * self.h
+    # fields over the nodes -------------------------------------------------
+    @property
+    def radii(self):
+        return self.r
+
+    def full_field(self, interior, bc):
+        u = np.empty(len(self.r))
+        u[0] = 0.0
+        u[-1] = bc
+        u[1:-1] = interior
+        return u
+
+    def gradient(self, interior, bc):
+        """Signed du/dr over a at the nodes (centered, one-sided at the
+        ends); its absolute value is |grad u|_g."""
+        return np.gradient(self.full_field(interior, bc), self.r) / self.a
+
+    metric_gradient = gradient
+
+    def volumes(self):
+        """Dual volumes of the nodes, metric measure a (b r)^n dr dOmega."""
+        return sphere_area(self.n) * self.A * self.a * self.h
 
     def boundary_measures(self):
         omega = sphere_area(self.n)
@@ -109,38 +168,16 @@ class RadialDomain:
         vol = omega * np.sum(self.A * self.a) * self.h
         return area_in, area_out, vol
 
-    def metric_gradient(self, u):
-        """|grad u|_g at the nodes (centered, one-sided at the ends)."""
-        du = np.gradient(u, self.r)
-        return du / self.a
+    # discrete operator -----------------------------------------------------
+    def _differences(self, u):
+        du = np.diff(u) / self.h
+        Gc = (u[2:] - u[:-2]) / (2 * self.h) / self.a[1:-1]
+        return du, Gc
 
-    def full_vector(self, interior, bc_inner, bc_outer):
-        u = np.empty(len(self.r))
-        u[0] = bc_inner
-        u[-1] = bc_outer
-        u[1:-1] = interior
-        return u
-
-    # discrete operator ----------------------------------------------------
-    # |grad u|^2 in the right-hand side blends the centered square with the
-    # average of face difference quotients squared (see RHS_FACE_BLEND)
-    def _blend(self):
-        th = np.full(len(self.r) - 2, RHS_FACE_BLEND_GLOBAL)
-        th[0] = th[-1] = RHS_FACE_BLEND_BOUNDARY
-        return th
-
-    def _grad_squares(self, u):
-        h, af, a = self.h, self.af, self.a
-        du = np.diff(u) / h
-        q2 = (du / af) ** 2
-        Gc = (u[2:] - u[:-2]) / (2 * h) / a[1:-1]
-        th = self._blend()
-        G2 = (1 - th) * Gc ** 2 + th * 0.5 * (q2[1:] + q2[:-1])
-        return du, Gc, G2
-
-    def residual(self, u, eps, s, variant="stimcf"):
+    def residual(self, interior, eps, s, bc, variant="stimcf"):
         h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
-        du, Gc, G2 = self._grad_squares(u)
+        du, Gc = self._differences(self.full_field(interior, bc))
+        G2 = Gc ** 2
         Wf = np.sqrt(eps ** 2 + (du / af) ** 2)
         F = Af * du / (af * Wf)
         div = (F[1:] - F[:-1]) / (A[1:-1] * a[1:-1] * h)
@@ -148,29 +185,88 @@ class RadialDomain:
         T = G2 * kr[1:-1] / W2
         return div - rhs_value(W2, T, s, variant)
 
-    def jacobian(self, u, eps, s, variant="stimcf"):
+    def jacobian(self, interior, eps, s, bc, variant="stimcf"):
         h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
-        du, Gc, G2 = self._grad_squares(u)
+        du, Gc = self._differences(self.full_field(interior, bc))
+        G2 = Gc ** 2
         Wf = np.sqrt(eps ** 2 + (du / af) ** 2)
         dF = Af * eps ** 2 / (af * Wf ** 3) / h
         ci = 1.0 / (A[1:-1] * a[1:-1] * h)
-        dlo = ci * dF[:-1]
-        dhi = ci * dF[1:]
-        dd = -ci * (dF[1:] + dF[:-1])
         W2 = eps ** 2 + G2
         T = G2 * kr[1:-1] / W2
         dRdW2, dRdT = rhs_derivs(W2, T, s, variant)
         # T = G2 k/(eps^2 + G2): dT/dG2 = k eps^2 / W2^2
         dRdG2 = dRdW2 + dRdT * kr[1:-1] * eps ** 2 / W2 ** 2
-        th = self._blend()
-        gplus = dRdG2 * th * du[1:] / (af[1:] ** 2 * h)
-        gminus = dRdG2 * th * du[:-1] / (af[:-1] ** 2 * h)
-        gcent = dRdG2 * (1 - th) * Gc / (h * a[1:-1])
-        dlo = dlo + gminus + gcent
-        dhi = dhi - gplus - gcent
-        dd = dd - (gminus - gplus)
+        gcent = dRdG2 * Gc / (h * a[1:-1])
+        dlo = ci * dF[:-1] + gcent
+        dhi = ci * dF[1:] - gcent
+        dd = -ci * (dF[1:] + dF[:-1])
         return sp.diags([dlo[1:], dd, dhi[:-1]], [-1, 0, 1], format="csc")
 
+    def solve(self, J, rhs):
+        return spla.spsolve(J, rhs)
+
+    def initial_guess(self, s, bc, eps):
+        """Arrival-time profile of the radial transport problem, capped at bc.
+
+        Integrates a(r) sqrt(max(H^2 - s P^2, 0)) where the sphere is
+        mean-convex.  Candidates are the hard cap, a smooth minimum at the
+        regularization scale (no artificial kink where the profile meets the
+        boundary value) and the boundary-tail join; the one with the
+        smallest operator residual wins.
+        """
+        H = self.profile.mean_curvature(self.r)
+        P = self.profile.k_trace(self.r)
+        speed = np.sqrt(np.maximum(H ** 2 - s * P ** 2, 0.0)) * (H > 0)
+        ut = cumulative_trapezoid(self.a * speed, self.r, initial=0.0)
+        candidates = [np.clip(ut, 0.0, bc)]
+        width = max(10.0 * eps, 1e-6)
+        soft = np.clip(bc - width * np.logaddexp(0.0, (bc - ut) / width), 0.0, bc)
+        candidates.append(soft)
+        if ut[-1] > bc:
+            tail = self._tail_guess(eps, bc, ut)
+            if tail is not None:
+                candidates.append(np.clip(tail, 0.0, bc))
+        scores = [float(np.max(np.abs(self.residual(c[1:-1], eps, s, bc))))
+                  for c in candidates]
+        return candidates[int(np.argmin(scores))][1:-1]
+
+    def _tail_guess(self, eps, bc, ut):
+        """Transport profile joined to the regularized boundary tail.
+
+        In the tail the flux A q is the plateau constant C plus the eps-source
+        integral (q the flux ratio, W = eps / sqrt(1 - q^2)); building q from
+        that closed form and integrating the slope a q W inward from the
+        boundary value avoids the forward instability of the tail ODE.  The
+        plateau constant is scanned around the transport kink and the
+        candidate with the smallest operator residual wins; a good tail is
+        what makes cold starts on large domains tractable.
+        """
+        r, a, A = self.r, self.a, self.A
+        kink = int(np.searchsorted(ut, bc))
+        if kink <= 2 or kink >= len(r) - 4:
+            return None
+
+        def build(C):
+            q0 = np.clip(C / A, 1e-9, 0.999999)
+            source = eps * A * a / np.sqrt(1.0 - np.minimum(q0, 0.99) ** 2)
+            Aq = C + cumulative_trapezoid(source, r, initial=0.0)
+            q = np.clip(Aq / A, 1e-9, 0.999999)
+            sl = a * q * eps / np.sqrt(1.0 - q * q)
+            drop = cumulative_trapezoid(sl[::-1], dx=self.h, initial=0.0)[::-1]
+            return bc - drop
+
+        best, best_res = None, np.inf
+        for fac in (0.7, 0.85, 0.95, 1.0, 1.03, 1.08, 1.15, 1.3):
+            cand = np.clip(np.minimum(ut, build(fac * A[kink])), 0.0, bc)
+            cand[0] = 0.0
+            cand[-1] = bc
+            res = float(np.max(np.abs(self.residual(cand[1:-1], eps, 1.0, bc))))
+            if res < best_res:
+                best, best_res = cand, res
+        return best
+
+    # data ------------------------------------------------------------------
     def subsolution_values(self, shift=0.0):
         v = self.alpha * np.log(np.maximum(self.r, 1e-300) / self.R0)
         return v + shift
@@ -187,37 +283,148 @@ class RadialDomain:
 
     def feasibility(self):
         area_in, area_out, vol = self.boundary_measures()
-        eps_div = (area_in + area_out) / vol
-        return {
-            "eps_divergence_bound": eps_div,
-            "eps_max": FEASIBILITY_SAFETY * eps_div,
-            "volume": vol,
-            "boundary_area": area_in + area_out,
-            "eps_theoretical_cap": _bridge_cap(self),
-        }
+        H_plus = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
+        lam = float(np.max(np.abs(self.kr)))
+        ric = np.abs(self.profile.ricci_normal(self.r))
+        C1 = (self.n + 1) * float(np.max(ric))
+        return _feasibility(area_in + area_out, vol, H_plus, lam, C1,
+                            self.r_out - self.r_in)
 
+    def k_is_zero(self):
+        return bool(np.all(self.kr == 0.0))
 
-def _bridge_cap(dom):
-    """The e^{-A b_L} lower-barrier cap with A = 2(C2 + |lambda| + 4).
+    def boundary_gradients(self, interior, bc):
+        """(H+ on dE0, inner and outer boundary slope) for criterion (iii).
 
-    Recorded as a diagnostic only: for any usable domain it underflows to
-    zero, so it cannot gate schedules (see the run manifest).
-    """
-    if dom.kind == "radial":
-        H_plus = max(float(dom.profile.mean_curvature(dom.r_in)), 0.0)
-        lam = float(np.max(np.abs(dom.kr)))
-        ric = np.abs(dom.profile.ricci_normal(dom.r))
-        C1 = (dom.n + 1) * float(np.max(ric))
-        b_L = dom.r_out - dom.r_in
-    else:
-        H_plus = dom.n / dom.e0_radius if dom.e0_radius else 1.0
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(dom.K_cells))))
-        C1 = 0.0
-        b_L = dom.R_L - dom.e0_radius
-    C2 = H_plus + C1 * b_L
-    A = 2.0 * (C2 + lam + 4.0)
-    with np.errstate(under="ignore"):
-        return float(np.exp(-A * b_L))
+        The slopes are parity-averaged: the centered scheme leaves the
+        odd-even component of the boundary gradient undetermined.
+        """
+        H_in = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
+        u = self.full_field(interior, bc)
+        k = min(4, len(u) - 1)
+        g_in = float(np.mean(np.diff(u[:k + 1])) / self.h
+                     / np.mean(self.af[:k]))
+        g_out = float(np.mean(np.diff(u[-k - 1:])) / self.h
+                      / np.mean(self.af[-k:]))
+        return H_in, g_in, g_out
+
+    def require_radial(self, what):
+        pass
+
+    # geometry read off a solution ------------------------------------------
+    def components(self, mask):
+        """Runs of consecutive nodes where mask holds."""
+        idx = np.where(mask)[0]
+        if len(idx) == 0:
+            return []
+        return np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
+
+    def plateau_radii(self, sol, comp, t0, knee_floor, k=60.0):
+        """(inner, outer) radius of a plateau run; the outer edge comes from
+        anchored value-crossing extrapolation.
+
+        Past the gradient knee (where |grad u|_g first exceeds both 8 times
+        the plateau median and knee_floor) the arrival time follows
+        u - u_edge ~ c (r - r*)^p (p = 3/2 where the spacetime mean
+        curvature has a square-root zero, 2 for K = 0 horizons).  Crossing
+        radii of three geometric thresholds fit the exponent and extrapolate
+        the O(delta^(1/p)) bias away; anchoring the thresholds at the knee
+        value keeps the plateau's own eps-scale variation out of the fit.
+        Falls back to the knee radius when the fit is unusable.
+        """
+        u = sol.full_field()
+        r = self.r
+        grad = np.abs(sol.metric_gradient())
+        g_med = float(np.median(grad[comp]))
+        knee_level = max(8.0 * g_med, knee_floor)
+        i = comp[-1]
+        while i < len(r) - 2 and grad[i] <= knee_level:
+            i += 1
+        knee = i
+        u_edge = float(u[knee])
+        uu = np.maximum.accumulate(u[knee:])
+        rr = r[knee:]
+
+        def crossing(target):
+            j = int(np.searchsorted(uu, target))
+            if j <= 0:
+                return rr[0]
+            if j >= len(uu):
+                return rr[-1]
+            w = (target - uu[j - 1]) / max(uu[j] - uu[j - 1], 1e-300)
+            return rr[j - 1] + w * (rr[j] - rr[j - 1])
+
+        inner = float(r[comp[0]])
+        d_base = max(k * sol.eps, 2.0 * (u_edge - t0))
+        r1, r2, r3 = (crossing(u_edge + d_base * f) for f in (16.0, 4.0, 1.0))
+        num, den = r1 - r2, r2 - r3
+        fallback = float(r[knee])
+        if den <= 1e-14 or num <= den:
+            return inner, fallback
+        ratio = num / den
+        if not (1.3 < ratio < 20.0):
+            return inner, fallback
+        est = float(r3 - den / (ratio - 1.0))
+        if not (fallback - 5 * self.h <= est <= r3):
+            return inner, fallback
+        return inner, est
+
+    def _sphere_mesh(self, radius, subdivisions=3, segments=512):
+        if self.n == 1:
+            return sg.circle_mesh(radius, segments=segments)
+        return sg.icosphere(radius=radius, subdivisions=subdivisions)
+
+    def plateau_meshes(self, sol, t0, inner_r, outer_r, subdivisions):
+        if self.n not in (1, 2):
+            return None, None
+        return (self._sphere_mesh(inner_r, subdivisions=subdivisions),
+                self._sphere_mesh(outer_r, subdivisions=subdivisions))
+
+    def level_radius(self, sol, t):
+        u = np.maximum.accumulate(sol.full_field())
+        return float(np.interp(t, u, self.r))
+
+    def level_mesh(self, sol, t, subdivisions, segments):
+        mesh = self._sphere_mesh(self.level_radius(sol, t), subdivisions,
+                                 segments)
+        return sg.populate_diagnostics(self.ids, mesh,
+                                       level_set=self.boundary_level_set())
+
+    def boundary_level_set(self):
+        """Level-set description of plateau boundary meshes: centered
+        spheres."""
+        return sg.sphere_level_set(np.zeros(self.ids.dim))
+
+    def tail_normals(self, grads):
+        """Radial normal signs of the last tail rung, and per node the turn
+        angle over the tail (0 where every rung agrees in sign, else 180)."""
+        signs = [np.sign(g + 1e-300) for g in grads]
+        agree = np.ones(len(self.r), bool)
+        for k in range(1, len(signs)):
+            agree &= (signs[k] == signs[k - 1])
+        return signs[-1], np.where(agree, 0.0, 180.0)
+
+    def extrema_excess(self, sol):
+        """Worst strict local max and min excess of u over its neighbors."""
+        u = sol.full_field()
+        mx = np.maximum(u[:-2], u[2:])
+        mn = np.minimum(u[:-2], u[2:])
+        return (float(np.max(u[1:-1] - mx, initial=0.0)),
+                float(np.max(mn - u[1:-1], initial=0.0)))
+
+    def shell_minima(self, vectors, R_reg, n_shells):
+        """<nu, x/|x|> on geometric shells from R_reg outward."""
+        inner = np.asarray(vectors, float)  # +-1 signs
+        shells = np.geomspace(R_reg, self.r[-1] * 0.98, n_shells)
+        return shells, np.array([float(np.interp(s, self.r, inner))
+                                 for s in shells])
+
+    # records ---------------------------------------------------------------
+    def fingerprint_arrays(self):
+        return [self.r, self.a, self.kr]
+
+    def record_arrays(self):
+        return {"r.f64": self.r}
 
 
 class GridDomain:
@@ -324,11 +531,11 @@ class GridDomain:
 
     def _build_gradients(self):
         """Sparse centered-gradient operators per axis over active cells,
-        one-sided into Dirichlet ghosts (affine parts handled via bc hooks)."""
+        one-sided into Dirichlet ghosts (the outer value enters through
+        G_bc_outer; the inner value is zero)."""
         nact = self.n_unknowns
         act = np.where(self.active)[0]
         self.G_ops = []
-        self.G_bc_inner = []   # coefficient of the inner Dirichlet value (=0)
         self.G_bc_outer = []   # coefficient of the outer Dirichlet value (=bc)
         for ax in range(self.d):
             plus = self._neighbors(act, ax, +1)
@@ -365,7 +572,6 @@ class GridDomain:
             vals = np.concatenate(vals)
             op = sp.csr_matrix((vals, (rows, cols)), shape=(nact, nact))
             self.G_ops.append(op)
-            self.G_bc_inner.append(np.zeros(nact))
             self.G_bc_outer.append(bco)
         # face normal-difference operator
         nline = len(self.f_lo)
@@ -414,36 +620,60 @@ class GridDomain:
                                -1.0 / vol[self.f_hi[hi_act]]])
         self.Div_op = sp.csr_matrix((vals, (rows, cols)),
                                     shape=(self.n_unknowns, len(self.f_lo)))
-        # per-cell face lookup (plus/minus face along each axis)
-        nact = self.n_unknowns
-        self.face_plus = np.full((self.d, nact), -1, dtype=int)
-        self.face_minus = np.full((self.d, nact), -1, dtype=int)
-        for fi in range(len(self.f_lo)):
-            ax = self.f_ax[fi]
-            lo, hi = self.f_lo[fi], self.f_hi[fi]
-            if self.active[lo]:
-                self.face_plus[ax, self.idx[lo]] = fi
-            if self.active[hi]:
-                self.face_minus[ax, self.idx[hi]] = fi
-        if np.any(self.face_plus < 0) or np.any(self.face_minus < 0):
-            raise DomainError("active cell missing a face (grid too tight)")
-        act = np.where(self.active)[0]
+        # face average of cell values, ghosts taking their owner's value
+        rows, cols = [], []
+        for side in (self.f_lo, self.f_hi):
+            act_side = self.active[side]
+            rows.append(np.where(act_side)[0])
+            cols.append(self.idx[side[act_side]])
+            inact = np.where(~act_side)[0]
+            owners = np.where(self.active[self.f_lo[inact]],
+                              self.f_lo[inact], self.f_hi[inact])
+            rows.append(inact)
+            cols.append(self.idx[owners])
+        rows = np.concatenate(rows)
+        self.half_op = sp.csr_matrix(
+            (np.full(len(rows), 0.5), (rows, np.concatenate(cols))),
+            shape=(nline, self.n_unknowns))
         self.ginv_cells = 1.0 / self.g_diag[act]
         self.K_act = self.K_cells[act]
         self.sg_act = self.sqrt_g[act]
         self.r_act = np.linalg.norm(self.centers[act], axis=1)
         self.subsol_act = self._subsol[act]
 
+    # fields over the active cells ------------------------------------------
+    @property
+    def radii(self):
+        return self.r_act
+
+    def full_field(self, interior, bc):
+        return interior.copy()
+
+    def _cell_grads(self, interior, bc):
+        return [self.G_ops[k] @ interior + self.G_bc_outer[k] * bc
+                for k in range(self.d)]
+
+    def gradient(self, interior, bc):
+        """Per-axis centered gradient, one row per active cell."""
+        return np.stack(self._cell_grads(interior, bc), axis=1)
+
+    def metric_gradient(self, interior, bc):
+        cell_grads = self._cell_grads(interior, bc)
+        W2 = np.zeros(self.n_unknowns)
+        for k in range(self.d):
+            W2 += self.ginv_cells[:, k] * cell_grads[k] ** 2
+        return np.sqrt(W2)
+
+    def volumes(self):
+        return self.sg_act * self.h ** self.d
+
     # operator --------------------------------------------------------------
     def _face_state(self, u, bc, eps):
         gn = self.D_op @ u + self.D_bc_outer * bc
-        gts = []
-        cell_grads = [self.G_ops[k] @ u + self.G_bc_outer[k] * bc
-                      for k in range(self.d)]
-        for k in range(self.d):
-            avg = 0.5 * (self._cell_to_face(cell_grads[k], self.f_lo)
-                         + self._cell_to_face(cell_grads[k], self.f_hi))
-            gts.append(avg)
+        cell_grads = self._cell_grads(u, bc)
+        gts = [0.5 * (self._cell_to_face(cg, self.f_lo)
+                      + self._cell_to_face(cg, self.f_hi))
+               for cg in cell_grads]
         W2 = eps ** 2 + 0.0
         for k in range(self.d):
             comp = np.where(self.f_ax == k, gn, gts[k])
@@ -456,124 +686,71 @@ class GridDomain:
         out[act] = cell_vals[self.idx[cells[act]]]
         inact = ~act
         # ghost cells: copy owner value (first-order extension)
-        ghosts = cells[inact]
         owners = np.where(self.active[self.f_lo[inact]],
                           self.f_lo[inact], self.f_hi[inact])
         out[inact] = cell_vals[self.idx[owners]]
         return out
 
-    def _cell_blend(self):
-        if not hasattr(self, "_th_cells"):
-            th = np.full(self.n_unknowns, RHS_FACE_BLEND_GLOBAL)
-            for fi in np.where(self.f_kind > 0)[0]:
-                own = self.f_lo[fi] if self.active[self.f_lo[fi]] \
-                    else self.f_hi[fi]
-                th[self.idx[own]] = RHS_FACE_BLEND_BOUNDARY
-            self._th_cells = th
-        return self._th_cells
-
-    def _cell_w2(self, gn, cell_grads, eps):
-        # blended |grad u|^2 per cell (face-averaged at boundary cells)
-        th = self._cell_blend()
+    def _rhs_state(self, cell_grads, eps):
+        """Per cell: eps^2 + |grad u|^2, the raised gradient and the
+        K-contraction T, all from centered gradients."""
         W2c = np.full(self.n_unknowns, eps ** 2)
         for k in range(self.d):
-            q2 = 0.5 * (gn[self.face_plus[k]] ** 2
-                        + gn[self.face_minus[k]] ** 2)
-            W2c = W2c + self.ginv_cells[:, k] * (
-                (1 - th) * cell_grads[k] ** 2 + th * q2)
-        return W2c
-
-    def residual(self, u, eps, s, bc, variant="stimcf"):
-        gn, gts, cell_grads, Wf = self._face_state(u, bc, eps)
-        ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
-        F = self.f_sqrt_g * ginv_n * gn / Wf
-        div = self.Div_op @ F
-        W2c = self._cell_w2(gn, cell_grads, eps)
+            W2c = W2c + self.ginv_cells[:, k] * cell_grads[k] ** 2
         raised = [self.ginv_cells[:, k] * cell_grads[k] for k in range(self.d)]
         KT = np.zeros(self.n_unknowns)
         for i in range(self.d):
             for j in range(self.d):
                 KT += raised[i] * raised[j] * self.K_act[:, i, j]
-        T = KT / W2c
-        return div - rhs_value(W2c, T, s, variant)
+        return W2c, raised, KT / W2c
 
-    def jacobian(self, u, eps, s, bc, variant="stimcf"):
-        gn, gts, cell_grads, Wf = self._face_state(u, bc, eps)
-        nf = len(gn)
-        ginv_n = self.f_ginv[np.arange(nf), self.f_ax]
+    def residual(self, interior, eps, s, bc, variant="stimcf"):
+        gn, _, cell_grads, Wf = self._face_state(interior, bc, eps)
+        ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
+        F = self.f_sqrt_g * ginv_n * gn / Wf
+        W2c, _, T = self._rhs_state(cell_grads, eps)
+        return self.Div_op @ F - rhs_value(W2c, T, s, variant)
+
+    def jacobian(self, interior, eps, s, bc, variant="stimcf"):
+        gn, gts, cell_grads, Wf = self._face_state(interior, bc, eps)
+        ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
         # dF/dgn and dF/dgt_k
         dF_dgn = self.f_sqrt_g * ginv_n * (1.0 / Wf
                                            - ginv_n * gn ** 2 / Wf ** 3)
         J = self.Div_op @ (sp.diags(dF_dgn) @ self.D_op)
-        half = self._face_average_op()
         for k in range(self.d):
-            tang = self.f_ax != k
-            comp = np.where(tang, gts[k], 0.0)
+            comp = np.where(self.f_ax != k, gts[k], 0.0)
             dF_dgt = -self.f_sqrt_g * ginv_n * gn * self.f_ginv[:, k] * comp / Wf ** 3
-            J = J + self.Div_op @ (sp.diags(dF_dgt) @ (half @ self.G_ops[k]))
-        # RHS part: W2 from face pairs, K-term from centered gradients
-        W2c = self._cell_w2(gn, cell_grads, eps)
-        raised = [self.ginv_cells[:, k] * cell_grads[k] for k in range(self.d)]
-        KT = np.zeros(self.n_unknowns)
-        for i in range(self.d):
-            for j in range(self.d):
-                KT += raised[i] * raised[j] * self.K_act[:, i, j]
-        T = KT / W2c
+            J = J + self.Div_op @ (sp.diags(dF_dgt) @ (self.half_op @ self.G_ops[k]))
+        W2c, raised, T = self._rhs_state(cell_grads, eps)
         dRdW2, dRdT = rhs_derivs(W2c, T, s, variant)
         coef_w2 = dRdW2 - dRdT * T / W2c
-        th = self._cell_blend()
         for k in range(self.d):
-            for faces in (self.face_plus[k], self.face_minus[k]):
-                w = th * coef_w2 * self.ginv_cells[:, k] * gn[faces]
-                J = J - sp.csr_matrix(
-                    (w, (np.arange(self.n_unknowns), faces)),
-                    shape=(self.n_unknowns, len(gn))) @ self.D_op
-            J = J - sp.diags((1 - th) * coef_w2 * 2
-                             * self.ginv_cells[:, k] * cell_grads[k])                 @ self.G_ops[k]
             dKT_dgk = np.zeros(self.n_unknowns)
             for j in range(self.d):
                 dKT_dgk += 2 * self.ginv_cells[:, k] * raised[j] * self.K_act[:, k, j]
-            J = J - sp.diags(dRdT * dKT_dgk / W2c) @ self.G_ops[k]
+            dR_dgk = (coef_w2 * 2 * self.ginv_cells[:, k] * cell_grads[k]
+                      + dRdT * dKT_dgk / W2c)
+            J = J - sp.diags(dR_dgk) @ self.G_ops[k]
         return J.tocsc()
 
-    def _face_average_op(self):
-        if hasattr(self, "_half_op"):
-            return self._half_op
-        nf = len(self.f_lo)
-        rows, cols, vals = [], [], []
-        for side in (self.f_lo, self.f_hi):
-            act = self.active[side]
-            rows.append(np.where(act)[0])
-            cols.append(self.idx[side[act]])
-            vals.append(np.full(int(np.sum(act)), 0.5))
-            inact = np.where(~act)[0]
-            owners = np.where(self.active[self.f_lo[inact]],
-                              self.f_lo[inact], self.f_hi[inact])
-            rows.append(inact)
-            cols.append(self.idx[owners])
-            vals.append(np.full(len(inact), 0.5))
-        self._half_op = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nf, self.n_unknowns))
-        return self._half_op
+    def solve(self, J, rhs):
+        if self.n_unknowns < 40000 or self.d < 3:
+            return spla.spsolve(J, rhs)
+        # 3D: diagonal-scaled Krylov
+        M = sp.diags(1.0 / np.maximum(np.abs(J.diagonal()), 1e-30))
+        x, info = spla.bicgstab(J, rhs, rtol=1e-12, atol=0.0, maxiter=400, M=M)
+        if info != 0:
+            x = spla.spsolve(J.tocsc(), rhs)
+        return x
 
-    def metric_gradient(self, u, bc):
-        cell_grads = [self.G_ops[k] @ u + self.G_bc_outer[k] * bc
-                      for k in range(self.d)]
-        W2 = np.zeros(self.n_unknowns)
-        for k in range(self.d):
-            W2 += self.ginv_cells[:, k] * cell_grads[k] ** 2
-        return np.sqrt(W2)
+    def initial_guess(self, s, bc, eps):
+        """The log subsolution rescaled to slope n, capped at bc."""
+        return np.clip(self.subsolution_values() * (self.n / self.alpha), 0.0, bc)
 
+    # data ------------------------------------------------------------------
     def subsolution_values(self, shift=0.0):
         return self.subsol_act + shift
-
-    def subsolution_margin(self):
-        """Degenerate-operator residual of v on active cells beyond R0,
-        via the pointwise formula for diagonal metrics."""
-        act = np.where(self.active)[0]
-        x = self.centers[act]
-        return _pointwise_margin(self.ids, x, self.alpha)
 
     def feasibility(self):
         vol = float(np.sum(self.sg_act) * self.h ** self.d)
@@ -581,23 +758,135 @@ class GridDomain:
         area_out = sphere_area(self.n) * self.R_L ** self.n
         gbar = float(np.mean(self.g_diag[self.active]))
         area = (area_in + area_out) * gbar ** (self.n / 2)
-        eps_div = area / vol
-        return {
-            "eps_divergence_bound": eps_div,
-            "eps_max": FEASIBILITY_SAFETY * eps_div,
-            "volume": vol,
-            "boundary_area": area,
-            "eps_theoretical_cap": _bridge_cap(self),
-        }
+        H_plus = self.n / self.e0_radius if self.e0_radius else 1.0
+        lam = float(np.max(np.abs(np.linalg.eigvalsh(self.K_cells))))
+        return _feasibility(area, vol, H_plus, lam, 0.0,
+                            self.R_L - self.e0_radius)
+
+    def k_is_zero(self):
+        return bool(np.max(np.abs(self.K_act)) == 0.0)
+
+    def boundary_gradients(self, interior, bc):
+        """(H+ of the E0 sphere, max |grad u|_g within two cells of the
+        inner and of the outer boundary)."""
+        grad = self.metric_gradient(interior, bc)
+        near = self.r_act <= self.e0_radius + 2 * self.h
+        far = self.r_act >= self.R_L - 2 * self.h
+        g_in = float(np.max(grad[near])) if np.any(near) else 0.0
+        g_out = float(np.max(grad[far])) if np.any(far) else 0.0
+        return self.n / self.e0_radius, g_in, g_out
+
+    def require_radial(self, what):
+        raise LaneError(f"{what} runs on the radial lane")
+
+    # geometry read off a solution ------------------------------------------
+    def components(self, mask):
+        """Connected (face-adjacent) groups of active cells where mask
+        holds, as active-cell indices."""
+        from scipy import ndimage
+        full = np.zeros(len(self.active), bool)
+        full[self.active] = mask
+        lab, nlab = ndimage.label(full.reshape(self.shape))
+        lab = lab.ravel()[self.active]
+        return [np.where(lab == li)[0] for li in range(1, nlab + 1)]
+
+    def plateau_radii(self, sol, comp, t0, knee_floor):
+        rads = self.r_act[comp]
+        return float(np.min(rads)), float(np.max(rads))
+
+    def _extended_field(self, sol):
+        """u on the full grid: smooth signed-distance continuation into E0
+        (slope matched to the boundary gradient) and the Dirichlet value
+        outside, so interpolants and contouring stay well behaved."""
+        full = np.full(len(self.active), sol.bc)
+        grad = sol.metric_gradient()
+        near = self.r_act <= self.e0_radius + 2 * self.h
+        slope = float(np.median(grad[near])) if np.any(near) else 1.0
+        inside = self.sdf <= 0
+        full[inside] = self.sdf[inside] * max(slope, 1e-3)
+        full[self.active] = sol.interior
+        return full.reshape(self.shape)
+
+    def _contour(self, field, t):
+        return extract_isosurface(field, self.centers[0], self.h, t,
+                                  interior_point=self.e0_center)
+
+    def plateau_meshes(self, sol, t0, inner_r, outer_r, subdivisions):
+        field = self._extended_field(sol)
+        delta = 3 * sol.eps
+        return self._contour(field, t0 - delta), self._contour(field, t0 + delta)
+
+    def level_mesh(self, sol, t, subdivisions, segments):
+        from scipy.ndimage import map_coordinates
+        field = self._extended_field(sol)
+        mesh = self._contour(field, t)
+        if mesh is None:
+            return None
+        origin = self.centers[0]
+
+        def phi(points):
+            # quadratic interpolant of the extended field
+            coords = (np.atleast_2d(points) - origin[None, :]) / self.h
+            return map_coordinates(field, coords.T, order=2, mode="nearest")
+
+        # away from jumps the flow field itself describes the level set;
+        # its normal-field divergence is the H of choice
+        return sg.populate_diagnostics(self.ids, mesh, level_set=phi,
+                                       level_set_h=self.h)
+
+    def boundary_level_set(self):
+        return None
+
+    def tail_normals(self, grads):
+        """Unit gradient directions of the last tail rung, and per cell the
+        largest angle between consecutive rungs, in degrees."""
+        tails = [g / np.maximum(np.sqrt(np.sum(g * g, axis=1)), 1e-300)[:, None]
+                 for g in grads]
+        max_ang = np.zeros(self.n_unknowns)
+        for k in range(1, len(tails)):
+            cosv = np.clip(np.sum(tails[k] * tails[k - 1], axis=1), -1, 1)
+            max_ang = np.maximum(max_ang, np.degrees(np.arccos(cosv)))
+        return tails[-1], max_ang
+
+    def extrema_excess(self, sol):
+        full = self._extended_field(sol).ravel()
+        act = np.where(self.active)[0]
+        neigh = np.stack([self._neighbors(act, ax, stp)
+                          for ax in range(self.d) for stp in (+1, -1)], axis=1)
+        vals = full[np.maximum(neigh, 0)]
+        mn = np.min(np.where(neigh >= 0, vals, np.inf), axis=1)
+        mx = np.max(np.where(neigh >= 0, vals, -np.inf), axis=1)
+        uact = full[act]
+        return (float(np.max(uact - mx, initial=0.0)),
+                float(np.max(mn - uact, initial=0.0)))
+
+    def shell_minima(self, vectors, R_reg, n_shells):
+        """Per shell of width 2h, the least <nu, x/|x|> over its cells."""
+        nu = vectors
+        xhat = self.centers[self.active] / np.maximum(self.r_act, 1e-300)[:, None]
+        ip = np.sum(nu * xhat, axis=1) / np.maximum(
+            np.sqrt(np.sum(nu * nu, axis=1)), 1e-300)
+        shells = np.linspace(R_reg, self.R_L * 0.9, n_shells)
+        mins = np.array([
+            float(np.min(ip[(self.r_act >= s - self.h) & (self.r_act < s + self.h)],
+                         initial=1.0)) for s in shells])
+        return shells, mins
+
+    # records ---------------------------------------------------------------
+    def fingerprint_arrays(self):
+        return [np.asarray(self.shape), self.sdf]
+
+    def record_arrays(self):
+        return {}
 
 
 def _pointwise_margin(ids, x, alpha, h=1e-4):
     """H_level - sqrt(|grad v|^2 + P_nu^2) for v = alpha ln|x| at points x."""
-    from .surface_geometry import level_set_mean_curvature
     x = np.atleast_2d(x)
     r = np.linalg.norm(x, axis=1)
     nu = x / r[:, None]
-    H = level_set_mean_curvature(ids, x, lambda p: np.linalg.norm(p, axis=1), h=h)
+    H = sg.level_set_mean_curvature(ids, x, lambda p: np.linalg.norm(p, axis=1),
+                                    h=h)
     g = ids.metric(x)
     ginv = np.linalg.inv(g)
     K = ids.second_form(x)

@@ -54,8 +54,8 @@ def save_record(rec, outdir, config=None):
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
     if rec.imcf is not None:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
-    if dom.kind == "radial":
-        write_array(os.path.join(outdir, "r.f64"), dom.r)
+    for name, arr in dom.record_arrays().items():
+        write_array(os.path.join(outdir, name), arr)
     sweep_rows = []
     for i, eps in enumerate(rec.epsilons):
         row = {"eps": eps,
@@ -133,7 +133,7 @@ def load_record(record_dir):
     verification suites.
     """
     from . import solver as sv
-    from .weak_flow import FlowRecord, _gradient_data
+    from .weak_flow import FlowRecord
 
     verify_hashes(record_dir)
     man = read_manifest(record_dir)
@@ -147,12 +147,17 @@ def load_record(record_dir):
         params["n"] = int(man["config.n"])
     ids = idm.build_preset(preset, **params)
     e0 = {"radius": float(man["config.e0_radius_chart"])}
+    if "config.e0_center_chart" in man:
+        e0["center"] = [float(x) for x in man["config.e0_center_chart"].split()]
     dom = build_domain(ids, e0, L=float(man["domain.L"]),
                        alpha=float(man["domain.alpha"]),
                        h=float(man["domain.h"]),
                        mode=man["domain.kind"])
     rec = FlowRecord(dom, man.get("variant", "stimcf"))
     u = read_array(os.path.join(record_dir, "u.f64"))
+    if u.shape != (dom.n_unknowns,):
+        raise RecordError(f"u.f64 holds {u.size} values; the rebuilt domain "
+                          f"has {dom.n_unknowns} unknowns")
     eps_sched = [float(x) for x in man["eps_schedule"].split()]
     rec.epsilons = eps_sched
     bc = float(man["bc"])
@@ -161,7 +166,7 @@ def load_record(record_dir):
                             float(man["residual_norm"]), 0, True, 0.0,
                             variant=rec.variant)
     rec.solution = sol
-    rec.tail = [(eps_last, u.copy(), _gradient_data(dom, sol))]
+    rec.tail = [(eps_last, u.copy(), dom.gradient(u, bc))]
     p_im = os.path.join(record_dir, "u_imcf.f64")
     if os.path.exists(p_im):
         rec.imcf = sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0,
@@ -203,13 +208,8 @@ def load_checkpoint(path, dom):
 
 def domain_fingerprint(dom):
     h = hashlib.sha256()
-    if dom.kind == "radial":
-        h.update(dom.r.tobytes())
-        h.update(dom.a.tobytes())
-        h.update(dom.kr.tobytes())
-    else:
-        h.update(np.asarray(dom.shape).tobytes())
-        h.update(dom.sdf.tobytes())
+    for arr in dom.fingerprint_arrays():
+        h.update(arr.tobytes())
     h.update(np.float64(dom.L).tobytes())
     h.update(np.float64(dom.alpha).tobytes())
     return h.hexdigest()[:16]

@@ -15,7 +15,6 @@ that floor count as converged and record their true residual.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid
 
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 60
@@ -47,116 +46,11 @@ class ScalarSolution:
         self.variant = variant
 
     def full_field(self):
-        """Values including boundary data (radial: nodes; grid: active cells)."""
-        if self.domain.kind == "radial":
-            return self.domain.full_vector(self.interior, 0.0, self.bc)
-        return self.interior.copy()
+        """Values at the field points, boundary data included."""
+        return self.domain.full_field(self.interior, self.bc)
 
     def metric_gradient(self):
-        if self.domain.kind == "radial":
-            return self.domain.metric_gradient(self.full_field())
         return self.domain.metric_gradient(self.interior, self.bc)
-
-
-def _residual(dom, interior, eps, s, bc, variant="stimcf"):
-    if dom.kind == "radial":
-        return dom.residual(dom.full_vector(interior, 0.0, bc), eps, s, variant)
-    return dom.residual(interior, eps, s, bc, variant)
-
-
-def _jacobian(dom, interior, eps, s, bc, variant="stimcf"):
-    if dom.kind == "radial":
-        return dom.jacobian(dom.full_vector(interior, 0.0, bc), eps, s, variant)
-    return dom.jacobian(interior, eps, s, bc, variant)
-
-
-def _linear_solve(dom, J, rhs):
-    if dom.kind == "radial" or dom.n_unknowns < 40000 or getattr(dom, "d", 2) < 3:
-        return spla.spsolve(J, rhs)
-    # 3D: diagonal-scaled Krylov
-    dscale = 1.0 / np.maximum(np.abs(J.diagonal()), 1e-30)
-    M = sp.diags(dscale)
-    x, info = spla.bicgstab(J, rhs, rtol=1e-12, atol=0.0, maxiter=400, M=M)
-    if info != 0:
-        x = spla.spsolve(J.tocsc(), rhs)
-    return x
-
-
-def transport_initial_guess(dom, s, bc, eps=None):
-    """Arrival-time profile of the radial transport problem, capped at bc.
-
-    Integrates a(r) sqrt(max(H^2 - s P^2, 0)) where the sphere is mean-convex;
-    for grid domains the profile is carried over along |x|.  The cap uses a
-    smooth minimum at the regularization scale so the cold start carries no
-    artificial kink where the profile meets the boundary value.
-    """
-    prof = getattr(dom, "profile", None)
-    if prof is None:
-        v = dom.subsolution_values() * (dom.n / dom.alpha)
-        return np.clip(v, 0.0, bc)
-    if dom.kind == "radial":
-        rr = dom.r
-    else:
-        rr = np.linspace(max(dom.e0_radius, 1e-3), dom.R_L, 2048)
-    a = np.asarray(dom.ids.radial.a(rr), float)
-    H = prof.mean_curvature(rr)
-    P = prof.k_trace(rr)
-    speed = np.sqrt(np.maximum(H ** 2 - s * P ** 2, 0.0)) * (H > 0)
-    ut = cumulative_trapezoid(a * speed, rr, initial=0.0)
-    clipped = np.clip(ut, 0.0, bc)
-    if dom.kind != "radial":
-        return np.interp(dom.r_act, rr, clipped)
-    if eps is None:
-        return clipped[1:-1]
-    candidates = [clipped]
-    width = max(10.0 * eps, 1e-6)
-    soft = np.clip(bc - width * np.logaddexp(0.0, (bc - ut) / width), 0.0, bc)
-    candidates.append(soft)
-    if ut[-1] > bc:
-        tail = _radial_tail_init(dom, eps, bc, ut, a * speed)
-        if tail is not None:
-            candidates.append(np.clip(tail, 0.0, bc))
-    scores = [float(np.max(np.abs(dom.residual(
-        dom.full_vector(c[1:-1], 0.0, bc), eps, s)))) for c in candidates]
-    return candidates[int(np.argmin(scores))][1:-1]
-
-
-def _radial_tail_init(dom, eps, bc, ut, slope):
-    """Transport profile joined to the regularized boundary tail.
-
-    In the tail the flux A q is the plateau constant C plus the eps-source
-    integral (q the flux ratio, W = eps / sqrt(1 - q^2)); building q from
-    that closed form and integrating the slope a q W inward from the
-    boundary value avoids the forward instability of the tail ODE.  The
-    plateau constant is scanned around the transport kink and the candidate
-    with the smallest operator residual wins; a good tail is what makes cold
-    starts on large domains tractable.
-    """
-    from scipy.integrate import cumulative_trapezoid as ctz
-    r, a, A = dom.r, dom.a, dom.A
-    kink = int(np.searchsorted(ut, bc))
-    if kink <= 2 or kink >= len(r) - 4:
-        return None
-
-    def build(C):
-        q0 = np.clip(C / A, 1e-9, 0.999999)
-        source = eps * A * a / np.sqrt(1.0 - np.minimum(q0, 0.99) ** 2)
-        Aq = C + ctz(source, r, initial=0.0)
-        q = np.clip(Aq / A, 1e-9, 0.999999)
-        sl = a * q * eps / np.sqrt(1.0 - q * q)
-        drop = ctz(sl[::-1], dx=dom.h, initial=0.0)[::-1]
-        return bc - drop
-
-    best, best_res = None, np.inf
-    for fac in (0.7, 0.85, 0.95, 1.0, 1.03, 1.08, 1.15, 1.3):
-        u_tail = build(fac * A[kink])
-        cand = np.clip(np.minimum(ut, u_tail), 0.0, bc)
-        cand[0] = 0.0
-        cand[-1] = bc
-        res = float(np.max(np.abs(dom.residual(cand, eps, 1.0))))
-        if res < best_res:
-            best, best_res = cand, res
-    return best
 
 
 def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
@@ -164,33 +58,34 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     """Damped Newton on the discretized operator E^(eps, s).
 
     u_init is an interior vector (boundary data is imposed, not solved for);
-    None selects the transport initial guess.  Non-convergence is reported on
-    the returned solution together with a feasibility diagnostic when eps
-    exceeds the divergence bound of the domain.
+    None selects the domain's cold start (the transport profile on the
+    radial lane).  Non-convergence is reported on the returned solution
+    together with a feasibility diagnostic when eps exceeds the divergence
+    bound of the domain.
     """
     if eps <= 0:
         raise SolverError("elliptic regularization needs eps > 0")
     if not (0.0 <= s <= 1.0):
         raise SolverError("continuity parameter s must lie in [0, 1]")
     bc = s * (dom.L - 2.0) if bc is None else float(bc)
-    u = (transport_initial_guess(dom, s, bc, eps=eps) if u_init is None
+    u = (dom.initial_guess(s, bc, eps) if u_init is None
          else np.array(u_init, float, copy=True))
     if len(u) != dom.n_unknowns:
         raise SolverError("initial guess has the wrong number of unknowns")
-    res = _residual(dom, u, eps, s, bc, variant)
+    res = dom.residual(u, eps, s, bc, variant)
     nrm = float(np.max(np.abs(res)))
     slack = 0
     floor = 0.0
     it = 0
     while it < maxit:
-        J = _jacobian(dom, u, eps, s, bc, variant)
+        J = dom.jacobian(u, eps, s, bc, variant)
         normJ = float(np.max(np.abs(J).sum(axis=1)))
         floor = FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0))) * normJ
         if nrm < max(tol, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor,
                                   variant=variant)
         try:
-            step = _linear_solve(dom, J, -res)
+            step = dom.solve(J, -res)
         except Exception as exc:
             raise SolverError(f"linearization solve failed: {exc}") from exc
         if not np.all(np.isfinite(step)):
@@ -200,7 +95,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         lam, ok, ut, rt, nt = 1.0, False, u, res, nrm
         for _ in range(MAX_BACKTRACK):
             ut = u + lam * step
-            rt = _residual(dom, ut, eps, s, bc, variant)
+            rt = dom.residual(ut, eps, s, bc, variant)
             nt = float(np.max(np.abs(rt)))
             if np.isfinite(nt) and nt < (1.0 - 1e-4 * lam) * nrm:
                 ok = True
@@ -232,15 +127,15 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         if lm is not None:
             u, res, nrm = lm
             for _ in range(30):
-                J = _jacobian(dom, u, eps, s, bc, variant)
+                J = dom.jacobian(u, eps, s, bc, variant)
                 normJ = float(np.max(np.abs(J).sum(axis=1)))
                 floor = FLOOR_FACTOR * _EPS * (1.0 + float(
                     np.max(np.abs(u), initial=0.0))) * normJ
                 if nrm < max(tol, floor):
                     break
-                step = _linear_solve(dom, J, -res)
+                step = dom.solve(J, -res)
                 ut = u + step
-                rt = _residual(dom, ut, eps, s, bc, variant)
+                rt = dom.residual(ut, eps, s, bc, variant)
                 nt = float(np.max(np.abs(rt)))
                 if not np.isfinite(nt) or nt >= nrm:
                     break
@@ -269,7 +164,7 @@ def _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol, floor, variant,
         if float(np.max(np.abs(res))) < max(tol, floor):
             improved = True
             break
-        J = _jacobian(dom, u, eps, s, bc, variant).tocsr()
+        J = dom.jacobian(u, eps, s, bc, variant).tocsr()
         g = J.T @ res
         H = (J.T @ J).tocsc()
         D = sp.diags(np.maximum(H.diagonal(), 1e-30))
@@ -278,7 +173,7 @@ def _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol, floor, variant,
         except Exception:
             return None
         ut = u + step
-        rt = _residual(dom, ut, eps, s, bc, variant)
+        rt = dom.residual(ut, eps, s, bc, variant)
         n2 = float(np.linalg.norm(rt))
         if np.isfinite(n2) and n2 < l2:
             du = ut - u
@@ -288,7 +183,7 @@ def _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol, floor, variant,
                 rho = num / den if den > 0 else 0.0
                 if 0.2 < rho < 0.999:
                     cand = ut + du * rho / (1.0 - rho)
-                    rc = _residual(dom, cand, eps, s, bc, variant)
+                    rc = dom.residual(cand, eps, s, bc, variant)
                     nc = float(np.linalg.norm(rc))
                     if np.isfinite(nc) and nc < n2:
                         ut, rt, n2 = cand, rc, nc
@@ -317,7 +212,7 @@ def _nonconvergence_note(dom, eps):
 
 def residual_field(dom, sol):
     """Per-cell residual of E^(eps, s) at a solution (diagnostic surface)."""
-    return _residual(dom, sol.interior, sol.eps, sol.s, sol.bc, sol.variant)
+    return dom.residual(sol.interior, sol.eps, sol.s, sol.bc, sol.variant)
 
 
 def continuation_solve(dom, eps, warm=None, tol=TOL_NEWTON, ds0=0.25,
@@ -338,8 +233,7 @@ def continuation_solve(dom, eps, warm=None, tol=TOL_NEWTON, ds0=0.25,
     trace = []
     rungs = {}
     bc = dom.L - 2.0
-    k_zero = _k_is_zero(dom)
-    if k_zero:
+    if dom.k_is_zero():
         sol = newton_solve(dom, eps, 1.0, u_init=warm.get(1.0), bc=bc, tol=tol,
                            variant=variant)
         trace.append((1.0, sol.iterations, sol.residual_norm, sol.converged))
@@ -394,12 +288,6 @@ def imcf_reference_solve(dom, eps, warm=None, tol=TOL_NEWTON):
     return newton_solve(dom, eps, 0.0, u_init=warm, bc=dom.L - 2.0, tol=tol)
 
 
-def _k_is_zero(dom):
-    if dom.kind == "radial":
-        return bool(np.all(dom.kr == 0.0))
-    return bool(np.max(np.abs(dom.K_act)) == 0.0)
-
-
 class AprioriReport:
     def __init__(self):
         self.violations = []
@@ -433,37 +321,15 @@ def apriori_monitor(dom, sol, imcf_reference=None, tol=None):
         rep.violations.append(f"(i) min u = {umin:.3e} < -eps = {-eps:.3e}")
     if umax > bc + tol:
         rep.violations.append(f"(ii) max u = {umax:.3e} > s(L-2) = {bc:.3e}")
-    v = dom.subsolution_values()
-    lower = v + (s - 1.0) * (dom.L - 1.0) - 2.0
-    if dom.kind == "radial":
-        outside = dom.r >= dom.R0
-    else:
-        outside = dom.r_act >= dom.R0
-        u = sol.interior
-        lower = lower
+    lower = dom.subsolution_values() + (s - 1.0) * (dom.L - 1.0) - 2.0
+    outside = dom.radii >= dom.R0
     gap = np.min((u - lower)[outside]) if np.any(outside) else np.inf
     rep.measured["outer_barrier_gap"] = float(gap)
     # the outer log barrier holds up to an O(eps) boundary-layer correction
     # at finite regularization; only larger dips count as violations
     if gap < -(5.0 * eps + tol):
         rep.violations.append(f"(i) u - (v + (s-1)(L-1) - 2) dips to {gap:.3e}")
-    grad = sol.metric_gradient()
-    if dom.kind == "radial":
-        H_in = max(float(dom.profile.mean_curvature(dom.r_in)), 0.0)
-        # parity-averaged boundary slope: the centered scheme leaves the
-        # odd-even component of the boundary gradient undetermined
-        u = sol.full_field()
-        k = min(4, len(u) - 1)
-        g_in = float(np.mean(np.diff(u[:k + 1])) / dom.h
-                     / np.mean(dom.af[:k]))
-        g_out = float(np.mean(np.diff(u[-k - 1:])) / dom.h
-                      / np.mean(dom.af[-k:]))
-    else:
-        H_in = dom.n / dom.e0_radius
-        near = dom.r_act <= dom.e0_radius + 2 * dom.h
-        far = dom.r_act >= dom.R_L - 2 * dom.h
-        g_in = float(np.max(grad[near])) if np.any(near) else 0.0
-        g_out = float(np.max(grad[far])) if np.any(far) else 0.0
+    H_in, g_in, g_out = dom.boundary_gradients(sol.interior, bc)
     rep.measured["boundary_gradient_inner"] = g_in
     rep.measured["H_plus_inner"] = H_in
     rep.measured["boundary_gradient_outer_CL"] = g_out

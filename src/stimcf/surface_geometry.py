@@ -90,9 +90,6 @@ class SurfaceMesh:
                                 ids.metric(self.centroids), nu, nu))
         return nu / nrm[:, None]
 
-    def total_area(self, ids):
-        return float(np.sum(self.metric_areas(ids)))
-
 
 # -- generators ------------------------------------------------------------
 

@@ -1,14 +1,11 @@
 """Variational functionals, minimality tests, outward hulls and Q(t).
 
-The discrete perimeter is a face-weighted cut metric.  In the radial lane it
-is exact (sphere areas); on Cartesian grids the stencil couples axis,
-face-diagonal and (3D) corner-diagonal neighbors with weights calibrated so
-straight interfaces are measured uniformly in direction to within a few
-percent (constants below).  Min-cut is exact for this discrete functional,
-which is also the one every comparison here uses.
+The discrete perimeter is a face-weighted cut metric; on the radial lane it
+is exact (sphere areas).  Min-cut is exact for this discrete functional,
+which is also the one every comparison here uses.  The function-level
+functional, the minimality sweep, the area identity and Q(t) run on the
+radial lane only.
 """
-
-import itertools
 
 import numpy as np
 
@@ -17,38 +14,6 @@ from .radial_oracle import sphere_area
 from .weak_flow import level_radius
 
 TOL_MIN_REL = 1e-3
-
-
-def _cut_stencil(d):
-    """Offsets and unit weights of the calibrated cut metric, with the
-    measured worst-case direction error (flat space, unit spacing)."""
-    if d == 2:
-        offs = [(1, 0), (0, 1), (1, 1), (1, -1)]
-        base = np.array([np.sqrt(2) - 1.0, np.sqrt(2) - 1.0,
-                         1.0 - 1.0 / np.sqrt(2), 1.0 - 1.0 / np.sqrt(2)])
-        thetas = np.linspace(0, np.pi / 4, 181)
-        nus = np.stack([np.cos(thetas), np.sin(thetas)], 1)
-    elif d == 3:
-        offs = ([(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-                + [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
-                   (0, 1, 1), (0, 1, -1)]
-                + [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
-        base = np.array([0.15479] * 3 + [0.12982] * 6 + [0.08150] * 4)
-        rng = np.random.default_rng(11)
-        nus = rng.normal(size=(400, 3))
-        nus /= np.linalg.norm(nus, axis=1)[:, None]
-    else:
-        raise ValueError("cut stencil supports d = 2, 3")
-    # base weights make axis and diagonal planes exact (zero anisotropy
-    # error there); err records the worst error over general directions
-    O = np.array(offs, float)
-    est = np.abs(nus @ O.T) @ base
-    err = float(max(abs(est.max() - 1), abs(1 - est.min())))
-    return [tuple(o) for o in offs], base, err
-
-
-CUT_ANISOTROPY_2D = _cut_stencil(2)[2]
-CUT_ANISOTROPY_3D = _cut_stencil(3)[2]
 
 
 class SetProblem:
@@ -202,108 +167,31 @@ def radial_set_problem(dom, core_radius, omega_radius, p_field=None):
     return prob
 
 
-def grid_set_problem(dom, core_mask_cells, omega_mask_cells, p_cells):
-    """Cut-metric problem over the active cells of a grid domain.
-
-    Weights carry the local metric area factor sqrt(det g * g^(oo)) along
-    each stencil offset; gains are |P_nu| times metric cell volume.
-    """
-    d = dom.d
-    offs, unit_w, _ = _cut_stencil(d)
-    act = np.where(dom.active)[0]
-    nact = len(act)
-    pos = -np.ones(int(np.prod(dom.shape)), int)
-    pos[act] = np.arange(nact)
-    pairs, weights = [], []
-    boundary = np.zeros(nact)
-    hfac = dom.h ** (d - 1)
-    gdiag = dom.g_diag[act]
-    sg = dom.sqrt_g[act]
-    for off, w in zip(offs, unit_w):
-        nb = act.copy()
-        ok = np.ones(nact, bool)
-        coords = np.array(np.unravel_index(act, dom.shape))
-        coords = coords + np.array(off)[:, None]
-        for ax in range(d):
-            ok &= (coords[ax] >= 0) & (coords[ax] < dom.shape[ax])
-        nb = np.full(nact, -1)
-        nb[ok] = np.ravel_multi_index(tuple(coords[:, ok]), dom.shape)
-        o = np.array(off, float)
-        o /= np.linalg.norm(o)
-        # metric line element along the offset and area factor
-        for i in range(nact):
-            if nb[i] < 0 or not dom.active[nb[i]]:
-                continue
-            jj = pos[nb[i]]
-            gseg = np.sum(gdiag[i] * o * o)
-            wij = w * hfac * sg[i] / np.sqrt(gseg)
-            pairs.append((i, jj))
-            weights.append(wij)
-    gains = p_cells * sg * dom.h ** d
-    core = np.asarray(core_mask_cells, bool)
-    free = np.asarray(omega_mask_cells, bool) & ~core
-    return SetProblem(nact, np.array(pairs), np.array(weights), boundary,
-                      gains, core, free)
-
-
-def outward_hull(problem):
-    """Minimizer of perimeter minus the |P_nu| bulk gain over supersets of
-    the core, exact on the discrete functional (min cut)."""
-    mask, value = mincut_hull(problem)
-    return mask, value
-
-
 # -- function-level functional -------------------------------------------------
 
-def functional_on_function(dom, v, bulk, region_mask=None, bc=0.0):
+def functional_on_function(dom, v, bulk, region_mask=None):
     """J(v) = total variation of v plus the frozen bulk term integral.
 
-    The TV quadrature reuses the solver's face structure (radial: exact; the
-    grid lane uses axis faces with metric weights), so set indicators
-    reproduce the perimeter up to the stencil choice.
+    The TV quadrature reuses the solver's face structure, which is exact on
+    the radial lane, so set indicators reproduce the perimeter.
     """
-    if dom.kind == "radial":
-        omega = sphere_area(dom.n)
-        areas = omega * (dom.b * dom.r) ** dom.n
-        fa = 0.5 * (areas[1:] + areas[:-1])
-        dv = np.abs(np.diff(v))
-        tv = np.sum(fa * dv) if region_mask is None else np.sum(
-            (fa * dv)[region_mask[:-1] & region_mask[1:]])
-        vols = omega * dom.A * dom.a * dom.h
-        cell = v * bulk * vols
-        blk = np.sum(cell if region_mask is None else cell[region_mask])
-        return float(tv + blk)
-    gn = dom.D_op @ v + dom.D_bc_outer * bc
-    ginv_n = dom.f_ginv[np.arange(len(gn)), dom.f_ax]
-    face_w = dom.f_sqrt_g * np.sqrt(ginv_n) * dom.h ** (dom.d - 1) * dom.h
-    tv = np.sum(face_w * np.abs(gn))
-    vols = dom.sg_act * dom.h ** dom.d
-    cell = v * bulk * vols
+    dom.require_radial("functional on functions")
+    omega = sphere_area(dom.n)
+    areas = omega * (dom.b * dom.r) ** dom.n
+    fa = 0.5 * (areas[1:] + areas[:-1])
+    dv = np.abs(np.diff(v))
+    tv = np.sum(fa * dv) if region_mask is None else np.sum(
+        (fa * dv)[region_mask[:-1] & region_mask[1:]])
+    cell = v * bulk * dom.volumes()
     blk = np.sum(cell if region_mask is None else cell[region_mask])
     return float(tv + blk)
 
 
 def frozen_bulk(rec):
     """sqrt(|grad u|^2 + P_nu^2) of the recorded limit, the frozen bulk term."""
-    dom = rec.domain
-    if dom.kind == "radial":
-        grad = np.abs(np.gradient(rec.u, dom.r)) / dom.a
-        return np.sqrt(grad ** 2 + dom.kr ** 2)
-    grad = rec.solution.metric_gradient()
-    if rec.normal_field is None:
-        from .weak_flow import reconstruct_normal_field
-        reconstruct_normal_field(rec)
-    nu = rec.normal_field.vectors
-    act = np.where(dom.active)[0]
-    K = dom.K_act
-    gin = dom.ginv_cells
-    # P_nu = tr K - K(nu#, nu#) with nu# the raised unit vector
-    mag = np.sqrt(np.sum(gin * nu * nu, axis=1))
-    nuh = nu / np.maximum(mag, 1e-300)[:, None]
-    raised = gin * nuh
-    trK = sum(gin[:, k] * K[:, k, k] for k in range(dom.d))
-    pnu = trK - np.einsum('mi,mj,mij->m', raised, raised, K)
-    return np.sqrt(grad ** 2 + pnu ** 2)
+    rec.domain.require_radial("frozen bulk")
+    grad = np.abs(rec.solution.metric_gradient())
+    return np.sqrt(grad ** 2 + rec.domain.kr ** 2)
 
 
 class MinimalityReport:
@@ -326,8 +214,7 @@ def minimality_test(rec, n_random=60, seed=5, tol_rel=TOL_MIN_REL, families=(
     scale.
     """
     dom = rec.domain
-    if dom.kind != "radial":
-        raise NotImplementedError("minimality sweep runs on the radial lane")
+    dom.require_radial("minimality sweep")
     rng = np.random.default_rng(seed)
     bulk = frozen_bulk(rec)
     u = rec.u
@@ -405,8 +292,7 @@ def area_identity_check(rec, jump):
     it and the signed residual records by how much.
     """
     dom = rec.domain
-    if dom.kind != "radial":
-        raise NotImplementedError("area identity runs on the radial lane")
+    dom.require_radial("area identity")
     omega = sphere_area(dom.n)
 
     def area(rad):
@@ -434,15 +320,14 @@ def monotone_quantity(rec, times=None, n_times=160):
     (checked by the caller against quadrature tolerance).
     """
     dom = rec.domain
-    if dom.kind != "radial":
-        raise NotImplementedError("Q(t) tracing runs on the radial lane")
+    dom.require_radial("Q(t) tracing")
     lo, hi = rec.valid_time_range()
     if times is None:
         times = np.linspace(lo, hi - 0.05 * (hi - lo), n_times)
     times = np.asarray(times, float)
     omega = sphere_area(dom.n)
     r = dom.r
-    vols = omega * dom.A * dom.a * dom.h
+    vols = dom.volumes()
     pnode = np.abs(dom.kr)
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (pnode[1:] * vols[1:] + pnode[:-1] * vols[:-1]))])

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import solver as sv
 from . import surface_geometry as sg
-from .extraction import extract_isosurface
 from .radial_oracle import sphere_area
 
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
@@ -25,6 +24,9 @@ class FlowError(RuntimeError):
 
 
 class JumpRegion:
+    """A plateau of the limit u; ``cells`` holds its field-point indices
+    (radial nodes or active grid cells, see ``domain``)."""
+
     def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius=None,
                  outer_radius=None, inner_mesh=None, outer_mesh=None,
                  truncation_artifact=False):
@@ -80,30 +82,8 @@ class FlowRecord:
         bc = self.solution.bc
         return bc - min(TRUNCATION_MARGIN, 0.35 * bc)
 
-    def probe_mask(self):
-        return self.u < self.truncation_threshold()
-
     def valid_time_range(self):
         return (0.0, self.truncation_threshold())
-
-
-def _gradient_data(dom, sol):
-    """What the normal reconstruction needs per rung: for the radial lane the
-    signed radial derivative, for grids the per-axis raised gradient."""
-    if dom.kind == "radial":
-        u = sol.full_field()
-        return np.gradient(u, dom.r) / dom.a
-    grads = [dom.G_ops[k] @ sol.interior + dom.G_bc_outer[k] * sol.bc
-             for k in range(dom.d)]
-    return np.stack(grads, axis=1)
-
-
-def _grad_l1(dom, sol):
-    if dom.kind == "radial":
-        vols = sphere_area(dom.n) * dom.A * dom.a * dom.h
-        return float(np.sum(np.abs(_gradient_data(dom, sol)) * vols))
-    vols = dom.sg_act * dom.h ** dom.d
-    return float(np.sum(sol.metric_gradient() * vols))
 
 
 def epsilon_sweep(dom, schedule=None, eps_last=1e-3, eps0=None,
@@ -159,19 +139,18 @@ def epsilon_sweep(dom, schedule=None, eps_last=1e-3, eps0=None,
         warm = rungs
         rec.epsilons.append(eps)
         rec.traces.append(trace)
-        grad = _gradient_data(dom, sol)
-        l1 = _grad_l1(dom, sol)
+        grad = dom.gradient(sol.interior, sol.bc)
+        gmag = np.abs(sol.metric_gradient())
+        l1 = float(np.sum(gmag * dom.volumes()))
         if prev is not None:
             delta = float(np.max(np.abs(sol.full_field() - prev)))
             rec.sup_deltas.append(delta)
             rec.grad_l1_deltas.append(abs(l1 - prev_l1))
-            gmag_now = np.abs(grad) if dom.kind == "radial" else sol.metric_gradient()
-            gmag_prev = prev_grad
-            tol_g = 1e-6 * (1 + np.max(gmag_prev))
+            tol_g = 1e-6 * (1 + np.max(prev_grad))
             rec.grad_increase_fraction.append(
-                float(np.mean(gmag_now > gmag_prev + tol_g)))
+                float(np.mean(gmag > prev_grad + tol_g)))
         prev = sol.full_field()
-        prev_grad = np.abs(grad) if dom.kind == "radial" else sol.metric_gradient()
+        prev_grad = gmag
         prev_l1 = l1
         rec.tail.append((eps, sol.interior.copy(), grad))
         if len(rec.tail) > keep_tail:
@@ -225,161 +204,27 @@ def detect_jumps(rec, grad_tol=None, min_cells=3, mesh_subdivisions=4):
     sol = rec.solution
     if grad_tol is None:
         grad_tol = GRAD_TOL_FACTOR * rec.eps_last
-    bc = sol.bc
+    u = rec.u
     jumps = []
-    if dom.kind == "radial":
-        u = rec.u
-        grad = np.abs(np.gradient(u, dom.r)) / dom.a
-        mask = grad < grad_tol
-        idx = np.where(mask)[0]
-        if len(idx) == 0:
-            rec.jumps = []
-            return rec.jumps
-        breaks = np.where(np.diff(idx) > 1)[0]
-        comps = np.split(idx, breaks + 1)
-        omega = sphere_area(dom.n)
-        for comp in comps:
-            if len(comp) < min_cells:
-                continue
-            t0 = float(np.median(u[comp]))
-            vol = float(np.sum(omega * dom.A[comp] * dom.a[comp] * dom.h))
-            trunc = t0 > rec.truncation_threshold()
-            inner_r = float(dom.r[comp[0]])
-            outer_r = _plateau_outer_radius(rec, t0, comp)
-            jump = JumpRegion(comp, t0, float(np.min(u[comp])),
-                              float(np.max(u[comp])), vol,
-                              inner_radius=inner_r, outer_radius=outer_r,
-                              truncation_artifact=trunc)
-            if not trunc and dom.n in (1, 2):
-                jump.inner_mesh = _radial_mesh(dom, inner_r,
-                                               subdivisions=mesh_subdivisions)
-                jump.outer_mesh = _radial_mesh(dom, outer_r,
-                                               subdivisions=mesh_subdivisions)
-            jumps.append(jump)
-    else:
-        from scipy import ndimage
-        grad = sol.metric_gradient()
-        full = np.zeros(dom.shape, float).ravel()
-        act = np.where(dom.active)[0]
-        mask_full = np.zeros(len(full), bool)
-        mask_full[act[grad < grad_tol]] = True
-        lab, nlab = ndimage.label(mask_full.reshape(dom.shape))
-        lab = lab.ravel()
-        ufull = _full_grid_field(rec)
-        for li in range(1, nlab + 1):
-            cells = np.where(lab == li)[0]
-            if len(cells) < min_cells:
-                continue
-            vals = ufull.ravel()[cells]
-            t0 = float(np.median(vals))
-            vol = float(np.sum(dom.sqrt_g[cells]) * dom.h ** dom.d)
-            trunc = t0 > rec.truncation_threshold()
-            rads = np.linalg.norm(dom.centers[cells], axis=1)
-            jump = JumpRegion(cells, t0, float(np.min(vals)), float(np.max(vals)),
-                              vol, inner_radius=float(np.min(rads)),
-                              outer_radius=float(np.max(rads)),
-                              truncation_artifact=trunc)
-            if not trunc:
-                delta = 3 * rec.eps_last
-                jump.inner_mesh = _grid_level_mesh(rec, t0 - delta)
-                jump.outer_mesh = _grid_level_mesh(rec, t0 + delta)
-            jumps.append(jump)
+    for comp in dom.components(np.abs(sol.metric_gradient()) < grad_tol):
+        if len(comp) < min_cells:
+            continue
+        t0 = float(np.median(u[comp]))
+        trunc = t0 > rec.truncation_threshold()
+        inner_r, outer_r = dom.plateau_radii(
+            sol, comp, t0, 2.0 * GRAD_TOL_FACTOR * rec.eps_last)
+        jump = JumpRegion(comp, t0, float(np.min(u[comp])),
+                          float(np.max(u[comp])),
+                          float(np.sum(dom.volumes()[comp])),
+                          inner_radius=inner_r, outer_radius=outer_r,
+                          truncation_artifact=trunc)
+        if not trunc:
+            jump.inner_mesh, jump.outer_mesh = dom.plateau_meshes(
+                sol, t0, inner_r, outer_r, mesh_subdivisions)
+        jumps.append(jump)
     rec.jumps = [j for j in jumps if not j.truncation_artifact]
     rec.truncation_plateaus = [j for j in jumps if j.truncation_artifact]
     return rec.jumps
-
-
-def _plateau_outer_radius(rec, t0, comp, k=60.0):
-    """Outer edge of a radial plateau by anchored value-crossing extrapolation.
-
-    Past the gradient knee the arrival time follows u - u_edge ~ c (r - r*)^p
-    (p = 3/2 where the spacetime mean curvature has a square-root zero, 2 for
-    K = 0 horizons).  Crossing radii of three geometric thresholds fit the
-    exponent and extrapolate the O(delta^(1/p)) bias away; anchoring the
-    thresholds at the knee value keeps the plateau's own eps-scale variation
-    out of the fit.  Falls back to the knee radius when the fit is unusable.
-    """
-    dom = rec.domain
-    u = rec.u
-    r = dom.r
-    grad = np.abs(np.gradient(u, r)) / dom.a
-    g_med = float(np.median(grad[comp]))
-    knee_level = max(8.0 * g_med, 2.0 * GRAD_TOL_FACTOR * rec.eps_last)
-    i = comp[-1]
-    while i < len(r) - 2 and grad[i] <= knee_level:
-        i += 1
-    knee = i
-    u_edge = float(u[knee])
-    uu = np.maximum.accumulate(u[knee:])
-    rr = r[knee:]
-
-    def crossing(target):
-        j = int(np.searchsorted(uu, target))
-        if j <= 0:
-            return rr[0]
-        if j >= len(uu):
-            return rr[-1]
-        w = (target - uu[j - 1]) / max(uu[j] - uu[j - 1], 1e-300)
-        return rr[j - 1] + w * (rr[j] - rr[j - 1])
-
-    d_base = max(k * rec.eps_last, 2.0 * (u_edge - t0))
-    r1, r2, r3 = (crossing(u_edge + d_base * f) for f in (16.0, 4.0, 1.0))
-    num, den = r1 - r2, r2 - r3
-    fallback = float(r[knee])
-    if den <= 1e-14 or num <= den:
-        return fallback
-    ratio = num / den
-    if not (1.3 < ratio < 20.0):
-        return fallback
-    est = float(r3 - den / (ratio - 1.0))
-    if not (fallback - 5 * dom.h <= est <= r3):
-        return fallback
-    return est
-
-
-def _radial_mesh(dom, radius, subdivisions=3, segments=512):
-    if dom.n == 1:
-        return sg.circle_mesh(radius, segments=segments)
-    return sg.icosphere(radius=radius, subdivisions=subdivisions)
-
-
-def _full_grid_field(rec):
-    """u extended to the full grid: smooth signed-distance continuation into
-    E0 (slope matched to the boundary gradient) and the Dirichlet value
-    outside, so interpolants and contouring stay well behaved."""
-    dom = rec.domain
-    full = np.full(int(np.prod(dom.shape)), rec.solution.bc)
-    act = np.where(dom.active)[0]
-    grad = rec.solution.metric_gradient()
-    near = dom.r_act <= dom.e0_radius + 2 * dom.h
-    slope = float(np.median(grad[near])) if np.any(near) else 1.0
-    inside = dom.sdf <= 0
-    full[inside] = dom.sdf[inside] * max(slope, 1e-3)
-    full[act] = rec.solution.interior
-    return full.reshape(dom.shape)
-
-
-def _grid_level_mesh(rec, t):
-    dom = rec.domain
-    full = _full_grid_field(rec)
-    origin = dom.centers[0]
-    return extract_isosurface(full, origin, dom.h, t,
-                              interior_point=dom.e0_center)
-
-
-def grid_field_interpolator(rec):
-    """Quadratic interpolant of the extended u field (grid lane), used as the
-    level-set description when extracting mesh diagnostics."""
-    from scipy.ndimage import map_coordinates
-    dom = rec.domain
-    full = _full_grid_field(rec)
-    origin = dom.centers[0]
-
-    def phi(points):
-        pts = np.atleast_2d(points)
-        coords = (pts - origin[None, :]) / dom.h
-        return map_coordinates(full, coords.T, order=2, mode="nearest")
-    return phi
 
 
 # -- level sets ---------------------------------------------------------------
@@ -397,19 +242,7 @@ def extract_level_sets(rec, times, subdivisions=3, segments=512):
         if jump is not None:
             out.append((jump.inner_mesh, jump.outer_mesh))
             continue
-        if rec.domain.kind == "radial":
-            r_t = _radius_of_level(rec, t)
-            mesh = _radial_mesh(rec.domain, r_t, subdivisions, segments)
-            sg.populate_diagnostics(rec.ids, mesh,
-                                    level_set=sg.sphere_level_set(np.zeros(rec.domain.ids.dim)))
-        else:
-            mesh = _grid_level_mesh(rec, t)
-            if mesh is not None:
-                # away from jumps the flow field itself describes the level
-                # set; its normal-field divergence is the H of choice
-                sg.populate_diagnostics(rec.ids, mesh,
-                                        level_set=grid_field_interpolator(rec),
-                                        level_set_h=rec.domain.h)
+        mesh = rec.domain.level_mesh(rec.solution, t, subdivisions, segments)
         out.append(mesh)
         rec.level_sets[t] = mesh
     return out
@@ -422,18 +255,13 @@ def _jump_at(rec, t):
     return None
 
 
-def _radius_of_level(rec, t):
-    dom = rec.domain
-    u = np.maximum.accumulate(rec.u)
-    return float(np.interp(t, u, dom.r))
-
-
 def level_radius(rec, t):
     """Radius of the level set (radial lane), honoring jumps."""
+    rec.domain.require_radial("level radius")
     j = _jump_at(rec, t)
     if j is not None:
         return j.outer_radius
-    return _radius_of_level(rec, t)
+    return rec.domain.level_radius(rec.solution, t)
 
 
 # -- normal reconstruction ----------------------------------------------------
@@ -456,48 +284,17 @@ def reconstruct_normal_field(rec, angle_tol_deg=1.0):
     dom = rec.domain
     if not rec.jumps and not getattr(rec, "truncation_plateaus", []):
         detect_jumps(rec)
-    grad_tol = GRAD_TOL_FACTOR * rec.eps_last
-    if dom.kind == "radial":
-        signs = [np.sign(g + 1e-300) for (_, _, g) in rec.tail]
-        agree = np.ones(len(dom.r), bool)
-        for k in range(1, len(signs)):
-            agree &= (signs[k] == signs[k - 1])
-        vec = signs[-1]
-        plateau = np.zeros(len(dom.r), bool)
-        for j in rec.jumps:
-            plateau[j.cells] = True
-        field = NormalField(vec, bool(np.all(agree[plateau])) if plateau.any()
-                            else True, 0.0, plateau)
+    vec, turn = dom.tail_normals([g for (_, _, g) in rec.tail])
+    plateau = np.zeros(len(turn), bool)
+    for j in rec.jumps:
+        plateau[j.cells] = True
+    if plateau.any():
+        field = NormalField(vec, bool(np.all(turn[plateau] <= angle_tol_deg)),
+                            float(np.max(turn[plateau])), plateau)
     else:
-        tails = []
-        for (eps_k, interior, grad) in rec.tail:
-            mag = np.sqrt(np.sum(grad * grad, axis=1))
-            tails.append(grad / np.maximum(mag, 1e-300)[:, None])
-        max_ang = np.zeros(dom.n_unknowns)
-        for k in range(1, len(tails)):
-            cosv = np.clip(np.sum(tails[k] * tails[k - 1], axis=1), -1, 1)
-            max_ang = np.maximum(max_ang, np.degrees(np.arccos(cosv)))
-        plateau = np.zeros(dom.n_unknowns, bool)
-        act = np.where(dom.active)[0]
-        pos = {c: i for i, c in enumerate(act)}
-        for j in rec.jumps:
-            for c in j.cells:
-                if c in pos:
-                    plateau[pos[c]] = True
-        ok = max_ang <= angle_tol_deg
-        vec = tails[-1]
-        field = NormalField(vec, bool(np.all(ok[plateau])) if plateau.any()
-                            else True,
-                            float(np.max(max_ang[plateau])) if plateau.any() else 0.0,
-                            plateau)
+        field = NormalField(vec, True, 0.0, plateau)
     rec.normal_field = field
     return field
-
-
-def plateau_k_trace(rec, radii):
-    """|P_nu| along plateau radii with the reconstructed (radial) normal."""
-    prof = rec.domain.profile
-    return np.abs(prof.k_trace(np.asarray(radii, float)))
 
 
 # -- horizon verification -----------------------------------------------------
@@ -533,16 +330,9 @@ def verify_horizon(rec, jump, tol_h=0.03):
     dom = rec.domain
     if jump.outer_mesh is None:
         raise FlowError("jump has no outer boundary mesh")
-    if dom.kind == "radial":
-        mesh = jump.outer_mesh
-        sg.populate_diagnostics(rec.ids, mesh,
-                                level_set=sg.sphere_level_set(np.zeros(rec.ids.dim)))
-        H = mesh.H
-        P = mesh.P
-    else:
-        mesh = jump.outer_mesh
-        sg.populate_diagnostics(rec.ids, mesh, level_set=None)
-        H, P = mesh.H, mesh.P
+    mesh = sg.populate_diagnostics(rec.ids, jump.outer_mesh,
+                                   level_set=dom.boundary_level_set())
+    H, P = mesh.H, mesh.P
     # scale: |H| where it is the dominant quantity, else the round-sphere
     # curvature at this radius (a K = 0 horizon has H -> 0, |P| = 0, and the
     # raw ratio |H - |P||/H would be 1 no matter how accurate the radius)
@@ -553,8 +343,7 @@ def verify_horizon(rec, jump, tol_h=0.03):
     weak_ok = True
     if coincide and jump.inner_mesh is not None:
         sg.populate_diagnostics(rec.ids, jump.inner_mesh,
-                                level_set=sg.sphere_level_set(np.zeros(rec.ids.dim))
-                                if dom.kind == "radial" else None)
+                                level_set=dom.boundary_level_set())
         weak_ok = bool(np.median(jump.inner_mesh.H)
                        >= np.abs(np.median(jump.inner_mesh.P)) - tol_h)
     return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok,
@@ -567,20 +356,12 @@ def jump_band_excess(rec, jump):
     """Volume of {t_lo < u < t_hi} beyond the plateau cells, in units of one
     cell layer of the outer boundary (a genuine plateau stays below 1)."""
     dom = rec.domain
-    u = rec.u if dom.kind == "radial" else rec.solution.interior
+    u = rec.u
     band = (u > jump.t_lo) & (u < jump.t_hi)
-    if dom.kind == "radial":
-        vols = sphere_area(dom.n) * dom.A * dom.a * dom.h
-        band_vol = float(np.sum(vols[band]))
-        plateau_vol = float(np.sum(vols[jump.cells]))
-        layer = sphere_area(dom.n) * (jump.outer_radius ** dom.n) * dom.h
-    else:
-        vols = dom.sg_act * dom.h ** dom.d
-        band_vol = float(np.sum(vols[band]))
-        act = np.where(dom.active)[0]
-        sel = np.isin(act, jump.cells)
-        plateau_vol = float(np.sum(vols[sel]))
-        layer = sphere_area(dom.n) * (jump.outer_radius ** dom.n) * dom.h
+    vols = dom.volumes()
+    band_vol = float(np.sum(vols[band]))
+    plateau_vol = float(np.sum(vols[jump.cells]))
+    layer = sphere_area(dom.n) * (jump.outer_radius ** dom.n) * dom.h
     return max(band_vol - plateau_vol, 0.0) / layer
 
 
@@ -589,29 +370,7 @@ def interior_extrema(rec, margin=None):
     dom = rec.domain
     if margin is None:
         margin = 10 * rec.eps_last * dom.h
-    if dom.kind == "radial":
-        u = rec.u
-        mx = np.maximum(u[:-2], u[2:])
-        mn = np.minimum(u[:-2], u[2:])
-        max_excess = float(np.max(u[1:-1] - mx, initial=0.0))
-        min_excess = float(np.max(mn - u[1:-1], initial=0.0))
-    else:
-        full = _full_grid_field(rec).ravel()
-        act = np.where(dom.active)[0]
-        max_excess = 0.0
-        min_excess = 0.0
-        neigh = []
-        for ax in range(dom.d):
-            for stp in (+1, -1):
-                neigh.append(dom._neighbors(act, ax, stp))
-        neigh = np.stack(neigh, axis=1)
-        vals = np.where(neigh >= 0, full[np.maximum(neigh, 0)], np.inf)
-        mn = np.min(vals, axis=1)
-        vals = np.where(neigh >= 0, full[np.maximum(neigh, 0)], -np.inf)
-        mx = np.max(vals, axis=1)
-        uact = full[act]
-        max_excess = float(np.max(uact - mx, initial=0.0))
-        min_excess = float(np.max(mn - uact, initial=0.0))
+    max_excess, min_excess = dom.extrema_excess(rec.solution)
     return {"max_excess": max_excess, "min_excess": min_excess,
             "margin": margin,
             "ok": max_excess <= margin and min_excess <= margin}

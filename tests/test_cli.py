@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from stimcf import cli
-from stimcf import records
+from stimcf import build_domain, build_preset, cli, records
+from stimcf import weak_flow as wf
+from stimcf.solver import ScalarSolution
 
 
 FLAT_CFG = """\
@@ -139,3 +140,57 @@ def test_record_roundtrip_preserves_solution(flat_record):
     rec = records.load_record(str(flat_record))
     assert rec.cauchy_ok
     assert rec.solution.interior.ndim == 1
+
+
+def _grid_record(path, center):
+    """A grid-lane record without a sweep: flat n = 1 data and the field
+    u = min(ln|x|, bc) at eps = 1e-3."""
+    dom = build_domain(build_preset("flat", n=1),
+                       {"radius": 1.0, "center": center}, L=2.2, alpha=0.9,
+                       h=1 / 4., mode="grid")
+    bc = dom.L - 2.0
+    sol = ScalarSolution(dom, np.minimum(np.log(dom.r_act), bc), 1e-3, 1.0,
+                         bc, 0.0, 0, True, 0.0)
+    rec = wf.FlowRecord(dom)
+    rec.solution = sol
+    rec.epsilons = [sol.eps]
+    rec.traces = [[]]
+    rec.cauchy_ok = True
+    records.save_record(rec, str(path), config={
+        "preset": "flat", "n": 1, "e0_radius_chart": 1.0,
+        "e0_center_chart": " ".join(map(str, center))})
+    return dom, sol
+
+
+def test_offcentre_grid_record_reloads_on_its_grid(tmp_path):
+    path = tmp_path / "rec"
+    dom, sol = _grid_record(path, (0.25, 0.0))
+    back = records.load_record(str(path))
+    assert (records.domain_fingerprint(back.domain)
+            == records.domain_fingerprint(dom))
+    assert np.array_equal(back.solution.interior, sol.interior)
+    # a manifest that rebuilds another grid is refused by name
+    manifest = path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        "config.e0_center_chart = 0.25 0.0", "config.e0_center_chart = 0 0"))
+    with pytest.raises(records.RecordError, match="unknowns"):
+        records.load_record(str(path))
+
+
+def test_verify_and_plotdata_on_a_grid_record(tmp_path, capsys):
+    path = tmp_path / "rec"
+    dom, _ = _grid_record(path, (0.0, 0.0))
+    assert cli.main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    for check in ("minimality", "monotone", "blowdown"):
+        assert f"{check}: skipped (radial lane only)" in out
+    assert "horizon: no jumps" in out
+    for kind in ("levelsets", "Q-trace", "blowdown"):
+        status = cli.main(["plotdata", str(path), "--kind", kind,
+                           "--out", str(tmp_path / kind)])
+        assert status == 2
+        assert "radial lane" in capsys.readouterr().err
+    assert cli.main(["plotdata", str(path), "--kind", "jump-profile",
+                     "--out", str(tmp_path / "jp")]) == 0
+    rows = (tmp_path / "jp" / "jump-profile.csv").read_text().splitlines()
+    assert len(rows) == 1 + dom.n_unknowns

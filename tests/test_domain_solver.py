@@ -53,7 +53,7 @@ def test_radial_jacobian_matches_fd(aniso_dom):
     u[0], u[-1] = 0.0, 2.0
     for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
                             (0.05, 1.0, "frauendiener")]:
-        J = dom.jacobian(u, eps, s, variant).toarray()
+        J = dom.jacobian(u[1:-1], eps, s, u[-1], variant).toarray()
         d = 1e-6
         cols = rng.choice(len(u) - 2, 25, replace=False)
         for j in cols:
@@ -61,8 +61,8 @@ def test_radial_jacobian_matches_fd(aniso_dom):
             up[j + 1] += d
             um = u.copy()
             um[j + 1] -= d
-            col = (dom.residual(up, eps, s, variant)
-                   - dom.residual(um, eps, s, variant)) / (2 * d)
+            col = (dom.residual(up[1:-1], eps, s, up[-1], variant)
+                   - dom.residual(um[1:-1], eps, s, um[-1], variant)) / (2 * d)
             denom = max(1.0, np.max(np.abs(col)))
             # a wrong term shows up at O(1); FD truncation sits far below
             assert np.max(np.abs(col - J[:, j])) / denom < 5e-4
@@ -71,7 +71,7 @@ def test_radial_jacobian_matches_fd(aniso_dom):
 def test_residual_trivial_states(flat_dom):
     # u = 0 with eps = 1, s = 0: divergence term zero, root term one
     u = np.zeros(len(flat_dom.r))
-    res = flat_dom.residual(u, 1.0, 0.0)
+    res = flat_dom.residual(u[1:-1], 1.0, 0.0, u[-1])
     assert_allclose(res, -1.0, rtol=0, atol=1e-14)
 
 
@@ -81,14 +81,14 @@ def test_s_term_is_the_only_k_dependence(flat_dom, aniso_dom):
     u += 0.1 * rng.normal(size=len(u))
     u[0], u[-1] = 0, 2
     # s = 0 kills the K term: identical residuals whatever K is
-    r_flat = flat_dom.residual(u, 0.05, 0.0)
+    r_flat = flat_dom.residual(u[1:-1], 0.05, 0.0, u[-1])
     u2 = np.interp(aniso_dom.r, flat_dom.r, u)
-    r_a0 = aniso_dom.residual(u2, 0.05, 0.0)
-    r_a0_b = aniso_dom.residual(u2, 0.05, 0.0, "frauendiener")
+    r_a0 = aniso_dom.residual(u2[1:-1], 0.05, 0.0, u2[-1])
+    r_a0_b = aniso_dom.residual(u2[1:-1], 0.05, 0.0, u2[-1], "frauendiener")
     assert np.array_equal(r_a0, r_a0_b)
     # and for K = 0 data the operator family is s-independent bit for bit
-    assert np.array_equal(flat_dom.residual(u, 0.05, 0.0),
-                          flat_dom.residual(u, 0.05, 1.0))
+    assert np.array_equal(flat_dom.residual(u[1:-1], 0.05, 0.0, u[-1]),
+                          flat_dom.residual(u[1:-1], 0.05, 1.0, u[-1]))
 
 
 def test_newton_zero_iterations_from_exact_solution(flat_dom):

@@ -1,0 +1,69 @@
+"""The lane protocol shared by RadialDomain and GridDomain."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+from stimcf import build_preset, build_domain
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stimcf"
+
+
+def test_no_lane_branches_outside_the_protocol():
+    # lane decisions live in the domain classes; a comparison against a
+    # `.kind` attribute anywhere in the package is a branch on the lane
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "kind"
+                    for x in [node.left, *node.comparators]):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, f"lane branches on .kind: {', '.join(hits)}"
+
+
+@pytest.fixture(scope="module", params=["radial", "grid"])
+def lane(request):
+    if request.param == "radial":
+        return build_domain(build_preset("flat", n=2), {"radius": 1.0},
+                            L=4.0, alpha=1.9, h=1 / 64.)
+    return build_domain(build_preset("flat", n=1), {"radius": 1.0},
+                        L=2.2, alpha=0.9, h=1 / 4., mode="grid")
+
+
+def test_fields_cover_the_same_points(lane):
+    bc = lane.L - 2.0
+    interior = lane.initial_guess(1.0, bc, 0.05)
+    assert len(interior) == lane.n_unknowns
+    n = len(lane.radii)
+    assert len(lane.full_field(interior, bc)) == n
+    assert len(lane.metric_gradient(interior, bc)) == n
+    assert len(lane.gradient(interior, bc)) == n
+    assert len(lane.volumes()) == n
+
+
+def test_volumes_add_up_to_the_domain_volume(lane):
+    assert lane.volumes().sum() == pytest.approx(
+        lane.feasibility()["volume"], rel=1e-12)
+
+
+def test_k_is_zero_on_flat_data(lane):
+    assert lane.k_is_zero()
+
+
+def test_k_is_zero_fails_for_anisotropic_data():
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=4.0, alpha=1.9, h=1 / 64.)
+    assert not dom.k_is_zero()
+
+
+def test_components_split_two_runs(lane):
+    r = lane.radii
+    lo, hi = r.min(), r.max()
+    mask = (r < lo + 0.3 * (hi - lo)) | (r > lo + 0.6 * (hi - lo))
+    comps = lane.components(mask)
+    assert len(comps) == 2
+    assert np.array_equal(np.sort(np.concatenate(comps)), np.where(mask)[0])
