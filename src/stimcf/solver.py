@@ -2,9 +2,15 @@
 
 The operator family follows the continuity method: parameter s in [0, 1]
 scales the anisotropic K-term, and the outer Dirichlet value is s (L - 2).
-Warm starts come from the transport profile (arrival-time quadrature of the
-sphere speed), which is what makes cold starts at moderate epsilon reliable;
-very small epsilon is reached by sweeping with warm starts.
+Cold starts come from the transport profile (arrival-time quadrature of the
+sphere speed), which is what makes them reliable at moderate epsilon; very
+small epsilon is reached by sweeping with warm starts.
+
+There is one globalization: ``newton_solve`` is an Armijo-damped Newton
+loop that returns its last iterate unconverged when the line search fails.
+Recovery belongs to the callers: ds halving in ``continuation_solve``, the
+warm/cold/bisection/cold-chain order in ``apriori_matrix`` and the cold-start
+backoff in ``weak_flow.epsilon_sweep``.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -13,8 +19,6 @@ that floor count as converged and record their true residual.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 60
@@ -54,14 +58,18 @@ class ScalarSolution:
 
 
 def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
-                 maxit=MAX_NEWTON, extra_slack=10, variant="stimcf"):
-    """Damped Newton on the discretized operator E^(eps, s).
+                 maxit=MAX_NEWTON, variant="stimcf"):
+    """Armijo-damped Newton on the discretized operator E^(eps, s).
 
     u_init is an interior vector (boundary data is imposed, not solved for);
     None selects the domain's cold start (the transport profile on the
-    radial lane).  Non-convergence is reported on the returned solution
-    together with a feasibility diagnostic when eps exceeds the divergence
-    bound of the domain.
+    radial lane).  Each iteration assembles the Jacobian at the current
+    iterate, stops there if the residual is below max(tol, floor), and
+    otherwise halves the Newton step until the max-norm residual drops by
+    the Armijo factor.  The solve gives up at the first failed line search,
+    at a non-finite step or after maxit steps, and returns that iterate
+    unconverged with a diagnostic (naming the feasibility bound when eps
+    exceeds it); what to try next is the caller's decision.
     """
     if eps <= 0:
         raise SolverError("elliptic regularization needs eps > 0")
@@ -74,131 +82,35 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         raise SolverError("initial guess has the wrong number of unknowns")
     res = dom.residual(u, eps, s, bc, variant)
     nrm = float(np.max(np.abs(res)))
-    slack = 0
-    floor = 0.0
-    it = 0
-    while it < maxit:
+    for it in range(maxit + 1):
         J = dom.jacobian(u, eps, s, bc, variant)
         normJ = float(np.max(np.abs(J).sum(axis=1)))
         floor = FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0))) * normJ
         if nrm < max(tol, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor,
                                   variant=variant)
+        if it == maxit:
+            break
         try:
             step = dom.solve(J, -res)
         except Exception as exc:
             raise SolverError(f"linearization solve failed: {exc}") from exc
         if not np.all(np.isfinite(step)):
-            return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
-                                  diagnostic=_nonconvergence_note(dom, eps),
-                                  variant=variant)
-        lam, ok, ut, rt, nt = 1.0, False, u, res, nrm
+            break
+        lam = 1.0
         for _ in range(MAX_BACKTRACK):
             ut = u + lam * step
             rt = dom.residual(ut, eps, s, bc, variant)
             nt = float(np.max(np.abs(rt)))
             if np.isfinite(nt) and nt < (1.0 - 1e-4 * lam) * nrm:
-                ok = True
                 break
             lam *= 0.5
-        if not ok:
-            if np.isfinite(nt) and nt < nrm and slack < extra_slack:
-                slack += 1
-            else:
-                lm = _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol,
-                                       floor, variant)
-                if lm is not None:
-                    u, res, nrm = lm
-                    it += 1
-                    continue
-                conv = nrm < max(tol, floor)
-                return ScalarSolution(dom, u, eps, s, bc, nrm, it, conv, floor,
-                                      diagnostic=None if conv else
-                                      _nonconvergence_note(dom, eps),
-                                      variant=variant)
-        u, res, nrm = ut, rt, nt
-        it += 1
-    conv = nrm < max(tol, floor)
-    if not conv:
-        # slow-grind exit: a Levenberg phase followed by a short plain
-        # Newton polish clears most near-solution stalls
-        lm = _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol, floor,
-                               variant, max_steps=120)
-        if lm is not None:
-            u, res, nrm = lm
-            for _ in range(30):
-                J = dom.jacobian(u, eps, s, bc, variant)
-                normJ = float(np.max(np.abs(J).sum(axis=1)))
-                floor = FLOOR_FACTOR * _EPS * (1.0 + float(
-                    np.max(np.abs(u), initial=0.0))) * normJ
-                if nrm < max(tol, floor):
-                    break
-                step = dom.solve(J, -res)
-                ut = u + step
-                rt = dom.residual(ut, eps, s, bc, variant)
-                nt = float(np.max(np.abs(rt)))
-                if not np.isfinite(nt) or nt >= nrm:
-                    break
-                u, res, nrm = ut, rt, nt
-                it += 1
-        conv = nrm < max(tol, floor)
-    return ScalarSolution(dom, u, eps, s, bc, nrm, it, conv, floor,
-                          diagnostic=None if conv else _nonconvergence_note(dom, eps),
-                          variant=variant)
-
-
-def _levenberg_rescue(dom, u, res, nrm, eps, s, bc, tol, floor, variant,
-                      max_steps=250):
-    """Normal-equations Levenberg phase out of a damped-Newton stall.
-
-    Minimizes the least-squares merit with (J^T J + mu D) steps (a certified
-    descent direction) and Aitken-extrapolates along the dominant geometric
-    mode, which finishes the near-null-mode grinds the max-norm line search
-    cannot.  Returns the improved state or None.
-    """
-    mu = 1e-5
-    l2 = float(np.linalg.norm(res))
-    improved = False
-    prev_du = None
-    for _ in range(max_steps):
-        if float(np.max(np.abs(res))) < max(tol, floor):
-            improved = True
-            break
-        J = dom.jacobian(u, eps, s, bc, variant).tocsr()
-        g = J.T @ res
-        H = (J.T @ J).tocsc()
-        D = sp.diags(np.maximum(H.diagonal(), 1e-30))
-        try:
-            step = spla.spsolve((H + mu * D).tocsc(), -g)
-        except Exception:
-            return None
-        ut = u + step
-        rt = dom.residual(ut, eps, s, bc, variant)
-        n2 = float(np.linalg.norm(rt))
-        if np.isfinite(n2) and n2 < l2:
-            du = ut - u
-            if prev_du is not None:
-                num = float(du @ prev_du)
-                den = float(prev_du @ prev_du)
-                rho = num / den if den > 0 else 0.0
-                if 0.2 < rho < 0.999:
-                    cand = ut + du * rho / (1.0 - rho)
-                    rc = dom.residual(cand, eps, s, bc, variant)
-                    nc = float(np.linalg.norm(rc))
-                    if np.isfinite(nc) and nc < n2:
-                        ut, rt, n2 = cand, rc, nc
-                        du = None
-            prev_du = du
-            u, res, l2 = ut, rt, n2
-            mu = max(mu / 3.0, 1e-10)
-            improved = True
         else:
-            mu *= 8.0
-            if mu > 1e10:
-                break
-    if not improved:
-        return None
-    return u, res, float(np.max(np.abs(res)))
+            break       # the line search failed
+        u, res, nrm = ut, rt, nt
+    return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
+                          diagnostic=_nonconvergence_note(dom, eps),
+                          variant=variant)
 
 
 def _nonconvergence_note(dom, eps):
@@ -357,9 +269,8 @@ def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
     - below the top eps: the warm start, then the cold (transport) start,
       then eps bisection from the last converged eps, which halves the log
       step next to it after each failure;
-    - at the top eps: the cold start, then the neighboring s-chain's top
-      solution, then a cold start at a larger eps chained down at factor-2
-      steps.
+    - at the top eps: the cold start, then a cold start at a larger eps
+      chained down at factor-2 steps.
 
     Returns {(eps, s): AprioriReport} with the solutions attached; every
     solve must converge.
@@ -374,23 +285,13 @@ def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
         chain_eps.append(nxt)
     requested = set(eps_values)
     out = {}
-    prev_top = None
     for s in sorted(s_values):
         warm = None
         eps_prev = None
         for eps in chain_eps:
-            if warm is not None:
-                # a warm start can sit on a branch that stalls at this eps
-                # while the cold start still converges
-                inits = [warm, None]
-            elif prev_top is not None:
-                # cold tops occasionally stall; the neighboring s-chain's
-                # top solution (boundary value re-imposed) is a good start
-                inits = [None, prev_top]
-            else:
-                inits = [None]
-            sol = None
-            for init in inits:
+            # a warm start can sit on a branch that stalls at this eps while
+            # the cold start still converges
+            for init in ([None] if warm is None else [warm, None]):
                 sol = newton_solve(dom, eps, s, u_init=init, tol=tol)
                 if sol.converged:
                     break
@@ -437,8 +338,6 @@ def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
                 raise SolverError(
                     f"a-priori matrix solve failed at eps={eps}, s={s}: "
                     f"{sol.diagnostic}")
-            if warm is None:
-                prev_top = sol.interior
             warm = sol.interior
             eps_prev = eps
             if eps in requested:

@@ -325,7 +325,8 @@ def monotone_quantity(rec, times=None, n_times=160):
     cells apart alias it into swings of several percent.
 
     Returns a dict of arrays over the probe times; Q must be nondecreasing
-    (checked by the caller against quadrature tolerance).
+    (checked by the caller against quadrature tolerance).  dQ_dt is NaN at
+    probe times inside a jump's [t_lo, t_hi], where Q jumps.
     """
     dom = rec.domain
     dom.require_radial("Q(t) tracing")
@@ -353,5 +354,8 @@ def monotone_quantity(rec, times=None, n_times=160):
                             / np.maximum(H - np.abs(P), 1e-300))
     predicted = areas * integrand
     dQ = np.interp(radii, r, dQ_node)
+    for j in rec.jumps:
+        # Q jumps across the plateau, so dQ/dt is undefined inside it
+        dQ[(times >= j.t_lo - 1e-12) & (times <= j.t_hi + 1e-12)] = np.nan
     return {"t": times, "Q": Q, "dQ_dt": dQ, "predicted": predicted,
             "area": areas, "radius": radii}

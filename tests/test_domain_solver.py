@@ -121,12 +121,23 @@ def test_default_start_converges_into_barrier_window():
     assert from_v.converged or from_v.diagnostic is not None
 
 
-def test_eps_above_feasibility_reports_diagnostic(flat_dom):
+def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
     feas = flat_dom.feasibility()
     eps_bad = 1.5 * feas["eps_divergence_bound"]
+    calls = []
+    jacobian = flat_dom.jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(flat_dom, "jacobian", counted)
     sol = sv.newton_solve(flat_dom, eps_bad, 1.0, bc=2.0, maxit=15)
     assert not sol.converged
     assert "feasibility" in sol.diagnostic
+    # one Jacobian per Newton step plus the one that judged the last
+    # iterate: an unconverged solve runs no phase beyond the Newton loop
+    assert len(calls) <= sol.iterations + 1
 
 
 def test_apriori_window_on_converged_solves(aniso_dom):

@@ -25,6 +25,23 @@ def test_no_lane_branches_outside_the_protocol():
     assert not hits, f"lane branches on .kind: {', '.join(hits)}"
 
 
+def test_solver_leaves_linear_algebra_to_the_domain():
+    # every linear solve goes through dom.solve, so a lane can change how
+    # it factorizes without touching the solver
+    tree = ast.parse((SRC / "solver.py").read_text())
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        hits += [f"solver.py:{node.lineno} {name}" for name in names
+                 if name.split(".")[0] == "scipy"]
+    assert not hits, f"scipy imported by the solver: {', '.join(hits)}"
+
+
 @pytest.fixture(scope="module", params=["radial", "grid"])
 def lane(request):
     if request.param == "radial":

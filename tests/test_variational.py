@@ -251,6 +251,10 @@ def test_monotone_quantity_anisotropic(aniso_rec):
     dq = np.diff(tr["Q"])
     assert np.all(dq > -1e-8 * np.max(tr["Q"]))
     j = aniso_rec.jumps[0]
+    inside = (tr["t"] >= j.t_lo) & (tr["t"] <= j.t_hi)
+    assert np.any(inside)
+    assert np.all(np.isnan(tr["dQ_dt"][inside]))
+    assert np.all(np.isfinite(tr["dQ_dt"][~inside]))
     sm = tr["t"] > j.t_hi + 0.3
     ratio = tr["dQ_dt"][sm] / tr["predicted"][sm]
     assert np.max(np.abs(ratio - 1)) < 0.05
