@@ -4,13 +4,13 @@ The operator family follows the continuity method: parameter s in [0, 1]
 scales the anisotropic K-term, and the outer Dirichlet value is s (L - 2).
 Cold starts come from the transport profile (arrival-time quadrature of the
 sphere speed), which is what makes them reliable at moderate epsilon; very
-small epsilon is reached by sweeping with warm starts.
+small epsilon is reached by ``descend``, a warm chain down a list of eps.
 
 There is one globalization: ``newton_solve`` is an Armijo-damped Newton
 loop that returns its last iterate unconverged when the line search fails.
-Recovery belongs to the callers: ds halving in ``continuation_solve``, the
-warm/cold/bisection/cold-chain order in ``apriori_matrix`` and the cold-start
-backoff in ``weak_flow.epsilon_sweep``.
+Recovery has two homes: ``descend`` (warm start, cold retry, log-eps walk)
+for every eps chain, and at the top rung of ``weak_flow.epsilon_sweep`` the
+ds halving of ``continuation_solve`` plus the sweep's cold-start backoff.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -24,6 +24,10 @@ TOL_NEWTON = 1e-9
 MAX_NEWTON = 60
 MAX_BACKTRACK = 30
 FLOOR_FACTOR = 20.0
+CONTINUATION_DS0 = 0.25     # first s step of the continuity ladder
+CONTINUATION_DS_MIN = 1e-3  # the ladder gives up below this s step
+FAST_ITERS = 6              # rungs this fast grow the s step by 1.5
+WALK_MIN_RATIO = 0.98       # descend's log-eps walk stops at finer steps
 _EPS = np.finfo(float).eps
 
 
@@ -127,77 +131,100 @@ def residual_field(dom, sol):
     return dom.residual(sol.interior, sol.eps, sol.s, sol.bc, sol.variant)
 
 
-def continuation_solve(dom, eps, warm=None, tol=TOL_NEWTON, ds0=0.25,
-                       ds_min=1e-3, fast_iters=6, variant="stimcf"):
-    """Advance the continuity method to s = 1 at fixed eps.
+def continuation_solve(dom, eps, tol=TOL_NEWTON, variant="stimcf"):
+    """Advance the continuity method to s = 1 at fixed eps from a cold start.
 
     The ladder scales the anisotropic operator term (equivalently the data
     K -> sqrt(s) K) at the target boundary value L - 2: the s = 0 rung is the
     pure inverse-mean-curvature regularization, then s grows adaptively
-    (halved on failure, grown after fast rungs) with each rung warm-started.
-    ``warm`` maps s values to interior vectors from a previous sweep rung.
-    When K vanishes identically the ladder collapses to the single s = 1
-    solve (the operator family is then s-independent).
-    Returns (solution at s = 1, trace rows (s, iterations, residual, ok),
-    rung dict s -> interior array) for warm-starting later sweeps.
+    (halved on failure, grown after fast rungs) with each rung warm-started
+    from the last.  When K vanishes identically the ladder collapses to the
+    single s = 1 solve (the operator family is then s-independent).
+    Returns (solution at s = 1, trace rows (s, iterations, residual, ok)).
     """
-    warm = warm or {}
     trace = []
-    rungs = {}
     bc = dom.L - 2.0
-    if dom.k_is_zero():
-        sol = newton_solve(dom, eps, 1.0, u_init=warm.get(1.0), bc=bc, tol=tol,
-                           variant=variant)
-        trace.append((1.0, sol.iterations, sol.residual_norm, sol.converged))
-        if not sol.converged:
-            raise SolverError(f"continuation failed at s=1, eps={eps}: "
-                              f"{sol.diagnostic}")
-        rungs[1.0] = sol.interior
-        return sol, trace, rungs
-    if 1.0 in warm:
-        # a previous sweep rung already reached s = 1; its solution is the
-        # best start and usually converges directly
-        sol = newton_solve(dom, eps, 1.0, u_init=warm[1.0], bc=bc, tol=tol,
-                           variant=variant)
-        trace.append((1.0, sol.iterations, sol.residual_norm, sol.converged))
-        if sol.converged:
-            rungs[1.0] = sol.interior
-            return sol, trace, rungs
-    s = 0.0
-    sol = newton_solve(dom, eps, 0.0, u_init=warm.get(0.0), bc=bc, tol=tol,
-                       variant=variant)
-    trace.append((0.0, sol.iterations, sol.residual_norm, sol.converged))
+    s = 1.0 if dom.k_is_zero() else 0.0
+    sol = newton_solve(dom, eps, s, bc=bc, tol=tol, variant=variant)
+    trace.append((s, sol.iterations, sol.residual_norm, sol.converged))
     if not sol.converged:
-        raise SolverError(f"continuation failed at s=0, eps={eps}: {sol.diagnostic}")
-    rungs[0.0] = sol.interior
-    ds = ds0
+        raise SolverError(f"continuation failed at s={s:g}, eps={eps}: "
+                          f"{sol.diagnostic}")
+    ds = CONTINUATION_DS0
     while s < 1.0:
         st = min(1.0, s + ds)
-        init = warm.get(st, sol.interior)
-        cand = newton_solve(dom, eps, st, u_init=init, bc=bc, tol=tol,
+        cand = newton_solve(dom, eps, st, u_init=sol.interior, bc=bc, tol=tol,
                             variant=variant)
         trace.append((st, cand.iterations, cand.residual_norm, cand.converged))
         if not cand.converged:
             ds *= 0.5
-            if ds < ds_min:
+            if ds < CONTINUATION_DS_MIN:
                 raise SolverError(
                     f"continuation step underflow before s=1 at eps={eps}")
             continue
         s, sol = st, cand
-        rungs[st] = cand.interior
-        if cand.iterations <= fast_iters and st < 1.0:
+        if cand.iterations <= FAST_ITERS and st < 1.0:
             ds = min(1.5 * ds, 1.0 - st)
-    return sol, trace, rungs
+    return sol, trace
 
 
-def imcf_reference_solve(dom, eps, warm=None, tol=TOL_NEWTON):
+def descend(dom, s, eps_values, bc=None, start=None, tol=TOL_NEWTON,
+            variant="stimcf"):
+    """Walk a descending eps list at fixed (s, bc), one converged solve each.
+
+    Yields (solution, trace rows (s, iterations, residual, ok)) per eps.
+    Each eps tries, in order, until one solve converges: the warm start
+    from the previous solution (``start`` before the first eps), the cold
+    (transport) start, then a walk in log eps from the last converged
+    solution that halves its step after each failure.  At the top of a chain
+    without ``start`` the walk begins from a cold solve at 2 eps and tries
+    the full step first.  Raises SolverError when nothing converges.
+    """
+    def attempt(e, init):
+        sol = newton_solve(dom, e, s, u_init=init, bc=bc, tol=tol,
+                           variant=variant)
+        trace.append((s, sol.iterations, sol.residual_norm, sol.converged))
+        return sol
+
+    prev = start
+    for eps in eps_values:
+        trace = []
+        for init in ([None] if prev is None else [prev.interior, None]):
+            sol = attempt(eps, init)
+            if sol.converged:
+                break
+        else:
+            if prev is not None:
+                base, ratio = prev, np.sqrt(eps / prev.eps)
+            else:
+                base, ratio = attempt(2.0 * eps, None), 0.5
+            while base.converged and ratio <= WALK_MIN_RATIO:
+                e_try = base.eps * ratio
+                if e_try < eps * 1.001:
+                    e_try = eps
+                cand = attempt(e_try, base.interior)
+                if not cand.converged:
+                    ratio = np.sqrt(ratio)
+                elif e_try == eps:
+                    sol = cand
+                    break
+                else:
+                    base = cand
+            if not sol.converged:
+                raise SolverError(f"descent failed at eps={eps}, s={s}: "
+                                  f"{sol.diagnostic}")
+        yield sol, trace
+        prev = sol
+
+
+def imcf_reference_solve(dom, eps, tol=TOL_NEWTON):
     """The K-free (inverse mean curvature flow) solve with full boundary data.
 
     This is the upper-barrier reference: the anisotropic term only increases
     the right-hand side, so every converged anisotropic solution must lie
     below this one.
     """
-    return newton_solve(dom, eps, 0.0, u_init=warm, bc=dom.L - 2.0, tol=tol)
+    return newton_solve(dom, eps, 0.0, bc=dom.L - 2.0, tol=tol)
 
 
 class AprioriReport:
@@ -262,18 +289,10 @@ def apriori_monitor(dom, sol, imcf_reference=None, tol=None):
 def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
     """Solve the boundary-scaled family u_(eps, s) over an (eps, s) grid.
 
-    For each s the eps axis is swept descending, each solve warm-started
-    from the previous eps.  Every (eps, s) tries, in order, until one
-    converges:
-
-    - below the top eps: the warm start, then the cold (transport) start,
-      then eps bisection from the last converged eps, which halves the log
-      step next to it after each failure;
-    - at the top eps: the cold start, then a cold start at a larger eps
-      chained down at factor-2 steps.
-
-    Returns {(eps, s): AprioriReport} with the solutions attached; every
-    solve must converge.
+    For each s one ``descend`` walks the eps axis from the top, so every
+    recovery (cold retry, log-eps walk, the cold start at 2 eps above the
+    top) is the chain's.  Returns {(eps, s): AprioriReport} with the
+    solutions attached; every solve must converge.
     """
     eps_values = sorted(eps_values, reverse=True)
     # warm stepping is reliable at ratios up to ~2: densify the internal
@@ -286,60 +305,8 @@ def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
     requested = set(eps_values)
     out = {}
     for s in sorted(s_values):
-        warm = None
-        eps_prev = None
-        for eps in chain_eps:
-            # a warm start can sit on a branch that stalls at this eps while
-            # the cold start still converges
-            for init in ([None] if warm is None else [warm, None]):
-                sol = newton_solve(dom, eps, s, u_init=init, tol=tol)
-                if sol.converged:
-                    break
-            if not sol.converged and warm is not None:
-                # eps bisection: after a failure halve the log step from
-                # the last converged eps, after a success keep it
-                e_ok, sub_warm = eps_prev, warm
-                ratio = np.sqrt(eps / eps_prev)
-                for _ in range(24):
-                    if ratio > 0.98:
-                        break
-                    e_try = e_ok * ratio
-                    if e_try < eps * 1.001:
-                        e_try = eps
-                    cand = newton_solve(dom, e_try, s, u_init=sub_warm,
-                                        tol=tol)
-                    if not cand.converged:
-                        ratio = np.sqrt(ratio)
-                        continue
-                    e_ok, sub_warm = e_try, cand.interior
-                    if e_ok == eps:
-                        sol = cand
-                        break
-            if not sol.converged and warm is None:
-                # last resort: cold-start at the sweep's default scale
-                # (with backoff) and chain down at factor-2 steps
-                e_hi = min(0.9 * dom.feasibility()["eps_max"], 1.0 / 32.0)
-                e_hi = max(e_hi, 2 * eps)
-                chain = None
-                e = e_hi
-                while chain is None and e > eps * 1.0001:
-                    step = newton_solve(dom, e, s, tol=tol)
-                    if step.converged:
-                        chain = step.interior
-                        break
-                    e /= 2.0
-                while e > eps * 1.0001:
-                    e = max(e / 2.0, eps)
-                    step = newton_solve(dom, e, s, u_init=chain, tol=tol)
-                    if step.converged:
-                        chain = step.interior
-                sol = newton_solve(dom, eps, s, u_init=chain, tol=tol)
-            if not sol.converged:
-                raise SolverError(
-                    f"a-priori matrix solve failed at eps={eps}, s={s}: "
-                    f"{sol.diagnostic}")
-            warm = sol.interior
-            eps_prev = eps
+        for eps, (sol, _) in zip(chain_eps, descend(dom, s, chain_eps,
+                                                    tol=tol)):
             if eps in requested:
                 rep = apriori_monitor(dom, sol)
                 rep.solution = sol

@@ -1,12 +1,15 @@
 """Drive the regularization to zero and read off the weak flow.
 
-The sweep runs the continuation per epsilon rung with warm starts, tracks
-Cauchy deltas of u and the L1 stabilization of |grad u| (the compactness
-hypotheses are monitored, not proven), and keeps the gradient tail needed to
-reconstruct the unit normal across plateaus.  Jump regions are plateaus of
-the metric gradient; their outer boundary radius is located by value-crossing
-extrapolation, which resolves the horizon well below one cell.
+The sweep runs the continuity ladder at the top epsilon rung and a warm
+chain down the rest (``solver.descend``), tracks Cauchy deltas of u and the
+L1 stabilization of |grad u| (the compactness hypotheses are monitored, not
+proven), and keeps the gradient tail needed to reconstruct the unit normal
+across plateaus.  Jump regions are plateaus of the metric gradient; their
+outer boundary radius is located by value-crossing extrapolation, which
+resolves the horizon well below one cell.
 """
+
+import itertools
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .radial_oracle import sphere_area
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
 GRAD_TOL_FACTOR = 10.0      # plateau when |grad u|_g < factor * eps_last
 DEFAULT_EPS0 = 1.0 / 32.0
+TAIL_RUNGS = 4              # sweep rungs kept for the normal reconstruction
 
 
 class FlowError(RuntimeError):
@@ -86,58 +90,53 @@ class FlowRecord:
         return (0.0, self.truncation_threshold())
 
 
-def epsilon_sweep(dom, schedule=None, eps_last=1e-3, eps0=None,
-                  tol_sweep=0.05, tol_newton=sv.TOL_NEWTON, keep_tail=4,
-                  with_imcf=True, variant="stimcf", monitor=True):
-    """Run the continuation per epsilon rung down a geometric schedule.
+def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
+                  tol_newton=sv.TOL_NEWTON, with_imcf=True, variant="stimcf"):
+    """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
 
-    The first rung cold-starts from the transport profile and backs off to a
-    smaller eps0 when that fails (smaller regularization is the easier cold
-    start for this operator).  Subsequent rungs warm-start from the previous
-    rung, per continuity parameter.  Returns a FlowRecord.
+    The top rung cold-starts the continuity ladder from the transport
+    profile and backs off to a smaller eps0 when that fails (smaller
+    regularization is the easier cold start for this operator).  The later
+    rungs are one ``solver.descend`` chain at s = 1 from the top solution,
+    and the IMCF reference is a second chain at s = 0 over the whole
+    schedule.  Returns a FlowRecord.
     """
     feas = dom.feasibility()
-    if schedule is None:
-        start = min(feas["eps_max"], DEFAULT_EPS0) if eps0 is None else eps0
-        schedule = []
-        e = start
-        while True:
-            schedule.append(e)
-            if e <= eps_last:
-                break
-            e = max(e / 2.0, eps_last)
-    schedule = list(schedule)
-    if np.any(np.diff(schedule) >= 0):
-        raise FlowError("epsilon schedule must be strictly decreasing")
-    if schedule[0] > feas["eps_max"]:
+    e = min(feas["eps_max"], DEFAULT_EPS0) if eps0 is None else eps0
+    if e > feas["eps_max"]:
         raise FlowError(
-            f"schedule starts above the feasibility bound {feas['eps_max']:.3g}")
+            f"eps0 = {e:.3g} lies above the feasibility bound "
+            f"{feas['eps_max']:.3g}")
+    schedule = [e]
+    while e > eps_last:
+        e = max(e / 2.0, eps_last)
+        schedule.append(e)
+    while True:
+        try:
+            top = sv.continuation_solve(dom, schedule[0], tol=tol_newton,
+                                        variant=variant)
+            break
+        except sv.SolverError:
+            # cold-start backoff: drop the top rung and retry colder, but
+            # never below 8 eps_last (a cascade that deep means the
+            # configuration is wrong, not the start)
+            eps = schedule.pop(0)
+            if not schedule or schedule[0] < 8 * eps_last * (1 - 1e-12):
+                raise FlowError(
+                    f"cold start failed down to eps={eps:.3g}; "
+                    "check alpha/L (domain size) and resolution")
+    bc = dom.L - 2.0
+    flow = itertools.chain([top], sv.descend(
+        dom, 1.0, schedule[1:], bc=bc, start=top[0], tol=tol_newton,
+        variant=variant))
+    imcf = (sv.descend(dom, 0.0, schedule, bc=bc, tol=tol_newton)
+            if with_imcf else itertools.repeat((None, None)))
     rec = FlowRecord(dom, variant)
-    warm = {}
-    imcf_warm = None
     prev = None
     prev_grad = None
     prev_l1 = None
-    i = 0
-    while i < len(schedule):
-        eps = schedule[i]
-        try:
-            sol, trace, rungs = sv.continuation_solve(
-                dom, eps, warm=warm, tol=tol_newton, variant=variant)
-        except sv.SolverError:
-            if prev is None and len(rec.epsilons) == 0:
-                # cold-start backoff: drop the top rung and retry colder,
-                # but never below 8 eps_last (a cascade that deep means the
-                # configuration is wrong, not the start)
-                schedule = [e for e in schedule if e < eps]
-                if not schedule or schedule[0] < 8 * eps_last * (1 - 1e-12):
-                    raise FlowError(
-                        f"cold start failed down to eps={eps:.3g}; "
-                        "check alpha/L (domain size) and resolution")
-                continue
-            raise
-        warm = rungs
-        rec.epsilons.append(eps)
+    for (sol, trace), (imcf_sol, _) in zip(flow, imcf):
+        rec.epsilons.append(sol.eps)
         rec.traces.append(trace)
         grad = dom.gradient(sol.interior, sol.bc)
         gmag = np.abs(sol.metric_gradient())
@@ -152,22 +151,13 @@ def epsilon_sweep(dom, schedule=None, eps_last=1e-3, eps0=None,
         prev = sol.full_field()
         prev_grad = gmag
         prev_l1 = l1
-        rec.tail.append((eps, sol.interior.copy(), grad))
-        if len(rec.tail) > keep_tail:
+        rec.tail.append((sol.eps, sol.interior.copy(), grad))
+        if len(rec.tail) > TAIL_RUNGS:
             rec.tail.pop(0)
-        imcf_sol = None
-        if with_imcf:
-            imcf_sol = sv.imcf_reference_solve(dom, eps, warm=imcf_warm,
-                                               tol=tol_newton)
-            if not imcf_sol.converged:
-                raise FlowError(f"IMCF reference failed at eps={eps}")
-            imcf_warm = imcf_sol.interior
-        if monitor:
-            rec.apriori.append(sv.apriori_monitor(dom, sol,
-                                                  imcf_reference=imcf_sol))
+        rec.apriori.append(sv.apriori_monitor(dom, sol,
+                                              imcf_reference=imcf_sol))
         rec.solution = sol
         rec.imcf = imcf_sol
-        i += 1
     if rec.sup_deltas:
         rec.cauchy_ok = rec.sup_deltas[-1] < tol_sweep
         if not rec.cauchy_ok:

@@ -182,9 +182,9 @@ def test_second_order_convergence_against_fine_reference():
 
 
 def test_continuation_trace_and_k_zero_collapse(flat_dom, aniso_dom):
-    sol, trace, rungs = sv.continuation_solve(flat_dom, 0.03)
+    sol, trace = sv.continuation_solve(flat_dom, 0.03)
     assert [row[0] for row in trace] == [1.0]
-    sol2, trace2, rungs2 = sv.continuation_solve(aniso_dom, 0.03)
+    sol2, trace2 = sv.continuation_solve(aniso_dom, 0.03)
     assert trace2[0][0] == 0.0 and trace2[-1][0] == 1.0
     assert all(row[3] for row in trace2)
     assert sol2.converged and sol2.s == 1.0
@@ -248,7 +248,8 @@ def test_apriori_bisection_refines_next_to_the_last_converged_eps(
     chain = (1e-2, 5e-3, 2.5e-3)
     calls = []
 
-    def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON):
+    def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
+                          **kwargs):
         ok = eps >= eps_fail
         calls.append((eps, u_init is None, ok))
         return sv.ScalarSolution(dom, np.zeros(dom.n_unknowns), eps, s,
@@ -270,3 +271,25 @@ def test_apriori_bisection_refines_next_to_the_last_converged_eps(
     assert checked >= 2
     # the failed warm start at 2.5e-3 is retried cold before any bisection
     assert calls[2:4] == [(2.5e-3, False, False), (2.5e-3, True, False)]
+
+
+def test_apriori_top_reaches_its_eps_by_one_warm_step_from_twice_it(
+        flat_dom, monkeypatch):
+    # the cold start fails at the top eps only: the chain cold-starts at
+    # 2 eps, steps down warm once and solves nothing more at the top
+    top = 2e-2
+    calls = []
+
+    def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
+                          **kwargs):
+        ok = u_init is not None or eps != top
+        calls.append((eps, u_init is None, ok))
+        return sv.ScalarSolution(dom, np.zeros(dom.n_unknowns), eps, s,
+                                 s * (dom.L - 2.0), 0.0 if ok else 1.0, 1,
+                                 ok, 0.0, diagnostic=None if ok else "stall")
+
+    monkeypatch.setattr(sv, "newton_solve", fake_newton_solve)
+    out = sv.apriori_matrix(flat_dom, [1.0], [top])
+    assert calls == [(top, True, False), (2 * top, True, True),
+                     (top, False, True)]
+    assert out[(top, 1.0)].solution.eps == top

@@ -42,6 +42,25 @@ def test_solver_leaves_linear_algebra_to_the_domain():
     assert not hits, f"scipy imported by the solver: {', '.join(hits)}"
 
 
+def test_newton_solve_has_one_recovery_home():
+    # after a failed solve the next start is chosen by the continuity
+    # ladder or by descend; no other function calls newton_solve itself
+    allowed = {"continuation_solve", "descend", "imcf_reference_solve"}
+    hits = []
+    for name in ("solver.py", "weak_flow.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            if owner in allowed:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "newton_solve" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    hits.append(f"{name}:{node.lineno} in {owner}")
+    assert not hits, f"newton_solve called elsewhere: {', '.join(hits)}"
+
+
 @pytest.fixture(scope="module", params=["radial", "grid"])
 def lane(request):
     if request.param == "radial":

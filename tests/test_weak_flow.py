@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stimcf import build_preset, build_domain
+from stimcf import solver as sv
 from stimcf import weak_flow as wf
 from stimcf import radial_oracle as orc
 from tests.test_radial_oracle import R_STAR_ANISO
@@ -174,3 +175,56 @@ def test_frauendiener_smooth_gradient_identity(fr_rec):
     P = prof.k_trace(r[sel])
     expect = (H ** 2 - P ** 2) / H
     assert np.max(np.abs(grad - expect) / expect) < 0.01
+
+
+# -- sweep failure paths -------------------------------------------------------
+
+def _small_flat():
+    ids = build_preset("flat", n=2)
+    return build_domain(ids, {"radius": 1.0}, L=4.0, alpha=1.9, h=1 / 32.)
+
+
+def _stalled(dom, eps, s, u_init, bc):
+    interior = (dom.initial_guess(s, bc, eps) if u_init is None
+                else np.array(u_init, float))
+    return sv.ScalarSolution(dom, interior, eps, s, bc, 1.0, 60, False, 0.0,
+                             diagnostic="stall")
+
+
+def test_sweep_retries_a_failed_warm_start_cold(monkeypatch):
+    dom = _small_flat()
+    newton = sv.newton_solve
+    failed = []
+
+    def flaky(dom, eps, s, u_init=None, bc=None, **kwargs):
+        # the first warm start of the s = 1 chain stalls
+        if s == 1.0 and u_init is not None and not failed:
+            failed.append(eps)
+            return _stalled(dom, eps, s, u_init, bc)
+        return newton(dom, eps, s, u_init=u_init, bc=bc, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", flaky)
+    rec = wf.epsilon_sweep(dom, eps_last=1 / 128.)
+    assert rec.epsilons == [1 / 32., 1 / 64., 1 / 128.]
+    assert failed == [1 / 64.]
+    rows = rec.traces[1]
+    assert [(row[0], row[3]) for row in rows] == [(1.0, False), (1.0, True)]
+    assert rec.solution.converged and rec.solution.eps == 1 / 128.
+
+
+def test_sweep_raises_when_every_cold_start_fails(monkeypatch):
+    dom = _small_flat()
+
+    def every_solve_stalls(dom, eps, s, u_init=None, bc=None, **kwargs):
+        return _stalled(dom, eps, s, u_init, bc)
+
+    monkeypatch.setattr(sv, "newton_solve", every_solve_stalls)
+    with pytest.raises(wf.FlowError, match="cold start failed"):
+        wf.epsilon_sweep(dom, eps_last=1e-3)
+
+
+def test_sweep_rejects_eps0_above_the_feasibility_bound():
+    dom = _small_flat()
+    eps_max = dom.feasibility()["eps_max"]
+    with pytest.raises(wf.FlowError, match="feasibility bound"):
+        wf.epsilon_sweep(dom, eps0=1.5 * eps_max, eps_last=1e-3)
