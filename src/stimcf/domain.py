@@ -169,31 +169,30 @@ class RadialDomain:
         return area_in, area_out, vol
 
     # discrete operator -----------------------------------------------------
-    def _differences(self, u):
+    def _stencil(self, interior, eps, bc):
+        """The face slopes du and weights Wf, and at the interior nodes the
+        centred metric gradient Gc, W2 = eps^2 + Gc^2 and the ratio T."""
+        u = self.full_field(interior, bc)
         du = np.diff(u) / self.h
         Gc = (u[2:] - u[:-2]) / (2 * self.h) / self.a[1:-1]
-        return du, Gc
+        G2 = Gc ** 2
+        Wf = np.sqrt(eps ** 2 + (du / self.af) ** 2)
+        W2 = eps ** 2 + G2
+        T = G2 * self.kr[1:-1] / W2
+        return du, Wf, Gc, W2, T
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
-        h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
-        du, Gc = self._differences(self.full_field(interior, bc))
-        G2 = Gc ** 2
-        Wf = np.sqrt(eps ** 2 + (du / af) ** 2)
+        h, af, Af, A, a = self.h, self.af, self.Af, self.A, self.a
+        du, Wf, _, W2, T = self._stencil(interior, eps, bc)
         F = Af * du / (af * Wf)
         div = (F[1:] - F[:-1]) / (A[1:-1] * a[1:-1] * h)
-        W2 = eps ** 2 + G2
-        T = G2 * kr[1:-1] / W2
         return div - rhs_value(W2, T, s, variant)
 
     def jacobian(self, interior, eps, s, bc, variant="stimcf"):
         h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
-        du, Gc = self._differences(self.full_field(interior, bc))
-        G2 = Gc ** 2
-        Wf = np.sqrt(eps ** 2 + (du / af) ** 2)
+        _, Wf, Gc, W2, T = self._stencil(interior, eps, bc)
         dF = Af * eps ** 2 / (af * Wf ** 3) / h
         ci = 1.0 / (A[1:-1] * a[1:-1] * h)
-        W2 = eps ** 2 + G2
-        T = G2 * kr[1:-1] / W2
         dRdW2, dRdT = rhs_derivs(W2, T, s, variant)
         # T = G2 k/(eps^2 + G2): dT/dG2 = k eps^2 / W2^2
         dRdG2 = dRdW2 + dRdT * kr[1:-1] * eps ** 2 / W2 ** 2

@@ -8,9 +8,9 @@ small epsilon is reached by ``descend``, a warm chain down a list of eps.
 
 There is one globalization: ``newton_solve`` is an Armijo-damped Newton
 loop that returns its last iterate unconverged when the line search fails.
-Recovery has two homes: ``descend`` (warm start, cold retry, log-eps walk)
-for every eps chain, and at the top rung of ``weak_flow.epsilon_sweep`` the
-ds halving of ``continuation_solve`` plus the sweep's cold-start backoff.
+Recovery has one home, ``descend`` (warm start, cold retry, log-eps walk):
+every eps chain, the two continuity endpoints of ``continuation_solve``
+included, chooses its next start there.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -24,9 +24,6 @@ TOL_NEWTON = 1e-9
 MAX_NEWTON = 60
 MAX_BACKTRACK = 30
 FLOOR_FACTOR = 20.0
-CONTINUATION_DS0 = 0.25     # first s step of the continuity ladder
-CONTINUATION_DS_MIN = 1e-3  # the ladder gives up below this s step
-FAST_ITERS = 6              # rungs this fast grow the s step by 1.5
 WALK_MIN_RATIO = 0.98       # descend's log-eps walk stops at finer steps
 _EPS = np.finfo(float).eps
 
@@ -132,39 +129,21 @@ def residual_field(dom, sol):
 
 
 def continuation_solve(dom, eps, tol=TOL_NEWTON, variant="stimcf"):
-    """Advance the continuity method to s = 1 at fixed eps from a cold start.
+    """The continuity method's two endpoints at fixed eps and bc = L - 2.
 
-    The ladder scales the anisotropic operator term (equivalently the data
-    K -> sqrt(s) K) at the target boundary value L - 2: the s = 0 rung is the
-    pure inverse-mean-curvature regularization, then s grows adaptively
-    (halved on failure, grown after fast rungs) with each rung warm-started
-    from the last.  When K vanishes identically the ladder collapses to the
-    single s = 1 solve (the operator family is then s-independent).
+    s scales the anisotropic operator term (equivalently the data
+    K -> sqrt(s) K).  The s = 0 solve is the pure inverse-mean-curvature
+    regularization from the cold start; the s = 1 solve starts from it.
+    Each is one ``descend`` step, so a failed start gets that chain's
+    recovery.  When K vanishes identically only the s = 1 solve runs (the
+    operator family is then s-independent).
     Returns (solution at s = 1, trace rows (s, iterations, residual, ok)).
     """
-    trace = []
-    bc = dom.L - 2.0
-    s = 1.0 if dom.k_is_zero() else 0.0
-    sol = newton_solve(dom, eps, s, bc=bc, tol=tol, variant=variant)
-    trace.append((s, sol.iterations, sol.residual_norm, sol.converged))
-    if not sol.converged:
-        raise SolverError(f"continuation failed at s={s:g}, eps={eps}: "
-                          f"{sol.diagnostic}")
-    ds = CONTINUATION_DS0
-    while s < 1.0:
-        st = min(1.0, s + ds)
-        cand = newton_solve(dom, eps, st, u_init=sol.interior, bc=bc, tol=tol,
-                            variant=variant)
-        trace.append((st, cand.iterations, cand.residual_norm, cand.converged))
-        if not cand.converged:
-            ds *= 0.5
-            if ds < CONTINUATION_DS_MIN:
-                raise SolverError(
-                    f"continuation step underflow before s=1 at eps={eps}")
-            continue
-        s, sol = st, cand
-        if cand.iterations <= FAST_ITERS and st < 1.0:
-            ds = min(1.5 * ds, 1.0 - st)
+    sol, trace = None, []
+    for s in ([1.0] if dom.k_is_zero() else [0.0, 1.0]):
+        sol, rows = next(descend(dom, s, [eps], bc=dom.L - 2.0, start=sol,
+                                 tol=tol, variant=variant))
+        trace += rows
     return sol, trace
 
 

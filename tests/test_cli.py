@@ -56,6 +56,16 @@ def test_flow_rejects_bad_alpha(tmp_path):
     assert status == 2
 
 
+def test_flow_rejects_negative_eps_last(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FLAT_CFG.replace("eps_last_per_length = 1e-3",
+                                    "eps_last_per_length = -1e-3"))
+    status = cli.main(["flow", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+    assert status != 0
+    assert not (tmp_path / "o").exists()
+
+
 def test_flow_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(FLAT_CFG + "bogus_key = 1\n")

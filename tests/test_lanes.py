@@ -43,9 +43,10 @@ def test_solver_leaves_linear_algebra_to_the_domain():
 
 
 def test_newton_solve_has_one_recovery_home():
-    # after a failed solve the next start is chosen by the continuity
-    # ladder or by descend; no other function calls newton_solve itself
-    allowed = {"continuation_solve", "descend", "imcf_reference_solve"}
+    # after a failed solve the next start is chosen by descend; no other
+    # function calls newton_solve itself, and the sweep retries nothing
+    # in a loop of its own
+    allowed = {"descend", "imcf_reference_solve"}
     hits = []
     for name in ("solver.py", "weak_flow.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
@@ -58,7 +59,14 @@ def test_newton_solve_has_one_recovery_home():
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)):
                     hits.append(f"{name}:{node.lineno} in {owner}")
-    assert not hits, f"newton_solve called elsewhere: {', '.join(hits)}"
+    for loop in ast.walk(ast.parse((SRC / "weak_flow.py").read_text())):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.ExceptHandler) and node.type and (
+                    "SolverError" in ast.dump(node.type)):
+                hits.append(f"weak_flow.py:{node.lineno} retries in a loop")
+    assert not hits, f"recovery outside descend: {', '.join(hits)}"
 
 
 @pytest.fixture(scope="module", params=["radial", "grid"])

@@ -228,3 +228,33 @@ def test_sweep_rejects_eps0_above_the_feasibility_bound():
     eps_max = dom.feasibility()["eps_max"]
     with pytest.raises(wf.FlowError, match="feasibility bound"):
         wf.epsilon_sweep(dom, eps0=1.5 * eps_max, eps_last=1e-3)
+
+
+@pytest.mark.parametrize("eps0, eps_last", [(None, 0.0), (None, -1e-3),
+                                            (0.0, 1e-3)])
+def test_sweep_rejects_nonpositive_eps(eps0, eps_last):
+    with pytest.raises(wf.FlowError, match="eps0 > 0 and eps_last > 0"):
+        wf.epsilon_sweep(_small_flat(), eps0=eps0, eps_last=eps_last)
+
+
+# on both domains the cold start stalls at eps_max and converges at half
+@pytest.mark.parametrize("preset, kw, L, alpha, h", [
+    ("schwarzschild_isotropic", {"m": 0.25}, 8.2, 1.7, 1 / 32.),
+    ("paper_anisotropic", {}, 8.4, 1.9, 1 / 64.),
+], ids=["schwarzschild_m0.25", "paper_anisotropic_L8.4"])
+def test_sweep_top_converges_at_half_the_feasibility_bound(
+        monkeypatch, preset, kw, L, alpha, h):
+    dom = build_domain(build_preset(preset, **kw), {"radius": 1.0},
+                       L=L, alpha=alpha, h=h)
+    newton = sv.newton_solve
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(newton(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sv, "newton_solve", recorded)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3, with_imcf=False)
+    assert all(sol.converged for sol in solves)
+    eps_max = dom.feasibility()["eps_max"]
+    assert rec.epsilons[0] == min(eps_max / 2, 1 / 32.)
