@@ -9,13 +9,14 @@ which the comparison reports alongside the errors.
 
 import numpy as np
 
-from .weak_flow import FlowError, TRUNCATION_MARGIN
+from .weak_flow import FlowError
 
 
 DEFAULT_ANNULUS = (1.0, 3.0)
 # the outer truncation affects arrival times only within O(eps) of the
 # plateau value; a quarter flow-time unit of clearance is generous
 BLOWDOWN_VALUE_MARGIN = 0.25
+N_SHELLS = 24               # shells of the starshapedness check
 
 
 class BlowdownTrace:
@@ -25,12 +26,12 @@ class BlowdownTrace:
         self.normalizations = np.asarray(normalizations, float)
         self.floor = np.asarray(floor, float)
 
-    def nonincreasing(self, above_floor=True):
+    def nonincreasing(self):
         """Strict decrease of the error trace, ignoring comparisons where
         both entries sit at the numerical floor."""
         e = self.errors
         for k in range(1, len(e)):
-            if above_floor and e[k] <= self.floor[k] and e[k - 1] <= max(
+            if e[k] <= self.floor[k] and e[k - 1] <= max(
                     self.floor[k - 1], self.floor[k]):
                 continue
             if e[k] >= e[k - 1]:
@@ -44,8 +45,8 @@ def _sample_u(rec, points_radii):
     return np.interp(points_radii, dom.r, np.maximum.accumulate(rec.u))
 
 
-def blowdown_compare(rec, scales, annulus=DEFAULT_ANNULUS, n_samples=512):
-    """sup over the annulus of |u^lambda - c_lambda - n ln|y|| per scale.
+def blowdown_compare(rec, scales, n_samples=512):
+    """sup over DEFAULT_ANNULUS of |u^lambda - c_lambda - n ln|y|| per scale.
 
     c_lambda is the sup of |u^lambda| on the unit sphere (the paper's
     normalization); the comparison requires that the annulus, pulled back by
@@ -54,13 +55,13 @@ def blowdown_compare(rec, scales, annulus=DEFAULT_ANNULUS, n_samples=512):
     dom = rec.domain
     scales = np.asarray(sorted(scales, reverse=True), float)
     lo, hi_t = rec.valid_time_range()
-    r_needed = annulus[1] / scales.min()
+    r_needed = DEFAULT_ANNULUS[1] / scales.min()
     u_at_needed = _sample_u(rec, np.array([r_needed]))[0]
     if u_at_needed > rec.solution.bc - BLOWDOWN_VALUE_MARGIN + 1e-9:
         raise FlowError(
             f"domain radius insufficient: blowdown needs clean data out to "
             f"|x| = {r_needed:.3g}")
-    rho = np.linspace(annulus[0], annulus[1], n_samples)
+    rho = np.linspace(DEFAULT_ANNULUS[0], DEFAULT_ANNULUS[1], n_samples)
     errors, cs, floors = [], [], []
     n = rec.ids.n
     for lam in scales:
@@ -74,20 +75,13 @@ def blowdown_compare(rec, scales, annulus=DEFAULT_ANNULUS, n_samples=512):
     return BlowdownTrace(scales, errors, cs, floors)
 
 
-def roundness(mesh, ids=None):
+def roundness(mesh):
     """(circumscribed/inscribed radius ratio, best-fit center).
 
-    The center is the area-weighted centroid of the facets (chart metric when
-    ids is given); the ratio uses chart distances of the vertices, making it
-    exactly scale invariant.
+    The center is the chart-area-weighted centroid of the facets; the ratio
+    uses chart distances of the vertices, making it exactly scale invariant.
     """
-    if ids is not None:
-        w = mesh.metric_areas(ids)
-    else:
-        if mesh.dim == 2:
-            w = mesh.e_lengths
-        else:
-            w = 0.5 * mesh.e_lengths
+    w = mesh.e_lengths if mesh.dim == 2 else 0.5 * mesh.e_lengths
     center = np.sum(mesh.centroids * w[:, None], axis=0) / np.sum(w)
     d = np.linalg.norm(mesh.vertices - center[None, :], axis=1)
     return float(np.max(d) / np.min(d)), center
@@ -123,7 +117,7 @@ def second_form_spread(mesh):
                          / np.sum(weights)))
 
 
-def starshaped_check(rec, delta, R_reg, n_shells=24):
+def starshaped_check(rec, delta, R_reg):
     """min over shells of <nu(x), x/|x|> and the smallest radius from which
     the (1 - delta) bound holds outward.
 
@@ -138,7 +132,7 @@ def starshaped_check(rec, delta, R_reg, n_shells=24):
                 f"jump region beyond R_reg={R_reg}: starshapedness "
                 "hypothesis violated")
     shells, mins = rec.domain.shell_minima(rec.normal_field.vectors, R_reg,
-                                           n_shells)
+                                           N_SHELLS)
     ok_from = None
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(mins >= 1 - delta)))
     idx = np.where(suffix_ok)[0]

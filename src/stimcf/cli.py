@@ -36,10 +36,6 @@ CONFIG_KEYS = {
     "eps0_per_length": float,
     "tol_newton_per_length": float,
     "tol_sweep_flowtime": float,
-    "grad_tol_factor": float,
-    "tol_h_rel": float,
-    "tol_min_rel": float,
-    "probe_times_flowtime": str,
     "variant": str,
 }
 
@@ -106,6 +102,9 @@ def cmd_flow(args):
             tol_newton=cfg.get("tol_newton_per_length", 1e-9),
             tol_sweep=cfg.get("tol_sweep_flowtime", 0.05),
             variant=cfg.get("variant", "stimcf"))
+    except wf.FlowConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (SolverError, wf.FlowError) as exc:
         print(f"solver non-convergence: {exc}", file=sys.stderr)
         return 3
@@ -138,6 +137,20 @@ def cmd_flow(args):
 
 
 CHECKS = ("minimality", "monotone", "blowdown", "horizon")
+BLOWDOWN_SCALES = (1.0, 0.5, 0.25, 0.125)
+
+
+def _blowdown_scales(rec):
+    """The leading BLOWDOWN_SCALES whose pulled-back annulus the record's
+    domain still covers."""
+    scales = []
+    for lam in BLOWDOWN_SCALES:
+        try:
+            asym.blowdown_compare(rec, [lam], n_samples=8)
+        except wf.FlowError:
+            break
+        scales.append(lam)
+    return scales
 
 
 def cmd_verify(args):
@@ -167,13 +180,7 @@ def cmd_verify(args):
                 if not ok:
                     failures.append(ck)
             elif ck == "blowdown":
-                scales = []
-                for lam in (1.0, 0.5, 0.25, 0.125):
-                    try:
-                        asym.blowdown_compare(rec, [lam], n_samples=8)
-                        scales.append(lam)
-                    except wf.FlowError:
-                        break
+                scales = _blowdown_scales(rec)
                 if len(scales) < 2:
                     print("blowdown: skipped (domain too small)")
                 else:
@@ -226,13 +233,7 @@ def cmd_plotdata(args):
                         tr["t"][i], tr["Q"][i], tr["dQ_dt"][i],
                         tr["predicted"][i], tr["area"][i]))
         elif kind == "blowdown":
-            scales = []
-            for lam in (1.0, 0.5, 0.25, 0.125):
-                try:
-                    asym.blowdown_compare(rec, [lam], n_samples=8)
-                    scales.append(lam)
-                except wf.FlowError:
-                    break
+            scales = _blowdown_scales(rec)
             if not scales:
                 print("domain too small for any blowdown scale", file=sys.stderr)
                 return 2

@@ -20,10 +20,11 @@ of the package lives here; callers use only the protocol:
 - data: ``feasibility()``, ``subsolution_values``, ``k_is_zero()``,
   ``boundary_gradients`` (the a-priori criterion (iii) inputs);
 - geometry read off a solution: ``components(mask)`` (lists of field-point
-  indices), ``plateau_radii``, ``plateau_meshes``, ``level_mesh``,
+  indices), ``plateau_radii(sol, comp, t0, knee_floor)``,
+  ``plateau_meshes(sol, t0, inner_r, outer_r)``, ``level_mesh(sol, t)``,
   ``boundary_level_set``, ``tail_normals``, ``extrema_excess``,
   ``shell_minima``;
-- records: ``fingerprint_arrays`` and ``record_arrays``;
+- records: ``record_arrays``;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 """
@@ -39,6 +40,13 @@ from .radial_oracle import RadialProfile, sphere_area
 
 SUBSOLUTION_MARGIN = 1e-3
 FEASIBILITY_SAFETY = 0.9
+KNEE_EPS_FACTOR = 60.0      # plateau-edge thresholds start at this many eps
+ANCHOR_R_MAX = 64.0         # anchor radius scan: geomspace up to here
+ANCHOR_N_SCAN = 256
+# radial-lane sphere meshes: plateau boundaries, level sets, circles (n = 1)
+PLATEAU_SUBDIVISIONS = 4
+LEVEL_SUBDIVISIONS = 3
+CIRCLE_SEGMENTS = 512
 
 
 class DomainError(ValueError):
@@ -270,16 +278,6 @@ class RadialDomain:
         v = self.alpha * np.log(np.maximum(self.r, 1e-300) / self.R0)
         return v + shift
 
-    def subsolution_margin(self, radii=None):
-        """Residual of v = alpha ln(r/R0) under the degenerate operator:
-        H(r) - sqrt( (alpha/(a r))^2 + P^2 )."""
-        rr = self.r if radii is None else np.asarray(radii, float)
-        H = self.profile.mean_curvature(rr)
-        gradv = self.alpha / (self.a if radii is None else
-                              np.asarray(self.ids.radial.a(rr), float)) / rr
-        P = -(self.kr if radii is None else np.asarray(self.ids.radial.kappa_r(rr), float))
-        return H - np.sqrt(gradv ** 2 + P ** 2)
-
     def feasibility(self):
         area_in, area_out, vol = self.boundary_measures()
         H_plus = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
@@ -318,7 +316,7 @@ class RadialDomain:
             return []
         return np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
 
-    def plateau_radii(self, sol, comp, t0, knee_floor, k=60.0):
+    def plateau_radii(self, sol, comp, t0, knee_floor):
         """(inner, outer) radius of a plateau run; the outer edge comes from
         anchored value-crossing extrapolation.
 
@@ -354,7 +352,7 @@ class RadialDomain:
             return rr[j - 1] + w * (rr[j] - rr[j - 1])
 
         inner = float(r[comp[0]])
-        d_base = max(k * sol.eps, 2.0 * (u_edge - t0))
+        d_base = max(KNEE_EPS_FACTOR * sol.eps, 2.0 * (u_edge - t0))
         r1, r2, r3 = (crossing(u_edge + d_base * f) for f in (16.0, 4.0, 1.0))
         num, den = r1 - r2, r2 - r3
         fallback = float(r[knee])
@@ -368,16 +366,16 @@ class RadialDomain:
             return inner, fallback
         return inner, est
 
-    def _sphere_mesh(self, radius, subdivisions=3, segments=512):
+    def _sphere_mesh(self, radius, subdivisions):
         if self.n == 1:
-            return sg.circle_mesh(radius, segments=segments)
+            return sg.circle_mesh(radius, segments=CIRCLE_SEGMENTS)
         return sg.icosphere(radius=radius, subdivisions=subdivisions)
 
-    def plateau_meshes(self, sol, t0, inner_r, outer_r, subdivisions):
+    def plateau_meshes(self, sol, t0, inner_r, outer_r):
         if self.n not in (1, 2):
             return None, None
-        return (self._sphere_mesh(inner_r, subdivisions=subdivisions),
-                self._sphere_mesh(outer_r, subdivisions=subdivisions))
+        return (self._sphere_mesh(inner_r, PLATEAU_SUBDIVISIONS),
+                self._sphere_mesh(outer_r, PLATEAU_SUBDIVISIONS))
 
     def level_radius(self, sol, t):
         """Radius where the running maximum of u reaches t, linear between
@@ -391,9 +389,8 @@ class RadialDomain:
         u = np.maximum.accumulate(sol.full_field())
         return float(np.interp(t, u, self.r))
 
-    def level_mesh(self, sol, t, subdivisions, segments):
-        mesh = self._sphere_mesh(self.level_radius(sol, t), subdivisions,
-                                 segments)
+    def level_mesh(self, sol, t):
+        mesh = self._sphere_mesh(self.level_radius(sol, t), LEVEL_SUBDIVISIONS)
         return sg.populate_diagnostics(self.ids, mesh,
                                        level_set=self.boundary_level_set())
 
@@ -427,9 +424,6 @@ class RadialDomain:
                                  for s in shells])
 
     # records ---------------------------------------------------------------
-    def fingerprint_arrays(self):
-        return [self.r, self.a, self.kr]
-
     def record_arrays(self):
         return {"r.f64": self.r}
 
@@ -742,14 +736,7 @@ class GridDomain:
         return J.tocsc()
 
     def solve(self, J, rhs):
-        if self.n_unknowns < 40000 or self.d < 3:
-            return spla.spsolve(J, rhs)
-        # 3D: diagonal-scaled Krylov
-        M = sp.diags(1.0 / np.maximum(np.abs(J.diagonal()), 1e-30))
-        x, info = spla.bicgstab(J, rhs, rtol=1e-12, atol=0.0, maxiter=400, M=M)
-        if info != 0:
-            x = spla.spsolve(J.tocsc(), rhs)
-        return x
+        return spla.spsolve(J, rhs)
 
     def initial_guess(self, s, bc, eps):
         """The log subsolution rescaled to slope n, capped at bc."""
@@ -818,12 +805,12 @@ class GridDomain:
         return extract_isosurface(field, self.centers[0], self.h, t,
                                   interior_point=self.e0_center)
 
-    def plateau_meshes(self, sol, t0, inner_r, outer_r, subdivisions):
+    def plateau_meshes(self, sol, t0, inner_r, outer_r):
         field = self._extended_field(sol)
         delta = 3 * sol.eps
         return self._contour(field, t0 - delta), self._contour(field, t0 + delta)
 
-    def level_mesh(self, sol, t, subdivisions, segments):
+    def level_mesh(self, sol, t):
         from scipy.ndimage import map_coordinates
         field = self._extended_field(sol)
         mesh = self._contour(field, t)
@@ -880,20 +867,26 @@ class GridDomain:
         return shells, mins
 
     # records ---------------------------------------------------------------
-    def fingerprint_arrays(self):
-        return [np.asarray(self.shape), self.sdf]
-
     def record_arrays(self):
         return {}
 
 
-def _pointwise_margin(ids, x, alpha, h=1e-4):
+def subsolution_margin(prof, alpha, r):
+    """Residual of v = alpha ln(r/R0) under the degenerate operator on the
+    radial profile `prof`: H(r) - sqrt( (alpha/(a r))^2 + P^2 )."""
+    H = prof.mean_curvature(r)
+    gradv = alpha / (np.asarray(prof.data.a(r)) * r)
+    P = -np.asarray(prof.data.kappa_r(r))
+    return H - np.sqrt(gradv ** 2 + P ** 2)
+
+
+def _pointwise_margin(ids, x, alpha):
     """H_level - sqrt(|grad v|^2 + P_nu^2) for v = alpha ln|x| at points x."""
     x = np.atleast_2d(x)
     r = np.linalg.norm(x, axis=1)
     nu = x / r[:, None]
-    H = sg.level_set_mean_curvature(ids, x, lambda p: np.linalg.norm(p, axis=1),
-                                    h=h)
+    H = sg.level_set_mean_curvature(ids, x,
+                                    lambda p: np.linalg.norm(p, axis=1))
     g = ids.metric(x)
     ginv = np.linalg.inv(g)
     K = ids.second_form(x)
@@ -906,18 +899,14 @@ def _pointwise_margin(ids, x, alpha, h=1e-4):
     return H - np.sqrt(gradv_sq + P ** 2)
 
 
-def choose_anchor_radius(ids, alpha, e0_outer_radius, margin=SUBSOLUTION_MARGIN,
-                         r_max=64.0, n_scan=256):
+def choose_anchor_radius(ids, alpha, e0_outer_radius):
     """Smallest tested radius beyond which the log subsolution residual stays
-    above the margin, and beyond the inner region."""
+    above SUBSOLUTION_MARGIN, and beyond the inner region."""
     lo = max(1.001 * e0_outer_radius, 1.001 * ids.inner_radius, 0.05)
-    radii = np.geomspace(lo, r_max, n_scan)
+    radii = np.geomspace(lo, ANCHOR_R_MAX, ANCHOR_N_SCAN)
     if ids.radial is not None:
-        prof = RadialProfile.from_initial_data(ids, r_max=4 * r_max)
-        H = prof.mean_curvature(radii)
-        gradv = alpha / (np.asarray(ids.radial.a(radii)) * radii)
-        P = -np.asarray(ids.radial.kappa_r(radii))
-        res = H - np.sqrt(gradv ** 2 + P ** 2)
+        prof = RadialProfile.from_initial_data(ids, r_max=4 * ANCHOR_R_MAX)
+        res = subsolution_margin(prof, alpha, radii)
     else:
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
                          [1, 1, 1] / np.sqrt(3)])[:, :ids.dim]
@@ -925,12 +914,13 @@ def choose_anchor_radius(ids, alpha, e0_outer_radius, margin=SUBSOLUTION_MARGIN,
             ids, r * dirs, alpha)) for r in radii])
     # the residual of the log subsolution decays like (n - alpha)/r, so the
     # margin is enforced on r * residual (dimensionless)
-    ok = res * radii >= margin
+    ok = res * radii >= SUBSOLUTION_MARGIN
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
     idx = np.where(suffix_ok)[0]
     if len(idx) == 0:
         raise DomainError(
-            f"no admissible subsolution anchor radius with margin {margin}")
+            "no admissible subsolution anchor radius with margin "
+            f"{SUBSOLUTION_MARGIN}")
     return float(radii[idx[0]])
 
 

@@ -8,11 +8,15 @@ a 1D radial reduction used by the spherically symmetric reference solvers.
 import io
 import numpy as np
 
-FOURPI = 4.0 * np.pi
-
 # analytic data pass maximality to ~machine zero; sampled grids get slack
 TOL_MAX_ANALYTIC = 1e-10
 TOL_MAX_GRID = 1e-6
+# sample points of the type checks: random directions on 8 shells
+SAMPLE_DIRS = 24
+SAMPLE_SEED = 7
+# random directions on each decay shell
+DECAY_DIRS = 32
+DECAY_SEED = 3
 
 
 class InitialDataError(ValueError):
@@ -78,10 +82,9 @@ class InitialDataSet:
     def sqrt_det_metric(self, x):
         return np.sqrt(np.linalg.det(self.metric(x)))
 
-    def validate(self, points=None):
+    def validate(self):
         """Check type invariants (symmetry, positivity, maximality) on samples."""
-        if points is None:
-            points = self.sample_points()
+        points = self.sample_points()
         g = self.metric(points)
         K = self.second_form(points)
         if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-12):
@@ -97,12 +100,11 @@ class InitialDataSet:
                 f"data violates maximality: sup|tr_g K| = {tr:.3e} > {self.tol_max:.1e}")
         return True
 
-    def sample_points(self, n_shell=24, radii=None, seed=7):
-        rng = np.random.default_rng(seed)
-        if radii is None:
-            radii = np.geomspace(max(self.inner_radius * 1.5, 0.2),
-                                 max(8.0, 2 * self.chart_radius), 8)
-        dirs = rng.normal(size=(n_shell, self.dim))
+    def sample_points(self):
+        rng = np.random.default_rng(SAMPLE_SEED)
+        radii = np.geomspace(max(self.inner_radius * 1.5, 0.2),
+                             max(8.0, 2 * self.chart_radius), 8)
+        dirs = rng.normal(size=(SAMPLE_DIRS, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, self.dim)
 
@@ -120,31 +122,19 @@ class RadialData:
     """Exact radial reduction: g = a(r)^2 dr^2 + (b(r) r)^2 dOmega_n^2.
 
     K is diagonal in the orthonormal frame with radial eigenvalue kappa_r(r)
-    carried by e_r and tangential eigenvalue -kappa_r(r)/mult on `mult` of the
-    n sphere directions (zero on the rest), which keeps tr_g K = 0 exactly.
+    carried by e_r and tangential eigenvalue -kappa_r(r) on one of the n
+    sphere directions (zero on the rest), which keeps tr_g K = 0 exactly.
+    da, db and dkappa_r are the exact r-derivatives of a, b and kappa_r.
     """
 
-    def __init__(self, a, b, kappa_r, mult=1, r_min=1e-6, r_max=np.inf,
-                 da=None, db=None, dkappa_r=None):
+    def __init__(self, a, b, kappa_r, da, db, dkappa_r, r_min=1e-6):
         self.a = a
         self.b = b
         self.kappa_r = kappa_r
-        self.mult = int(mult)
+        self.da = da
+        self.db = db
+        self.dkappa_r = dkappa_r
         self.r_min = float(r_min)
-        self.r_max = float(r_max)
-        self._da, self._db, self._dk = da, db, dkappa_r
-
-    def d_dr(self, f, r, h=1e-6):
-        return (f(r + h) - f(r - h)) / (2 * h)
-
-    def da(self, r):
-        return self._da(r) if self._da else self.d_dr(self.a, r)
-
-    def db(self, r):
-        return self._db(r) if self._db else self.d_dr(self.b, r)
-
-    def dkappa_r(self, r):
-        return self._dk(r) if self._dk else self.d_dr(self.kappa_r, r)
 
 
 # -- presets -------------------------------------------------------------
@@ -243,7 +233,7 @@ def build_preset(name, **params):
         zero = lambda r: np.zeros_like(np.asarray(r, float))
         kfun = lambda r: _aniso_k_scalar(np.asarray(r, float))
         dk = lambda r: -36.0 * np.asarray(r, float) ** 5 / (1.0 + np.asarray(r, float) ** 6) ** 2
-        radial = RadialData(a=one, b=one, kappa_r=kfun, mult=1,
+        radial = RadialData(a=one, b=one, kappa_r=kfun,
                             da=zero, db=zero, dkappa_r=dk)
         return InitialDataSet(n, _flat_metric(3), _aniso_form,
                               chart_radius=1.0, name="paper_anisotropic",
@@ -478,7 +468,7 @@ class DecayReport:
         return f"DecayReport({rows})"
 
 
-def verify_decay(ids, shells, n_dirs=32, h=1e-4, seed=3):
+def verify_decay(ids, shells):
     """Measure the fall-off of g - delta and K on coordinate shells.
 
     Shells must lie beyond the chart radius.  Each clause passes when the
@@ -490,16 +480,16 @@ def verify_decay(ids, shells, n_dirs=32, h=1e-4, seed=3):
         raise InitialDataError("shell radii must be strictly increasing")
     if np.any(shells < ids.chart_radius):
         raise InitialDataError("decay shells must lie beyond the chart radius")
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_dirs, ids.dim))
+    rng = np.random.default_rng(DECAY_SEED)
+    dirs = rng.normal(size=(DECAY_DIRS, ids.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     sups = {k: np.zeros(len(shells)) for k in DecayReport.CLAUSES}
     eye = np.eye(ids.dim)
     for i, r in enumerate(shells):
         pts = r * dirs
-        g0, dg, d2g = _fd_metric_derivs(ids, pts, h)
+        g0, dg, d2g = _fd_metric_derivs(ids, pts)
         K = ids.second_form(pts)
-        dK = _fd_form_derivs(ids, pts, h)
+        dK = _fd_form_derivs(ids, pts)
         sups["g_minus_delta"][i] = np.max(np.abs(g0 - eye))
         sups["r_dg"][i] = r * np.max(np.abs(dg))
         sups["r2_d2g"][i] = r ** 2 * np.max(np.abs(d2g))

@@ -12,7 +12,13 @@ from scipy.integrate import quad, solve_ivp
 BISECT_REL_TOL = 1e-10
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
+QUAD_EPSABS = 1e-12
+QUAD_EPSREL = 1e-11
 BLOWUP_FRACTION = 1e-6
+RICCI_FD_STEP = 1e-4
+HORIZON_SCAN_R_MAX = 256.0  # horizon_root scans geometric radii up to here
+HORIZON_N_SCAN = 4096
+N_EVOLUTION_TIMES = 2001    # resampled times of evolution_equation_check
 
 
 class OracleError(ValueError):
@@ -22,11 +28,11 @@ class OracleError(ValueError):
 class RadialProfile:
     """Radial reduction of an initial data set with closed-form diagnostics."""
 
-    def __init__(self, radial_data, n, r_min=None, r_max=1e6):
+    def __init__(self, radial_data, n, r_max=1e6):
         self.data = radial_data
         self.n = int(n)
-        self.r_min = radial_data.r_min if r_min is None else float(r_min)
-        self.r_max = float(min(r_max, radial_data.r_max))
+        self.r_min = radial_data.r_min
+        self.r_max = float(r_max)
 
     @classmethod
     def from_initial_data(cls, ids, r_max=1e6):
@@ -59,8 +65,9 @@ class RadialProfile:
         omega = sphere_area(n)
         return omega * (self.data.b(r) * r) ** n
 
-    def ricci_normal(self, r, h=1e-4):
+    def ricci_normal(self, r):
         """Ric(nu, nu) of the warped metric, nu the unit radial direction."""
+        h = RICCI_FD_STEP
         r = np.asarray(r, float)
         a = self.data.a(r)
         da = self.data.da(r)
@@ -87,7 +94,7 @@ def sphere_area(n):
     return 2 * pi ** ((n + 1) / 2) / gamma((n + 1) / 2)
 
 
-def smooth_flow_ode(profile, r0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
+def smooth_flow_ode(profile, r0, t_end):
     """Integrate the radial flow dr/dt = 1 / (a(r) Phi(r)).
 
     Stops with ``blowup = True`` when Phi drops below BLOWUP_FRACTION of its
@@ -118,7 +125,7 @@ def smooth_flow_ode(profile, r0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
                    profile.r_max * (1 - 1e-12) - y[0])
     leaves_domain.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, t_end), [r0], rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, t_end), [r0], rtol=ODE_RTOL, atol=ODE_ATOL,
                     events=[speed_blowup, leaves_domain], dense_output=True,
                     max_step=abs(t_end) / 16 if t_end else np.inf)
     t = sol.t
@@ -141,7 +148,7 @@ def smooth_flow_ode(profile, r0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
     }
 
 
-def level_set_quadrature(profile, r0, r1, epsabs=1e-12, epsrel=1e-11):
+def level_set_quadrature(profile, r0, r1):
     """Arrival time u(r1) - u(r0) = int a(r) Phi(r) dr by adaptive quadrature."""
     profile._check_domain(r0)
     profile._check_domain(r1)
@@ -156,7 +163,8 @@ def level_set_quadrature(profile, r0, r1, epsabs=1e-12, epsrel=1e-11):
     def integrand(r):
         return profile.data.a(r) * profile.spacetime_mean_curvature(r)
 
-    val, _ = quad(integrand, r0, r1, epsabs=epsabs, epsrel=epsrel, limit=400)
+    val, _ = quad(integrand, r0, r1, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                  limit=400)
     return val
 
 
@@ -172,15 +180,15 @@ def arrival_time_function(profile, r0, radii):
     return out
 
 
-def horizon_root(profile, r_hint=None, n_scan=4096):
+def horizon_root(profile):
     """Outermost root of H(r) = |P(r)|, or None when H > |P| everywhere.
 
-    Scans the profile domain for the outermost sign change of H - |P| and
-    bisects it to BISECT_REL_TOL relative accuracy.
+    Scans the profile domain up to HORIZON_SCAN_R_MAX for the outermost sign
+    change of H - |P| and bisects it to BISECT_REL_TOL relative accuracy.
     """
     lo = profile.r_min
-    hi = min(profile.r_max, (r_hint or 64.0) * 4)
-    rs = np.geomspace(max(lo, 1e-8), hi, n_scan)
+    hi = min(profile.r_max, HORIZON_SCAN_R_MAX)
+    rs = np.geomspace(max(lo, 1e-8), hi, HORIZON_N_SCAN)
     D = profile.mean_curvature(rs) - np.abs(profile.k_trace(rs))
     sign_change = np.where((D[:-1] <= 0) & (D[1:] > 0))[0]
     if len(sign_change) == 0:
@@ -204,7 +212,7 @@ def horizon_root(profile, r_hint=None, n_scan=4096):
     return 0.5 * (a + b)
 
 
-def evolution_equation_check(profile, trajectory, n_times=2001):
+def evolution_equation_check(profile, trajectory):
     """Residuals of the sphere-specialized evolution identities on a trajectory.
 
     Checks, with Psi = 1/Phi and all gradient terms vanishing radially:
@@ -219,7 +227,7 @@ def evolution_equation_check(profile, trajectory, n_times=2001):
     t0, t1 = sol.t[0], sol.t[-1]
     if abs(t1 - t0) < 1e-12:
         raise OracleError("trajectory too short for time stencils")
-    ts = np.linspace(t0, t1, n_times)
+    ts = np.linspace(t0, t1, N_EVOLUTION_TIMES)
     rs = sol.sol(ts)[0]
     dt = ts[1] - ts[0]
     a = profile.data.a(rs)

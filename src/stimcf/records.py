@@ -177,39 +177,3 @@ def load_record(record_dir):
     rec.grad_increase_fraction = sweep.get("grad_increase_fraction", [])
     rec.sup_deltas = [row["sup_delta"] for row in sweep["rows"][1:]]
     return rec
-
-
-def save_checkpoint(path, dom, sol):
-    """Solver checkpoint: domain fingerprint + (eps, s, u, residual)."""
-    fp = domain_fingerprint(dom)
-    with open(path, "wb") as fh:
-        head = (f"stimcf-checkpoint v1 {fp} eps {sol.eps!r} s {sol.s!r} "
-                f"bc {sol.bc!r} residual {sol.residual_norm!r}\n")
-        fh.write(head.encode())
-        fh.write(np.asarray(sol.interior, "<f8").tobytes())
-
-
-def load_checkpoint(path, dom):
-    from . import solver as sv
-    with open(path, "rb") as fh:
-        head = fh.readline().decode().split()
-        if head[:2] != ["stimcf-checkpoint", "v1"]:
-            raise RecordError("not a checkpoint file")
-        fp = head[2]
-        if fp != domain_fingerprint(dom):
-            raise RecordError("checkpoint does not match this domain")
-        eps = float(head[head.index("eps") + 1])
-        s = float(head[head.index("s") + 1])
-        bc = float(head[head.index("bc") + 1])
-        resid = float(head[head.index("residual") + 1])
-        u = np.frombuffer(fh.read(), dtype="<f8")
-    return sv.ScalarSolution(dom, np.array(u), eps, s, bc, resid, 0, True, 0.0)
-
-
-def domain_fingerprint(dom):
-    h = hashlib.sha256()
-    for arr in dom.fingerprint_arrays():
-        h.update(arr.tobytes())
-    h.update(np.float64(dom.L).tobytes())
-    h.update(np.float64(dom.alpha).tobytes())
-    return h.hexdigest()[:16]

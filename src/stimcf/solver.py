@@ -123,11 +123,6 @@ def _nonconvergence_note(dom, eps):
     return "Newton stalled away from the float64 floor"
 
 
-def residual_field(dom, sol):
-    """Per-cell residual of E^(eps, s) at a solution (diagnostic surface)."""
-    return dom.residual(sol.interior, sol.eps, sol.s, sol.bc, sol.variant)
-
-
 def continuation_solve(dom, eps, tol=TOL_NEWTON, variant="stimcf"):
     """The continuity method's two endpoints at fixed eps and bc = L - 2.
 
@@ -196,14 +191,14 @@ def descend(dom, s, eps_values, bc=None, start=None, tol=TOL_NEWTON,
         prev = sol
 
 
-def imcf_reference_solve(dom, eps, tol=TOL_NEWTON):
+def imcf_reference_solve(dom, eps):
     """The K-free (inverse mean curvature flow) solve with full boundary data.
 
     This is the upper-barrier reference: the anisotropic term only increases
     the right-hand side, so every converged anisotropic solution must lie
     below this one.
     """
-    return newton_solve(dom, eps, 0.0, bc=dom.L - 2.0, tol=tol)
+    return newton_solve(dom, eps, 0.0, bc=dom.L - 2.0)
 
 
 class AprioriReport:
@@ -220,17 +215,18 @@ class AprioriReport:
         return f"AprioriReport({state})"
 
 
-def apriori_monitor(dom, sol, imcf_reference=None, tol=None):
+def apriori_monitor(dom, sol, imcf_reference=None):
     """Check the a-priori window and boundary gradient bounds on a solution.
 
     Hard checks: u >= -eps, u <= s(L-2), and u >= v + (s-1)(L-1) - 2 outside
-    the anchor radius.  The outer boundary gradient bound C(L) and the lower
-    bridge barrier are recorded, not asserted.  With an IMCF reference the
-    barrier ordering u <= u_imcf is checked as well.
+    the anchor radius, up to tol = 1e-8 (1 + |s(L-2)|).  The outer boundary
+    gradient bound C(L) and the lower bridge barrier are recorded, not
+    asserted.  With an IMCF reference the barrier ordering u <= u_imcf is
+    checked as well.
     """
     rep = AprioriReport()
     eps, s, bc = sol.eps, sol.s, sol.bc
-    tol = 1e-8 * (1.0 + abs(bc)) if tol is None else tol
+    tol = 1e-8 * (1.0 + abs(bc))
     u = sol.full_field()
     umin, umax = float(np.min(u)), float(np.max(u))
     rep.measured["min_u"] = umin
@@ -265,7 +261,7 @@ def apriori_monitor(dom, sol, imcf_reference=None, tol=None):
     return rep
 
 
-def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
+def apriori_matrix(dom, s_values, eps_values):
     """Solve the boundary-scaled family u_(eps, s) over an (eps, s) grid.
 
     For each s one ``descend`` walks the eps axis from the top, so every
@@ -284,8 +280,7 @@ def apriori_matrix(dom, s_values, eps_values, tol=TOL_NEWTON):
     requested = set(eps_values)
     out = {}
     for s in sorted(s_values):
-        for eps, (sol, _) in zip(chain_eps, descend(dom, s, chain_eps,
-                                                    tol=tol)):
+        for eps, (sol, _) in zip(chain_eps, descend(dom, s, chain_eps)):
             if eps in requested:
                 rep = apriori_monitor(dom, sol)
                 rep.solution = sol

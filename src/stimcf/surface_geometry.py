@@ -25,13 +25,12 @@ class SurfaceMesh:
     there, which is a flag rather than an error).
     """
 
-    def __init__(self, vertices, facets, interior_point=None, closed=True):
+    def __init__(self, vertices, facets, interior_point=None):
         self.vertices = np.asarray(vertices, float)
         self.facets = np.asarray(facets, int)
         self.dim = self.vertices.shape[1]
         if self.facets.shape[1] != self.dim:
             raise SurfaceError("facet arity must match chart dimension")
-        self.closed = closed
         self.interior_point = (np.zeros(self.dim) if interior_point is None
                                else np.asarray(interior_point, float))
         self.H = None
@@ -93,17 +92,17 @@ class SurfaceMesh:
 
 # -- generators ------------------------------------------------------------
 
-def circle_mesh(radius, segments=256, center=(0.0, 0.0)):
+def circle_mesh(radius, segments=256):
+    """Origin-centred circle mesh with `segments` edges."""
     th = np.linspace(0, 2 * np.pi, segments, endpoint=False)
     V = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1)
-    V += np.asarray(center)[None, :]
     F = np.stack([np.arange(segments), (np.arange(segments) + 1) % segments],
                  axis=1)
-    return SurfaceMesh(V, F, interior_point=np.asarray(center, float))
+    return SurfaceMesh(V, F)
 
 
-def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
-    """Geodesic sphere mesh from a subdivided icosahedron."""
+def icosphere(radius=1.0, subdivisions=3):
+    """Origin-centred geodesic sphere mesh from a subdivided icosahedron."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
     V = np.array([[-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
                   [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
@@ -131,8 +130,8 @@ def icosphere(radius=1.0, subdivisions=3, center=(0.0, 0.0, 0.0)):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             newF += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         F = newF
-    V = np.array(V) * radius + np.asarray(center)[None, :]
-    return SurfaceMesh(V, np.array(F), interior_point=np.asarray(center, float))
+    V = np.array(V) * radius
+    return SurfaceMesh(V, np.array(F))
 
 
 # -- level-set mean curvature ----------------------------------------------
@@ -166,12 +165,13 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
     return div / sg0
 
 
-def mean_curvature(ids, surf, level_set=None, h=1e-4, level_set_h=None):
+def mean_curvature(ids, surf, level_set=None, level_set_h=None):
     """Per-facet mean curvature of the mesh in the data's metric.
 
     level_set: optional callable describing the surface as its zero/level set
-    (used for spheres and extracted level sets); free meshes fall back to the
-    vertex first-variation estimate averaged onto facets.
+    (used for spheres and extracted level sets), differentiated with step
+    level_set_h (default 1e-4); free meshes fall back to the vertex
+    first-variation estimate averaged onto facets.
     """
     nu = surf.unit_normals(ids)
     norms = np.sqrt(np.einsum('mij,mi,mj->m', ids.metric(surf.centroids),
@@ -180,7 +180,7 @@ def mean_curvature(ids, surf, level_set=None, h=1e-4, level_set_h=None):
         raise SurfaceError("normals failed to normalize in the metric")
     if level_set is not None:
         H = level_set_mean_curvature(ids, surf.centroids, level_set,
-                                     h=level_set_h or h)
+                                     h=level_set_h or 1e-4)
     else:
         Hv = weak_mean_curvature(ids, surf)
         H = Hv[surf.facets].mean(axis=1)
@@ -257,8 +257,6 @@ def weak_mean_curvature(ids, surf):
     with lumped vertex measure mu = sum of adjacent facet areas / arity; the
     metric is frozen per facet at its centroid (exact in the flat chart).
     """
-    if not surf.closed:
-        raise SurfaceError("weak mean curvature needs a closed mesh")
     V, F = surf.vertices, surf.facets
     g = ids.metric(surf.centroids)
     nV = len(V)
@@ -306,50 +304,3 @@ def populate_diagnostics(ids, surf, level_set=None, level_set_h=None):
     k_trace(ids, surf)
     spacetime_mean_curvature(surf)
     return surf
-
-
-# -- plain-text interchange -------------------------------------------------
-
-def write_off(surf, path):
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(surf.vertices)} {len(surf.facets)} 0\n")
-        for v in surf.vertices:
-            fh.write(" ".join("%.17g" % c for c in v) + "\n")
-        for f in surf.facets:
-            fh.write(f"{len(f)} " + " ".join(str(i) for i in f) + "\n")
-
-
-def read_off(path, interior_point=None):
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if tokens[0] != "OFF":
-        raise SurfaceError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    flat = np.array(tokens[pos:], dtype=float)
-    dim = 3
-    V = flat[: nv * dim].reshape(nv, dim)
-    rest = flat[nv * dim:]
-    F = []
-    i = 0
-    for _ in range(nf):
-        k = int(rest[i])
-        F.append(rest[i + 1: i + 1 + k].astype(int))
-        i += k + 1
-    F = np.array(F)
-    if np.all(V[:, 2] == 0.0) and F.shape[1] == 2:
-        V = V[:, :2]
-    return SurfaceMesh(V, F, interior_point=interior_point)
-
-
-def diagnostics_csv(surf, ids, path, labels=None):
-    """Per-facet CSV: id, area, H, P, Phi, theta+, theta-, label."""
-    areas = surf.metric_areas(ids)
-    lab = labels if labels is not None else ["" for _ in range(len(surf.facets))]
-    with open(path, "w") as fh:
-        fh.write("facet,area,H,P,Phi,theta_plus,theta_minus,label\n")
-        for i in range(len(surf.facets)):
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (
-                i, areas[i], surf.H[i], surf.P[i], surf.Phi[i],
-                surf.theta_plus[i], surf.theta_minus[i], lab[i]))

@@ -14,6 +14,8 @@ from .radial_oracle import sphere_area
 from .weak_flow import level_radius
 
 TOL_MIN_REL = 1e-3
+TOL_ENUM = 1e-11            # enumerated values within this of the minimum tie
+N_Q_TIMES = 160
 
 
 class SetProblem:
@@ -50,7 +52,7 @@ class SetProblem:
         return self.perimeter(mask) - gain
 
 
-def exhaustive_minimizers(problem, tol=1e-11):
+def exhaustive_minimizers(problem):
     """All minimizers over subsets of the free cells (<= 20 of them), the
     minimum value, and the inclusion-minimal minimizer.
 
@@ -91,7 +93,7 @@ def exhaustive_minimizers(problem, tol=1e-11):
         elif in_set[i] and not problem.core[i]:
             values -= problem.gains[i]
     best = float(np.min(values))
-    arg = np.where(values <= best + tol)[0]
+    arg = np.where(values <= best + TOL_ENUM)[0]
     masks = []
     for p in arg:
         mask = problem.core.copy()
@@ -101,7 +103,7 @@ def exhaustive_minimizers(problem, tol=1e-11):
     for m in masks[1:]:
         minimal &= m
     # the minimizer lattice is closed under intersection
-    if abs(problem.value(minimal) - best) > 10 * max(tol, 1e-12):
+    if abs(problem.value(minimal) - best) > 10 * max(TOL_ENUM, 1e-12):
         minimal = min(masks, key=lambda m: int(np.sum(m)))
     return best, masks, minimal
 
@@ -169,7 +171,7 @@ def radial_set_problem(dom, core_radius, omega_radius, p_field=None):
 
 # -- function-level functional -------------------------------------------------
 
-def functional_on_function(dom, v, bulk, region_mask=None):
+def functional_on_function(dom, v, bulk):
     """J(v) = total variation of v plus the frozen bulk term integral.
 
     The TV quadrature reuses the solver's face structure, which is exact on
@@ -180,10 +182,8 @@ def functional_on_function(dom, v, bulk, region_mask=None):
     areas = omega * (dom.b * dom.r) ** dom.n
     fa = 0.5 * (areas[1:] + areas[:-1])
     dv = np.abs(np.diff(v))
-    tv = np.sum(fa * dv) if region_mask is None else np.sum(
-        (fa * dv)[region_mask[:-1] & region_mask[1:]])
-    cell = v * bulk * dom.volumes()
-    blk = np.sum(cell if region_mask is None else cell[region_mask])
+    tv = np.sum(fa * dv)
+    blk = np.sum(v * bulk * dom.volumes())
     return float(tv + blk)
 
 
@@ -204,14 +204,13 @@ class MinimalityReport:
         return not self.failures
 
 
-def minimality_test(rec, n_random=60, seed=5, tol_rel=TOL_MIN_REL, families=(
-        "bump", "dent", "plateau_shift", "level_dilation")):
+def minimality_test(rec, n_random=60, seed=5):
     """Compare J(u) against compactly supported competitors.
 
     Families: random bumps and dents, plateau value shifts on detected jumps,
     and level dilations (blended resampling u(s x)).  A failure is a
-    competitor beating the solution by more than tol_rel of the local energy
-    scale.
+    competitor beating the solution by more than TOL_MIN_REL of the local
+    energy scale.
     """
     dom = rec.domain
     dom.require_radial("minimality sweep")
@@ -229,7 +228,7 @@ def minimality_test(rec, n_random=60, seed=5, tol_rel=TOL_MIN_REL, families=(
         val = functional_on_function(dom, v, bulk)
         margin = val - base
         rep.rows.append((name, margin))
-        if margin < -tol_rel * scale:
+        if margin < -TOL_MIN_REL * scale:
             rep.failures.append((name, margin))
 
     for k in range(n_random):
@@ -241,45 +240,18 @@ def minimality_test(rec, n_random=60, seed=5, tol_rel=TOL_MIN_REL, families=(
         c = rng.uniform(0.01, 0.5) * (1 if k % 2 == 0 else -1)
         hat = np.maximum(0.0, 1.0 - np.abs(r - x0) / rho)
         fam = "bump" if c > 0 else "dent"
-        if fam in families:
-            try_competitor(f"{fam}[{k}]", u + c * hat)
-    if "plateau_shift" in families:
-        for j, jump in enumerate(rec.jumps):
-            for c in (0.05, -0.05, 0.2, -0.2):
-                v = u.copy()
-                v[jump.cells] += c
-                try_competitor(f"plateau_shift[{j},{c}]", v)
-    if "level_dilation" in families:
-        for sdil in (0.97, 1.03):
-            cut = np.clip((rmax - r) / max(rmax - r[0], dom.h), 0, 1)
-            cut = np.minimum(cut, np.clip((r - r[0]) / 0.5, 0, 1))
-            us = np.interp(np.clip(sdil * r, r[0], r[-1]), r, u)
-            try_competitor(f"level_dilation[{sdil}]", u + cut * (us - u))
+        try_competitor(f"{fam}[{k}]", u + c * hat)
+    for j, jump in enumerate(rec.jumps):
+        for c in (0.05, -0.05, 0.2, -0.2):
+            v = u.copy()
+            v[jump.cells] += c
+            try_competitor(f"plateau_shift[{j},{c}]", v)
+    for sdil in (0.97, 1.03):
+        cut = np.clip((rmax - r) / max(rmax - r[0], dom.h), 0, 1)
+        cut = np.minimum(cut, np.clip((r - r[0]) / 0.5, 0, 1))
+        us = np.interp(np.clip(sdil * r, r[0], r[-1]), r, u)
+        try_competitor(f"level_dilation[{sdil}]", u + cut * (us - u))
     return rep
-
-
-# -- set functional over recorded flows ----------------------------------------
-
-def functional_on_set(problem, mask, bulk_cells=None):
-    """|d*F| - integral over F of the frozen bulk (per-cell values times
-    volume); defaults to the problem's stored gains."""
-    mask = np.asarray(mask, bool)
-    per = problem.perimeter(mask)
-    if bulk_cells is None:
-        blk = float(np.sum(problem.gains[mask]))
-    else:
-        blk = float(np.sum(bulk_cells[mask]))
-    return per - blk
-
-
-def submodularity_gap(problem, mask_a, mask_b):
-    """J(A u B) + J(A n B) - J(A) - J(B) <= 0 for the cut functional."""
-    union = mask_a | mask_b
-    inter = mask_a & mask_b
-    return (functional_on_set(problem, union)
-            + functional_on_set(problem, inter)
-            - functional_on_set(problem, mask_a)
-            - functional_on_set(problem, mask_b))
 
 
 # -- area identity and the monotone quantity ------------------------------------
@@ -312,7 +284,7 @@ def area_identity_check(rec, jump):
             "residual": residual, "rel_residual": residual / a_out}
 
 
-def monotone_quantity(rec, times=None, n_times=160):
+def monotone_quantity(rec):
     """Q(t) = |Sigma_t| + int_(u<=t minus E0) |P_nu|, its derivative and the
     smooth-flow prediction int sqrt((H+|P|)/(H-|P|)).
 
@@ -324,6 +296,7 @@ def monotone_quantity(rec, times=None, n_times=160):
     component the centred scheme leaves undetermined, and probes a few
     cells apart alias it into swings of several percent.
 
+    The N_Q_TIMES probe times span the valid time range up to 95% of it.
     Returns a dict of arrays over the probe times; Q must be nondecreasing
     (checked by the caller against quadrature tolerance).  dQ_dt is NaN at
     probe times inside a jump's [t_lo, t_hi], where Q jumps.
@@ -331,9 +304,7 @@ def monotone_quantity(rec, times=None, n_times=160):
     dom = rec.domain
     dom.require_radial("Q(t) tracing")
     lo, hi = rec.valid_time_range()
-    if times is None:
-        times = np.linspace(lo, hi - 0.05 * (hi - lo), n_times)
-    times = np.asarray(times, float)
+    times = np.linspace(lo, hi - 0.05 * (hi - lo), N_Q_TIMES)
     omega = sphere_area(dom.n)
     r = dom.r
     vols = dom.volumes()

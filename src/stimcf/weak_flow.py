@@ -21,12 +21,19 @@ from .radial_oracle import sphere_area
 
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
 GRAD_TOL_FACTOR = 10.0      # plateau when |grad u|_g < factor * eps_last
+MIN_PLATEAU_CELLS = 3
 DEFAULT_EPS0 = 1.0 / 32.0
 TAIL_RUNGS = 4              # sweep rungs kept for the normal reconstruction
+NORMAL_ANGLE_TOL_DEG = 1.0  # tail normals agreeing within this are Cauchy
+TOL_HORIZON = 0.03          # max relative |H - |P|| on a verified horizon
 
 
 class FlowError(RuntimeError):
     pass
+
+
+class FlowConfigError(FlowError, ValueError):
+    """A sweep request that no solve can satisfy (a configuration error)."""
 
 
 class JumpRegion:
@@ -34,8 +41,7 @@ class JumpRegion:
     (radial nodes or active grid cells, see ``domain``)."""
 
     def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius=None,
-                 outer_radius=None, inner_mesh=None, outer_mesh=None,
-                 truncation_artifact=False):
+                 outer_radius=None, truncation_artifact=False):
         self.cells = cells
         self.value = value
         self.t_lo = t_lo
@@ -43,8 +49,8 @@ class JumpRegion:
         self.volume = volume
         self.inner_radius = inner_radius
         self.outer_radius = outer_radius
-        self.inner_mesh = inner_mesh
-        self.outer_mesh = outer_mesh
+        self.inner_mesh = None      # boundary meshes, set by detect_jumps
+        self.outer_mesh = None
         self.truncation_artifact = truncation_artifact
 
     def __repr__(self):
@@ -99,18 +105,20 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
     The top rung is ``solver.continuation_solve`` at eps0; the later rungs
     are one ``solver.descend`` chain at s = 1 from the top solution, and the
     IMCF reference is a second chain at s = 0 over the whole schedule.  A
-    top rung that does not converge raises FlowError.  Returns a FlowRecord.
+    schedule that cannot start (eps_last or eps0 not positive, eps0 above
+    the feasibility bound) raises FlowConfigError; a top rung that does not
+    converge raises FlowError.  Returns a FlowRecord.
     """
     if eps_last <= 0 or (eps0 is not None and eps0 <= 0):
-        raise FlowError("the sweep needs eps0 > 0 and eps_last > 0 "
-                        f"(got eps0 = {eps0}, eps_last = {eps_last})")
+        raise FlowConfigError("the sweep needs eps0 > 0 and eps_last > 0 "
+                              f"(got eps0 = {eps0}, eps_last = {eps_last})")
     feas = dom.feasibility()
     # at eps_max (0.9 of the divergence bound) the cold start stalls for
     # all 60 Newton iterations on the anisotropic and the deep Schwarzschild
     # domains; at half of it the one cold solve converges
     e = min(0.5 * feas["eps_max"], DEFAULT_EPS0) if eps0 is None else eps0
     if e > feas["eps_max"]:
-        raise FlowError(
+        raise FlowConfigError(
             f"eps0 = {e:.3g} lies above the feasibility bound "
             f"{feas['eps_max']:.3g}")
     schedule = [e]
@@ -179,23 +187,22 @@ def frauendiener_solve(dom, **kwargs):
 
 # -- jump detection ----------------------------------------------------------
 
-def detect_jumps(rec, grad_tol=None, min_cells=3, mesh_subdivisions=4):
-    """Plateau components of |grad u|_g below grad_tol with positive volume.
+def detect_jumps(rec):
+    """Plateau components of |grad u|_g below GRAD_TOL_FACTOR * eps_last
+    with at least MIN_PLATEAU_CELLS field points.
 
-    grad_tol defaults to GRAD_TOL_FACTOR * eps_last: on a plateau the
-    regularized gradient is O(eps) (the rescaled graph has order-one slope),
-    so a fixed multiple of the final regularization separates plateaus from
-    transport regions.  Components living at the outer truncation value are
-    classified as truncation artifacts, not jumps.
+    On a plateau the regularized gradient is O(eps) (the rescaled graph has
+    order-one slope), so a fixed multiple of the final regularization
+    separates plateaus from transport regions.  Components living at the
+    outer truncation value are classified as truncation artifacts, not jumps.
     """
     dom = rec.domain
     sol = rec.solution
-    if grad_tol is None:
-        grad_tol = GRAD_TOL_FACTOR * rec.eps_last
+    grad_tol = GRAD_TOL_FACTOR * rec.eps_last
     u = rec.u
     jumps = []
     for comp in dom.components(np.abs(sol.metric_gradient()) < grad_tol):
-        if len(comp) < min_cells:
+        if len(comp) < MIN_PLATEAU_CELLS:
             continue
         t0 = float(np.median(u[comp]))
         trunc = t0 > rec.truncation_threshold()
@@ -208,7 +215,7 @@ def detect_jumps(rec, grad_tol=None, min_cells=3, mesh_subdivisions=4):
                           truncation_artifact=trunc)
         if not trunc:
             jump.inner_mesh, jump.outer_mesh = dom.plateau_meshes(
-                sol, t0, inner_r, outer_r, mesh_subdivisions)
+                sol, t0, inner_r, outer_r)
         jumps.append(jump)
     rec.jumps = [j for j in jumps if not j.truncation_artifact]
     rec.truncation_plateaus = [j for j in jumps if j.truncation_artifact]
@@ -217,7 +224,7 @@ def detect_jumps(rec, grad_tol=None, min_cells=3, mesh_subdivisions=4):
 
 # -- level sets ---------------------------------------------------------------
 
-def extract_level_sets(rec, times, subdivisions=3, segments=512):
+def extract_level_sets(rec, times):
     """Meshes of Sigma_t = boundary of {u < t}; at jump values both the inner
     and outer boundary (Sigma_t, Sigma_t+) are returned as a pair."""
     lo, hi = rec.valid_time_range()
@@ -230,7 +237,7 @@ def extract_level_sets(rec, times, subdivisions=3, segments=512):
         if jump is not None:
             out.append((jump.inner_mesh, jump.outer_mesh))
             continue
-        mesh = rec.domain.level_mesh(rec.solution, t, subdivisions, segments)
+        mesh = rec.domain.level_mesh(rec.solution, t)
         out.append(mesh)
         rec.level_sets[t] = mesh
     return out
@@ -262,12 +269,13 @@ class NormalField:
         self.plateau_mask = plateau_mask
 
 
-def reconstruct_normal_field(rec, angle_tol_deg=1.0):
+def reconstruct_normal_field(rec):
     """Limit of nu_eps = grad u_eps / |grad u_eps| over the sweep tail.
 
     Plateau cells accept the limit when consecutive tail normals agree in
-    angle below the tolerance; non-Cauchy cells are flagged and excluded from
-    horizon verification.  Off plateaus the final gradient direction is used.
+    angle within NORMAL_ANGLE_TOL_DEG; non-Cauchy cells are flagged and
+    excluded from horizon verification.  Off plateaus the final gradient
+    direction is used.
     """
     dom = rec.domain
     if not rec.jumps and not getattr(rec, "truncation_plateaus", []):
@@ -277,8 +285,8 @@ def reconstruct_normal_field(rec, angle_tol_deg=1.0):
     for j in rec.jumps:
         plateau[j.cells] = True
     if plateau.any():
-        field = NormalField(vec, bool(np.all(turn[plateau] <= angle_tol_deg)),
-                            float(np.max(turn[plateau])), plateau)
+        cauchy = bool(np.all(turn[plateau] <= NORMAL_ANGLE_TOL_DEG))
+        field = NormalField(vec, cauchy, float(np.max(turn[plateau])), plateau)
     else:
         field = NormalField(vec, True, 0.0, plateau)
     rec.normal_field = field
@@ -288,17 +296,15 @@ def reconstruct_normal_field(rec, angle_tol_deg=1.0):
 # -- horizon verification -----------------------------------------------------
 
 class HorizonReport:
-    def __init__(self, radius, max_rel_residual, weak_inner_ok, per_facet,
-                 tol_h):
+    def __init__(self, radius, max_rel_residual, weak_inner_ok, per_facet):
         self.radius = radius
         self.max_rel_residual = max_rel_residual
         self.weak_inner_ok = weak_inner_ok
         self.per_facet = per_facet
-        self.tol_h = tol_h
 
     @property
     def passed(self):
-        return self.max_rel_residual < self.tol_h and self.weak_inner_ok
+        return self.max_rel_residual < TOL_HORIZON and self.weak_inner_ok
 
     def __repr__(self):
         return (f"HorizonReport(r={self.radius:.5g}, "
@@ -306,15 +312,14 @@ class HorizonReport:
                 f"{'pass' if self.passed else 'FAIL'})")
 
 
-def verify_horizon(rec, jump, tol_h=0.03):
+def verify_horizon(rec, jump):
     """Check H = |P_nu| on the outer jump boundary Sigma_t0+.
 
-    Per-facet residuals use the reconstructed normal; the inner boundary is
-    tested for the weak inequality H >= |P_nu| only where it coincides with
-    the hull boundary (disjoint horizons make that check vacuous).
+    Per-facet residuals use the outward normals of the boundary mesh; the
+    inner boundary is tested for the weak inequality H >= |P_nu| only where
+    it coincides with the hull boundary (disjoint horizons make that check
+    vacuous).
     """
-    if rec.normal_field is None:
-        reconstruct_normal_field(rec)
     dom = rec.domain
     if jump.outer_mesh is None:
         raise FlowError("jump has no outer boundary mesh")
@@ -333,9 +338,8 @@ def verify_horizon(rec, jump, tol_h=0.03):
         sg.populate_diagnostics(rec.ids, jump.inner_mesh,
                                 level_set=dom.boundary_level_set())
         weak_ok = bool(np.median(jump.inner_mesh.H)
-                       >= np.abs(np.median(jump.inner_mesh.P)) - tol_h)
-    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok,
-                         rel, tol_h)
+                       >= np.abs(np.median(jump.inner_mesh.P)) - TOL_HORIZON)
+    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok, rel)
 
 
 # -- structural invariants ----------------------------------------------------
@@ -353,11 +357,11 @@ def jump_band_excess(rec, jump):
     return max(band_vol - plateau_vol, 0.0) / layer
 
 
-def interior_extrema(rec, margin=None):
-    """Worst strict interior local max/min margins of u (should be ~0)."""
+def interior_extrema(rec):
+    """Worst strict interior local max/min margins of u (should be ~0),
+    against a margin of 10 eps_last h."""
     dom = rec.domain
-    if margin is None:
-        margin = 10 * rec.eps_last * dom.h
+    margin = 10 * rec.eps_last * dom.h
     max_excess, min_excess = dom.extrema_excess(rec.solution)
     return {"max_excess": max_excess, "min_excess": min_excess,
             "margin": margin,

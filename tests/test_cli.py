@@ -1,3 +1,4 @@
+import ast
 import os
 
 import numpy as np
@@ -56,22 +57,49 @@ def test_flow_rejects_bad_alpha(tmp_path):
     assert status == 2
 
 
-def test_flow_rejects_negative_eps_last(tmp_path):
+def _flow_rejects_config(tmp_path, capsys, text, message):
+    """`stimcf flow` on config `text` exits 2 with `message`, no record."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(FLAT_CFG.replace("eps_last_per_length = 1e-3",
-                                    "eps_last_per_length = -1e-3"))
-    status = cli.main(["flow", "--config", str(cfg),
-                       "--out", str(tmp_path / "o")])
-    assert status != 0
-    assert not (tmp_path / "o").exists()
-
-
-def test_flow_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(FLAT_CFG + "bogus_key = 1\n")
+    cfg.write_text(text)
     status = cli.main(["flow", "--config", str(cfg),
                        "--out", str(tmp_path / "o")])
     assert status == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flow_rejects_negative_eps_last(tmp_path, capsys):
+    # a sweep that cannot start is a configuration error, not a solver one:
+    # a negative eps_last, and an eps0 above this domain's feasibility
+    # bound (0.0739)
+    for old, new in [("eps_last_per_length = 1e-3",
+                      "eps_last_per_length = -1e-3"),
+                     ("eps_last_per_length = 1e-3",
+                      "eps_last_per_length = 1e-3\neps0_per_length = 10")]:
+        _flow_rejects_config(tmp_path, capsys, FLAT_CFG.replace(old, new),
+                             "config error")
+
+
+def test_flow_rejects_unknown_key(tmp_path, capsys):
+    for key in ("bogus_key", "grad_tol_factor", "tol_h_rel", "tol_min_rel",
+                "probe_times_flowtime"):
+        _flow_rejects_config(tmp_path, capsys, FLAT_CFG + f"{key} = 1\n",
+                             f"unknown key '{key}'")
+
+
+def test_every_config_key_is_read():
+    """Each key of cli.CONFIG_KEYS appears as a string constant somewhere in
+    cli.py outside the table itself, so no accepted key is ignored."""
+    tree = ast.parse(open(cli.__file__).read())
+    table = next(node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "CONFIG_KEYS"
+                         for t in node.targets))
+    in_table = {id(node) for node in ast.walk(table)}
+    used = {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in in_table}
+    assert sorted(set(cli.CONFIG_KEYS) - used) == []
 
 
 def test_verify_fresh_record_passes(flat_record):
@@ -176,8 +204,9 @@ def test_offcentre_grid_record_reloads_on_its_grid(tmp_path):
     path = tmp_path / "rec"
     dom, sol = _grid_record(path, (0.25, 0.0))
     back = records.load_record(str(path))
-    assert (records.domain_fingerprint(back.domain)
-            == records.domain_fingerprint(dom))
+    assert back.domain.shape == dom.shape
+    assert np.array_equal(back.domain.sdf, dom.sdf)
+    assert (back.domain.L, back.domain.alpha) == (dom.L, dom.alpha)
     assert np.array_equal(back.solution.interior, sol.interior)
     # a manifest that rebuilds another grid is refused by name
     manifest = path / "manifest.txt"

@@ -194,23 +194,3 @@ def test_mean_curvature_rejects_degenerate():
     with pytest.raises(sg.SurfaceError):
         sg.SurfaceMesh(np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]]),
                        np.array([[0, 1, 2]]))
-
-
-def test_off_roundtrip(tmp_path, flat3):
-    mesh = sphere_mesh(1.3, sub=2)
-    path = tmp_path / "m.off"
-    sg.write_off(mesh, path)
-    back = sg.read_off(path)
-    assert_allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.facets, mesh.facets)
-
-
-def test_diagnostics_csv(tmp_path, aniso):
-    mesh = sphere_mesh(1.0, sub=1)
-    sg.populate_diagnostics(aniso, mesh,
-                            level_set=sg.sphere_level_set([0, 0, 0]))
-    path = tmp_path / "diag.csv"
-    sg.diagnostics_csv(mesh, aniso, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("facet,area,H,P,Phi")
-    assert len(lines) == len(mesh.facets) + 1
