@@ -47,6 +47,7 @@ ANCHOR_N_SCAN = 256
 PLATEAU_SUBDIVISIONS = 4
 LEVEL_SUBDIVISIONS = 3
 CIRCLE_SEGMENTS = 512
+VARIANTS = ("stimcf", "frauendiener")   # the right-hand sides of rhs_value
 
 
 class DomainError(ValueError):
@@ -274,9 +275,8 @@ class RadialDomain:
         return best
 
     # data ------------------------------------------------------------------
-    def subsolution_values(self, shift=0.0):
-        v = self.alpha * np.log(np.maximum(self.r, 1e-300) / self.R0)
-        return v + shift
+    def subsolution_values(self):
+        return self.alpha * np.log(np.maximum(self.r, 1e-300) / self.R0)
 
     def feasibility(self):
         area_in, area_out, vol = self.boundary_measures()
@@ -743,8 +743,8 @@ class GridDomain:
         return np.clip(self.subsolution_values() * (self.n / self.alpha), 0.0, bc)
 
     # data ------------------------------------------------------------------
-    def subsolution_values(self, shift=0.0):
-        return self.subsol_act + shift
+    def subsolution_values(self):
+        return self.subsol_act
 
     def feasibility(self):
         vol = float(np.sum(self.sg_act) * self.h ** self.d)

@@ -59,7 +59,7 @@ class ScalarSolution:
 
 
 def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
-                 maxit=MAX_NEWTON, variant="stimcf"):
+                 variant="stimcf"):
     """Armijo-damped Newton on the discretized operator E^(eps, s).
 
     u_init is an interior vector (boundary data is imposed, not solved for);
@@ -68,7 +68,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     iterate, stops there if the residual is below max(tol, floor), and
     otherwise halves the Newton step until the max-norm residual drops by
     the Armijo factor.  The solve gives up at the first failed line search,
-    at a non-finite step or after maxit steps, and returns that iterate
+    at a non-finite step or after MAX_NEWTON steps, and returns that iterate
     unconverged with a diagnostic (naming the feasibility bound when eps
     exceeds it); what to try next is the caller's decision.
     """
@@ -83,14 +83,14 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         raise SolverError("initial guess has the wrong number of unknowns")
     res = dom.residual(u, eps, s, bc, variant)
     nrm = float(np.max(np.abs(res)))
-    for it in range(maxit + 1):
+    for it in range(MAX_NEWTON + 1):
         J = dom.jacobian(u, eps, s, bc, variant)
         normJ = float(np.max(np.abs(J).sum(axis=1)))
         floor = FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0))) * normJ
         if nrm < max(tol, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor,
                                   variant=variant)
-        if it == maxit:
+        if it == MAX_NEWTON:
             break
         try:
             step = dom.solve(J, -res)
@@ -131,15 +131,16 @@ def continuation_solve(dom, eps, tol=TOL_NEWTON, variant="stimcf"):
     regularization from the cold start; the s = 1 solve starts from it.
     Each is one ``descend`` step, so a failed start gets that chain's
     recovery.  When K vanishes identically only the s = 1 solve runs (the
-    operator family is then s-independent).
-    Returns (solution at s = 1, trace rows (s, iterations, residual, ok)).
+    operator family is then s-independent).  Returns (solution at s = 1,
+    trace rows (s, iterations, residual, ok), solution at s = 0 or None).
     """
     sol, trace = None, []
     for s in ([1.0] if dom.k_is_zero() else [0.0, 1.0]):
+        imcf = sol      # the s = 0 endpoint, once s = 1 starts from it
         sol, rows = next(descend(dom, s, [eps], bc=dom.L - 2.0, start=sol,
                                  tol=tol, variant=variant))
         trace += rows
-    return sol, trace
+    return sol, trace, imcf
 
 
 def descend(dom, s, eps_values, bc=None, start=None, tol=TOL_NEWTON,

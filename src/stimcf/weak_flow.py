@@ -17,6 +17,7 @@ import numpy as np
 
 from . import solver as sv
 from . import surface_geometry as sg
+from .domain import VARIANTS
 from .radial_oracle import sphere_area
 
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
@@ -61,7 +62,7 @@ class JumpRegion:
 
 class FlowRecord:
     """Everything a run produces: the limit u, sweep diagnostics, jumps,
-    reconstructed normals and the IMCF reference."""
+    reconstructed normals and the IMCF reference (u itself when K = 0)."""
 
     def __init__(self, domain, variant="stimcf"):
         self.domain = domain
@@ -80,7 +81,6 @@ class FlowRecord:
         self.suggestion = None
         self.jumps = []
         self.normal_field = None
-        self.level_sets = {}
 
     @property
     def eps_last(self):
@@ -99,16 +99,19 @@ class FlowRecord:
 
 
 def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
-                  tol_newton=sv.TOL_NEWTON, with_imcf=True, variant="stimcf"):
+                  tol_newton=sv.TOL_NEWTON, variant="stimcf"):
     """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
 
-    The top rung is ``solver.continuation_solve`` at eps0; the later rungs
-    are one ``solver.descend`` chain at s = 1 from the top solution, and the
-    IMCF reference is a second chain at s = 0 over the whole schedule.  A
-    schedule that cannot start (eps_last or eps0 not positive, eps0 above
-    the feasibility bound) raises FlowConfigError; a top rung that does not
-    converge raises FlowError.  Returns a FlowRecord.
+    The top rung is ``solver.continuation_solve`` at eps0.  Two
+    ``solver.descend`` chains walk the later rungs from its endpoints: the
+    flow at s = 1 and the IMCF reference at s = 0 (when K vanishes the
+    operator does not depend on s and the flow chain is the IMCF chain).
+    A schedule that cannot start (unknown variant, eps0 or eps_last not
+    positive, eps0 not above eps_last or above the feasibility bound) raises
+    FlowConfigError, a failed top rung FlowError.  Returns a FlowRecord.
     """
+    if variant not in VARIANTS:
+        raise FlowConfigError(f"unknown operator variant '{variant}'")
     if eps_last <= 0 or (eps0 is not None and eps0 <= 0):
         raise FlowConfigError("the sweep needs eps0 > 0 and eps_last > 0 "
                               f"(got eps0 = {eps0}, eps_last = {eps_last})")
@@ -117,31 +120,33 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
     # all 60 Newton iterations on the anisotropic and the deep Schwarzschild
     # domains; at half of it the one cold solve converges
     e = min(0.5 * feas["eps_max"], DEFAULT_EPS0) if eps0 is None else eps0
-    if e > feas["eps_max"]:
+    if not eps_last < e <= feas["eps_max"]:
         raise FlowConfigError(
-            f"eps0 = {e:.3g} lies above the feasibility bound "
-            f"{feas['eps_max']:.3g}")
+            f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
+            f"not above the feasibility bound {feas['eps_max']:.3g}")
     schedule = [e]
     while e > eps_last:
         e = max(e / 2.0, eps_last)
         schedule.append(e)
     try:
-        top = sv.continuation_solve(dom, schedule[0], tol=tol_newton,
-                                    variant=variant)
+        top, trace, imcf_top = sv.continuation_solve(
+            dom, schedule[0], tol=tol_newton, variant=variant)
     except sv.SolverError as exc:
         raise FlowError(f"cold start failed at eps={schedule[0]:.3g} ({exc}); "
                         "check alpha/L (domain size) and resolution") from exc
     bc = dom.L - 2.0
-    flow = itertools.chain([top], sv.descend(
-        dom, 1.0, schedule[1:], bc=bc, start=top[0], tol=tol_newton,
+    flow = itertools.chain([(top, trace)], sv.descend(
+        dom, 1.0, schedule[1:], bc=bc, start=top, tol=tol_newton,
         variant=variant))
-    imcf = (sv.descend(dom, 0.0, schedule, bc=bc, tol=tol_newton)
-            if with_imcf else itertools.repeat((None, None)))
+    imcf = None if imcf_top is None else itertools.chain(
+        [imcf_top], (sol for sol, _ in sv.descend(
+            dom, 0.0, schedule[1:], bc=bc, start=imcf_top, tol=tol_newton)))
     rec = FlowRecord(dom, variant)
     prev = None
     prev_grad = None
     prev_l1 = None
-    for (sol, trace), (imcf_sol, _) in zip(flow, imcf):
+    for sol, trace in flow:
+        imcf_sol = sol if imcf is None else next(imcf)
         rec.epsilons.append(sol.eps)
         rec.traces.append(trace)
         grad = dom.gradient(sol.interior, sol.bc)
@@ -164,17 +169,13 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
                                               imcf_reference=imcf_sol))
         rec.solution = sol
         rec.imcf = imcf_sol
-    if rec.sup_deltas:
-        rec.cauchy_ok = rec.sup_deltas[-1] < tol_sweep
-        if not rec.cauchy_ok:
-            rate = (rec.sup_deltas[-1] / rec.sup_deltas[-2]
-                    if len(rec.sup_deltas) > 1 else np.nan)
-            rec.suggestion = (f"sweep not Cauchy at tol {tol_sweep}: last delta "
-                              f"{rec.sup_deltas[-1]:.3g}, rate {rate:.3g}; "
-                              "extend the schedule below "
-                              f"{rec.eps_last:.3g}")
-    else:
-        rec.cauchy_ok = True
+    rec.cauchy_ok = rec.sup_deltas[-1] < tol_sweep
+    if not rec.cauchy_ok:
+        rate = (rec.sup_deltas[-1] / rec.sup_deltas[-2]
+                if len(rec.sup_deltas) > 1 else np.nan)
+        rec.suggestion = (f"sweep not Cauchy at tol {tol_sweep}: last delta "
+                          f"{rec.sup_deltas[-1]:.3g}, rate {rate:.3g}; "
+                          f"extend the schedule below {rec.eps_last:.3g}")
     return rec
 
 
@@ -237,9 +238,7 @@ def extract_level_sets(rec, times):
         if jump is not None:
             out.append((jump.inner_mesh, jump.outer_mesh))
             continue
-        mesh = rec.domain.level_mesh(rec.solution, t)
-        out.append(mesh)
-        rec.level_sets[t] = mesh
+        out.append(rec.domain.level_mesh(rec.solution, t))
     return out
 
 

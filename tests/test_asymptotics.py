@@ -12,7 +12,7 @@ def flat_deep():
     # domain reaching |x| = 24 cleanly so lambda = 1/8 pulls back inside
     ids = build_preset("flat", n=2)
     dom = build_domain(ids, {"radius": 1.0}, L=9.4, alpha=1.9, h=1 / 64.)
-    rec = wf.epsilon_sweep(dom, eps_last=1e-4, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-4)
     wf.detect_jumps(rec)
     return rec
 
@@ -82,7 +82,7 @@ def test_starshaped_monotone_in_delta(flat_deep):
 def test_starshaped_rejects_jumps_beyond_rreg():
     ids = build_preset("paper_anisotropic")
     dom = build_domain(ids, {"radius": 1.0}, L=6.0, alpha=1.9, h=1 / 128.)
-    rec = wf.epsilon_sweep(dom, eps_last=1e-3, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3)
     wf.detect_jumps(rec)
     with pytest.raises(wf.FlowError, match="R_reg"):
         asym.starshaped_check(rec, delta=0.1, R_reg=1.05)

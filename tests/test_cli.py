@@ -70,12 +70,15 @@ def _flow_rejects_config(tmp_path, capsys, text, message):
 
 def test_flow_rejects_negative_eps_last(tmp_path, capsys):
     # a sweep that cannot start is a configuration error, not a solver one:
-    # a negative eps_last, and an eps0 above this domain's feasibility
-    # bound (0.0739)
+    # a negative eps_last, an eps0 above this domain's feasibility bound
+    # (0.0739), an eps0 below eps_last and an unknown operator variant
     for old, new in [("eps_last_per_length = 1e-3",
                       "eps_last_per_length = -1e-3"),
                      ("eps_last_per_length = 1e-3",
-                      "eps_last_per_length = 1e-3\neps0_per_length = 10")]:
+                      "eps_last_per_length = 1e-3\neps0_per_length = 10"),
+                     ("eps_last_per_length = 1e-3",
+                      "eps_last_per_length = 1e-3\neps0_per_length = 5e-4"),
+                     ("preset = flat", "preset = flat\nvariant = bogus")]:
         _flow_rejects_config(tmp_path, capsys, FLAT_CFG.replace(old, new),
                              "config error")
 

@@ -115,7 +115,7 @@ def test_default_start_converges_into_barrier_window():
     assert sol.converged
     rep = sv.apriori_monitor(dom, sol)
     assert rep.ok
-    v = dom.subsolution_values(shift=-2.0)[1:-1]
+    v = dom.subsolution_values()[1:-1] - 2.0
     from_v = sv.newton_solve(dom, 0.05, 1.0, u_init=v, bc=dom.L - 2.0)
     assert from_v.converged or from_v.diagnostic is not None
 
@@ -131,7 +131,7 @@ def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
         return jacobian(*args, **kwargs)
 
     monkeypatch.setattr(flat_dom, "jacobian", counted)
-    sol = sv.newton_solve(flat_dom, eps_bad, 1.0, bc=2.0, maxit=15)
+    sol = sv.newton_solve(flat_dom, eps_bad, 1.0, bc=2.0)
     assert not sol.converged
     assert "feasibility" in sol.diagnostic
     # one Jacobian per Newton step plus the one that judged the last
@@ -181,12 +181,16 @@ def test_second_order_convergence_against_fine_reference():
 
 
 def test_continuation_trace_and_k_zero_collapse(flat_dom, aniso_dom):
-    sol, trace = sv.continuation_solve(flat_dom, 0.03)
+    sol, trace, imcf = sv.continuation_solve(flat_dom, 0.03)
     assert [row[0] for row in trace] == [1.0]
-    sol2, trace2 = sv.continuation_solve(aniso_dom, 0.03)
+    assert imcf is None
+    sol2, trace2, imcf2 = sv.continuation_solve(aniso_dom, 0.03)
     assert [row[0] for row in trace2] == [0.0, 1.0]
     assert all(row[3] for row in trace2)
     assert sol2.converged and sol2.s == 1.0
+    # the s = 0 endpoint is the IMCF solve the s = 1 one started from
+    assert imcf2.converged and (imcf2.s, imcf2.eps) == (0.0, 0.03)
+    assert imcf2.bc == sol2.bc == aniso_dom.L - 2.0
 
 
 def test_grid_jacobian_matches_fd():

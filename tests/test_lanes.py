@@ -69,6 +69,22 @@ def test_newton_solve_has_one_recovery_home():
     assert not hits, f"recovery outside descend: {', '.join(hits)}"
 
 
+def test_only_the_continuity_method_starts_a_sweep_chain_cold():
+    # every eps chain of the sweep continues from a solution it is handed;
+    # the one cold start is continuation_solve's, at the top rung
+    calls = [node for node in ast.walk(ast.parse(
+        (SRC / "weak_flow.py").read_text())) if isinstance(node, ast.Call)]
+
+    def calls_to(name):
+        return [node for node in calls if name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+    cold = [f"weak_flow.py:{node.lineno}" for node in calls_to("descend")
+            if "start" not in {kw.arg for kw in node.keywords}]
+    assert not cold, f"descend without start=: {', '.join(cold)}"
+    assert len(calls_to("continuation_solve")) == 1
+
+
 @pytest.fixture(scope="module", params=["radial", "grid"])
 def lane(request):
     if request.param == "radial":

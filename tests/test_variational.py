@@ -14,7 +14,7 @@ from tests.test_radial_oracle import R_STAR_ANISO
 def flat_rec():
     ids = build_preset("flat", n=2)
     dom = build_domain(ids, {"radius": 1.0}, L=6.0, alpha=1.9, h=1 / 64.)
-    rec = wf.epsilon_sweep(dom, eps_last=1e-3, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3)
     wf.detect_jumps(rec)
     wf.reconstruct_normal_field(rec)
     return rec
@@ -24,7 +24,7 @@ def flat_rec():
 def aniso_rec():
     ids = build_preset("paper_anisotropic")
     dom = build_domain(ids, {"radius": 1.0}, L=6.0, alpha=1.9, h=1 / 128.)
-    rec = wf.epsilon_sweep(dom, eps_last=1e-4, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-4)
     wf.detect_jumps(rec)
     wf.reconstruct_normal_field(rec)
     return rec
@@ -231,7 +231,7 @@ def test_area_identity_schwarzschild_horizon_area():
     # 16 pi m^2 (areal radius 2m at r = m/2)
     ids = build_preset("schwarzschild_isotropic", m=1.0)
     dom = build_domain(ids, {"radius": 0.4}, L=4.0, alpha=1.5, h=1 / 256.)
-    rec = wf.epsilon_sweep(dom, eps_last=3e-5, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=3e-5)
     wf.detect_jumps(rec)
     j = rec.jumps[0]
     res = vr.area_identity_check(rec, j)

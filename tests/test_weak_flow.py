@@ -142,8 +142,8 @@ def test_gradient_monotone_along_sweep_tail(flat_rec, aniso_rec):
 def test_frauendiener_flat_identical():
     ids = build_preset("flat", n=2)
     dom = build_domain(ids, {"radius": 1.0}, L=4.0, alpha=1.9, h=1 / 64.)
-    a = wf.epsilon_sweep(dom, eps_last=1e-3, with_imcf=False)
-    b = wf.frauendiener_solve(dom, eps_last=1e-3, with_imcf=False)
+    a = wf.epsilon_sweep(dom, eps_last=1e-3)
+    b = wf.frauendiener_solve(dom, eps_last=1e-3)
     assert np.array_equal(a.u, b.u)
 
 
@@ -237,6 +237,59 @@ def test_sweep_rejects_nonpositive_eps(eps0, eps_last):
         wf.epsilon_sweep(_small_flat(), eps0=eps0, eps_last=eps_last)
 
 
+@pytest.mark.parametrize("eps0, eps_last", [(5e-4, 1e-3), (1e-3, 1e-3),
+                                            (None, 0.05)])
+def test_sweep_rejects_a_top_rung_not_above_eps_last(eps0, eps_last):
+    # the default top, min(eps_max / 2, 1/32), lies below eps_last = 0.05
+    with pytest.raises(wf.FlowConfigError, match="must lie above eps_last"):
+        wf.epsilon_sweep(_small_flat(), eps0=eps0, eps_last=eps_last)
+
+
+def test_sweep_rejects_an_unknown_variant_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("newton_solve ran")
+
+    monkeypatch.setattr(sv, "newton_solve", no_solve)
+    with pytest.raises(wf.FlowConfigError, match="unknown operator variant"):
+        wf.epsilon_sweep(_small_flat(), variant="bogus")
+
+
+def _count_solves(monkeypatch):
+    """Record (eps, s, cold) of every newton_solve the sweep runs."""
+    newton = sv.newton_solve
+    calls = []
+
+    def counted(dom, eps, s, u_init=None, **kwargs):
+        calls.append((eps, s, u_init is None))
+        return newton(dom, eps, s, u_init=u_init, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", counted)
+    return calls
+
+
+def test_k_zero_sweep_is_its_own_imcf_chain(monkeypatch):
+    # K = 0: the operator does not depend on s, so one solve per rung
+    # serves as both the flow and the IMCF reference
+    calls = _count_solves(monkeypatch)
+    rec = wf.epsilon_sweep(_small_flat(), eps_last=1e-3)
+    assert len(rec.epsilons) == 6
+    assert len(calls) == 6
+    assert np.array_equal(rec.imcf.interior, rec.u[1:-1])
+
+
+def test_imcf_chain_starts_from_the_continuity_endpoint(monkeypatch):
+    # K != 0: the only cold s = 0 solve is continuation_solve's top rung;
+    # the IMCF chain walks down warm from it
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=8.4, alpha=1.9, h=1 / 64.)
+    calls = _count_solves(monkeypatch)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3)
+    assert [c for c in calls if c[1] == 0.0 and c[2]] == [
+        (rec.epsilons[0], 0.0, True)]
+    assert (rec.imcf.s, rec.imcf.eps) == (0.0, rec.eps_last)
+    assert rec.imcf.converged
+
+
 # on both domains the cold start stalls at eps_max and converges at half
 @pytest.mark.parametrize("preset, kw, L, alpha, h", [
     ("schwarzschild_isotropic", {"m": 0.25}, 8.2, 1.7, 1 / 32.),
@@ -254,7 +307,7 @@ def test_sweep_top_converges_at_half_the_feasibility_bound(
         return solves[-1]
 
     monkeypatch.setattr(sv, "newton_solve", recorded)
-    rec = wf.epsilon_sweep(dom, eps_last=1e-3, with_imcf=False)
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3)
     assert all(sol.converged for sol in solves)
     eps_max = dom.feasibility()["eps_max"]
     assert rec.epsilons[0] == min(eps_max / 2, 1 / 32.)
