@@ -1,8 +1,8 @@
 """stimcf: weak inverse spacetime mean curvature flow at desk scale."""
 
 from .initial_data import (InitialDataSet, build_preset, verify_decay,
-                           constraint_densities, check_maximal,
-                           save_grid_data, load_grid_data)
+                           constraint_densities, save_grid_data,
+                           load_grid_data)
 from .radial_oracle import (RadialProfile, smooth_flow_ode,
                             level_set_quadrature, horizon_root,
                             evolution_equation_check)
@@ -12,7 +12,7 @@ from .solver import (newton_solve, continuation_solve, imcf_reference_solve,
 
 __all__ = [
     "InitialDataSet", "build_preset", "verify_decay", "constraint_densities",
-    "check_maximal", "save_grid_data", "load_grid_data",
+    "save_grid_data", "load_grid_data",
     "RadialProfile", "smooth_flow_ode", "level_set_quadrature",
     "horizon_root", "evolution_equation_check",
     "build_domain",

@@ -11,6 +11,8 @@ active grid cell.  The unknowns (``interior``, ``n_unknowns`` of them) are
 the radial nodes strictly inside, or all active cells.  Every lane decision
 of the package lives here; callers use only the protocol:
 
+- the annulus: ``r_out`` (radius of the outer boundary sphere), ``L``,
+  ``alpha``, ``R0``, ``h``;
 - operator: ``residual`` and ``jacobian`` of (interior, eps, s, bc,
   variant), ``solve(J, rhs)`` for the linear step, ``initial_guess`` for a
   cold start;
@@ -24,7 +26,6 @@ of the package lives here; callers use only the protocol:
   ``plateau_meshes(sol, t0, inner_r, outer_r)``, ``level_mesh(sol, t)``,
   ``boundary_level_set``, ``tail_normals``, ``extrema_excess``,
   ``shell_minima``;
-- records: ``record_arrays``;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 """
@@ -423,10 +424,6 @@ class RadialDomain:
         return shells, np.array([float(np.interp(s, self.r, inner))
                                  for s in shells])
 
-    # records ---------------------------------------------------------------
-    def record_arrays(self):
-        return {"r.f64": self.r}
-
 
 class GridDomain:
     """Cell-centered Cartesian lane for diagonal metrics in the chart.
@@ -451,9 +448,9 @@ class GridDomain:
         self.R0 = float(R0)
         self.e0_center = np.asarray(e0_center, float)
         self.e0_radius = float(e0_radius)
-        self.R_L = outer_radius(L, alpha, R0)
+        self.r_out = outer_radius(L, alpha, R0)
         self.h = float(h)
-        half = self.R_L + 2 * h
+        half = self.r_out + 2 * h
         m = int(np.ceil(2 * half / h))
         if m % 2:
             m += 1
@@ -464,10 +461,10 @@ class GridDomain:
         x = self.centers
         self.sdf = np.linalg.norm(x - self.e0_center, axis=1) - self.e0_radius
         rad = np.linalg.norm(x, axis=1)
-        self.active = (self.sdf > 0) & (rad < self.R_L)
+        self.active = (self.sdf > 0) & (rad < self.r_out)
         if not np.any(self.sdf <= 0):
             raise DomainError("E0 is not resolved by the grid")
-        if np.any((self.sdf <= 0) & (rad >= self.R_L)):
+        if np.any((self.sdf <= 0) & (rad >= self.r_out)):
             raise DomainError("E0 touches the outer boundary")
         g = ids.metric(x)
         mask = ~np.eye(d, dtype=bool)
@@ -482,7 +479,7 @@ class GridDomain:
         rr = np.maximum(rad, 1e-300)
         self._subsol = self.alpha * np.log(rr / self.R0)
         self._build_faces()
-        self._build_gradients()
+        self._build_operators()
 
     # construction helpers --------------------------------------------------
     def _neighbors(self, flat, axis, step):
@@ -512,134 +509,70 @@ class GridDomain:
         self.f_lo = np.concatenate(lo_all)
         self.f_hi = np.concatenate(hi_all)
         self.f_ax = np.concatenate(ax_all)
-        # classify: both active / hi ghost / lo ghost
-        self.f_kind = np.zeros(len(self.f_lo), dtype=int)
-        self.f_kind[~self.active[self.f_hi]] = 1
-        self.f_kind[~self.active[self.f_lo]] = 2
-        # ghost Dirichlet data: inner (u=0 at cut) vs outer (u=bc)
-        ghost = np.where(self.f_kind == 1, self.f_hi, self.f_lo)
-        self.f_ghost_inner = self.sdf[ghost] <= 0
-        # cut fraction theta from cell center to the interface along the face
-        th = np.ones(len(self.f_lo))
-        cut = (self.f_kind > 0) & self.f_ghost_inner
-        own = np.where(self.f_kind == 1, self.f_lo, self.f_hi)
-        th[cut] = self.sdf[own[cut]] / np.maximum(
-            self.sdf[own[cut]] - self.sdf[ghost[cut]], 1e-300)
-        self.f_theta = np.clip(th, self.THETA_MIN, 1.0)
         gi = 1.0 / self.g_diag
         self.f_sqrt_g = 0.5 * (self.sqrt_g[self.f_lo] + self.sqrt_g[self.f_hi])
         self.f_ginv = 0.5 * (gi[self.f_lo] + gi[self.f_hi])
 
-    def _build_gradients(self):
-        """Sparse centered-gradient operators per axis over active cells,
-        one-sided into Dirichlet ghosts (the outer value enters through
-        G_bc_outer; the inner value is zero)."""
-        nact = self.n_unknowns
-        act = np.where(self.active)[0]
-        self.G_ops = []
-        self.G_bc_outer = []   # coefficient of the outer Dirichlet value (=bc)
-        for ax in range(self.d):
-            plus = self._neighbors(act, ax, +1)
-            minus = self._neighbors(act, ax, -1)
-            rows, cols, vals = [], [], []
-            bco = np.zeros(nact)
-            for sgn, nb in ((+1, plus), (-1, minus)):
-                exists = nb >= 0
-                is_act = exists & self.active[np.maximum(nb, 0)]
-                r = self.idx[act[is_act]]
-                c = self.idx[nb[is_act]]
-                rows.append(r)
-                cols.append(c)
-                vals.append(np.full(len(r), sgn / (2 * self.h)))
-                gho = exists & ~self.active[np.maximum(nb, 0)]
-                inner = gho & (self.sdf[np.maximum(nb, 0)] <= 0)
-                outer = gho & ~inner
-                # inner ghost: linear extrapolation through the interface zero
-                # at fraction theta gives u_ghost = u_i (1 - 1/theta)
-                gi = act[inner]
-                if len(gi):
-                    th = np.clip(self.sdf[gi] / np.maximum(
-                        self.sdf[gi] - self.sdf[nb[inner]], 1e-300),
-                        self.THETA_MIN, 1.0)
-                    rows.append(self.idx[gi])
-                    cols.append(self.idx[gi])
-                    vals.append(sgn * (1.0 - 1.0 / th) / (2 * self.h))
-                go = act[outer]
-                if len(go):
-                    # outer ghost carries the Dirichlet value bc
-                    bco[self.idx[go]] += sgn / (2 * self.h)
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
-            op = sp.csr_matrix((vals, (rows, cols)), shape=(nact, nact))
-            self.G_ops.append(op)
-            self.G_bc_outer.append(bco)
-        # face normal-difference operator
-        nline = len(self.f_lo)
-        rows, cols, vals = [], [], []
-        self.D_bc_outer = np.zeros(nline)
-        hfac = 1.0 / self.h
-        both = self.f_kind == 0
-        r = np.where(both)[0]
-        rows += [r, r]
-        cols += [self.idx[self.f_hi[both]], self.idx[self.f_lo[both]]]
-        vals += [np.full(len(r), hfac), np.full(len(r), -hfac)]
-        hi_ghost = self.f_kind == 1
-        r = np.where(hi_ghost)[0]
-        inner = self.f_ghost_inner[hi_ghost]
-        th = self.f_theta[hi_ghost]
-        coef = np.where(inner, -1.0 / (th * self.h), -hfac)
-        rows += [r]
-        cols += [self.idx[self.f_lo[hi_ghost]]]
-        vals += [coef]
-        self.D_bc_outer[r[~inner]] = hfac
-        lo_ghost = self.f_kind == 2
-        r = np.where(lo_ghost)[0]
-        inner = self.f_ghost_inner[lo_ghost]
-        th = self.f_theta[lo_ghost]
-        coef = np.where(inner, 1.0 / (th * self.h), hfac)
-        rows += [r]
-        cols += [self.idx[self.f_hi[lo_ghost]]]
-        vals += [coef]
-        self.D_bc_outer[r[~inner]] = -hfac
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        self.D_op = sp.csr_matrix((vals, (rows, cols)),
-                                  shape=(nline, self.n_unknowns))
-        # divergence assembly: owner gets +F, neighbor gets -F (metric volume)
-        vol = self.sqrt_g * self.h
+    def _build_operators(self):
+        """Sparse operators over the active cells, all read off the faces.
+
+        ``D_op @ u + D_bc_outer * bc`` is the normal difference on each
+        face.  A ghost beyond the outer sphere carries the Dirichlet value
+        bc; a ghost inside E0 carries u_i (1 - 1/theta), the linear
+        extrapolation through the interface zero at the cut fraction theta
+        (first-order cut cell).  ``Div_op`` is the metric divergence of face
+        fluxes, ``half_op`` the face average of cell values (a ghost taking
+        its owner's value), and ``G_ops[k] @ u + G_bc_outer[k] * bc`` the
+        centered gradient on axis k: the mean of the cell's two faces on
+        that axis.
+        """
+        nline, nact = len(self.f_lo), self.n_unknowns
         lo_act = self.active[self.f_lo]
         hi_act = self.active[self.f_hi]
-        r1 = self.idx[self.f_lo[lo_act]]
-        c1 = np.where(lo_act)[0]
-        r2 = self.idx[self.f_hi[hi_act]]
-        c2 = np.where(hi_act)[0]
-        rows = np.concatenate([r1, r2])
-        cols = np.concatenate([c1, c2])
-        vals = np.concatenate([+1.0 / vol[self.f_lo[lo_act]],
-                               -1.0 / vol[self.f_hi[hi_act]]])
-        self.Div_op = sp.csr_matrix((vals, (rows, cols)),
-                                    shape=(self.n_unknowns, len(self.f_lo)))
-        # face average of cell values, ghosts taking their owner's value
-        rows, cols = [], []
-        for side in (self.f_lo, self.f_hi):
-            act_side = self.active[side]
-            rows.append(np.where(act_side)[0])
-            cols.append(self.idx[side[act_side]])
-            inact = np.where(~act_side)[0]
-            owners = np.where(self.active[self.f_lo[inact]],
-                              self.f_lo[inact], self.f_hi[inact])
-            rows.append(inact)
-            cols.append(self.idx[owners])
-        rows = np.concatenate(rows)
+        lo_faces, hi_faces = np.where(lo_act)[0], np.where(hi_act)[0]
+        lo_cells = self.idx[self.f_lo[lo_act]]
+        hi_cells = self.idx[self.f_hi[hi_act]]
+        own = np.where(lo_act, self.f_lo, self.f_hi)
+        other = np.where(lo_act, self.f_hi, self.f_lo)
+        cut = self.sdf[other] <= 0
+        th = np.ones(nline)
+        th[cut] = self.sdf[own[cut]] / np.maximum(
+            self.sdf[own[cut]] - self.sdf[other[cut]], 1e-300)
+        inv_dx = 1.0 / (np.clip(th, self.THETA_MIN, 1.0) * self.h)
+        self.D_op = sp.csr_matrix(
+            (np.concatenate([inv_dx[hi_act], -inv_dx[lo_act]]),
+             (np.concatenate([hi_faces, lo_faces]),
+              np.concatenate([hi_cells, lo_cells]))), shape=(nline, nact))
+        self.D_bc_outer = np.zeros(nline)
+        self.D_bc_outer[~hi_act & ~cut] = 1.0 / self.h
+        self.D_bc_outer[~lo_act & ~cut] = -1.0 / self.h
+        # cell x face incidence: each active side of a face
+        rows = np.concatenate([lo_cells, hi_cells])
+        cols = np.concatenate([lo_faces, hi_faces])
+        vol = self.sqrt_g * self.h
+        self.Div_op = sp.csr_matrix(
+            (np.concatenate([+1.0 / vol[self.f_lo[lo_act]],
+                             -1.0 / vol[self.f_hi[hi_act]]]), (rows, cols)),
+            shape=(nact, nline))
+        self.G_ops, self.G_bc_outer = [], []
+        for k in range(self.d):
+            on_k = self.f_ax[cols] == k
+            mean_k = sp.csr_matrix(
+                (np.full(int(np.sum(on_k)), 0.5), (rows[on_k], cols[on_k])),
+                shape=(nact, nline))
+            self.G_ops.append(mean_k @ self.D_op)
+            self.G_bc_outer.append(mean_k @ self.D_bc_outer)
+        sides = np.concatenate([own, np.where(hi_act, self.f_hi, own)])
         self.half_op = sp.csr_matrix(
-            (np.full(len(rows), 0.5), (rows, np.concatenate(cols))),
-            shape=(nline, self.n_unknowns))
+            (np.full(2 * nline, 0.5),
+             (np.tile(np.arange(nline), 2), self.idx[sides])),
+            shape=(nline, nact))
+        act = np.where(self.active)[0]
         self.ginv_cells = 1.0 / self.g_diag[act]
         self.K_act = self.K_cells[act]
         self.sg_act = self.sqrt_g[act]
         self.r_act = np.linalg.norm(self.centers[act], axis=1)
+        self.near_e0 = self.sdf[act] <= 2 * self.h
         self.subsol_act = self._subsol[act]
 
     # fields over the active cells ------------------------------------------
@@ -672,25 +605,12 @@ class GridDomain:
     def _face_state(self, u, bc, eps):
         gn = self.D_op @ u + self.D_bc_outer * bc
         cell_grads = self._cell_grads(u, bc)
-        gts = [0.5 * (self._cell_to_face(cg, self.f_lo)
-                      + self._cell_to_face(cg, self.f_hi))
-               for cg in cell_grads]
+        gts = [self.half_op @ cg for cg in cell_grads]
         W2 = eps ** 2 + 0.0
         for k in range(self.d):
             comp = np.where(self.f_ax == k, gn, gts[k])
             W2 = W2 + self.f_ginv[:, k] * comp ** 2
         return gn, gts, cell_grads, np.sqrt(W2)
-
-    def _cell_to_face(self, cell_vals, cells):
-        out = np.zeros(len(cells))
-        act = self.active[cells]
-        out[act] = cell_vals[self.idx[cells[act]]]
-        inact = ~act
-        # ghost cells: copy owner value (first-order extension)
-        owners = np.where(self.active[self.f_lo[inact]],
-                          self.f_lo[inact], self.f_hi[inact])
-        out[inact] = cell_vals[self.idx[owners]]
-        return out
 
     def _rhs_state(self, cell_grads, eps):
         """Per cell: eps^2 + |grad u|^2, the raised gradient and the
@@ -749,24 +669,23 @@ class GridDomain:
     def feasibility(self):
         vol = float(np.sum(self.sg_act) * self.h ** self.d)
         area_in = sphere_area(self.n) * self.e0_radius ** self.n
-        area_out = sphere_area(self.n) * self.R_L ** self.n
+        area_out = sphere_area(self.n) * self.r_out ** self.n
         gbar = float(np.mean(self.g_diag[self.active]))
         area = (area_in + area_out) * gbar ** (self.n / 2)
         H_plus = self.n / self.e0_radius if self.e0_radius else 1.0
         lam = float(np.max(np.abs(np.linalg.eigvalsh(self.K_cells))))
         return _feasibility(area, vol, H_plus, lam, 0.0,
-                            self.R_L - self.e0_radius)
+                            self.r_out - self.e0_radius)
 
     def k_is_zero(self):
         return bool(np.max(np.abs(self.K_act)) == 0.0)
 
     def boundary_gradients(self, interior, bc):
-        """(H+ of the E0 sphere, max |grad u|_g within two cells of the
-        inner and of the outer boundary)."""
+        """(H+ of the E0 sphere, max |grad u|_g over the cells within 2h of
+        E0 and over those within 2h of the outer sphere)."""
         grad = self.metric_gradient(interior, bc)
-        near = self.r_act <= self.e0_radius + 2 * self.h
-        far = self.r_act >= self.R_L - 2 * self.h
-        g_in = float(np.max(grad[near])) if np.any(near) else 0.0
+        far = self.r_act >= self.r_out - 2 * self.h
+        g_in = float(np.max(grad[self.near_e0]))
         g_out = float(np.max(grad[far])) if np.any(far) else 0.0
         return self.n / self.e0_radius, g_in, g_out
 
@@ -793,9 +712,7 @@ class GridDomain:
         (slope matched to the boundary gradient) and the Dirichlet value
         outside, so interpolants and contouring stay well behaved."""
         full = np.full(len(self.active), sol.bc)
-        grad = sol.metric_gradient()
-        near = self.r_act <= self.e0_radius + 2 * self.h
-        slope = float(np.median(grad[near])) if np.any(near) else 1.0
+        slope = float(np.median(sol.metric_gradient()[self.near_e0]))
         inside = self.sdf <= 0
         full[inside] = self.sdf[inside] * max(slope, 1e-3)
         full[self.active] = sol.interior
@@ -860,15 +777,11 @@ class GridDomain:
         xhat = self.centers[self.active] / np.maximum(self.r_act, 1e-300)[:, None]
         ip = np.sum(nu * xhat, axis=1) / np.maximum(
             np.sqrt(np.sum(nu * nu, axis=1)), 1e-300)
-        shells = np.linspace(R_reg, self.R_L * 0.9, n_shells)
+        shells = np.linspace(R_reg, self.r_out * 0.9, n_shells)
         mins = np.array([
             float(np.min(ip[(self.r_act >= s - self.h) & (self.r_act < s + self.h)],
                          initial=1.0)) for s in shells])
         return shells, mins
-
-    # records ---------------------------------------------------------------
-    def record_arrays(self):
-        return {}
 
 
 def subsolution_margin(prof, alpha, r):
@@ -951,7 +864,7 @@ def build_domain(ids, e0, L, alpha, h, mode="auto"):
         dom = GridDomain(ids, center, radius, h, L, alpha, R0)
     else:
         raise DomainError(f"unknown domain mode '{mode}'")
-    sep = (dom.r_out - radius) if mode == "radial" else (dom.R_L - radius)
+    sep = dom.r_out - radius
     if sep <= 2.0:
         raise DomainError(
             f"outer boundary too close to E0 (separation {sep:.2f} <= 2); raise L")

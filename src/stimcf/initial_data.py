@@ -197,7 +197,8 @@ def build_preset(name, **params):
 
     Supported: ``flat`` (param n, default 2), ``schwarzschild_isotropic``
     (params m > 0, n = 2), ``paper_anisotropic`` (n = 2, flat metric with the
-    trapped-sphere K field), ``custom_grid`` (param path).
+    trapped-sphere K field).  Data sampled on a grid comes from
+    ``load_grid_data``.
     """
     if name == "flat":
         n = int(params.get("n", 2))
@@ -238,8 +239,6 @@ def build_preset(name, **params):
         return InitialDataSet(n, _flat_metric(3), _aniso_form,
                               chart_radius=1.0, name="paper_anisotropic",
                               radial=radial)
-    if name == "custom_grid":
-        return load_grid_data(params["path"])
     raise InitialDataError(f"unknown preset '{name}'")
 
 
@@ -306,7 +305,7 @@ def load_grid_data(path):
     ids = InitialDataSet(dim - 1, interp_g, interp_k,
                          chart_radius=float(meta.get("chart_radius", 1.0)),
                          decay_eps=float(meta.get("decay_eps", 0.5)),
-                         name="custom_grid", analytic=False)
+                         name="grid_file", analytic=False)
     ids.grid = dict(origin=origin, spacing=spacing, g=g, K=K)
     return ids
 
@@ -440,11 +439,6 @@ def constraint_densities(ids, point, h=1e-4):
     J = covdiv / (8 * np.pi)
     Jnorm = np.sqrt(np.einsum('mij,mi,mj->m', ginv, J, J))
     return mu, J, mu - Jnorm
-
-
-def check_maximal(ids, points=None):
-    """sup over samples of |tr_g K|; solvers reject data above ids.tol_max."""
-    return ids.max_abs_trace(points)
 
 
 class DecayReport:

@@ -54,8 +54,6 @@ def save_record(rec, outdir, config=None):
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
     if rec.imcf is not None:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
-    for name, arr in dom.record_arrays().items():
-        write_array(os.path.join(outdir, name), arr)
     sweep_rows = []
     for i, eps in enumerate(rec.epsilons):
         row = {"eps": eps,
@@ -88,7 +86,7 @@ def save_record(rec, outdir, config=None):
     manifest["domain.L"] = "%.17g" % dom.L
     manifest["domain.alpha"] = "%.17g" % dom.alpha
     manifest["domain.R0"] = "%.17g" % dom.R0
-    for name in ("u.f64", "u_imcf.f64", "r.f64", "sweep.json", "jumps.csv"):
+    for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv"):
         p = os.path.join(outdir, name)
         if os.path.exists(p):
             manifest[f"sha256.{name}"] = _sha(p)

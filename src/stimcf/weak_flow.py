@@ -3,12 +3,12 @@
 The sweep solves the continuity method's two endpoints (s = 0, then s = 1)
 at the top epsilon rung and walks a warm chain down the rest
 (``solver.descend``, where every failed start is recovered).  It tracks
-Cauchy deltas of u and the L1 stabilization of |grad u| (the compactness
-hypotheses are monitored, not proven), and keeps the gradient tail needed
-to reconstruct the unit normal across plateaus.  Jump regions are plateaus
-of the metric gradient; their outer boundary radius is located by
-value-crossing extrapolation, which resolves the horizon well below one
-cell.
+the Cauchy deltas of u and the share of field points where |grad u| grows
+(the compactness hypotheses are monitored, not proven), and keeps the
+gradient tail needed to reconstruct the unit normal across plateaus.  Jump
+regions are plateaus of the metric gradient; their outer boundary radius is
+located by value-crossing extrapolation, which resolves the horizon well
+below one cell.
 """
 
 import itertools
@@ -70,7 +70,6 @@ class FlowRecord:
         self.variant = variant
         self.epsilons = []
         self.sup_deltas = []
-        self.grad_l1_deltas = []
         self.grad_increase_fraction = []
         self.traces = []
         self.apriori = []
@@ -144,24 +143,20 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
     rec = FlowRecord(dom, variant)
     prev = None
     prev_grad = None
-    prev_l1 = None
     for sol, trace in flow:
         imcf_sol = sol if imcf is None else next(imcf)
         rec.epsilons.append(sol.eps)
         rec.traces.append(trace)
         grad = dom.gradient(sol.interior, sol.bc)
         gmag = np.abs(sol.metric_gradient())
-        l1 = float(np.sum(gmag * dom.volumes()))
         if prev is not None:
             delta = float(np.max(np.abs(sol.full_field() - prev)))
             rec.sup_deltas.append(delta)
-            rec.grad_l1_deltas.append(abs(l1 - prev_l1))
             tol_g = 1e-6 * (1 + np.max(prev_grad))
             rec.grad_increase_fraction.append(
                 float(np.mean(gmag > prev_grad + tol_g)))
         prev = sol.full_field()
         prev_grad = gmag
-        prev_l1 = l1
         rec.tail.append((sol.eps, sol.interior.copy(), grad))
         if len(rec.tail) > TAIL_RUNGS:
             rec.tail.pop(0)

@@ -83,6 +83,12 @@ def test_flow_rejects_negative_eps_last(tmp_path, capsys):
                              "config error")
 
 
+def test_flow_rejects_unknown_preset(tmp_path, capsys):
+    # grid data comes in through grid_file, not through a preset
+    _flow_rejects_config(tmp_path, capsys, FLAT_CFG.replace(
+        "preset = flat", "preset = custom_grid"), "unknown preset")
+
+
 def test_flow_rejects_unknown_key(tmp_path, capsys):
     for key in ("bogus_key", "grad_tol_factor", "tol_h_rel", "tol_min_rel",
                 "probe_times_flowtime"):

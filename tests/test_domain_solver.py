@@ -213,6 +213,21 @@ def test_grid_jacobian_matches_fd():
                 < 2e-5
 
 
+def test_grid_inner_boundary_gradient_reads_the_cells_next_to_e0():
+    # criterion (iii) reads |grad u| within two cells of E0; around an
+    # off-centre E0 that band follows the distance to E0, not |x|
+    dom = build_domain(build_preset("flat", n=1),
+                       {"radius": 1.0, "center": (0.25, 0.0)}, L=2.2,
+                       alpha=0.9, h=1 / 4.)
+    bc = dom.L - 2.0
+    sdf = dom.sdf[dom.active]
+    # u = distance to E0 reads a unit gradient there ...
+    assert dom.boundary_gradients(np.clip(sdf, 0.0, bc), bc)[1] > 0.5
+    # ... and u vanishing within three cells of E0 a zero one
+    u = np.clip(sdf - 3 * dom.h, 0.0, bc)
+    assert dom.boundary_gradients(u, bc)[1] == 0.0
+
+
 def test_grid_domain_rejects_offdiagonal_metric():
     ids = build_preset("flat", n=1)
 

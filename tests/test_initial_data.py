@@ -11,7 +11,7 @@ def test_flat_preset_trivial():
     pts = np.array([[1.0, 0.5, -0.2], [3.0, 0.0, 0.0]])
     assert_allclose(ids.metric(pts), np.broadcast_to(np.eye(3), (2, 3, 3)))
     assert_allclose(ids.second_form(pts), 0.0)
-    assert idm.check_maximal(ids) == 0.0
+    assert ids.max_abs_trace() == 0.0
 
 
 def test_unknown_preset_and_bad_mass():
@@ -26,7 +26,7 @@ def test_schwarzschild_conformal_factor():
     ids = idm.build_preset("schwarzschild_isotropic", m=1.0)
     g = ids.metric(np.array([[2.0, 0.0, 0.0]]))[0]
     assert_allclose(g, (625.0 / 256.0) * np.eye(3), rtol=1e-14)
-    assert idm.check_maximal(ids) == 0.0
+    assert ids.max_abs_trace() == 0.0
 
 
 def test_anisotropic_components_at_unit_radius():
@@ -40,7 +40,7 @@ def test_anisotropic_components_at_unit_radius():
     assert_allclose(er @ K @ er, 3.0, atol=1e-12)
     assert_allclose(et @ K @ et, -3.0, atol=1e-12)
     assert_allclose(ephi @ K @ ephi, 0.0, atol=1e-12)
-    assert idm.check_maximal(ids) < 1e-12
+    assert ids.max_abs_trace() < 1e-12
 
 
 def test_maximality_rejects_traceful_data():
@@ -144,7 +144,7 @@ def test_grid_file_roundtrip(tmp_path):
     assert ids.n == 2 and not ids.analytic
     got = ids.metric(np.array([[0.25, 0.0, 0.0]]))
     assert np.all(np.isfinite(got))
-    assert idm.check_maximal(ids, ids.grid["origin"] + 0.5) == 0.0
+    assert ids.max_abs_trace(ids.grid["origin"] + 0.5) == 0.0
 
 
 def test_grid_file_rejects_asymmetric(tmp_path):

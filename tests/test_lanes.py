@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from stimcf import build_preset, build_domain
+from stimcf import weak_flow as wf
+from stimcf.domain import GridDomain, RadialDomain, outer_radius
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stimcf"
 
@@ -85,13 +87,33 @@ def test_only_the_continuity_method_starts_a_sweep_chain_cold():
     assert len(calls_to("continuation_solve")) == 1
 
 
-@pytest.fixture(scope="module", params=["radial", "grid"])
+# public names of one lane only: the radial lane's boundary measures and
+# level radius, the grid lane's cut-fraction floor
+LANE_ONLY = {"boundary_measures", "level_radius", "THETA_MIN"}
+
+
+def test_lanes_define_the_same_public_names():
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+    one_sided = public(RadialDomain) ^ public(GridDomain)
+    assert sorted(one_sided - LANE_ONLY) == []
+    assert sorted(LANE_ONLY - one_sided) == []
+
+
+@pytest.fixture(scope="module", params=["radial", "grid", "grid_offcentre"])
 def lane(request):
     if request.param == "radial":
         return build_domain(build_preset("flat", n=2), {"radius": 1.0},
                             L=4.0, alpha=1.9, h=1 / 64.)
-    return build_domain(build_preset("flat", n=1), {"radius": 1.0},
+    center = (0.25, 0.0) if request.param == "grid_offcentre" else (0.0, 0.0)
+    return build_domain(build_preset("flat", n=1),
+                        {"radius": 1.0, "center": center},
                         L=2.2, alpha=0.9, h=1 / 4., mode="grid")
+
+
+def test_outer_boundary_sits_at_r_out(lane):
+    assert lane.r_out == outer_radius(lane.L, lane.alpha, lane.R0)
+    assert np.max(lane.radii) <= lane.r_out
 
 
 def test_fields_cover_the_same_points(lane):
@@ -127,3 +149,29 @@ def test_components_split_two_runs(lane):
     comps = lane.components(mask)
     assert len(comps) == 2
     assert np.array_equal(np.sort(np.concatenate(comps)), np.where(mask)[0])
+
+
+def test_grid_sweep_matches_the_radial_lane():
+    # the same flat n = 1 data on both lanes: a grid sweep at h = 1/4
+    # against a radial sweep at h = 1/16
+    ids = build_preset("flat", n=1)
+    recs = {}
+    for mode, h in (("grid", 1 / 4.), ("radial", 1 / 16.)):
+        dom = build_domain(ids, {"radius": 1.0}, L=2.2, alpha=0.9, h=h,
+                           mode=mode)
+        recs[mode] = wf.epsilon_sweep(dom, eps_last=1e-2)
+        wf.detect_jumps(recs[mode])
+    grid, radial = recs["grid"], recs["radial"]
+    assert grid.cauchy_ok
+    assert all(not rep.violations for rep in grid.apriori)
+    assert wf.interior_extrema(grid)["ok"]
+    r = grid.domain.radii
+    band = (r >= 1.1) & (r <= 0.6 * grid.domain.r_out)
+    u_radial = np.interp(r[band], radial.domain.radii, radial.u)
+    # measured 4.8e-2, in the cells next to the cut cells of E0
+    assert np.max(np.abs(grid.u[band] - u_radial)) < 0.06
+    mesh = wf.extract_level_sets(grid, [0.1])[0]
+    radius = float(np.mean(np.linalg.norm(mesh.vertices, axis=1)))
+    # measured 1.152, against e^0.1 = 1.105 and 1.108 on the radial lane
+    assert radius == pytest.approx(np.exp(0.1), rel=0.06)
+    assert radius == pytest.approx(wf.level_radius(radial, 0.1), rel=0.06)
