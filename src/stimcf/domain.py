@@ -14,8 +14,10 @@ of the package lives here; callers use only the protocol:
 - the annulus: ``r_out`` (radius of the outer boundary sphere), ``L``,
   ``alpha``, ``R0``, ``h``;
 - operator: ``residual`` and ``jacobian`` of (interior, eps, s, bc,
-  variant), ``solve(J, rhs)`` for the linear step, ``initial_guess`` for a
-  cold start;
+  variant), ``solve(J, rhs)`` for the linear step, ``norm_inf(J)`` (the
+  max-row-sum norm the Newton floor reads), ``initial_guess`` for a cold
+  start; J is whatever the lane's ``solve`` takes (a LAPACK band array on
+  the radial lane, a sparse matrix on grids);
 - fields over the field points: ``full_field``, ``gradient`` (signed d/dr
   over a on the radial lane, the per-axis stack on grids),
   ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
@@ -31,6 +33,7 @@ of the package lives here; callers use only the protocol:
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid
@@ -116,7 +119,9 @@ class RadialDomain:
     The discrete operator is the face-flux form of
     div_g( grad u / sqrt(eps^2 + |grad u|^2) )
       - sqrt( eps^2 + |grad u|^2 + s (grad u . K . grad u / (eps^2+|grad u|^2))^2 )
-    with second-order centered differences.
+    with second-order centered differences.  The unknowns form a chain, so
+    the Jacobian is tridiagonal and the lane keeps it in LAPACK band storage
+    from assembly to solve.
     """
 
     kind = "radial"
@@ -199,6 +204,10 @@ class RadialDomain:
         return div - rhs_value(W2, T, s, variant)
 
     def jacobian(self, interior, eps, s, bc, variant="stimcf"):
+        """The tridiagonal Jacobian as a (3, N) LAPACK band array:
+        ``ab[1 + i - j, j] = J[i, j]``, so row 0 holds the superdiagonal
+        (ab[0, 0] unused), row 1 the diagonal and row 2 the subdiagonal
+        (ab[2, -1] unused)."""
         h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
         _, Wf, Gc, W2, T = self._stencil(interior, eps, bc)
         dF = Af * eps ** 2 / (af * Wf ** 3) / h
@@ -210,10 +219,23 @@ class RadialDomain:
         dlo = ci * dF[:-1] + gcent
         dhi = ci * dF[1:] - gcent
         dd = -ci * (dF[1:] + dF[:-1])
-        return sp.diags([dlo[1:], dd, dhi[:-1]], [-1, 0, 1], format="csc")
+        ab = np.zeros((3, len(dd)))
+        ab[0, 1:] = dhi[:-1]
+        ab[1] = dd
+        ab[2, :-1] = dlo[1:]
+        return ab
 
     def solve(self, J, rhs):
-        return spla.spsolve(J, rhs)
+        """Solve with the band array of ``jacobian`` (LAPACK gtsv)."""
+        return sla.solve_banded((1, 1), J, rhs)
+
+    def norm_inf(self, J):
+        """Max row sum of |J| from the band array."""
+        rows = np.zeros(J.shape[1])
+        rows[1:] = np.abs(J[2, :-1])
+        rows += np.abs(J[1])
+        rows[:-1] += np.abs(J[0, 1:])
+        return float(np.max(rows))
 
     def initial_guess(self, s, bc, eps):
         """Arrival-time profile of the radial transport problem, capped at bc.
@@ -567,6 +589,8 @@ class GridDomain:
             (np.full(2 * nline, 0.5),
              (np.tile(np.arange(nline), 2), self.idx[sides])),
             shape=(nline, nact))
+        # the face average of each centred gradient, for the Jacobian
+        self.HG_ops = [self.half_op @ G for G in self.G_ops]
         act = np.where(self.active)[0]
         self.ginv_cells = 1.0 / self.g_diag[act]
         self.K_act = self.K_cells[act]
@@ -642,7 +666,7 @@ class GridDomain:
         for k in range(self.d):
             comp = np.where(self.f_ax != k, gts[k], 0.0)
             dF_dgt = -self.f_sqrt_g * ginv_n * gn * self.f_ginv[:, k] * comp / Wf ** 3
-            J = J + self.Div_op @ (sp.diags(dF_dgt) @ (self.half_op @ self.G_ops[k]))
+            J = J + self.Div_op @ (sp.diags(dF_dgt) @ self.HG_ops[k])
         W2c, raised, T = self._rhs_state(cell_grads, eps)
         dRdW2, dRdT = rhs_derivs(W2c, T, s, variant)
         coef_w2 = dRdW2 - dRdT * T / W2c
@@ -657,6 +681,9 @@ class GridDomain:
 
     def solve(self, J, rhs):
         return spla.spsolve(J, rhs)
+
+    def norm_inf(self, J):
+        return float(np.max(np.abs(J).sum(axis=1)))
 
     def initial_guess(self, s, bc, eps):
         """The log subsolution rescaled to slope n, capped at bc."""

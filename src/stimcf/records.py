@@ -52,7 +52,9 @@ def save_record(rec, outdir, config=None):
     os.makedirs(outdir, exist_ok=True)
     dom = rec.domain
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
-    if rec.imcf is not None:
+    # when K = 0 the IMCF reference is the flow solution (load_record
+    # restores it from u.f64)
+    if rec.imcf is not None and rec.imcf is not rec.solution:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
     sweep_rows = []
     for i, eps in enumerate(rec.epsilons):
@@ -169,6 +171,8 @@ def load_record(record_dir):
     if os.path.exists(p_im):
         rec.imcf = sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0,
                                      bc, 0.0, 0, True, 0.0)
+    elif dom.k_is_zero():
+        rec.imcf = sol
     with open(os.path.join(record_dir, "sweep.json")) as fh:
         sweep = json.load(fh)
     rec.cauchy_ok = sweep["cauchy_ok"]

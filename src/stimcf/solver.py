@@ -14,8 +14,8 @@ included, chooses its next start there.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
-max-norm residual is about machineps * ||J||_inf * (1 + ||u||); iterates at
-that floor count as converged and record their true residual.
+max-norm residual is about machineps * ||J||_inf (``dom.norm_inf``) * (1 +
+||u||); iterates at that floor count as converged and record their residual.
 """
 
 import numpy as np
@@ -85,8 +85,8 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     nrm = float(np.max(np.abs(res)))
     for it in range(MAX_NEWTON + 1):
         J = dom.jacobian(u, eps, s, bc, variant)
-        normJ = float(np.max(np.abs(J).sum(axis=1)))
-        floor = FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0))) * normJ
+        floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+                 * dom.norm_inf(J))
         if nrm < max(tol, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor,
                                   variant=variant)

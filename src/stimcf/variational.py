@@ -1,10 +1,11 @@
 """Variational functionals, minimality tests, outward hulls and Q(t).
 
 The discrete perimeter is a face-weighted cut metric; on the radial lane it
-is exact (sphere areas).  Min-cut is exact for this discrete functional,
-which is also the one every comparison here uses.  The function-level
-functional, the minimality sweep, the area identity and Q(t) run on the
-radial lane only.
+is exact (sphere areas).  Hulls are exact minimizers of this discrete
+functional, which is also the one every comparison here uses: a chain (the
+radial lane's shells) by a two-state scan in O(N), any other graph by Dinic
+max-flow.  The function-level functional, the minimality sweep, the area
+identity and Q(t) run on the radial lane only.
 """
 
 import numpy as np
@@ -109,6 +110,61 @@ def exhaustive_minimizers(problem):
 
 
 def mincut_hull(problem):
+    """Inclusion-minimal minimizer of the set functional and its value.
+
+    A chain, whose pairs are exactly (0, 1), (1, 2), ..., (n-2, n-1) as
+    ``radial_set_problem`` builds them, is cut exactly in O(N) by a
+    two-state scan (``_chain_cut``); every other graph goes to Dinic
+    max-flow (``_dinic_cut``).
+    """
+    n = problem.n_cells
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], 1)
+    if np.array_equal(problem.pairs, path):
+        return _chain_cut(problem)
+    return _dinic_cut(problem)
+
+
+def _chain_cut(problem):
+    """Exact cut of a chain by a forward and a backward two-state scan.
+
+    F[i][x] is the least value of cells 0..i with cell i inside (x = 1) or
+    outside (x = 0) the set, B[i][x] the least value of cells i+1..n-1 given
+    that state of cell i.  The minimizers form a lattice closed under
+    intersection (as in ``exhaustive_minimizers``), so a cell belongs to
+    the inclusion-minimal one iff every minimizer holds it: iff the least
+    value with it excluded, F[i][0] + B[i][0], exceeds the minimum.  The
+    tolerance covers rounding: with nonnegative weights the terms of a set
+    whose value is near the minimum add up to at most ``scale`` in absolute
+    value, and the sums of up to ~1e5 terms round by less than
+    TOL_ENUM * scale.
+    """
+    n = problem.n_cells
+    inf = float("inf")
+    inside = problem.core | problem.free
+    unary = problem.boundary_weights - np.where(problem.core, 0.0,
+                                                problem.gains)
+    out_cost = np.where(problem.core, inf, 0.0).tolist()
+    in_cost = np.where(inside, unary, inf).tolist()
+    w = problem.weights.tolist()
+    f0, f1 = out_cost[0], in_cost[0]
+    F0 = [f0]
+    for i in range(1, n):
+        f0, f1 = (out_cost[i] + min(f0, f1 + w[i - 1]),
+                  in_cost[i] + min(f1, f0 + w[i - 1]))
+        F0.append(f0)
+    best = min(f0, f1)
+    b0 = b1 = 0.0
+    B0 = [0.0] * n
+    for i in range(n - 2, -1, -1):
+        c0, c1 = out_cost[i + 1] + b0, in_cost[i + 1] + b1
+        b0, b1 = min(c0, c1 + w[i]), min(c1, c0 + w[i])
+        B0[i] = b0
+    scale = 1.0 + abs(best) + 2.0 * float(np.sum(np.abs(unary[inside])))
+    mask = np.array(F0) + np.array(B0) > best + TOL_ENUM * scale
+    return mask, problem.value(mask)
+
+
+def _dinic_cut(problem):
     """Inclusion-minimal minimizer of the set functional by max-flow.
 
     Source side = inside F.  Gains enter as source links on free cells (paid

@@ -189,6 +189,16 @@ def test_record_roundtrip_preserves_solution(flat_record):
     assert rec.solution.interior.ndim == 1
 
 
+def test_flat_record_stores_u_once(flat_record):
+    # K = 0: the IMCF reference is the flow solution, so u_imcf.f64 would
+    # repeat u.f64 byte for byte
+    assert not (flat_record / "u_imcf.f64").exists()
+    rec = records.load_record(str(flat_record))
+    u = records.read_array(str(flat_record / "u.f64"))
+    assert np.array_equal(rec.imcf.interior, u)
+    assert cli.main(["verify", str(flat_record)]) == 0
+
+
 def _grid_record(path, center):
     """A grid-lane record without a sweep: flat n = 1 data and the field
     u = min(ln|x|, bc) at eps = 1e-3."""

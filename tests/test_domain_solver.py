@@ -45,6 +45,12 @@ def test_feasibility_numbers(flat_dom):
     assert feas["eps_theoretical_cap"] < 1e-30
 
 
+def _band_to_dense(ab):
+    """The matrix of a (3, N) tridiagonal band array, ab[1 + i - j, j] =
+    J[i, j]."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
 def test_radial_jacobian_matches_fd(aniso_dom):
     rng = np.random.default_rng(3)
     dom = aniso_dom
@@ -52,7 +58,7 @@ def test_radial_jacobian_matches_fd(aniso_dom):
     u[0], u[-1] = 0.0, 2.0
     for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
                             (0.05, 1.0, "frauendiener")]:
-        J = dom.jacobian(u[1:-1], eps, s, u[-1], variant).toarray()
+        J = _band_to_dense(dom.jacobian(u[1:-1], eps, s, u[-1], variant))
         d = 1e-6
         cols = rng.choice(len(u) - 2, 25, replace=False)
         for j in cols:
@@ -65,6 +71,30 @@ def test_radial_jacobian_matches_fd(aniso_dom):
             denom = max(1.0, np.max(np.abs(col)))
             # a wrong term shows up at O(1); FD truncation sits far below
             assert np.max(np.abs(col - J[:, j])) / denom < 5e-4
+
+
+def test_radial_band_solve_and_norm_match_dense(aniso_dom):
+    # the states of the finite-difference test.  J is ill-conditioned there
+    # (cond_2 up to 7.8e9), so two backward-stable solves may differ by up
+    # to cond * 2.2e-16 = 1.7e-6 relative; measured <= 5.2e-11
+    rng = np.random.default_rng(3)
+    dom = aniso_dom
+    u = np.clip(2 * np.log(dom.r), 0, 2.0) + 0.05 * rng.normal(size=len(dom.r))
+    u[0], u[-1] = 0.0, 2.0
+    for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
+                            (0.05, 1.0, "frauendiener")]:
+        ab = dom.jacobian(u[1:-1], eps, s, u[-1], variant)
+        J = _band_to_dense(ab)
+        rhs = -dom.residual(u[1:-1], eps, s, u[-1], variant)
+        step = dom.solve(ab, rhs)
+        norm = np.max(np.abs(J).sum(axis=1))
+        assert dom.norm_inf(ab) == pytest.approx(norm, rel=1e-12, abs=0)
+        # backward error of the band solve: measured 7e-17
+        assert (np.max(np.abs(J @ step - rhs))
+                <= 1e-12 * norm * np.max(np.abs(step)))
+        dense = np.linalg.solve(J, rhs)
+        assert (np.max(np.abs(step - dense))
+                <= 1e-9 * np.max(np.abs(dense)))
 
 
 def test_residual_trivial_states(flat_dom):

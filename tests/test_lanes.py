@@ -44,6 +44,19 @@ def test_solver_leaves_linear_algebra_to_the_domain():
     assert not hits, f"scipy imported by the solver: {', '.join(hits)}"
 
 
+def test_radial_lane_stays_banded():
+    # the radial unknowns form a chain: its Jacobian, solve and norm work on
+    # the tridiagonal band array and never build a scipy.sparse matrix
+    tree = ast.parse((SRC / "domain.py").read_text())
+    radial = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "RadialDomain")
+    hits = [f"domain.py:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(radial) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("sp", "spla")]
+    assert not hits, f"sparse calls on the radial lane: {', '.join(hits)}"
+
+
 def test_newton_solve_has_one_recovery_home():
     # after a failed solve the next start is chosen by descend; no other
     # function calls newton_solve itself, and the sweep retries nothing

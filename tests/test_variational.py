@@ -120,6 +120,59 @@ def test_hull_idempotent_and_contains_core():
         assert np.array_equal(mask2, mask)
 
 
+def random_chain(rng, halves):
+    """A chain [core..., free..., excluded...] with 1-2 core, 1-14 free and
+    0-2 excluded cells.  With `halves`, weights, boundary weights and gains
+    are multiples of 1/2, summed exactly in float64, so ties occur."""
+    n_core, n_free, n_tail = (int(rng.integers(1, 3)), int(rng.integers(1, 15)),
+                              int(rng.integers(0, 3)))
+    n = n_core + n_free + n_tail
+    core = np.arange(n) < n_core
+    free = ~core & (np.arange(n) < n_core + n_free)
+    if halves:
+        weights = rng.integers(1, 5, size=n - 1) / 2
+        boundary = rng.integers(0, 2, size=n) / 2
+        gains = rng.integers(0, 4, size=n) / 2
+    else:
+        weights = rng.uniform(0.2, 2.0, size=n - 1)
+        boundary = rng.uniform(0.0, 0.5, size=n)
+        gains = rng.uniform(0.0, 1.6, size=n)
+    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], 1)
+    return vr.SetProblem(n, pairs, weights, boundary * ~core, gains * free,
+                         core, free)
+
+
+def test_chain_cut_matches_dinic_and_enumeration():
+    rng = np.random.default_rng(17)
+    ties = 0
+    for k in range(150):
+        prob = random_chain(rng, halves=k % 3 == 0)
+        best, masks, minimal = vr.exhaustive_minimizers(prob)
+        ties += len(masks) > 1
+        for cut in (vr._chain_cut, vr._dinic_cut):
+            mask, val = cut(prob)
+            assert np.array_equal(mask, minimal), (k, cut.__name__)
+            assert val == pytest.approx(best, abs=1e-9)
+    # chains with more than one minimizer: 10 of the 150
+    assert ties >= 5
+
+
+def test_radial_hull_takes_the_chain_route(monkeypatch):
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=6.0, alpha=1.9, h=1 / 32.)
+    prob = vr.radial_set_problem(dom, core_radius=1.0 + dom.h,
+                                 omega_radius=3.0)
+    dinic = vr._dinic_cut(prob)
+
+    def no_max_flow(*args):
+        raise AssertionError("a chain problem built a MaxFlow")
+
+    monkeypatch.setattr(vr, "MaxFlow", no_max_flow)
+    mask, val = vr.mincut_hull(prob)
+    assert np.array_equal(mask, dinic[0]) and mask.sum() > prob.core.sum()
+    assert val == pytest.approx(dinic[1], rel=1e-12)
+
+
 def test_flat_hull_is_identity(flat_rec):
     # spheres are already outward optimizing when K = 0
     dom = flat_rec.domain
