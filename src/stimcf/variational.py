@@ -4,8 +4,12 @@ The discrete perimeter is a face-weighted cut metric; on the radial lane it
 is exact (sphere areas).  Hulls are exact minimizers of this discrete
 functional, which is also the one every comparison here uses: a chain (the
 radial lane's shells) by a two-state scan in O(N), any other graph by Dinic
-max-flow.  The function-level functional, the minimality sweep, the area
-identity and Q(t) run on the radial lane only.
+max-flow.  Both routes need nonnegative pair and boundary weights, which
+``SetProblem`` enforces, and both are checked against
+``exhaustive_minimizers``, an independent reference that evaluates every
+subset of up to 20 free cells by doubling (O(2^k) additions into one table
+of 2^k floats).  The function-level functional, the minimality sweep, the
+area identity and Q(t) run on the radial lane only.
 """
 
 import numpy as np
@@ -38,6 +42,8 @@ class SetProblem:
         self.free = np.asarray(free_mask, bool)
         if np.any(self.core & self.free):
             raise ValueError("core and free cells must be disjoint")
+        if np.any(self.weights < 0) or np.any(self.boundary_weights < 0):
+            raise ValueError("pair and boundary weights must be nonnegative")
 
     def perimeter(self, mask):
         mask = np.asarray(mask, bool)
@@ -57,55 +63,82 @@ def exhaustive_minimizers(problem):
     """All minimizers over subsets of the free cells (<= 20 of them), the
     minimum value, and the inclusion-minimal minimizer.
 
-    Vectorized over the whole power set: per-face cut indicators are XORs of
-    subset bit columns, so a 2^20 enumeration is a handful of array passes.
+    This is the reference that both routes of ``mincut_hull`` are checked
+    against, so it shares none of their logic: it evaluates the functional
+    on every one of the 2^k subsets (bit j of the pattern index is free cell
+    j, so ties come out in increasing pattern order) and uses no min-cut,
+    scan, pruning or bound.  J splits into a constant, a term per free cell,
+    add0[j] when it is outside and add1[j] when inside (its cut weights to
+    core and excluded cells, its boundary weight and its gain), and the
+    free-free cut weights.  The value table is built by doubling: with
+    h = 2^j, patterns h..2h-1 copy patterns 0..h-1 with cell j inside and
+    add add1[j] and the weights of the pairs (a, j), a < j, with a outside;
+    patterns 0..h-1 add add0[j] and those with a inside.  Only cut weights
+    are added, so each value is a sum of the same terms as
+    ``SetProblem.value`` in another order.  Cost: O(2^k) additions; memory:
+    the table of 2^k floats and one pair-weight table of at most 2^(k-1)
+    (12 MB at k = 20).
     """
     free = np.where(problem.free)[0]
     k = len(free)
     if k > 20:
         raise ValueError("enumeration limited to 20 free cells")
-    col = {c: j for j, c in enumerate(free)}
-    npat = 1 << k
-    pats = np.arange(npat, dtype=np.uint32)
-    bits = ((pats[:, None] >> np.arange(k, dtype=np.uint32)[None, :]) & 1
-            ).astype(bool)
-    values = np.zeros(npat)
-    in_set = problem.core
+    col = np.full(problem.n_cells, -1)
+    col[free] = np.arange(k)
+    core = problem.core
+    const = float(np.sum(problem.boundary_weights[core]))
+    add0 = np.zeros(k)
+    add1 = problem.boundary_weights[free] - problem.gains[free]
+    # pair_w[j, a]: weight of the free pairs (a, j), a < j; self pairs,
+    # never cut, land on the diagonal, which is never read
+    pair_w = np.zeros((k, k))
     for (a, b), w in zip(problem.pairs, problem.weights):
-        fa, fb = a in col, b in col
-        if fa and fb:
-            cut = bits[:, col[a]] ^ bits[:, col[b]]
-            values += w * cut
-        elif fa or fb:
-            j = col[a] if fa else col[b]
-            other_in = in_set[b if fa else a]
-            cut = bits[:, j] != other_in
-            values += w * cut
-        else:
-            values += w * (in_set[a] != in_set[b])
-    for i in np.where(problem.boundary_weights > 0)[0]:
-        if i in col:
-            values += problem.boundary_weights[i] * bits[:, col[i]]
-        elif in_set[i]:
-            values += problem.boundary_weights[i]
-    for i in np.where(problem.gains != 0)[0]:
-        if i in col:
-            values -= problem.gains[i] * bits[:, col[i]]
-        elif in_set[i] and not problem.core[i]:
-            values -= problem.gains[i]
+        ja, jb = col[a], col[b]
+        if ja >= 0 and jb >= 0:
+            pair_w[max(ja, jb), min(ja, jb)] += w
+        elif ja >= 0 or jb >= 0:
+            j, other = (ja, b) if ja >= 0 else (jb, a)
+            if core[other]:
+                add0[j] += w
+            else:
+                add1[j] += w
+        elif core[a] != core[b]:
+            const += w
+    values = np.empty(1 << k)
+    values[0] = const
+    for j in range(k):
+        h = 1 << j
+        lo, hi = values[:h], values[h:2 * h]
+        np.add(lo, add1[j], out=hi)
+        lo += add0[j]
+        nbr = np.nonzero(pair_w[j, :j])[0]
+        if len(nbr):
+            # cut[q]: weights of the pairs (a, j) whose cell a is inside in
+            # pattern q, built by the same doubling over a < span; it
+            # repeats with period 2^span, and the complement of q within
+            # the period is 2^span - 1 - q, so cell j inside reads it reversed
+            span = int(nbr[-1]) + 1
+            cut = np.empty(1 << span)
+            cut[0] = 0.0
+            for a in range(span):
+                np.add(cut[:1 << a], pair_w[j, a], out=cut[1 << a:2 << a])
+            lo_rows = lo.reshape(-1, 1 << span)
+            hi_rows = hi.reshape(-1, 1 << span)
+            lo_rows += cut
+            hi_rows += cut[::-1]
     best = float(np.min(values))
-    arg = np.where(values <= best + TOL_ENUM)[0]
     masks = []
-    for p in arg:
-        mask = problem.core.copy()
-        mask[free[bits[p]]] = True
+    for p in np.nonzero(values <= best + TOL_ENUM)[0]:
+        mask = core.copy()
+        mask[free[(p >> np.arange(k)) & 1 == 1]] = True
         masks.append(mask)
-    minimal = masks[0].copy()
-    for m in masks[1:]:
-        minimal &= m
-    # the minimizer lattice is closed under intersection
-    if abs(problem.value(minimal) - best) > 10 * max(TOL_ENUM, 1e-12):
-        minimal = min(masks, key=lambda m: int(np.sum(m)))
+    minimal = np.logical_and.reduce(masks)
+    # with nonnegative weights J is submodular, so the minimizers are closed
+    # under intersection
+    gap = problem.value(minimal) - best
+    if abs(gap) > 10 * TOL_ENUM:
+        raise ValueError(f"the intersection of the {len(masks)} minimizers "
+                         f"misses the minimum by {gap:.3e}")
     return best, masks, minimal
 
 
@@ -167,9 +200,10 @@ def _chain_cut(problem):
 def _dinic_cut(problem):
     """Inclusion-minimal minimizer of the set functional by max-flow.
 
-    Source side = inside F.  Gains enter as source links on free cells (paid
-    when excluded); core cells are pinned to the source, non-universe cells
-    to the sink via the boundary weights.
+    Source side = inside F.  A positive gain enters as a source link on its
+    free cell (paid when the cell is excluded), a negative gain as a sink
+    link (paid when it is included); core cells are pinned to the source,
+    non-universe cells to the sink via the boundary weights.
     """
     n = problem.n_cells
     mf = MaxFlow(n)
@@ -181,6 +215,8 @@ def _dinic_cut(problem):
     for i in np.where(problem.free)[0]:
         if problem.gains[i] > 0:
             mf.add_edge(s, int(i), problem.gains[i])
+        elif problem.gains[i] < 0:
+            mf.add_edge(int(i), t, -problem.gains[i])
     for i in np.where(~problem.core & ~problem.free)[0]:
         mf.add_edge(int(i), t, INF)
     for (a, b), w in zip(problem.pairs, problem.weights):

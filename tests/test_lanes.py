@@ -57,6 +57,20 @@ def test_radial_lane_stays_banded():
     assert not hits, f"sparse calls on the radial lane: {', '.join(hits)}"
 
 
+def test_enumeration_stays_independent_of_the_hull_routes():
+    # exhaustive_minimizers is the reference that the chain scan and Dinic
+    # are checked against; a call into either would make the check circular
+    tree = ast.parse((SRC / "variational.py").read_text())
+    enum = next(node for node in tree.body if isinstance(
+        node, ast.FunctionDef) and node.name == "exhaustive_minimizers")
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(enum)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    hits = sorted(names & {"mincut_hull", "_chain_cut", "_dinic_cut",
+                           "MaxFlow"})
+    assert not hits, f"exhaustive_minimizers uses {', '.join(hits)}"
+
+
 def test_newton_solve_has_one_recovery_home():
     # after a failed solve the next start is chosen by descend; no other
     # function calls newton_solve itself, and the sweep retries nothing

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -155,6 +157,124 @@ def test_chain_cut_matches_dinic_and_enumeration():
             assert val == pytest.approx(best, abs=1e-9)
     # chains with more than one minimizer: 10 of the 150
     assert ties >= 5
+
+
+def test_negative_gain_instance_agrees_on_every_route():
+    # core {0}, free {1, 2, 3}; cell 2 has gain -3, so it costs 3 when
+    # included and the minimum -2.0 leaves it out (all four cells give
+    # -1.0).  The cycle goes to Dinic, which charges that cost by a sink
+    # link; without the pair (0, 3) the graph is a chain and the scan joins
+    core = np.array([True, False, False, False])
+    gains = np.array([0.0, 2.0, -3.0, 2.0])
+    for pairs, weights, cuts in (
+            ([(0, 1), (1, 2), (2, 3), (0, 3)], [1.0, 1.0, 1.0, 0.5],
+             (vr.mincut_hull, vr._dinic_cut)),
+            ([(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0],
+             (vr.mincut_hull, vr._chain_cut, vr._dinic_cut))):
+        prob = vr.SetProblem(4, pairs, weights, np.zeros(4), gains, core,
+                             ~core)
+        best, masks, minimal = vr.exhaustive_minimizers(prob)
+        assert best == -2.0
+        assert np.array_equal(minimal, [True, True, False, True])
+        for cut in cuts:
+            mask, val = cut(prob)
+            assert np.array_equal(mask, minimal), cut.__name__
+            assert val == pytest.approx(best, abs=1e-12)
+
+
+def test_dinic_matches_enumeration_with_negative_gains():
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        prob = random_problem(rng, int(rng.integers(4, 13)))
+        flip = rng.random(prob.n_cells) < 0.3
+        prob = vr.SetProblem(prob.n_cells, prob.pairs, prob.weights,
+                             prob.boundary_weights,
+                             np.where(flip, -prob.gains, prob.gains),
+                             prob.core, prob.free)
+        best, masks, minimal = vr.exhaustive_minimizers(prob)
+        mask, val = vr._dinic_cut(prob)
+        assert np.array_equal(mask, minimal), k
+        assert val == pytest.approx(best, abs=1e-9)
+
+
+def test_set_problem_rejects_negative_weights():
+    prob = random_problem(np.random.default_rng(0), 4)
+    w, bw = prob.weights.copy(), prob.boundary_weights.copy()
+    w[1], bw[2] = -w[1], -0.25
+    for weights, boundary in ((w, prob.boundary_weights), (prob.weights, bw)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            vr.SetProblem(prob.n_cells, prob.pairs, weights, boundary,
+                          prob.gains, prob.core, prob.free)
+
+
+def mixed_problem(rng, halves):
+    """Core, free and excluded cells in shuffled order (1-3, 1-8, 1-3) with
+    core-core, core-free, free-free and free-excluded pairs, a self pair, a
+    reversed and a duplicated pair, boundary weights on every cell and gains
+    of both signs.  With `halves` every weight and gain is a multiple of 1/2,
+    summed exactly in float64, so ties occur."""
+    sizes = rng.integers(1, [4, 9, 4])
+    kind = rng.permutation(np.repeat([0, 1, 2], sizes))
+    n = len(kind)
+
+    def pick(c):
+        return int(rng.choice(np.where(kind == c)[0]))
+
+    j = pick(1)
+    pairs = [(pick(0), pick(0)), (pick(0), pick(1)), (pick(1), pick(1)),
+             (pick(1), pick(2)), (j, j)]
+    pairs += [tuple(int(c) for c in rng.integers(0, n, 2)) for _ in range(n)]
+    pairs += [pairs[1][::-1], pairs[3]]
+    m = len(pairs)
+    if halves:
+        weights = rng.integers(0, 5, size=m) / 2
+        boundary = rng.integers(0, 3, size=n) / 2
+        gains = rng.integers(-3, 5, size=n) / 2
+    else:
+        weights = rng.uniform(0.0, 2.0, size=m)
+        boundary = rng.uniform(0.0, 0.5, size=n)
+        gains = rng.uniform(-1.0, 1.6, size=n)
+    return vr.SetProblem(n, pairs, weights, boundary, gains, kind == 0,
+                         kind == 1)
+
+
+def test_enumeration_matches_set_problem_value():
+    # the value table against SetProblem.value on every subset, ties in
+    # pattern order (bit j of the pattern is free cell j)
+    rng = np.random.default_rng(31)
+    ties = 0
+    for k in range(120):
+        prob = mixed_problem(rng, halves=k % 3 == 0)
+        free = np.where(prob.free)[0]
+        subsets = []
+        for p in range(1 << len(free)):
+            mask = prob.core.copy()
+            mask[free[[(p >> j) & 1 == 1 for j in range(len(free))]]] = True
+            subsets.append(mask)
+        values = np.array([prob.value(mask) for mask in subsets])
+        ref_best = values.min()
+        ref_masks = [mask for mask, val in zip(subsets, values)
+                     if val <= ref_best + vr.TOL_ENUM]
+        best, masks, minimal = vr.exhaustive_minimizers(prob)
+        assert best == pytest.approx(ref_best, abs=1e-12), k
+        assert len(masks) == len(ref_masks), k
+        assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks)), k
+        assert np.array_equal(minimal, np.logical_and.reduce(ref_masks)), k
+        ties += len(masks) > 1
+    assert ties >= 10
+
+
+def test_enumeration_memory_at_twenty_free_cells():
+    # the value table of 2^20 floats is 8 MB; a (2^20, 20) bit matrix and
+    # its temporaries took 164 MB
+    prob = random_problem(np.random.default_rng(5), 20)
+    tracemalloc.start()
+    try:
+        vr.exhaustive_minimizers(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_radial_hull_takes_the_chain_route(monkeypatch):
