@@ -17,7 +17,10 @@ of the package lives here; callers use only the protocol:
   variant), ``solve(J, rhs)`` for the linear step, ``norm_inf(J)`` (the
   max-row-sum norm the Newton floor reads), ``initial_guess`` for a cold
   start; J is whatever the lane's ``solve`` takes (a LAPACK band array on
-  the radial lane, a sparse matrix on grids);
+  the radial lane, a sparse matrix on grids).  ``jacobian`` may reuse the
+  stencil that ``residual`` built on the same interior array object, so a
+  caller must not modify that array in place between the two calls;
+  ``solve(J, rhs)`` leaves both J and rhs intact;
 - fields over the field points: ``full_field``, ``gradient`` (signed d/dr
   over a on the radial lane, the per-axis stack on grids),
   ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
@@ -36,7 +39,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid
 
 from . import surface_geometry as sg
 from .extraction import extract_isosurface
@@ -90,6 +92,16 @@ def rhs_derivs(W2, T, s, variant):
 
 def outer_radius(L, alpha, R0):
     return R0 * np.exp(L / alpha)
+
+
+def _cumulative_trapezoid(y, x=None, dx=1.0):
+    """Running trapezoid integral of 1-D y from 0 over x (or spacing dx).
+
+    The arithmetic is scipy's ``cumulative_trapezoid(..., initial=0)``, bit
+    for bit, without importing scipy.integrate (see ``radial_oracle``).
+    """
+    d = dx if x is None else np.diff(x)
+    return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _feasibility(area, vol, H_plus, lam, C1, b_L):
@@ -150,7 +162,11 @@ class RadialDomain:
         self.A = (self.b * self.r) ** self.n
         self.af = 0.5 * (self.a[1:] + self.a[:-1])
         self.Af = 0.5 * (self.A[1:] + self.A[:-1])
+        # interior node volumes (per unit sphere area) and their reciprocals
+        self._vol = self.A[1:-1] * self.a[1:-1] * self.h
+        self._inv_vol = 1.0 / self._vol
         self.n_unknowns = N - 1
+        self._memo = None     # (interior, eps, bc, stencil) of ``residual``
         self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
 
     # fields over the nodes -------------------------------------------------
@@ -197,21 +213,36 @@ class RadialDomain:
         return du, Wf, Gc, W2, T
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
-        h, af, Af, A, a = self.h, self.af, self.Af, self.A, self.a
-        du, Wf, _, W2, T = self._stencil(interior, eps, bc)
-        F = Af * du / (af * Wf)
-        div = (F[1:] - F[:-1]) / (A[1:-1] * a[1:-1] * h)
+        """The operator at the interior nodes; its stencil stays for a
+        ``jacobian`` call on the same array (see there)."""
+        st = self._stencil(interior, eps, bc)
+        self._memo = (interior, eps, bc, st)
+        du, Wf, _, W2, T = st
+        F = self.Af * du / (self.af * Wf)
+        div = (F[1:] - F[:-1]) / self._vol
         return div - rhs_value(W2, T, s, variant)
 
     def jacobian(self, interior, eps, s, bc, variant="stimcf"):
         """The tridiagonal Jacobian as a (3, N) LAPACK band array:
         ``ab[1 + i - j, j] = J[i, j]``, so row 0 holds the superdiagonal
         (ab[0, 0] unused), row 1 the diagonal and row 2 the subdiagonal
-        (ab[2, -1] unused)."""
-        h, af, Af, A, a, kr = self.h, self.af, self.Af, self.A, self.a, self.kr
-        _, Wf, Gc, W2, T = self._stencil(interior, eps, bc)
+        (ab[2, -1] unused).
+
+        The stencil does not depend on s or the variant: when the last
+        ``residual`` call had this same array object, eps and bc, its
+        stencil is reused, so the caller must not have modified the array
+        in place since (``newton_solve`` never does).  The memo is dropped
+        either way.
+        """
+        h, af, Af, a, kr = self.h, self.af, self.Af, self.a, self.kr
+        memo, self._memo = self._memo, None
+        if (memo is not None and memo[0] is interior and memo[1] == eps
+                and memo[2] == bc):
+            _, Wf, Gc, W2, T = memo[3]
+        else:
+            _, Wf, Gc, W2, T = self._stencil(interior, eps, bc)
         dF = Af * eps ** 2 / (af * Wf ** 3) / h
-        ci = 1.0 / (A[1:-1] * a[1:-1] * h)
+        ci = self._inv_vol
         dRdW2, dRdT = rhs_derivs(W2, T, s, variant)
         # T = G2 k/(eps^2 + G2): dT/dG2 = k eps^2 / W2^2
         dRdG2 = dRdW2 + dRdT * kr[1:-1] * eps ** 2 / W2 ** 2
@@ -226,8 +257,9 @@ class RadialDomain:
         return ab
 
     def solve(self, J, rhs):
-        """Solve with the band array of ``jacobian`` (LAPACK gtsv)."""
-        return sla.solve_banded((1, 1), J, rhs)
+        """Solve with the band array of ``jacobian`` (LAPACK gtsv) on
+        copies of J and rhs; ``newton_solve`` checks finiteness first."""
+        return sla.solve_banded((1, 1), J, rhs, check_finite=False)
 
     def norm_inf(self, J):
         """Max row sum of |J| from the band array."""
@@ -249,7 +281,7 @@ class RadialDomain:
         H = self.profile.mean_curvature(self.r)
         P = self.profile.k_trace(self.r)
         speed = np.sqrt(np.maximum(H ** 2 - s * P ** 2, 0.0)) * (H > 0)
-        ut = cumulative_trapezoid(self.a * speed, self.r, initial=0.0)
+        ut = _cumulative_trapezoid(self.a * speed, self.r)
         candidates = [np.clip(ut, 0.0, bc)]
         width = max(10.0 * eps, 1e-6)
         soft = np.clip(bc - width * np.logaddexp(0.0, (bc - ut) / width), 0.0, bc)
@@ -281,10 +313,10 @@ class RadialDomain:
         def build(C):
             q0 = np.clip(C / A, 1e-9, 0.999999)
             source = eps * A * a / np.sqrt(1.0 - np.minimum(q0, 0.99) ** 2)
-            Aq = C + cumulative_trapezoid(source, r, initial=0.0)
+            Aq = C + _cumulative_trapezoid(source, r)
             q = np.clip(Aq / A, 1e-9, 0.999999)
             sl = a * q * eps / np.sqrt(1.0 - q * q)
-            drop = cumulative_trapezoid(sl[::-1], dx=self.h, initial=0.0)[::-1]
+            drop = _cumulative_trapezoid(sl[::-1], dx=self.h)[::-1]
             return bc - drop
 
         best, best_res = None, np.inf
@@ -495,6 +527,13 @@ class GridDomain:
         self.g_diag = np.einsum('mii->mi', g).copy()
         self.sqrt_g = np.sqrt(np.prod(self.g_diag, axis=1))
         self.K_cells = ids.second_form(x)
+        # H+ on dE0: the largest mean curvature of the E0 sphere in the
+        # metric, at the vertices of a sphere mesh
+        mesh = (sg.icosphere(self.e0_radius, subdivisions=2) if d == 3
+                else sg.circle_mesh(self.e0_radius))
+        H = sg.level_set_mean_curvature(ids, mesh.vertices + self.e0_center,
+                                        sg.sphere_level_set(self.e0_center))
+        self.H_plus = max(float(np.max(H)), 0.0)
         self.idx = -np.ones(len(x), dtype=int)
         self.idx[self.active] = np.arange(int(np.sum(self.active)))
         self.n_unknowns = int(np.sum(self.active))
@@ -699,22 +738,21 @@ class GridDomain:
         area_out = sphere_area(self.n) * self.r_out ** self.n
         gbar = float(np.mean(self.g_diag[self.active]))
         area = (area_in + area_out) * gbar ** (self.n / 2)
-        H_plus = self.n / self.e0_radius if self.e0_radius else 1.0
         lam = float(np.max(np.abs(np.linalg.eigvalsh(self.K_cells))))
-        return _feasibility(area, vol, H_plus, lam, 0.0,
+        return _feasibility(area, vol, self.H_plus, lam, 0.0,
                             self.r_out - self.e0_radius)
 
     def k_is_zero(self):
         return bool(np.max(np.abs(self.K_act)) == 0.0)
 
     def boundary_gradients(self, interior, bc):
-        """(H+ of the E0 sphere, max |grad u|_g over the cells within 2h of
-        E0 and over those within 2h of the outer sphere)."""
+        """(H+ of the E0 sphere in the metric, max |grad u|_g over the cells
+        within 2h of E0 and over those within 2h of the outer sphere)."""
         grad = self.metric_gradient(interior, bc)
         far = self.r_act >= self.r_out - 2 * self.h
         g_in = float(np.max(grad[self.near_e0]))
         g_out = float(np.max(grad[far])) if np.any(far) else 0.0
-        return self.n / self.e0_radius, g_in, g_out
+        return self.H_plus, g_in, g_out
 
     def require_radial(self, what):
         raise LaneError(f"{what} runs on the radial lane")

@@ -70,7 +70,9 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     the Armijo factor.  The solve gives up at the first failed line search,
     at a non-finite step or after MAX_NEWTON steps, and returns that iterate
     unconverged with a diagnostic (naming the feasibility bound when eps
-    exceeds it); what to try next is the caller's decision.
+    exceeds it); what to try next is the caller's decision.  A non-finite
+    residual or Jacobian (a NaN start, say) raises SolverError before the
+    linear solve, which does not check its inputs.
     """
     if eps <= 0:
         raise SolverError("elliptic regularization needs eps > 0")
@@ -92,6 +94,8 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
                                   variant=variant)
         if it == MAX_NEWTON:
             break
+        if not (np.isfinite(nrm) and np.isfinite(floor)):
+            raise SolverError("non-finite residual or Jacobian at the iterate")
         try:
             step = dom.solve(J, -res)
         except Exception as exc:

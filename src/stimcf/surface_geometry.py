@@ -102,36 +102,42 @@ def circle_mesh(radius, segments=256):
 
 
 def icosphere(radius=1.0, subdivisions=3):
-    """Origin-centred geodesic sphere mesh from a subdivided icosahedron."""
+    """Origin-centred geodesic sphere mesh from a subdivided icosahedron.
+
+    Each subdivision splits every facet (a, b, c) into (a, ab, ca),
+    (b, bc, ab), (c, ca, bc) and (ab, bc, ca), where ab is the unit
+    midpoint of edge ab.  The new vertices follow the old ones, numbered in
+    the order their edges first occur walking the facets and, within a
+    facet, the edges ab, bc, ca.
+    """
     t = (1.0 + np.sqrt(5.0)) / 2.0
     V = np.array([[-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
                   [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
                   [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1]], float)
     V /= np.linalg.norm(V, axis=1)[:, None]
-    F = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)]
-    V = list(map(tuple, V))
+    F = np.array([(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+                  (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+                  (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+                  (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)])
     for _ in range(subdivisions):
-        cache = {}
-        newF = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = 0.5 * (np.array(V[i]) + np.array(V[j]))
-                m /= np.linalg.norm(m)
-                V.append(tuple(m))
-                cache[key] = len(V) - 1
-            return cache[key]
-
-        for a, b, c in F:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            newF += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        F = newF
-    V = np.array(V) * radius
-    return SurfaceMesh(V, np.array(F))
+        # edges ab, bc, ca of every facet, in walking order
+        edges = np.stack([F, np.roll(F, -1, axis=1)], axis=2).reshape(-1, 2)
+        key = np.min(edges, axis=1) * len(V) + np.max(edges, axis=1)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)        # distinct edges, first seen first
+        rank = np.empty(len(first), int)
+        rank[order] = np.arange(len(first))
+        mid = (len(V) + rank[inverse]).reshape(-1, 3)
+        e = edges[first[order]]
+        M = 0.5 * (V[e[:, 0]] + V[e[:, 1]])
+        # the row dot is the arithmetic of np.linalg.norm on one row
+        M /= np.sqrt(np.matmul(M[:, None, :], M[:, :, None]))[:, 0]
+        V = np.concatenate([V, M])
+        ab, bc, ca = mid[:, 0], mid[:, 1], mid[:, 2]
+        F = np.stack([F[:, 0], ab, ca, F[:, 1], bc, ab, F[:, 2], ca, bc,
+                      ab, bc, ca], axis=1).reshape(-1, 3)
+    return SurfaceMesh(V * radius, F)
 
 
 # -- level-set mean curvature ----------------------------------------------

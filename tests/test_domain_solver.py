@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from stimcf import build_preset, build_domain
 from stimcf import solver as sv
-from stimcf.domain import DomainError, subsolution_margin
+from stimcf.domain import (DomainError, _cumulative_trapezoid,
+                           subsolution_margin)
+from stimcf.radial_oracle import RadialProfile
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,63 @@ def test_radial_band_solve_and_norm_match_dense(aniso_dom):
         dense = np.linalg.solve(J, rhs)
         assert (np.max(np.abs(step - dense))
                 <= 1e-9 * np.max(np.abs(dense)))
+
+
+def test_radial_jacobian_reuses_the_residual_stencil_exactly(aniso_dom):
+    # jacobian after residual on the same array takes residual's stencil;
+    # every other call rebuilds it, and the result is bit-identical to a
+    # domain that never evaluated a residual
+    fresh = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                         L=4.0, alpha=1.9, h=1 / 128.)
+    dom = aniso_dom
+    rng = np.random.default_rng(11)
+    x = (np.clip(2 * np.log(dom.r), 0, 2.0)
+         + 0.05 * rng.normal(size=len(dom.r)))[1:-1]
+    y = x + 1e-3 * rng.normal(size=len(x))
+    for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
+                            (0.05, 1.0, "frauendiener")]:
+        ref = fresh.jacobian(x, eps, s, 2.0, variant)
+        ref_y = fresh.jacobian(y, eps, s, 2.0, variant)
+        dom.residual(x, eps, s, 2.0, variant)
+        assert np.array_equal(dom.jacobian(x, eps, s, 2.0, variant), ref)
+        assert dom._memo is None
+        dom.residual(x, 0.5 * eps, s, 2.0, variant)
+        assert np.array_equal(dom.jacobian(x, eps, s, 2.0, variant), ref)
+        dom.residual(x, eps, s, 1.9, variant)
+        assert np.array_equal(dom.jacobian(x, eps, s, 2.0, variant), ref)
+        dom.residual(x, eps, s, 2.0, variant)
+        assert np.array_equal(dom.jacobian(x.copy(), eps, s, 2.0, variant),
+                              ref)
+        dom.residual(x, eps, s, 2.0, variant)
+        assert np.array_equal(dom.jacobian(y, eps, s, 2.0, variant), ref_y)
+        # the band solve leaves J and the right-hand side intact
+        ab, rhs = ref.copy(), -fresh.residual(x, eps, s, 2.0, variant)
+        keep = rhs.copy()
+        dom.solve(ab, rhs)
+        assert np.array_equal(ab, ref) and np.array_equal(rhs, keep)
+
+
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.001, 0.1, 700))
+    y = np.exp(x) * np.sin(9 * x) + rng.normal(size=len(x))
+    cases = [(_cumulative_trapezoid(y, x),
+              cumulative_trapezoid(y, x, initial=0.0)),
+             (_cumulative_trapezoid(y, dx=0.0123),
+              cumulative_trapezoid(y, dx=0.0123, initial=0.0)),
+             # reversed, as the boundary tail integrates inward
+             (_cumulative_trapezoid(y[::-1], dx=0.0123)[::-1],
+              cumulative_trapezoid(y[::-1], dx=0.0123, initial=0.0)[::-1])]
+    for got, want in cases:
+        assert np.array_equal(got, want)
+
+
+def test_nan_start_raises(flat_dom):
+    u = np.full(flat_dom.n_unknowns, 0.5)
+    u[7] = np.nan
+    with pytest.raises(sv.SolverError):
+        sv.newton_solve(flat_dom, 0.02, 1.0, u_init=u, bc=2.0)
 
 
 def test_residual_trivial_states(flat_dom):
@@ -256,6 +315,25 @@ def test_grid_inner_boundary_gradient_reads_the_cells_next_to_e0():
     # ... and u vanishing within three cells of E0 a zero one
     u = np.clip(sdf - 3 * dom.h, 0.0, bc)
     assert dom.boundary_gradients(u, bc)[1] == 0.0
+
+
+def test_grid_h_plus_is_the_metric_mean_curvature_of_e0():
+    # Schwarzschild m = 0.05 around the coordinate sphere r = 1: the radial
+    # profile's H = 1.810769, not the flat 2 / r
+    ids = build_preset("schwarzschild_isotropic", m=0.05)
+    dom = build_domain(ids, {"radius": 1.0}, L=2.2, alpha=1.9, h=1 / 4.,
+                       mode="grid")
+    H = float(RadialProfile.from_initial_data(ids).mean_curvature(1.0))
+    zeros = np.zeros(dom.n_unknowns)
+    assert dom.boundary_gradients(zeros, 0.0)[0] == pytest.approx(H, abs=1e-6)
+    b_L = dom.r_out - 1.0
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(dom.K_cells))))
+    assert dom.feasibility()["eps_theoretical_cap"] == pytest.approx(
+        np.exp(-2.0 * (H + lam + 4.0) * b_L), rel=1e-6)
+    flat = build_domain(build_preset("flat", n=2), {"radius": 1.0}, L=2.2,
+                        alpha=1.9, h=1 / 4., mode="grid")
+    assert flat.boundary_gradients(np.zeros(flat.n_unknowns), 0.0)[0] == \
+        pytest.approx(2.0, abs=1e-6)
 
 
 def test_grid_domain_rejects_offdiagonal_metric():

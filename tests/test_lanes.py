@@ -1,7 +1,10 @@
 """The lane protocol shared by RadialDomain and GridDomain."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,3 +205,15 @@ def test_grid_sweep_matches_the_radial_lane():
     # measured 1.152, against e^0.1 = 1.105 and 1.108 on the radial lane
     assert radius == pytest.approx(np.exp(0.1), rel=0.06)
     assert radius == pytest.approx(wf.level_radius(radial, 0.1), rel=0.06)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate and the scipy.special it loads add about half to the
+    # package's import time; only the oracles use it, on first call
+    code = ("import sys, stimcf, stimcf.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

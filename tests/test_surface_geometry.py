@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,6 +21,23 @@ def aniso():
 
 def sphere_mesh(radius, sub=3):
     return sg.icosphere(radius=radius, subdivisions=sub)
+
+
+# sha256 (first 16 hex digits) of the float64 vertex bytes followed by the
+# int64 facet bytes of icosphere(1.0, k), k = 0..5, as the per-edge
+# midpoint dictionary built them
+ICOSPHERE_DIGESTS = ["62a389080cafe928", "481673dde3c97438",
+                     "7dd349e42486502f", "27b1ccc225fece1f",
+                     "5b47ef76acf1a23e", "c1975dd2c4a5a1f6"]
+
+
+def test_icosphere_is_pinned_bit_for_bit():
+    for k, want in enumerate(ICOSPHERE_DIGESTS):
+        mesh = sg.icosphere(1.0, k)
+        assert mesh.vertices.shape == (10 * 4 ** k + 2, 3)
+        got = hashlib.sha256(mesh.vertices.astype(np.float64).tobytes()
+                             + mesh.facets.astype(np.int64).tobytes())
+        assert got.hexdigest()[:16] == want, f"subdivisions={k}"
 
 
 def test_unit_sphere_H_is_two(flat3):
