@@ -86,13 +86,9 @@ def cmd_flow(args):
     try:
         cfg = parse_config(args.config)
         ids, dom = build_from_config(cfg)
+        ids.validate()
     except (ValueError, DomainError, idm.InitialDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    tr = ids.max_abs_trace()
-    if tr > ids.tol_max:
-        print(f"config error: data is not maximal (sup|tr K| = {tr:.2e})",
-              file=sys.stderr)
         return 2
     try:
         rec = wf.epsilon_sweep(
@@ -109,7 +105,7 @@ def cmd_flow(args):
         print(f"solver non-convergence: {exc}", file=sys.stderr)
         return 3
     wf.detect_jumps(rec)
-    wf.reconstruct_normal_field(rec)
+    normals = wf.reconstruct_normal_field(rec)
     status = 0
     hard = []
     for rep in rec.apriori:
@@ -123,11 +119,13 @@ def cmd_flow(args):
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(f"status {status}\n")
         fh.write(f"cauchy_ok {rec.cauchy_ok}\n")
+        fh.write(f"normals_cauchy {normals.cauchy_ok}\n")
         for j in rec.jumps:
             hr = wf.verify_horizon(rec, j)
             fh.write(f"jump t0={j.value:.17g} outer_radius="
                      f"{j.outer_radius:.17g} max_rel_residual="
-                     f"{hr.max_rel_residual:.17g}\n")
+                     f"{hr.max_rel_residual:.17g} band_excess="
+                     f"{wf.jump_band_excess(rec, j):.17g}\n")
         for v in hard:
             fh.write(f"violation {v}\n")
     print(f"record written to {args.out} (status {status})")
@@ -159,7 +157,6 @@ def cmd_verify(args):
         return 2
     checks = args.check.split(",") if args.check else list(CHECKS)
     wf.detect_jumps(rec)
-    wf.reconstruct_normal_field(rec)
     failures = []
     for ck in checks:
         try:
@@ -177,6 +174,11 @@ def cmd_verify(args):
                       f"{'ok' if ok else 'FAIL'}")
                 if not ok:
                     failures.append(ck)
+                # reported, not gated: a trapped E0 violates the identity
+                for j in rec.jumps:
+                    ai = vr.area_identity_check(rec, j)
+                    print(f"monotone: area identity at t0 = {j.value:.4g}, "
+                          f"relative residual {ai['rel_residual']:.3e}")
             elif ck == "blowdown":
                 scales = _blowdown_scales(rec)
                 if len(scales) < 2:
@@ -269,25 +271,29 @@ def cmd_oracle(args):
     except (idm.InitialDataError, orc.OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.what == "diagnostics":
-        H, P, Phi = prof.sphere_diagnostics(args.radius)
-        print("r,H,P,Phi")
-        print("%.17g,%.17g,%.17g,%.17g" % (args.radius, H, P, Phi))
-    elif args.what == "horizon":
-        root = orc.horizon_root(prof)
-        print("none" if root is None else "%.17g" % root)
-    elif args.what == "trajectory":
-        traj = orc.smooth_flow_ode(prof, args.radius, args.t_end)
-        if args.out:
-            orc.trajectory_csv(traj, args.out)
-            print(f"wrote {args.out} (blowup={traj['blowup']})")
+    try:
+        if args.what == "diagnostics":
+            H, P, Phi = prof.sphere_diagnostics(args.radius)
+            print("r,H,P,Phi")
+            print("%.17g,%.17g,%.17g,%.17g" % (args.radius, H, P, Phi))
+        elif args.what == "horizon":
+            root = orc.horizon_root(prof)
+            print("none" if root is None else "%.17g" % root)
+        elif args.what == "trajectory":
+            traj = orc.smooth_flow_ode(prof, args.radius, args.t_end)
+            if args.out:
+                orc.trajectory_csv(traj, args.out)
+                print(f"wrote {args.out} (blowup={traj['blowup']})")
+            else:
+                print("t,r,H,P,Phi,area")
+                for i in range(len(traj["t"])):
+                    print(",".join("%.17g" % traj[c][i] for c in
+                                   ("t", "r", "H", "P", "Phi", "area")))
         else:
-            print("t,r,H,P,Phi,area")
-            for i in range(len(traj["t"])):
-                print(",".join("%.17g" % traj[c][i]
-                               for c in ("t", "r", "H", "P", "Phi", "area")))
-    else:
-        print(f"unknown oracle query '{args.what}'", file=sys.stderr)
+            print(f"unknown oracle query '{args.what}'", file=sys.stderr)
+            return 2
+    except orc.OracleError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -29,8 +29,7 @@ of the package lives here; callers use only the protocol:
 - geometry read off a solution: ``components(mask)`` (lists of field-point
   indices), ``plateau_radii(sol, comp, t0, knee_floor)``,
   ``plateau_meshes(sol, t0, inner_r, outer_r)``, ``level_mesh(sol, t)``,
-  ``boundary_level_set``, ``tail_normals``, ``extrema_excess``,
-  ``shell_minima``;
+  ``boundary_level_set``, ``tail_normals``, ``extrema_excess``;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 """
@@ -471,13 +470,6 @@ class RadialDomain:
         return (float(np.max(u[1:-1] - mx, initial=0.0)),
                 float(np.max(mn - u[1:-1], initial=0.0)))
 
-    def shell_minima(self, vectors, R_reg, n_shells):
-        """<nu, x/|x|> on geometric shells from R_reg outward."""
-        inner = np.asarray(vectors, float)  # +-1 signs
-        shells = np.geomspace(R_reg, self.r[-1] * 0.98, n_shells)
-        return shells, np.array([float(np.interp(s, self.r, inner))
-                                 for s in shells])
-
 
 class GridDomain:
     """Cell-centered Cartesian lane for diagonal metrics in the chart.
@@ -835,18 +827,6 @@ class GridDomain:
         uact = full[act]
         return (float(np.max(uact - mx, initial=0.0)),
                 float(np.max(mn - uact, initial=0.0)))
-
-    def shell_minima(self, vectors, R_reg, n_shells):
-        """Per shell of width 2h, the least <nu, x/|x|> over its cells."""
-        nu = vectors
-        xhat = self.centers[self.active] / np.maximum(self.r_act, 1e-300)[:, None]
-        ip = np.sum(nu * xhat, axis=1) / np.maximum(
-            np.sqrt(np.sum(nu * nu, axis=1)), 1e-300)
-        shells = np.linspace(R_reg, self.r_out * 0.9, n_shells)
-        mins = np.array([
-            float(np.min(ip[(self.r_act >= s - self.h) & (self.r_act < s + self.h)],
-                         initial=1.0)) for s in shells])
-        return shells, mins
 
 
 def subsolution_margin(prof, alpha, r):

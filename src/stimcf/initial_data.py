@@ -17,6 +17,8 @@ SAMPLE_SEED = 7
 # random directions on each decay shell
 DECAY_DIRS = 32
 DECAY_SEED = 3
+# step of the centred differences of g and K (decay and constraint checks)
+FD_STEP = 1e-4
 
 
 class InitialDataError(ValueError):
@@ -78,9 +80,6 @@ class InitialDataSet:
 
     def inverse_metric(self, x):
         return np.linalg.inv(self.metric(x))
-
-    def sqrt_det_metric(self, x):
-        return np.sqrt(np.linalg.det(self.metric(x)))
 
     def validate(self):
         """Check type invariants (symmetry, positivity, maximality) on samples."""
@@ -278,7 +277,11 @@ def save_grid_data(path, origin, spacing, g_samples, k_samples,
 
 
 def load_grid_data(path):
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise InitialDataError(str(exc))
+    with fh:
         magic = fh.readline().decode().strip()
         if magic != GRID_MAGIC:
             raise InitialDataError(f"not a grid data file: {path}")
@@ -340,8 +343,9 @@ class _GridInterpolant:
 
 # -- diagnostics -----------------------------------------------------------
 
-def _fd_metric_derivs(ids, x, h=1e-4):
+def _fd_metric_derivs(ids, x):
     """Centered first and second derivatives of g at points x."""
+    h = FD_STEP
     x = _as_points(x)
     d = ids.dim
     g0 = ids.metric(x)
@@ -366,7 +370,8 @@ def _fd_metric_derivs(ids, x, h=1e-4):
     return g0, dg, d2g
 
 
-def _fd_form_derivs(ids, x, h=1e-4):
+def _fd_form_derivs(ids, x):
+    h = FD_STEP
     x = _as_points(x)
     d = ids.dim
     dK = np.zeros((len(x), d, d, d))
@@ -377,26 +382,25 @@ def _fd_form_derivs(ids, x, h=1e-4):
     return dK
 
 
-def christoffel(ids, x, h=1e-4):
-    """Christoffel symbols Gamma^a_{bc} by centered differences of g."""
-    g0, dg, _ = _fd_metric_derivs(ids, x, h)
-    ginv = np.linalg.inv(g0)
+def constraint_densities(ids, point):
+    """Energy and momentum densities and the DEC margin at a point.
+
+    Returns (mu, J_vector, dec_margin) with mu = (R + (tr K)^2 - |K|^2)/16pi,
+    J = div_g(K - tr K g)/8pi and margin mu - |J|_g.  A negative margin is a
+    dominant-energy-condition violation and is the caller's to report.  The
+    derivatives of g and K are centred differences with step FD_STEP.
+    """
+    x = _as_points(point)
+    g, dg, d2g = _fd_metric_derivs(ids, x)
+    ginv = np.linalg.inv(g)
+    K = ids.second_form(x)
+    dK = _fd_form_derivs(ids, x)
+    # Christoffel symbols Gamma^d_{bc} = g^{da} Gamma_{abc},
     # Gamma_{abc} = (g_{ab,c} + g_{ac,b} - g_{bc,a})/2
-    low = 0.5 * (np.einsum('mabc->mabc', dg)
-                 + np.einsum('macb->mabc', dg)
-                 - np.einsum('mbca->mabc', dg))
-    return np.einsum('mda,mabc->mdbc', ginv, low)
-
-
-def scalar_curvature(ids, x, h=1e-4):
-    """Scalar curvature by second-order finite differences of the metric."""
-    x = _as_points(x)
-    g0, dg, d2g = _fd_metric_derivs(ids, x, h)
-    ginv = np.linalg.inv(g0)
     low = 0.5 * (dg + np.einsum('macb->mabc', dg) - np.einsum('mbca->mabc', dg))
     Gam = np.einsum('mda,mabc->mdbc', ginv, low)
-    # derivative of Gamma via second derivatives of g (product rule, with
-    # d(ginv) = -ginv dg ginv)
+    # scalar curvature: derivative of Gamma via second derivatives of g
+    # (product rule, with d(ginv) = -ginv dg ginv)
     dlow = 0.5 * (np.einsum('mabce->mabce', d2g)
                   + np.einsum('macbe->mabce', d2g)
                   - np.einsum('mbcae->mabce', d2g))
@@ -408,28 +412,11 @@ def scalar_curvature(ids, x, h=1e-4):
            - np.einsum('mabac->mbc', dGam)
            + np.einsum('maae,mebc->mbc', Gam, Gam)
            - np.einsum('mace,meba->mbc', Gam, Gam))
-    return np.einsum('mbc,mbc->m', ginv, ric)
-
-
-def constraint_densities(ids, point, h=1e-4):
-    """Energy and momentum densities and the DEC margin at a point.
-
-    Returns (mu, J_vector, dec_margin) with mu = (R + (tr K)^2 - |K|^2)/16pi,
-    J = div_g(K - tr K g)/8pi and margin mu - |J|_g.  A negative margin is a
-    dominant-energy-condition violation and is the caller's to report.
-    """
-    x = _as_points(point)
-    R = scalar_curvature(ids, x, h)
-    g = ids.metric(x)
-    ginv = np.linalg.inv(g)
-    K = ids.second_form(x)
-    dK = _fd_form_derivs(ids, x, h)
-    Gam = christoffel(ids, x, h)
+    R = np.einsum('mbc,mbc->m', ginv, ric)
     trK = np.einsum('mij,mij->m', ginv, K)
     Ksq = np.einsum('mia,mjb,mij,mab->m', ginv, ginv, K, K)
     mu = (R + trK ** 2 - Ksq) / (16 * np.pi)
     # pi_{ij} = K_ij - trK g_ij ; (div pi)_j = g^{ia} nabla_a pi_{ij}
-    _, dg, _ = _fd_metric_derivs(ids, x, h)
     dtrK = (np.einsum('mij,mija->ma', ginv, dK)
             - np.einsum('mia,mabe,mbj,mij->me', ginv, dg, ginv, K))
     dpi = dK - np.einsum('ma,mij->mija', dtrK, g) - np.einsum('m,mija->mija', trK, dg)

@@ -175,18 +175,6 @@ def level_set_quadrature(profile, r0, r1):
     return val
 
 
-def arrival_time_function(profile, r0, radii):
-    """u(r) with u(r0) = 0, vectorized over sorted radii via quadrature."""
-    radii = np.asarray(radii, float)
-    out = np.zeros_like(radii)
-    prev_r, prev_u = r0, 0.0
-    order = np.argsort(radii)
-    for idx in order:
-        out[idx] = prev_u + level_set_quadrature(profile, prev_r, radii[idx])
-        prev_r, prev_u = radii[idx], out[idx]
-    return out
-
-
 def horizon_root(profile):
     """Outermost root of H(r) = |P(r)|, or None when H > |P| everywhere.
 

@@ -69,7 +69,7 @@ def save_record(rec, outdir, config=None):
                    "suggestion": rec.suggestion}, fh, indent=1)
     with open(os.path.join(outdir, "jumps.csv"), "w") as fh:
         fh.write("t0,t_lo,t_hi,volume,inner_radius,outer_radius,cells\n")
-        for j in getattr(rec, "jumps", []):
+        for j in rec.jumps:
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (
                 j.value, j.t_lo, j.t_hi, j.volume,
                 j.inner_radius or float("nan"),

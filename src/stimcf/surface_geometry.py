@@ -147,7 +147,8 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
 
     `phi` maps (m, d) points to level values; the extended unit normal field
     is differentiated with the metric volume weight, matching the operator of
-    the level-set formulation exactly.
+    the level-set formulation exactly.  The metric is evaluated once per
+    point set; its inverse and sqrt(det) are read off that one array.
     """
     points = _as_points(points)
     d = points.shape[1]
@@ -156,13 +157,13 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
     def unit_field(x):
         grad = np.stack([(phi(x + shifts[c]) - phi(x - shifts[c])) / (2 * h)
                          for c in range(d)], axis=1)
-        ginv = ids.inverse_metric(x)
-        up = np.einsum('mij,mj->mi', ginv, grad)
+        g = ids.metric(x)
+        up = np.einsum('mij,mj->mi', np.linalg.inv(g), grad)
         norm = np.sqrt(np.maximum(np.einsum('mi,mi->m', up, grad), 1e-300))
-        sg = ids.sqrt_det_metric(x)
+        sg = np.sqrt(np.linalg.det(g))
         return (sg[:, None] * up / norm[:, None])
 
-    sg0 = ids.sqrt_det_metric(points)
+    sg0 = np.sqrt(np.linalg.det(ids.metric(points)))
     div = np.zeros(len(points))
     for c in range(d):
         fp = unit_field(points + shifts[c])[:, c]

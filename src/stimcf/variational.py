@@ -234,19 +234,16 @@ def _dinic_cut(problem):
 
 # -- domain-backed set problems ------------------------------------------------
 
-def radial_set_problem(dom, core_radius, omega_radius, p_field=None):
-    """Shell cells on a radial domain; exact metric areas and volumes.
-
-    p_field: |P_nu| per node (defaults to the radial-normal value |kappa_r|).
-    """
+def radial_set_problem(dom, core_radius, omega_radius):
+    """Shell cells on a radial domain; exact metric areas and volumes, and
+    gains |P_nu| = |kappa_r| (the radial-normal value) times the volume."""
     r, a, b, n = dom.r, dom.a, dom.b, dom.n
     ncell = len(r) - 1
     omega = sphere_area(n)
     areas = omega * (b * r) ** n          # at nodes = faces of the shells
     vols = omega * 0.5 * (((b * r) ** n * a)[:-1] + ((b * r) ** n * a)[1:]) * dom.h
-    if p_field is None:
-        p_field = np.abs(dom.kr)
-    pcell = 0.5 * (p_field[:-1] + p_field[1:])
+    p_node = np.abs(dom.kr)
+    pcell = 0.5 * (p_node[:-1] + p_node[1:])
     gains = pcell * vols
     pairs = np.stack([np.arange(ncell - 1), np.arange(1, ncell)], 1)
     weights = areas[1:-1]

@@ -79,6 +79,7 @@ class FlowRecord:
         self.cauchy_ok = None
         self.suggestion = None
         self.jumps = []
+        self.truncation_plateaus = []
         self.normal_field = None
 
     @property
@@ -272,7 +273,7 @@ def reconstruct_normal_field(rec):
     direction is used.
     """
     dom = rec.domain
-    if not rec.jumps and not getattr(rec, "truncation_plateaus", []):
+    if not rec.jumps and not rec.truncation_plateaus:
         detect_jumps(rec)
     vec, turn = dom.tail_normals([g for (_, _, g) in rec.tail])
     plateau = np.zeros(len(turn), bool)

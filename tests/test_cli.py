@@ -41,6 +41,16 @@ def flat_record(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def aniso_record(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli_aniso")
+    cfg = base / "aniso.cfg"
+    cfg.write_text(ANISO_CFG)
+    out = base / "rec"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
 def test_flow_quickstart_exit_zero(flat_record):
     assert (flat_record / "manifest.txt").exists()
     assert (flat_record / "u.f64").exists()
@@ -89,6 +99,11 @@ def test_flow_rejects_unknown_preset(tmp_path, capsys):
         "preset = flat", "preset = custom_grid"), "unknown preset")
 
 
+def test_flow_rejects_missing_grid_file(tmp_path, capsys):
+    _flow_rejects_config(tmp_path, capsys, FLAT_CFG + "grid_file = "
+                         f"{tmp_path / 'missing.grid'}\n", "config error")
+
+
 def test_flow_rejects_unknown_key(tmp_path, capsys):
     for key in ("bogus_key", "grad_tol_factor", "tol_h_rel", "tol_min_rel",
                 "probe_times_flowtime"):
@@ -109,6 +124,27 @@ def test_every_config_key_is_read():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and id(node) not in in_table}
     assert sorted(set(cli.CONFIG_KEYS) - used) == []
+
+
+def test_flow_report_reads_the_normals_and_the_jump_band(flat_record,
+                                                       aniso_record):
+    flat = (flat_record / "report.txt").read_text().splitlines()
+    assert "normals_cauchy True" in flat
+    assert not [line for line in flat if line.startswith("jump ")]
+    aniso = (aniso_record / "report.txt").read_text().splitlines()
+    jumps = [line for line in aniso if line.startswith("jump ")]
+    assert len(jumps) == 1
+    # a genuine plateau stays below one cell layer
+    assert float(jumps[0].split("band_excess=")[1]) < 1.0
+
+
+def test_verify_monotone_reports_the_area_identity(aniso_record, capsys):
+    assert cli.main(["verify", str(aniso_record), "--check", "monotone"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "area identity" in line]
+    assert len(lines) == 1
+    # E0 is trapped, so |dE0+| falls short of |dE0| + the bulk term
+    assert float(lines[0].rsplit(" ", 1)[1]) < 0
 
 
 def test_verify_fresh_record_passes(flat_record):
@@ -169,6 +205,15 @@ def test_oracle_queries(capsys):
     assert H == pytest.approx(1.0) and P == pytest.approx(-6 / 65)
     assert cli.main(["oracle", "trajectory", "--preset", "flat", "--n", "2",
                      "--radius", "1.0", "--t-end", "0.5"]) == 0
+
+
+def test_oracle_query_errors_are_config_errors(capsys):
+    # a radius outside the profile domain, and a trapped start sphere
+    for argv in (["diagnostics", "--preset", "flat", "--radius", "0"],
+                 ["trajectory", "--preset", "paper_anisotropic",
+                  "--radius", "1.0"]):
+        assert cli.main(["oracle", *argv]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_manifest_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """The lane protocol shared by RadialDomain and GridDomain."""
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import stimcf
 from stimcf import build_preset, build_domain
 from stimcf import weak_flow as wf
 from stimcf.domain import GridDomain, RadialDomain, outer_radius
@@ -115,6 +117,52 @@ def test_only_the_continuity_method_starts_a_sweep_chain_cold():
             if "start" not in {kw.arg for kw in node.keywords}]
     assert not cold, f"descend without start=: {', '.join(cold)}"
     assert len(calls_to("continuation_solve")) == 1
+
+
+# public functions that no run calls yet, each with the reason it stays
+NO_CALLER_YET = {
+    "classify": "labels MOTS and MITS; ROADMAP item 4 gives it a caller",
+    "extract_level_sets": "the grid-vs-radial level-set test reads its "
+                          "meshes",
+}
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _name_counts(tree, strings=False):
+    """How often each name or attribute is read in a tree, and with
+    `strings` each string constant."""
+    counts = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            counts[node.value] += 1
+    return counts
+
+
+def test_every_public_function_has_a_caller():
+    # a public top-level function must be referenced outside its own
+    # definition: from the package, from the benchmark (spans.py names its
+    # targets by string), from stimcf.__all__ (the declared API), or be
+    # listed in NO_CALLER_YET
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    package = sum((_name_counts(tree) for tree in trees),
+                  collections.Counter())
+    outside = set(stimcf.__all__)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        outside |= set(_name_counts(ast.parse(path.read_text()), strings=True))
+    uncalled = [node.name for tree in trees for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and node.name not in outside
+                and package[node.name] == _name_counts(node)[node.name]]
+    assert sorted(set(uncalled) - set(NO_CALLER_YET)) == []
+    # an entry that has found a caller leaves the list
+    assert sorted(set(NO_CALLER_YET) - set(uncalled)) == []
 
 
 # public names of one lane only: the radial lane's boundary measures and

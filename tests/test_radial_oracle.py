@@ -80,8 +80,10 @@ def test_quadrature_flat_logarithm(profiles):
 def test_quadrature_schwarzschild_from_horizon(profiles):
     # finite increasing arrival times from the minimal surface
     prof = profiles["schwarzschild_isotropic"]
-    radii = np.array([1.0, 2.0, 4.0])
-    u = orc.arrival_time_function(prof, 0.5, radii)
+    radii = [0.5, 1.0, 2.0, 4.0]
+    steps = [orc.level_set_quadrature(prof, r0, r1)
+             for r0, r1 in zip(radii[:-1], radii[1:])]
+    u = np.cumsum(steps)
     assert np.all(np.diff(u) > 0)
     # closed form: integral of phi^2 H = (2/r)(1 - m/2r)/(1 + m/2r)
     from scipy.integrate import quad

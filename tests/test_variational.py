@@ -331,7 +331,7 @@ def test_set_functional_flat_level_sets_constant(flat_rec):
     dom = flat_rec.domain
     bulk = vr.frozen_bulk(flat_rec)
     prob = vr.radial_set_problem(dom, core_radius=1.0 + dom.h,
-                                 omega_radius=5.0, p_field=bulk)
+                                 omega_radius=5.0)
     centers = prob.shell_centers
     cell_bulk = 0.5 * (bulk[:-1] + bulk[1:]) * prob.shell_volumes
     vals = []
