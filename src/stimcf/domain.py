@@ -18,9 +18,12 @@ of the package lives here; callers use only the protocol:
   max-row-sum norm the Newton floor reads), ``initial_guess`` for a cold
   start; J is whatever the lane's ``solve`` takes (a LAPACK band array on
   the radial lane, a sparse matrix on grids).  ``jacobian`` may reuse the
-  stencil that ``residual`` built on the same interior array object, so a
-  caller must not modify that array in place between the two calls;
-  ``solve(J, rhs)`` leaves both J and rhs intact;
+  stencil that ``residual`` built on the same interior array object (the
+  radial lane keys it on that object, eps, bc and s), so a caller must not
+  modify that array in place between the two calls; ``solve(J, rhs)``
+  leaves both J and rhs intact.  Where the K-term vanishes (``k_is_zero()``
+  or s = 0) both variants are sqrt(W^2), and the radial lane evaluates no
+  K-term there;
 - fields over the field points: ``full_field``, ``gradient`` (signed d/dr
   over a on the radial lane, the per-axis stack on grids),
   ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
@@ -68,25 +71,31 @@ def rhs_value(W2, T, s, variant):
 
     stimcf:        sqrt(W^2 + s T^2)
     frauendiener:  W/2 + sqrt(W^2 + 4 s T^2)/2
-    with W^2 = eps^2 + |grad u|^2 and T the K-contraction term; both reduce
-    to W when K vanishes.
+    with W^2 = eps^2 + |grad u|^2 and T the K-contraction term.  Both reduce
+    to W when the K-term vanishes; T = None says that it does (K = 0, or
+    s = 0), and then no K-term is evaluated.
     """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant '{variant}'")
+    if T is None:
+        return np.sqrt(W2)
     if variant == "stimcf":
         return np.sqrt(W2 + s * T ** 2)
-    if variant == "frauendiener":
-        return 0.5 * np.sqrt(W2) + 0.5 * np.sqrt(W2 + 4.0 * s * T ** 2)
-    raise DomainError(f"unknown operator variant '{variant}'")
+    return 0.5 * np.sqrt(W2) + 0.5 * np.sqrt(W2 + 4.0 * s * T ** 2)
 
 
 def rhs_derivs(W2, T, s, variant):
-    """(dR/dW2, dR/dT) for the chosen right-hand side."""
+    """(dR/dW2, dR/dT) for the chosen right-hand side; dR/dT is None when T
+    is (no K-term)."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant '{variant}'")
+    if T is None:
+        return 0.5 / np.sqrt(W2), None
     if variant == "stimcf":
         R = np.sqrt(W2 + s * T ** 2)
         return 0.5 / R, s * T / R
-    if variant == "frauendiener":
-        root = np.sqrt(W2 + 4.0 * s * T ** 2)
-        return 0.25 / np.sqrt(W2) + 0.25 / root, 2.0 * s * T / root
-    raise DomainError(f"unknown operator variant '{variant}'")
+    root = np.sqrt(W2 + 4.0 * s * T ** 2)
+    return 0.25 / np.sqrt(W2) + 0.25 / root, 2.0 * s * T / root
 
 
 def outer_radius(L, alpha, R0):
@@ -133,6 +142,15 @@ class RadialDomain:
     with second-order centered differences.  The unknowns form a chain, so
     the Jacobian is tridiagonal and the lane keeps it in LAPACK band storage
     from assembly to solve.
+
+    ``residual`` and ``jacobian`` share one fused kernel, ``_stencil``: one
+    pass of in-place array operations over the chain, with no workspace
+    kept between calls.  When K vanishes identically or s = 0 the kernel
+    skips the K-term and both variants are sqrt(eps^2 + |grad u|^2).
+    ``residual`` leaves its stencil in a memo keyed on (interior array
+    object, eps, bc, s), since the shortcut makes the stencil depend on s
+    (not on the variant); ``jacobian`` takes it on a match and clears the
+    memo on every call.
     """
 
     kind = "radial"
@@ -161,11 +179,11 @@ class RadialDomain:
         self.A = (self.b * self.r) ** self.n
         self.af = 0.5 * (self.a[1:] + self.a[:-1])
         self.Af = 0.5 * (self.A[1:] + self.A[:-1])
-        # interior node volumes (per unit sphere area) and their reciprocals
-        self._vol = self.A[1:-1] * self.a[1:-1] * self.h
-        self._inv_vol = 1.0 / self._vol
+        # reciprocal interior node volumes (per unit sphere area)
+        self._inv_vol = 1.0 / (self.A[1:-1] * self.a[1:-1] * self.h)
+        self._k_free = self.k_is_zero()
         self.n_unknowns = N - 1
-        self._memo = None     # (interior, eps, bc, stencil) of ``residual``
+        self._memo = None     # (interior, eps, bc, s, stencil) of ``residual``
         self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
 
     # fields over the nodes -------------------------------------------------
@@ -199,60 +217,93 @@ class RadialDomain:
         return area_in, area_out, vol
 
     # discrete operator -----------------------------------------------------
-    def _stencil(self, interior, eps, bc):
-        """The face slopes du and weights Wf, and at the interior nodes the
-        centred metric gradient Gc, W2 = eps^2 + Gc^2 and the ratio T."""
-        u = self.full_field(interior, bc)
-        du = np.diff(u) / self.h
-        Gc = (u[2:] - u[:-2]) / (2 * self.h) / self.a[1:-1]
-        G2 = Gc ** 2
-        Wf = np.sqrt(eps ** 2 + (du / self.af) ** 2)
-        W2 = eps ** 2 + G2
-        T = G2 * self.kr[1:-1] / W2
-        return du, Wf, Gc, W2, T
+    def _stencil(self, interior, eps, bc, s):
+        """One pass over the chain.  On the faces: the flux F = A q / Wf of
+        the slope q = (du/dr) / a, with Wf = sqrt(eps^2 + q^2).  At the
+        interior nodes: the centred metric gradient Gc, W2 = eps^2 + Gc^2
+        and the K-ratio T = Gc^2 kappa_r / W2, which is None when the K-term
+        vanishes (K = 0, or s = 0).  Returns (F, (Wf, Gc, W2, T))."""
+        e2 = eps * eps
+        q = np.empty(len(interior) + 1)
+        np.subtract(interior[1:], interior[:-1], out=q[1:-1])
+        q[0] = interior[0]
+        q[-1] = bc - interior[-1]
+        q /= self.h
+        Gc = q[1:] + q[:-1]
+        Gc *= 0.5
+        Gc /= self.a[1:-1]
+        q /= self.af
+        Wf = q * q
+        Wf += e2
+        np.sqrt(Wf, out=Wf)
+        q *= self.Af
+        q /= Wf
+        W2 = Gc * Gc
+        T = None if self._k_free or s == 0 else W2 * self.kr[1:-1]
+        W2 += e2
+        if T is not None:
+            T /= W2
+        return q, (Wf, Gc, W2, T)
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
         """The operator at the interior nodes; its stencil stays for a
         ``jacobian`` call on the same array (see there)."""
-        st = self._stencil(interior, eps, bc)
-        self._memo = (interior, eps, bc, st)
-        du, Wf, _, W2, T = st
-        F = self.Af * du / (self.af * Wf)
-        div = (F[1:] - F[:-1]) / self._vol
-        return div - rhs_value(W2, T, s, variant)
+        F, st = self._stencil(interior, eps, bc, s)
+        _, _, W2, T = st
+        R = rhs_value(W2, T, s, variant)
+        self._memo = (interior, eps, bc, s, st)
+        res = F[1:] - F[:-1]
+        res *= self._inv_vol
+        res -= R
+        return res
 
     def jacobian(self, interior, eps, s, bc, variant="stimcf"):
         """The tridiagonal Jacobian as a (3, N) LAPACK band array:
         ``ab[1 + i - j, j] = J[i, j]``, so row 0 holds the superdiagonal
         (ab[0, 0] unused), row 1 the diagonal and row 2 the subdiagonal
-        (ab[2, -1] unused).
+        (ab[2, -1] unused); both unused entries are zero.
 
-        The stencil does not depend on s or the variant: when the last
-        ``residual`` call had this same array object, eps and bc, its
-        stencil is reused, so the caller must not have modified the array
-        in place since (``newton_solve`` never does).  The memo is dropped
-        either way.
+        When the last ``residual`` call had this same array object, eps, bc
+        and s, its stencil is reused, so the caller must not have modified
+        the array in place since (``newton_solve`` never does).  The memo is
+        dropped either way.
         """
-        h, af, Af, a, kr = self.h, self.af, self.Af, self.a, self.kr
         memo, self._memo = self._memo, None
-        if (memo is not None and memo[0] is interior and memo[1] == eps
-                and memo[2] == bc):
-            _, Wf, Gc, W2, T = memo[3]
+        if (memo is not None and memo[0] is interior
+                and memo[1:4] == (eps, bc, s)):
+            Wf, Gc, W2, T = memo[4]
         else:
-            _, Wf, Gc, W2, T = self._stencil(interior, eps, bc)
-        dF = Af * eps ** 2 / (af * Wf ** 3) / h
+            Wf, Gc, W2, T = self._stencil(interior, eps, bc, s)[1]
+        e2 = eps * eps
+        # dF/du across a face: A eps^2 / (a Wf^3 h)
+        dF = Wf * Wf
+        dF *= Wf
+        dF *= self.af
+        np.divide(self.Af, dF, out=dF)
+        dF *= e2 / self.h
+        # the right-hand side through G2 = Gc^2 (T = G2 k / W2, so dT/dG2 =
+        # k eps^2 / W2^2), and Gc through the centred difference
+        g, dRdT = rhs_derivs(W2, T, s, variant)
+        if T is not None:
+            dRdT *= self.kr[1:-1]
+            dRdT *= e2
+            dRdT /= W2
+            dRdT /= W2
+            g += dRdT
+        g *= Gc
+        g /= self.a[1:-1]
+        g /= self.h
         ci = self._inv_vol
-        dRdW2, dRdT = rhs_derivs(W2, T, s, variant)
-        # T = G2 k/(eps^2 + G2): dT/dG2 = k eps^2 / W2^2
-        dRdG2 = dRdW2 + dRdT * kr[1:-1] * eps ** 2 / W2 ** 2
-        gcent = dRdG2 * Gc / (h * a[1:-1])
-        dlo = ci * dF[:-1] + gcent
-        dhi = ci * dF[1:] - gcent
-        dd = -ci * (dF[1:] + dF[:-1])
-        ab = np.zeros((3, len(dd)))
-        ab[0, 1:] = dhi[:-1]
-        ab[1] = dd
-        ab[2, :-1] = dlo[1:]
+        ab = np.empty((3, len(g)))
+        up, mid, lo = ab[0, 1:], ab[1], ab[2, :-1]
+        np.multiply(ci[:-1], dF[1:-1], out=up)
+        up -= g[:-1]
+        np.multiply(ci[1:], dF[1:-1], out=lo)
+        lo += g[1:]
+        np.add(dF[1:], dF[:-1], out=mid)
+        mid *= ci
+        np.negative(mid, out=mid)
+        ab[0, 0] = ab[2, -1] = 0.0
         return ab
 
     def solve(self, J, rhs):
@@ -262,9 +313,8 @@ class RadialDomain:
 
     def norm_inf(self, J):
         """Max row sum of |J| from the band array."""
-        rows = np.zeros(J.shape[1])
-        rows[1:] = np.abs(J[2, :-1])
-        rows += np.abs(J[1])
+        rows = np.abs(J[1])
+        rows[1:] += np.abs(J[2, :-1])
         rows[:-1] += np.abs(J[0, 1:])
         return float(np.max(rows))
 
@@ -845,8 +895,7 @@ def _pointwise_margin(ids, x, alpha):
     nu = x / r[:, None]
     H = sg.level_set_mean_curvature(ids, x,
                                     lambda p: np.linalg.norm(p, axis=1))
-    g = ids.metric(x)
-    ginv = np.linalg.inv(g)
+    ginv = ids.inverse_metric(x)
     K = ids.second_form(x)
     gradv_sq = alpha ** 2 * np.einsum('mij,mi,mj->m', ginv, nu, nu) / r ** 2
     # unit g-normal of the coordinate sphere

@@ -32,6 +32,29 @@ def _as_points(x):
     return x
 
 
+def inverse_and_det(g):
+    """(g^-1, det g) of a stack of (m, d, d) matrices with d <= 3.
+
+    Both come from the cofactors: C[i, j] = g[i+1, j+1] g[i+2, j+2] -
+    g[i+1, j+2] g[i+2, j+1] with indices mod 3 (and the signed 2 x 2
+    minors for d = 2), det g = g[0] . C[0] and g^-1 = C^T / det g.
+    """
+    g = np.asarray(g, dtype=float)
+    d = g.shape[-1]
+    if d == 1:
+        cof = np.ones_like(g)
+    elif d == 2:
+        cof = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    elif d == 3:
+        i1, i2 = [1, 2, 0], [2, 0, 1]
+        a, b = g[..., i1, :], g[..., i2, :]
+        cof = a[..., i1] * b[..., i2] - a[..., i2] * b[..., i1]
+    else:
+        raise InitialDataError(f"closed-form inverse needs d <= 3, got {d}")
+    det = np.einsum('...j,...j->...', g[..., 0, :], cof[..., 0, :])
+    return np.swapaxes(cof, -1, -2) / det[..., None, None], det
+
+
 class InitialDataSet:
     """The triple (M, g, K) in an asymptotic chart.
 
@@ -79,7 +102,7 @@ class InitialDataSet:
         return self._second_form(_as_points(x))
 
     def inverse_metric(self, x):
-        return np.linalg.inv(self.metric(x))
+        return inverse_and_det(self.metric(x))[0]
 
     def validate(self):
         """Check type invariants (symmetry, positivity, maximality) on samples."""
@@ -392,7 +415,7 @@ def constraint_densities(ids, point):
     """
     x = _as_points(point)
     g, dg, d2g = _fd_metric_derivs(ids, x)
-    ginv = np.linalg.inv(g)
+    ginv = inverse_and_det(g)[0]
     K = ids.second_form(x)
     dK = _fd_form_derivs(ids, x)
     # Christoffel symbols Gamma^d_{bc} = g^{da} Gamma_{abc},

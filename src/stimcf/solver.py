@@ -6,8 +6,11 @@ Cold starts come from the transport profile (arrival-time quadrature of the
 sphere speed), which is what makes them reliable at moderate epsilon; very
 small epsilon is reached by ``descend``, a warm chain down a list of eps.
 
-There is one globalization: ``newton_solve`` is an Armijo-damped Newton
-loop that returns its last iterate unconverged when the line search fails.
+There is one globalization: ``newton_solve`` halves its step until the
+merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,
+section 6.5) and returns its last iterate unconverged when that fails.
+Only the line search reads f; the stopping test is the max-norm residual
+against max(tol, the float64 floor below).
 Recovery has one home, ``descend`` (warm start, cold retry, log-eps walk):
 every eps chain, the two continuity endpoints of ``continuation_solve``
 included, chooses its next start there.
@@ -23,6 +26,7 @@ import numpy as np
 TOL_NEWTON = 1e-9
 MAX_NEWTON = 60
 MAX_BACKTRACK = 30
+ARMIJO = 1e-4            # sufficient-decrease constant of the line search
 FLOOR_FACTOR = 20.0
 WALK_MIN_RATIO = 0.98       # descend's log-eps walk stops at finer steps
 _EPS = np.finfo(float).eps
@@ -65,10 +69,12 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     u_init is an interior vector (boundary data is imposed, not solved for);
     None selects the domain's cold start (the transport profile on the
     radial lane).  Each iteration assembles the Jacobian at the current
-    iterate, stops there if the residual is below max(tol, floor), and
-    otherwise halves the Newton step until the max-norm residual drops by
-    the Armijo factor.  The solve gives up at the first failed line search,
-    at a non-finite step or after MAX_NEWTON steps, and returns that iterate
+    iterate and stops there if the max-norm residual is below max(tol,
+    floor).  Otherwise it halves the step lam s from lam = 1 until the merit
+    f = 1/2 ||F||_2^2 passes f(u + lam s) < (1 - 2 ARMIJO lam) f(u): the
+    fraction ARMIJO of the decrease the linear model predicts along the
+    Newton step s.  The solve gives up at the first failed line search, at
+    a non-finite step or after MAX_NEWTON steps, and returns that iterate
     unconverged with a diagnostic (naming the feasibility bound when eps
     exceeds it); what to try next is the caller's decision.  A non-finite
     residual or Jacobian (a NaN start, say) raises SolverError before the
@@ -84,6 +90,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
     if len(u) != dom.n_unknowns:
         raise SolverError("initial guess has the wrong number of unknowns")
     res = dom.residual(u, eps, s, bc, variant)
+    merit = 0.5 * float(res @ res)
     nrm = float(np.max(np.abs(res)))
     for it in range(MAX_NEWTON + 1):
         J = dom.jacobian(u, eps, s, bc, variant)
@@ -106,13 +113,14 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         for _ in range(MAX_BACKTRACK):
             ut = u + lam * step
             rt = dom.residual(ut, eps, s, bc, variant)
-            nt = float(np.max(np.abs(rt)))
-            if np.isfinite(nt) and nt < (1.0 - 1e-4 * lam) * nrm:
+            mt = 0.5 * float(rt @ rt)
+            if np.isfinite(mt) and mt < (1.0 - 2.0 * ARMIJO * lam) * merit:
                 break
             lam *= 0.5
         else:
             break       # the line search failed
-        u, res, nrm = ut, rt, nt
+        u, res, merit = ut, rt, mt
+        nrm = float(np.max(np.abs(res)))
     return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
                           diagnostic=_nonconvergence_note(dom, eps),
                           variant=variant)

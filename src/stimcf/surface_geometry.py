@@ -10,7 +10,7 @@ spheres in the flat chart.
 
 import numpy as np
 
-from .initial_data import _as_points
+from .initial_data import _as_points, inverse_and_det
 
 
 class SurfaceError(ValueError):
@@ -157,13 +157,12 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
     def unit_field(x):
         grad = np.stack([(phi(x + shifts[c]) - phi(x - shifts[c])) / (2 * h)
                          for c in range(d)], axis=1)
-        g = ids.metric(x)
-        up = np.einsum('mij,mj->mi', np.linalg.inv(g), grad)
+        ginv, det = inverse_and_det(ids.metric(x))
+        up = np.einsum('mij,mj->mi', ginv, grad)
         norm = np.sqrt(np.maximum(np.einsum('mi,mi->m', up, grad), 1e-300))
-        sg = np.sqrt(np.linalg.det(g))
-        return (sg[:, None] * up / norm[:, None])
+        return (np.sqrt(det)[:, None] * up / norm[:, None])
 
-    sg0 = np.sqrt(np.linalg.det(ids.metric(points)))
+    sg0 = np.sqrt(inverse_and_det(ids.metric(points))[1])
     div = np.zeros(len(points))
     for c in range(d):
         fp = unit_field(points + shifts[c])[:, c]

@@ -257,11 +257,9 @@ def level_radius(rec, t):
 # -- normal reconstruction ----------------------------------------------------
 
 class NormalField:
-    def __init__(self, vectors, cauchy_ok, max_angle, plateau_mask):
+    def __init__(self, vectors, cauchy_ok):
         self.vectors = vectors
         self.cauchy_ok = cauchy_ok
-        self.max_angle = max_angle
-        self.plateau_mask = plateau_mask
 
 
 def reconstruct_normal_field(rec):
@@ -279,11 +277,8 @@ def reconstruct_normal_field(rec):
     plateau = np.zeros(len(turn), bool)
     for j in rec.jumps:
         plateau[j.cells] = True
-    if plateau.any():
-        cauchy = bool(np.all(turn[plateau] <= NORMAL_ANGLE_TOL_DEG))
-        field = NormalField(vec, cauchy, float(np.max(turn[plateau])), plateau)
-    else:
-        field = NormalField(vec, True, 0.0, plateau)
+    field = NormalField(vec, bool(np.all(turn[plateau]
+                                         <= NORMAL_ANGLE_TOL_DEG)))
     rec.normal_field = field
     return field
 
@@ -291,11 +286,10 @@ def reconstruct_normal_field(rec):
 # -- horizon verification -----------------------------------------------------
 
 class HorizonReport:
-    def __init__(self, radius, max_rel_residual, weak_inner_ok, per_facet):
+    def __init__(self, radius, max_rel_residual, weak_inner_ok):
         self.radius = radius
         self.max_rel_residual = max_rel_residual
         self.weak_inner_ok = weak_inner_ok
-        self.per_facet = per_facet
 
     @property
     def passed(self):
@@ -334,7 +328,7 @@ def verify_horizon(rec, jump):
                                 level_set=dom.boundary_level_set())
         weak_ok = bool(np.median(jump.inner_mesh.H)
                        >= np.abs(np.median(jump.inner_mesh.P)) - TOL_HORIZON)
-    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok, rel)
+    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok)
 
 
 # -- structural invariants ----------------------------------------------------

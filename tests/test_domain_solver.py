@@ -53,26 +53,70 @@ def _band_to_dense(ab):
     return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 
 
-def test_radial_jacobian_matches_fd(aniso_dom):
+def _reference_residual(dom, interior, eps, s, bc, variant):
+    """The radial operator as plain array expressions, with its row scale:
+    the sum of the magnitudes of the terms each row adds up."""
+    u = dom.full_field(interior, bc)
+    du = np.diff(u) / dom.h
+    Gc = (u[2:] - u[:-2]) / (2 * dom.h) / dom.a[1:-1]
+    G2 = Gc ** 2
+    Wf = np.sqrt(eps ** 2 + (du / dom.af) ** 2)
+    W2 = eps ** 2 + G2
+    T = G2 * dom.kr[1:-1] / W2
+    F = dom.Af * du / (dom.af * Wf)
+    vol = dom.A[1:-1] * dom.a[1:-1] * dom.h
+    if variant == "stimcf":
+        R = np.sqrt(W2 + s * T ** 2)
+    else:
+        R = 0.5 * np.sqrt(W2) + 0.5 * np.sqrt(W2 + 4.0 * s * T ** 2)
+    scale = (np.abs(F[1:]) + np.abs(F[:-1])) / vol + R
+    return (F[1:] - F[:-1]) / vol - R, scale
+
+
+def test_fused_residual_matches_the_reference(flat_dom, aniso_dom):
+    # both variants, the K-free shortcut (K = 0, or s = 0) and the K-term
+    rng = np.random.default_rng(17)
+    for dom in (flat_dom, aniso_dom):
+        base = np.clip(2 * np.log(dom.r), 0, 2.0)[1:-1]
+        for s in (0.0, 0.3, 1.0):
+            for variant in ("stimcf", "frauendiener"):
+                for eps in (0.05, 1e-3):
+                    x = base + 0.05 * rng.normal(size=len(base))
+                    want, scale = _reference_residual(dom, x, eps, s, 2.0,
+                                                      variant)
+                    got = dom.residual(x, eps, s, 2.0, variant)
+                    assert np.max(np.abs(got - want) / scale) < 1e-12
+
+
+def test_radial_jacobian_matches_fd(flat_dom, aniso_dom):
+    # the K-term at s > 0, and the K-free shortcut at s = 0 and on K = 0
     rng = np.random.default_rng(3)
-    dom = aniso_dom
-    u = np.clip(2 * np.log(dom.r), 0, 2.0) + 0.05 * rng.normal(size=len(dom.r))
-    u[0], u[-1] = 0.0, 2.0
-    for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
-                            (0.05, 1.0, "frauendiener")]:
-        J = _band_to_dense(dom.jacobian(u[1:-1], eps, s, u[-1], variant))
-        d = 1e-6
-        cols = rng.choice(len(u) - 2, 25, replace=False)
-        for j in cols:
-            up = u.copy()
-            up[j + 1] += d
-            um = u.copy()
-            um[j + 1] -= d
-            col = (dom.residual(up[1:-1], eps, s, up[-1], variant)
-                   - dom.residual(um[1:-1], eps, s, um[-1], variant)) / (2 * d)
-            denom = max(1.0, np.max(np.abs(col)))
-            # a wrong term shows up at O(1); FD truncation sits far below
-            assert np.max(np.abs(col - J[:, j])) / denom < 5e-4
+    for dom, cases in [
+            (aniso_dom, [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
+                         (0.05, 1.0, "frauendiener"), (0.05, 0.0, "stimcf"),
+                         (0.05, 0.0, "frauendiener")]),
+            (flat_dom, [(0.05, 1.0, "stimcf"), (0.02, 1.0, "frauendiener")])]:
+        u = (np.clip(2 * np.log(dom.r), 0, 2.0)
+             + 0.05 * rng.normal(size=len(dom.r)))
+        u[0], u[-1] = 0.0, 2.0
+        for eps, s, variant in cases:
+            _check_jacobian_columns(dom, u, eps, s, variant, rng)
+
+
+def _check_jacobian_columns(dom, u, eps, s, variant, rng):
+    J = _band_to_dense(dom.jacobian(u[1:-1], eps, s, u[-1], variant))
+    d = 1e-6
+    cols = rng.choice(len(u) - 2, 25, replace=False)
+    for j in cols:
+        up = u.copy()
+        up[j + 1] += d
+        um = u.copy()
+        um[j + 1] -= d
+        col = (dom.residual(up[1:-1], eps, s, up[-1], variant)
+               - dom.residual(um[1:-1], eps, s, um[-1], variant)) / (2 * d)
+        denom = max(1.0, np.max(np.abs(col)))
+        # a wrong term shows up at O(1); FD truncation sits far below
+        assert np.max(np.abs(col - J[:, j])) / denom < 5e-4
 
 
 def test_radial_band_solve_and_norm_match_dense(aniso_dom):
@@ -126,6 +170,9 @@ def test_radial_jacobian_reuses_the_residual_stencil_exactly(aniso_dom):
                               ref)
         dom.residual(x, eps, s, 2.0, variant)
         assert np.array_equal(dom.jacobian(y, eps, s, 2.0, variant), ref_y)
+        # the s = 0 stencil has no K-term, so s is part of the key
+        dom.residual(x, eps, 0.0, 2.0, variant)
+        assert np.array_equal(dom.jacobian(x, eps, s, 2.0, variant), ref)
         # the band solve leaves J and the right-hand side intact
         ab, rhs = ref.copy(), -fresh.residual(x, eps, s, 2.0, variant)
         keep = rhs.copy()
@@ -226,6 +273,28 @@ def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
     # one Jacobian per Newton step plus the one that judged the last
     # iterate: an unconverged solve runs no phase beyond the Newton loop
     assert len(calls) <= sol.iterations + 1
+
+
+@pytest.mark.parametrize("m, e0", [(1.0, 0.6), (0.5, 0.3)])
+def test_apriori_matrix_needs_no_recovery_on_schwarzschild(m, e0,
+                                                          monkeypatch):
+    # the criterion-4 matrix (its eps and s lists, h = 1/128): every warm
+    # start of every chain converges, so descend never retries cold or walks
+    dom = build_domain(build_preset("schwarzschild_isotropic", m=m),
+                       {"radius": e0}, L=4.0, alpha=1.5, h=1 / 128.)
+    solves = []
+    newton_solve = sv.newton_solve
+
+    def counted(*args, **kwargs):
+        sol = newton_solve(*args, **kwargs)
+        solves.append(sol.converged)
+        return sol
+
+    monkeypatch.setattr(sv, "newton_solve", counted)
+    out = sv.apriori_matrix(dom, [0.25, 0.5, 0.75, 1.0],
+                            list(np.geomspace(3e-2, 3e-5, 7)))
+    assert len(out) == 28
+    assert solves and all(solves), f"{solves.count(False)} unconverged"
 
 
 def test_apriori_window_on_converged_solves(aniso_dom):

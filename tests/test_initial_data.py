@@ -161,3 +161,24 @@ def test_grid_file_rejects_asymmetric(tmp_path):
     with pytest.raises(idm.InitialDataError):
         idm.save_grid_data(path, origin=(0, 0, 0), spacing=0.5,
                            g_samples=g[..., :2, :2], k_samples=K)
+
+
+def _assert_matches_linalg(g):
+    # relative to each matrix's largest entry, so zero off-diagonals count
+    inv, det = idm.inverse_and_det(g)
+    want = np.linalg.inv(g)
+    scale = np.max(np.abs(want), axis=(-2, -1))[:, None, None]
+    assert np.max(np.abs(inv - want) / scale) < 1e-12
+    assert_allclose(det, np.linalg.det(g), rtol=1e-12, atol=0)
+
+
+def test_inverse_and_det_match_linalg():
+    for name, kw in [("flat", {"n": 1}), ("flat", {"n": 2}),
+                     ("schwarzschild_isotropic", {"m": 1.0}),
+                     ("paper_anisotropic", {})]:
+        ids = idm.build_preset(name, **kw)
+        _assert_matches_linalg(ids.metric(ids.sample_points()))
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3):
+        a = rng.normal(size=(200, d, d))
+        _assert_matches_linalg(a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d))

@@ -255,6 +255,31 @@ def test_grid_sweep_matches_the_radial_lane():
     assert radius == pytest.approx(wf.level_radius(radial, 0.1), rel=0.06)
 
 
+def test_benchmark_spans_see_the_radial_newton_layers():
+    # the traced benchmark times the operator, the assembly and the linear
+    # solve by wrapping them where they are looked up at call time; a solve
+    # that bypassed those names would leave its layers reading zero
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from stimcf import solver as sv
+    dom = build_domain(build_preset("flat", n=2), {"radius": 1.0}, L=4.0,
+                       alpha=1.9, h=1 / 32.)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sol = sv.newton_solve(dom, 0.02, 1.0)
+    finally:
+        tracer.uninstall()
+    assert sol.converged
+    for layer in ("domain.residual", "domain.jacobian",
+                  "solver.linear_solve"):
+        assert tracer.stats[layer]["calls"] >= 1, layer
+    assert tracer.stats["solver.newton_solve"]["calls"] == 1
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate and the scipy.special it loads add about half to the
     # package's import time; only the oracles use it, on first call
