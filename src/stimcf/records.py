@@ -163,8 +163,7 @@ def load_record(record_dir):
     bc = float(man["bc"])
     eps_last = float(man["eps_last"])
     sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc,
-                            float(man["residual_norm"]), 0, True, 0.0,
-                            variant=rec.variant)
+                            float(man["residual_norm"]), 0, True, 0.0)
     rec.solution = sol
     rec.tail = [(eps_last, u.copy(), dom.gradient(u, bc))]
     p_im = os.path.join(record_dir, "u_imcf.f64")

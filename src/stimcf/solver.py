@@ -1,19 +1,18 @@
 """Damped Newton solves of the regularized level-set problem.
 
 The operator family follows the continuity method: parameter s in [0, 1]
-scales the anisotropic K-term, and the outer Dirichlet value is s (L - 2).
+scales the anisotropic K-term.  One driver, ``continuation_solve``, walks s
+up at the top eps, then a warm chain (``descend``) walks eps down each s.
 Cold starts come from the transport profile (arrival-time quadrature of the
-sphere speed), which is what makes them reliable at moderate epsilon; very
-small epsilon is reached by ``descend``, a warm chain down a list of eps.
+sphere speed), which is what makes them reliable at moderate epsilon.
 
 There is one globalization: ``newton_solve`` halves its step until the
 merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,
 section 6.5) and returns its last iterate unconverged when that fails.
 Only the line search reads f; the stopping test is the max-norm residual
 against max(tol, the float64 floor below).
-Recovery has one home, ``descend`` (warm start, cold retry, log-eps walk):
-every eps chain, the two continuity endpoints of ``continuation_solve``
-included, chooses its next start there.
+Recovery has one home, ``descend`` (warm start, cold retry, log-eps walk),
+and only the driver calls it.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -40,8 +39,7 @@ class ScalarSolution:
     """A discrete solution u_(eps, s) with its convergence metadata."""
 
     def __init__(self, domain, interior, eps, s, bc, residual_norm,
-                 iterations, converged, floor, diagnostic=None,
-                 variant="stimcf"):
+                 iterations, converged, floor, diagnostic=None):
         self.domain = domain
         self.interior = interior
         self.eps = float(eps)
@@ -52,7 +50,6 @@ class ScalarSolution:
         self.converged = bool(converged)
         self.floor = float(floor)
         self.diagnostic = diagnostic
-        self.variant = variant
 
     def full_field(self):
         """Values at the field points, boundary data included."""
@@ -97,8 +94,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0)))
                  * dom.norm_inf(J))
         if nrm < max(tol, floor):
-            return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor,
-                                  variant=variant)
+            return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor)
         if it == MAX_NEWTON:
             break
         if not (np.isfinite(nrm) and np.isfinite(floor)):
@@ -122,8 +118,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         u, res, merit = ut, rt, mt
         nrm = float(np.max(np.abs(res)))
     return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
-                          diagnostic=_nonconvergence_note(dom, eps),
-                          variant=variant)
+                          diagnostic=_nonconvergence_note(dom, eps))
 
 
 def _nonconvergence_note(dom, eps):
@@ -135,27 +130,40 @@ def _nonconvergence_note(dom, eps):
     return "Newton stalled away from the float64 floor"
 
 
-def continuation_solve(dom, eps, tol=TOL_NEWTON, variant="stimcf"):
-    """The continuity method's two endpoints at fixed eps and bc = L - 2.
+def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
+                       variant="stimcf"):
+    """The continuity method over an (eps, s) grid: s up, then eps down.
 
-    s scales the anisotropic operator term (equivalently the data
-    K -> sqrt(s) K).  The s = 0 solve is the pure inverse-mean-curvature
-    regularization from the cold start; the s = 1 solve starts from it.
-    Each is one ``descend`` step, so a failed start gets that chain's
-    recovery.  When K vanishes identically only the s = 1 solve runs (the
-    operator family is then s-independent).  Returns (solution at s = 1,
-    trace rows (s, iterations, residual, ok), solution at s = 0 or None).
+    The boundary value is s (L - 2), or ``bc`` for every s; with a fixed
+    ``bc`` and K = 0 s has no effect and only the largest s runs.  The eps
+    chain is eps_values descending, halved to ratios of at most 2 for reliable
+    warm steps.  At its top each s is one ``descend`` step from the previous
+    s's solution scaled by the ratio of boundary values (cold for the first s
+    and after bc = 0).  Returns ({s: top solution}, the top rows (s,
+    iterations, residual, ok), {s: the lazy ``descend`` chain below its top}).
     """
-    sol, trace = None, []
-    for s in ([1.0] if dom.k_is_zero() else [0.0, 1.0]):
-        imcf = sol      # the s = 0 endpoint, once s = 1 starts from it
-        sol, rows = next(descend(dom, s, [eps], bc=dom.L - 2.0, start=sol,
-                                 tol=tol, variant=variant))
+    chain = []
+    for e in sorted(eps_values, reverse=True):
+        while chain and chain[-1] / e > 2.0 * (1 + 1e-12):
+            chain.append(chain[-1] / 2.0)
+        chain.append(e)
+    if bc is not None and dom.k_is_zero():
+        s_values = [max(s_values)]
+    tops, trace, chains, prev = {}, [], {}, None
+    for s in sorted(s_values):
+        b = s * (dom.L - 2.0) if bc is None else float(bc)
+        start = None if prev is None or prev.bc == 0.0 else ScalarSolution(
+            dom, prev.interior * (b / prev.bc), prev.eps, s, b,
+            prev.residual_norm, 0, prev.converged, prev.floor)
+        chains[s] = descend(dom, s, chain, bc=b, start=start, tol=tol,
+                            variant=variant)
+        prev, rows = next(chains[s])
+        tops[s] = prev
         trace += rows
-    return sol, trace, imcf
+    return tops, trace, chains
 
 
-def descend(dom, s, eps_values, bc=None, start=None, tol=TOL_NEWTON,
+def descend(dom, s, eps_values, bc, start=None, tol=TOL_NEWTON,
             variant="stimcf"):
     """Walk a descending eps list at fixed (s, bc), one converged solve each.
 
@@ -277,25 +285,17 @@ def apriori_monitor(dom, sol, imcf_reference=None):
 def apriori_matrix(dom, s_values, eps_values):
     """Solve the boundary-scaled family u_(eps, s) over an (eps, s) grid.
 
-    For each s one ``descend`` walks the eps axis from the top, so every
-    recovery (cold retry, log-eps walk, the cold start at 2 eps above the
-    top) is the chain's.  Returns {(eps, s): AprioriReport} with the
-    solutions attached; every solve must converge.
+    One ``continuation_solve`` with bc = s (L - 2); every solve must
+    converge.  Returns {(eps, s): AprioriReport} over the requested pairs,
+    with the solutions attached.
     """
-    eps_values = sorted(eps_values, reverse=True)
-    # warm stepping is reliable at ratios up to ~2: densify the internal
-    # chain, reporting only the requested epsilon values
-    chain_eps = [eps_values[0]]
-    for nxt in eps_values[1:]:
-        while chain_eps[-1] / nxt > 2.0 * (1 + 1e-12):
-            chain_eps.append(chain_eps[-1] / 2.0)
-        chain_eps.append(nxt)
+    tops, _, chains = continuation_solve(dom, s_values, eps_values)
     requested = set(eps_values)
     out = {}
-    for s in sorted(s_values):
-        for eps, (sol, _) in zip(chain_eps, descend(dom, s, chain_eps)):
-            if eps in requested:
+    for s, top in tops.items():
+        for sol in [top] + [sol for sol, _ in chains[s]]:
+            if sol.eps in requested:
                 rep = apriori_monitor(dom, sol)
                 rep.solution = sol
-                out[(eps, s)] = rep
+                out[(sol.eps, s)] = rep
     return out

@@ -1,10 +1,10 @@
 """Drive the regularization to zero and read off the weak flow.
 
-The sweep solves the continuity method's two endpoints (s = 0, then s = 1)
-at the top epsilon rung and walks a warm chain down the rest
-(``solver.descend``, where every failed start is recovered).  It tracks
-the Cauchy deltas of u and the share of field points where |grad u| grows
-(the compactness hypotheses are monitored, not proven), and keeps the
+The sweep is one ``solver.continuation_solve`` at the fixed boundary value
+L - 2: the endpoints s = 0 and s = 1 at the top epsilon rung, then a warm
+chain down the rest from each, where every failed start is recovered.  It
+tracks the Cauchy deltas of u and the share of field points where |grad u|
+grows (the compactness hypotheses are monitored, not proven), and keeps the
 gradient tail needed to reconstruct the unit normal across plateaus.  Jump
 regions are plateaus of the metric gradient; their outer boundary radius is
 located by value-crossing extrapolation, which resolves the horizon well
@@ -102,8 +102,7 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
                   tol_newton=sv.TOL_NEWTON, variant="stimcf"):
     """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
 
-    The top rung is ``solver.continuation_solve`` at eps0.  Two
-    ``solver.descend`` chains walk the later rungs from its endpoints: the
+    One ``solver.continuation_solve`` at bc = L - 2 gives both chains: the
     flow at s = 1 and the IMCF reference at s = 0 (when K vanishes the
     operator does not depend on s and the flow chain is the IMCF chain).
     A schedule that cannot start (unknown variant, eps0 or eps_last not
@@ -124,23 +123,16 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
         raise FlowConfigError(
             f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
             f"not above the feasibility bound {feas['eps_max']:.3g}")
-    schedule = [e]
-    while e > eps_last:
-        e = max(e / 2.0, eps_last)
-        schedule.append(e)
     try:
-        top, trace, imcf_top = sv.continuation_solve(
-            dom, schedule[0], tol=tol_newton, variant=variant)
+        tops, trace, chains = sv.continuation_solve(
+            dom, [0.0, 1.0], [e, eps_last], bc=dom.L - 2.0, tol=tol_newton,
+            variant=variant)
     except sv.SolverError as exc:
-        raise FlowError(f"cold start failed at eps={schedule[0]:.3g} ({exc}); "
+        raise FlowError(f"cold start failed at eps={e:.3g} ({exc}); "
                         "check alpha/L (domain size) and resolution") from exc
-    bc = dom.L - 2.0
-    flow = itertools.chain([(top, trace)], sv.descend(
-        dom, 1.0, schedule[1:], bc=bc, start=top, tol=tol_newton,
-        variant=variant))
-    imcf = None if imcf_top is None else itertools.chain(
-        [imcf_top], (sol for sol, _ in sv.descend(
-            dom, 0.0, schedule[1:], bc=bc, start=imcf_top, tol=tol_newton)))
+    flow = itertools.chain([(tops[1.0], trace)], chains[1.0])
+    imcf = None if 0.0 not in tops else itertools.chain(
+        [tops[0.0]], (sol for sol, _ in chains[0.0]))
     rec = FlowRecord(dom, variant)
     prev = None
     prev_grad = None

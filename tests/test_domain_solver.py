@@ -339,16 +339,67 @@ def test_second_order_convergence_against_fine_reference():
 
 
 def test_continuation_trace_and_k_zero_collapse(flat_dom, aniso_dom):
-    sol, trace, imcf = sv.continuation_solve(flat_dom, 0.03)
+    tops, trace, _ = sv.continuation_solve(flat_dom, [0.0, 1.0], [0.03],
+                                           bc=flat_dom.L - 2.0)
     assert [row[0] for row in trace] == [1.0]
-    assert imcf is None
-    sol2, trace2, imcf2 = sv.continuation_solve(aniso_dom, 0.03)
+    assert list(tops) == [1.0]
+    tops2, trace2, _ = sv.continuation_solve(aniso_dom, [0.0, 1.0], [0.03],
+                                             bc=aniso_dom.L - 2.0)
     assert [row[0] for row in trace2] == [0.0, 1.0]
     assert all(row[3] for row in trace2)
+    sol2, imcf2 = tops2[1.0], tops2[0.0]
     assert sol2.converged and sol2.s == 1.0
     # the s = 0 endpoint is the IMCF solve the s = 1 one started from
     assert imcf2.converged and (imcf2.s, imcf2.eps) == (0.0, 0.03)
     assert imcf2.bc == sol2.bc == aniso_dom.L - 2.0
+
+
+def _record_solves(monkeypatch):
+    """Record (eps, s, u_init, solution) of every newton_solve."""
+    newton_solve = sv.newton_solve
+    calls = []
+
+    def recorded(dom, eps, s, u_init=None, **kwargs):
+        sol = newton_solve(dom, eps, s, u_init=u_init, **kwargs)
+        calls.append((eps, s, u_init, sol))
+        return sol
+
+    monkeypatch.setattr(sv, "newton_solve", recorded)
+    return calls
+
+
+def test_apriori_matrix_starts_only_its_first_s_cold_at_the_top(
+        aniso_dom, monkeypatch):
+    # the criterion-4 matrix on the anisotropic data: each later s starts
+    # from the previous s scaled to its boundary value, where a cold start
+    # at eps = 3e-2 runs all MAX_NEWTON iterations unconverged
+    eps_grid = list(np.geomspace(3e-2, 3e-5, 7))
+    calls = _record_solves(monkeypatch)
+    out = sv.apriori_matrix(aniso_dom, [0.25, 0.5, 0.75, 1.0], eps_grid)
+    assert len(out) == 28
+    assert all(rep.solution.converged for rep in out.values())
+    # a cold top for every s would add 3 x 60 unconverged iterations
+    assert sum(sol.iterations for *_, sol in calls) <= 600
+    assert sum(not sol.converged for *_, sol in calls) <= 2
+    cold_at_top = [s for eps, s, u_init, _ in calls
+                   if eps == eps_grid[0] and u_init is None]
+    assert cold_at_top == [0.25]
+
+
+def test_apriori_matrix_starts_cold_after_a_zero_boundary_value(
+        monkeypatch):
+    # s = 0 has bc = 0, so the next s cannot scale it: it starts cold
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=4.0, alpha=1.9, h=1 / 64.)
+    calls = _record_solves(monkeypatch)
+    out = sv.apriori_matrix(dom, [0.0, 0.5], [3e-2, 1e-3])
+    assert sorted(out) == [(1e-3, 0.0), (1e-3, 0.5), (3e-2, 0.0),
+                           (3e-2, 0.5)]
+    assert all(rep.solution.converged for rep in out.values())
+    assert all(np.all(np.isfinite(u_init)) for _, _, u_init, _ in calls
+               if u_init is not None)
+    assert [s for eps, s, u_init, _ in calls
+            if eps == 3e-2 and u_init is None] == [0.0, 0.5]
 
 
 def test_grid_jacobian_matches_fd():

@@ -104,19 +104,25 @@ def test_newton_solve_has_one_recovery_home():
 
 
 def test_only_the_continuity_method_starts_a_sweep_chain_cold():
-    # every eps chain of the sweep continues from a solution it is handed;
-    # the one cold start is continuation_solve's, at the top rung
-    calls = [node for node in ast.walk(ast.parse(
-        (SRC / "weak_flow.py").read_text())) if isinstance(node, ast.Call)]
-
-    def calls_to(name):
-        return [node for node in calls if name in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-
-    cold = [f"weak_flow.py:{node.lineno}" for node in calls_to("descend")
+    # one driver solves the (eps, s) family: descend, where every chain
+    # chooses its starts, is called only by continuation_solve, and the
+    # sweep and the a-priori matrix each call that driver once
+    calls = collections.defaultdict(list)
+    for name in ("solver.py", "weak_flow.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = (getattr(node.func, "id", None)
+                              or getattr(node.func, "attr", None))
+                    calls[callee].append((getattr(top, "name", "<module>"),
+                                          node))
+    assert {owner for owner, _ in calls["descend"]} == {"continuation_solve"}
+    cold = [node.lineno for _, node in calls["descend"]
             if "start" not in {kw.arg for kw in node.keywords}]
-    assert not cold, f"descend without start=: {', '.join(cold)}"
-    assert len(calls_to("continuation_solve")) == 1
+    assert not cold, f"descend without start= at solver.py:{cold}"
+    assert sorted(owner for owner, _ in calls["continuation_solve"]) == [
+        "apriori_matrix", "epsilon_sweep"]
 
 
 # public functions that no run calls yet, each with the reason it stays
