@@ -193,7 +193,8 @@ def cmd_verify(args):
             elif ck == "horizon":
                 for j in rec.jumps:
                     hr = wf.verify_horizon(rec, j)
-                    print(f"horizon: {hr}")
+                    labels = ", ".join(sorted(hr.labels))
+                    print(f"horizon: {hr} labels {labels}")
                     if not hr.passed:
                         failures.append(ck)
                 if not rec.jumps:

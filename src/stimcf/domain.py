@@ -12,7 +12,8 @@ the radial nodes strictly inside, or all active cells.  Every lane decision
 of the package lives here; callers use only the protocol:
 
 - the annulus: ``r_out`` (radius of the outer boundary sphere), ``L``,
-  ``alpha``, ``R0``, ``h``;
+  ``alpha``, ``R0``, ``h`` (the cell width up to ``r_g``), ``r_g`` (the
+  radius beyond which the radial lane stretches its nodes; inf on grids);
 - operator: ``residual`` and ``jacobian`` of (interior, eps, s, bc,
   variant), ``solve(J, rhs)`` for the linear step, ``norm_inf(J)`` (the
   max-row-sum norm the Newton floor reads), ``initial_guess`` for a cold
@@ -56,6 +57,10 @@ PLATEAU_SUBDIVISIONS = 4
 LEVEL_SUBDIVISIONS = 3
 CIRCLE_SEGMENTS = 512
 VARIANTS = ("stimcf", "frauendiener")   # the right-hand sides of rhs_value
+# radial grading: r_g is this many times the radius where the s = 0
+# transport time reaches L - 2, found on this many fixed points
+GRADE_CLEARANCE = 2.0
+GRADE_SCAN_POINTS = 8193
 
 
 class DomainError(ValueError):
@@ -133,15 +138,55 @@ def _feasibility(area, vol, H_plus, lam, C1, b_L):
     }
 
 
+def _grade_radius(prof, r_in, r_out, L):
+    """Radius beyond which the radial nodes are stretched: GRADE_CLEARANCE
+    times the radius where the s = 0 transport time int a max(H, 0) dr
+    first reaches L - 2.
+
+    The integral runs on GRADE_SCAN_POINTS fixed points over [r_in, r_out],
+    so the radius does not depend on the spacing h.  It reaches L - 2
+    before r_out: beyond the anchor R0 the subsolution margin gives
+    a H > alpha / r, so the integral gains more than alpha ln(r_out / R0)
+    = L there.
+    """
+    rr = np.linspace(r_in, r_out, GRADE_SCAN_POINTS)
+    speed = np.asarray(prof.data.a(rr), float) * np.maximum(
+        prof.mean_curvature(rr), 0.0)
+    t = _cumulative_trapezoid(speed, rr)
+    k = int(np.searchsorted(t, L - 2.0))
+    w = (L - 2.0 - t[k - 1]) / (t[k] - t[k - 1])
+    return GRADE_CLEARANCE * float(rr[k - 1] + w * (rr[k] - rr[k - 1]))
+
+
 class RadialDomain:
     """Nodes r_in .. r_out with warped-product metric samples.
+
+    The nodes are uniform in a coordinate x with spacing ``h``, and r(x) is
+    the C^1 graded map
+
+        r = x                      for x <= r_g,
+        r = r_g / (2 - x / r_g)    beyond, so dr/dx = (r / r_g)^2,
+
+    with x_out = r_g (2 - r_g / r_out) and the last node set to r_out
+    exactly.  ``r`` holds the physical node radii, and ``a`` is the metric
+    factor of x, a_phys(r) dr/dx: the flux, the node volumes a (b r)^n h and
+    every difference over ``h`` are then the physical ones, so the operator
+    below is written once, in x.  Up to r_g the spacing in r is h.  Beyond
+    the radius where the s = 0 transport time first reaches L - 2, u is
+    only the eps-scale tail next to its boundary value, a far field that no
+    diagnostic reads; r_g is GRADE_CLEARANCE = 2 times that radius.  With
+    a factor of 1.5 the a-priori window's solves and the second-order
+    refinement check fail, and with 1 the gradient-tail check as well: the
+    eps-scale tail and the coarse solves of a refinement study still need
+    uniform cells past that radius.  When r_g >= r_out the nodes are the
+    uniform ``np.linspace(r_in, r_out, N + 1)``.
 
     The discrete operator is the face-flux form of
     div_g( grad u / sqrt(eps^2 + |grad u|^2) )
       - sqrt( eps^2 + |grad u|^2 + s (grad u . K . grad u / (eps^2+|grad u|^2))^2 )
-    with second-order centered differences.  The unknowns form a chain, so
-    the Jacobian is tridiagonal and the lane keeps it in LAPACK band storage
-    from assembly to solve.
+    with second-order centered differences in x.  The unknowns form a
+    chain, so the Jacobian is tridiagonal and the lane keeps it in LAPACK
+    band storage from assembly to solve.
 
     ``residual`` and ``jacobian`` share one fused kernel, ``_stencil``: one
     pass of in-place array operations over the chain, with no workspace
@@ -165,15 +210,24 @@ class RadialDomain:
         self.R0 = float(R0)
         self.r_in = float(r_in)
         self.r_out = outer_radius(L, alpha, R0)
-        N = int(round((self.r_out - self.r_in) / h))
+        self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
+        self.r_g = _grade_radius(self.profile, self.r_in, self.r_out, self.L)
+        x_out = (self.r_g * (2.0 - self.r_g / self.r_out)
+                 if self.r_g < self.r_out else self.r_out)
+        N = int(round((x_out - self.r_in) / h))
         if N < 8:
             raise DomainError("domain too thin for the stencil")
         # land the outer boundary exactly on the last node so refinement
         # studies compare identical problems (h shifts by < h/2N)
-        self.h = (self.r_out - self.r_in) / N
-        self.r = np.linspace(self.r_in, self.r_out, N + 1)
+        self.h = (x_out - self.r_in) / N
+        x = np.linspace(self.r_in, x_out, N + 1)
+        far = x > self.r_g
+        self.r = x
+        self.r[far] = self.r_g / (2.0 - x[far] / self.r_g)
+        self.r[-1] = self.r_out
         rad = ids.radial
         self.a = np.asarray(rad.a(self.r), float)
+        self.a[far] *= (self.r[far] / self.r_g) ** 2
         self.b = np.asarray(rad.b(self.r), float)
         self.kr = np.asarray(rad.kappa_r(self.r), float)
         self.A = (self.b * self.r) ** self.n
@@ -184,7 +238,6 @@ class RadialDomain:
         self._k_free = self.k_is_zero()
         self.n_unknowns = N - 1
         self._memo = None     # (interior, eps, bc, s, stencil) of ``residual``
-        self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
 
     # fields over the nodes -------------------------------------------------
     @property
@@ -199,14 +252,15 @@ class RadialDomain:
         return u
 
     def gradient(self, interior, bc):
-        """Signed du/dr over a at the nodes (centered, one-sided at the
-        ends); its absolute value is |grad u|_g."""
-        return np.gradient(self.full_field(interior, bc), self.r) / self.a
+        """Signed du/dx over a at the nodes (centered, one-sided at the
+        ends), which is du/dr over a_phys; its absolute value is
+        |grad u|_g."""
+        return np.gradient(self.full_field(interior, bc), self.h) / self.a
 
     metric_gradient = gradient
 
     def volumes(self):
-        """Dual volumes of the nodes, metric measure a (b r)^n dr dOmega."""
+        """Dual volumes of the nodes, metric measure a (b r)^n dx dOmega."""
         return sphere_area(self.n) * self.A * self.a * self.h
 
     def boundary_measures(self):
@@ -321,7 +375,7 @@ class RadialDomain:
     def initial_guess(self, s, bc, eps):
         """Arrival-time profile of the radial transport problem, capped at bc.
 
-        Integrates a(r) sqrt(max(H^2 - s P^2, 0)) where the sphere is
+        Integrates a sqrt(max(H^2 - s P^2, 0)) dx where the sphere is
         mean-convex.  Candidates are the hard cap, a smooth minimum at the
         regularization scale (no artificial kink where the profile meets the
         boundary value) and the boundary-tail join; the one with the
@@ -330,7 +384,7 @@ class RadialDomain:
         H = self.profile.mean_curvature(self.r)
         P = self.profile.k_trace(self.r)
         speed = np.sqrt(np.maximum(H ** 2 - s * P ** 2, 0.0)) * (H > 0)
-        ut = _cumulative_trapezoid(self.a * speed, self.r)
+        ut = _cumulative_trapezoid(self.a * speed, dx=self.h)
         candidates = [np.clip(ut, 0.0, bc)]
         width = max(10.0 * eps, 1e-6)
         soft = np.clip(bc - width * np.logaddexp(0.0, (bc - ut) / width), 0.0, bc)
@@ -362,7 +416,7 @@ class RadialDomain:
         def build(C):
             q0 = np.clip(C / A, 1e-9, 0.999999)
             source = eps * A * a / np.sqrt(1.0 - np.minimum(q0, 0.99) ** 2)
-            Aq = C + _cumulative_trapezoid(source, r)
+            Aq = C + _cumulative_trapezoid(source, dx=self.h)
             q = np.clip(Aq / A, 1e-9, 0.999999)
             sl = a * q * eps / np.sqrt(1.0 - q * q)
             drop = _cumulative_trapezoid(sl[::-1], dx=self.h)[::-1]
@@ -546,6 +600,7 @@ class GridDomain:
         self.e0_radius = float(e0_radius)
         self.r_out = outer_radius(L, alpha, R0)
         self.h = float(h)
+        self.r_g = np.inf       # not graded: every cell has width h
         half = self.r_out + 2 * h
         m = int(np.ceil(2 * half / h))
         if m % 2:

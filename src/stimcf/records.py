@@ -88,6 +88,7 @@ def save_record(rec, outdir, config=None):
     manifest["domain.L"] = "%.17g" % dom.L
     manifest["domain.alpha"] = "%.17g" % dom.alpha
     manifest["domain.R0"] = "%.17g" % dom.R0
+    manifest["domain.grade_radius"] = "%.17g" % dom.r_g
     for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv"):
         p = os.path.join(outdir, name)
         if os.path.exists(p):
@@ -153,6 +154,11 @@ def load_record(record_dir):
                        alpha=float(man["domain.alpha"]),
                        h=float(man["domain.h"]),
                        mode=man["domain.kind"])
+    # the same node count with other radii would otherwise load silently
+    r_g = man.get("domain.grade_radius")
+    if r_g != "%.17g" % dom.r_g:
+        raise RecordError(f"record grade radius {r_g} differs from the "
+                          f"rebuilt domain's {dom.r_g:.17g}")
     rec = FlowRecord(dom, man.get("variant", "stimcf"))
     u = read_array(os.path.join(record_dir, "u.f64"))
     if u.shape != (dom.n_unknowns,):

@@ -226,8 +226,9 @@ def spacetime_mean_curvature(surf):
     return surf.Phi, surf.theta_plus, surf.theta_minus
 
 
-def classify(surf, tol=None):
-    """Classify the surface from facet medians of H, P, theta+-.
+def classify(surf, tol):
+    """Classify the surface from facet medians of H, P, theta+- against the
+    absolute tolerance `tol`.
 
     Returns a set drawn from {untrapped, trapped, MOTS, MITS,
     generalized_horizon}; a MOTS or MITS is in particular a generalized
@@ -239,9 +240,6 @@ def classify(surf, tol=None):
     P = float(np.median(surf.P))
     tp = float(np.median(surf.theta_plus))
     tm = float(np.median(surf.theta_minus))
-    if tol is None:
-        scale = max(abs(H), abs(P), 1e-12)
-        tol = 1e-3 * scale
     labels = set()
     if abs(tp) <= tol:
         labels.add("MOTS")

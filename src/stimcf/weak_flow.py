@@ -278,10 +278,11 @@ def reconstruct_normal_field(rec):
 # -- horizon verification -----------------------------------------------------
 
 class HorizonReport:
-    def __init__(self, radius, max_rel_residual, weak_inner_ok):
+    def __init__(self, radius, max_rel_residual, weak_inner_ok, labels):
         self.radius = radius
         self.max_rel_residual = max_rel_residual
         self.weak_inner_ok = weak_inner_ok
+        self.labels = labels      # ``classify`` at the TOL_HORIZON scale
 
     @property
     def passed(self):
@@ -299,7 +300,8 @@ def verify_horizon(rec, jump):
     Per-facet residuals use the outward normals of the boundary mesh; the
     inner boundary is tested for the weak inequality H >= |P_nu| only where
     it coincides with the hull boundary (disjoint horizons make that check
-    vacuous).
+    vacuous).  The outer boundary is labelled by ``classify`` with the same
+    relative tolerance, TOL_HORIZON times the median scale.
     """
     dom = rec.domain
     if jump.outer_mesh is None:
@@ -313,6 +315,7 @@ def verify_horizon(rec, jump):
     scale = np.maximum(np.maximum(np.abs(H), np.abs(P)),
                        rec.ids.n / max(jump.outer_radius, 1e-12))
     rel = np.abs(H - np.abs(P)) / scale
+    labels = sg.classify(mesh, tol=TOL_HORIZON * float(np.median(scale)))
     coincide = (jump.outer_radius - jump.inner_radius) < 2.5 * dom.h
     weak_ok = True
     if coincide and jump.inner_mesh is not None:
@@ -320,7 +323,8 @@ def verify_horizon(rec, jump):
                                 level_set=dom.boundary_level_set())
         weak_ok = bool(np.median(jump.inner_mesh.H)
                        >= np.abs(np.median(jump.inner_mesh.P)) - TOL_HORIZON)
-    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok)
+    return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok,
+                         labels)
 
 
 # -- structural invariants ----------------------------------------------------

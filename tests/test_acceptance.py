@@ -239,3 +239,33 @@ def test_criterion_9_frauendiener_variant(records):
           and bt.nonincreasing() and bt.errors[-1] < 0.1)
     report(9, ok, f"jump-set gaps ({gap_in:.2e}, {gap_out:.2e}) vs cell "
                   f"{h:.2e}; blowdown errors {np.round(bt.errors, 5).tolist()}")
+
+
+def test_diagnostics_read_inside_the_uniform_zone(records):
+    """Every radius a gate reads lies below the grade radius, where the
+    spacing is h; so the uses of dom.h as a cell length (the a-priori
+    slack, plateau_radii, verify_horizon, jump_band_excess,
+    minimality_test, the criterion-7 floor and the criterion-9 gate) need
+    no local spacing."""
+    read = {key: [j.outer_radius for j in rec.jumps]
+            + [wf.level_radius(rec, rec.valid_time_range()[1])]
+            for key, rec in records.items()}
+    for key in ("aniso", "aniso_fr", "schw_deep"):
+        read[key].append(asym.DEFAULT_ANNULUS[1] / 0.125)   # blowdown
+    for key in ("flat64", "flat128"):
+        read[key].append(3.0)                               # criterion 1
+    read["aniso"].append(3.0)                               # hull omega
+    for key, radii in read.items():
+        r_g = records[key].domain.r_g
+        assert r_g < records[key].domain.r_out
+        assert max(radii) < r_g, (key, radii, r_g)
+
+
+# outer jump radii on the uniform grid (r_g = r_out), before the grading
+UNIFORM_JUMP_RADII = {"aniso": 1.164742, "schw_jump": 0.503661}
+
+
+def test_graded_jump_radii_match_the_uniform_grid(records):
+    for key, r_uniform in UNIFORM_JUMP_RADII.items():
+        dom = records[key].domain
+        assert abs(records[key].jumps[0].outer_radius - r_uniform) <= dom.h

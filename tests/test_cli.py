@@ -147,6 +147,34 @@ def test_verify_monotone_reports_the_area_identity(aniso_record, capsys):
     assert float(lines[0].rsplit(" ", 1)[1]) < 0
 
 
+def test_verify_horizon_prints_the_labels(aniso_record, capsys):
+    assert cli.main(["verify", str(aniso_record), "--check", "horizon"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("horizon:")]
+    assert len(lines) == 1
+    assert lines[0].endswith("labels MOTS, generalized_horizon")
+
+
+def test_graded_record_rebuilds_its_radii(aniso_record, tmp_path):
+    import shutil
+    rec = records.load_record(str(aniso_record))
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=6.0, alpha=1.9, h=0.0078125)
+    assert dom.r_g < dom.r_out
+    assert rec.domain.r_g == dom.r_g
+    assert np.array_equal(rec.domain.r, dom.r)
+    # a manifest whose grade radius differs from the rebuilt one is refused
+    edited = tmp_path / "edited"
+    shutil.copytree(aniso_record, edited)
+    manifest = edited / "manifest.txt"
+    key = "domain.grade_radius = %.17g" % dom.r_g
+    assert key in manifest.read_text()
+    manifest.write_text(manifest.read_text().replace(
+        key, "domain.grade_radius = %.17g" % (2 * dom.r_g)))
+    with pytest.raises(records.RecordError, match="grade radius"):
+        records.load_record(str(edited))
+
+
 def test_verify_fresh_record_passes(flat_record):
     status = cli.main(["verify", str(flat_record)])
     assert status == 0

@@ -196,6 +196,58 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name, kw", [("flat", {"n": 2}),
+                                      ("paper_anisotropic", {})])
+def test_graded_grid_geometry(name, kw):
+    ids = build_preset(name, **kw)
+    doms = [build_domain(ids, {"radius": 1.0}, L=6.0, alpha=1.9, h=h)
+            for h in (1 / 32., 1 / 64., 1 / 128.)]
+    # r_g comes from the data, L and E0 alone, not from the spacing
+    assert len({dom.r_g for dom in doms}) == 1
+    for dom in doms:
+        r, h, r_g = dom.r, dom.h, dom.r_g
+        assert dom.r_in < r_g < dom.r_out
+        assert r[0] == dom.r_in and r[-1] == dom.r_out
+        dr = np.diff(r)
+        near = r[1:] <= r_g
+        assert_allclose(dr[near], h, rtol=1e-12)
+        far = dr[~near]
+        assert np.all(np.diff(far) >= 0)
+        # the C^1 join: neighbouring spacings differ by O(h / r_g) there,
+        # and beyond it by 1 + 2 h r / r_g^2 (dr/dx = (r / r_g)^2)
+        ratio = dr[1:] / dr[:-1]
+        join = np.searchsorted(r, r_g)
+        assert np.max(ratio[join - 3:join + 3]) <= 1 + 3 * h / r_g
+        assert np.all(ratio <= 1 + 3 * h * np.maximum(r[1:-1], r_g) / r_g ** 2)
+        # a = a_phys dr/dx: the trapezoid sum of the node volumes is the
+        # annulus volume
+        vol = dom.volumes()
+        total = np.sum(vol) - 0.5 * (vol[0] + vol[-1])
+        exact = 4 * np.pi * (dom.r_out ** 3 - dom.r_in ** 3) / 3
+        assert total == pytest.approx(exact, rel=1e-4)
+
+
+def test_ungraded_domain_keeps_the_uniform_nodes():
+    # n = 3, alpha near n: the outer sphere sits inside twice the radius
+    # where the transport time reaches L - 2
+    ids = build_preset("flat", n=3)
+    dom = build_domain(ids, {"radius": 1.0}, L=4.0, alpha=2.95, h=1 / 64.)
+    assert dom.r_g >= dom.r_out
+    N = int(round((dom.r_out - dom.r_in) * 64))
+    assert np.array_equal(dom.r, np.linspace(dom.r_in, dom.r_out, N + 1))
+    assert np.array_equal(dom.a, np.ones(N + 1))
+    assert dom.h == (dom.r_out - dom.r_in) / N
+
+
+def test_graded_gradient_is_d_dr_over_a(aniso_dom):
+    # u = 2 ln r: the centred slope in x over a = a_phys dr/dx is 2/r
+    r = aniso_dom.r
+    assert aniso_dom.r_g < aniso_dom.r_out
+    u = 2 * np.log(r / r[0])
+    g = aniso_dom.gradient(u[1:-1], u[-1])
+    assert_allclose(g[1:-1], 2 / r[1:-1], rtol=1e-3)
+
+
 def test_nan_start_raises(flat_dom):
     u = np.full(flat_dom.n_unknowns, 0.5)
     u[7] = np.nan

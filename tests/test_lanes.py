@@ -127,7 +127,6 @@ def test_only_the_continuity_method_starts_a_sweep_chain_cold():
 
 # public functions that no run calls yet, each with the reason it stays
 NO_CALLER_YET = {
-    "classify": "labels MOTS and MITS; ROADMAP item 4 gives it a caller",
     "extract_level_sets": "the grid-vs-radial level-set test reads its "
                           "meshes",
 }

@@ -128,11 +128,11 @@ def test_classification(flat3, aniso):
     unit = sphere_mesh(1.0)
     sg.populate_diagnostics(flat3, unit,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert sg.classify(unit) == {"untrapped"}
+    assert sg.classify(unit, tol=5e-3) == {"untrapped"}
     trapped = sphere_mesh(1.0)
     sg.populate_diagnostics(aniso, trapped,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert "trapped" in sg.classify(trapped)
+    assert "trapped" in sg.classify(trapped, tol=5e-3)
     horizon = sphere_mesh(R_STAR_ANISO, sub=5)
     sg.populate_diagnostics(aniso, horizon,
                             level_set=sg.sphere_level_set([0, 0, 0]))

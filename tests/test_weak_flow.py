@@ -102,6 +102,9 @@ def test_anisotropic_horizon_verification(aniso_rec):
     rep = wf.verify_horizon(aniso_rec, aniso_rec.jumps[0])
     assert rep.max_rel_residual < 0.03
     assert rep.passed
+    # labelled at the check's own tolerance: theta+ = H + P vanishes with
+    # H - |P|, so the verified horizon is a MOTS too, not trapped
+    assert rep.labels == {"MOTS", "generalized_horizon"}
 
 
 def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
