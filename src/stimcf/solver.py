@@ -3,8 +3,8 @@
 The operator family follows the continuity method: parameter s in [0, 1]
 scales the anisotropic K-term.  One driver, ``continuation_solve``, walks s
 up at the top eps, then a warm chain (``descend``) walks eps down each s.
-Cold starts come from the transport profile (arrival-time quadrature of the
-sphere speed), which is what makes them reliable at moderate epsilon.
+Cold starts are the lane's one ``initial_guess``, on the radial lane the
+soft-capped transport profile, which makes them reliable at moderate eps.
 
 There is one globalization: ``newton_solve`` halves its step until the
 merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,

@@ -219,10 +219,9 @@ def test_graded_grid_geometry(name, kw):
         join = np.searchsorted(r, r_g)
         assert np.max(ratio[join - 3:join + 3]) <= 1 + 3 * h / r_g
         assert np.all(ratio <= 1 + 3 * h * np.maximum(r[1:-1], r_g) / r_g ** 2)
-        # a = a_phys dr/dx: the trapezoid sum of the node volumes is the
-        # annulus volume
-        vol = dom.volumes()
-        total = np.sum(vol) - 0.5 * (vol[0] + vol[-1])
+        # a = a_phys dr/dx: the node volumes, half cells at both ends, sum
+        # to the trapezoid rule for the annulus volume
+        total = np.sum(dom.volumes())
         exact = 4 * np.pi * (dom.r_out ** 3 - dom.r_in ** 3) / 3
         assert total == pytest.approx(exact, rel=1e-4)
 
@@ -423,16 +422,17 @@ def _record_solves(monkeypatch):
 def test_apriori_matrix_starts_only_its_first_s_cold_at_the_top(
         aniso_dom, monkeypatch):
     # the criterion-4 matrix on the anisotropic data: each later s starts
-    # from the previous s scaled to its boundary value, where a cold start
-    # at eps = 3e-2 runs all MAX_NEWTON iterations unconverged
+    # from the previous s scaled to its boundary value; cold, the tops at
+    # eps = 3e-2 converge too, but in 51, 47 and 38 iterations
     eps_grid = list(np.geomspace(3e-2, 3e-5, 7))
     calls = _record_solves(monkeypatch)
     out = sv.apriori_matrix(aniso_dom, [0.25, 0.5, 0.75, 1.0], eps_grid)
     assert len(out) == 28
     assert all(rep.solution.converged for rep in out.values())
-    # a cold top for every s would add 3 x 60 unconverged iterations
+    # cold tops for s = 0.5, 0.75 and 1 would take 136 iterations between
+    # them; the one unconverged solve is a warm start further down a chain
     assert sum(sol.iterations for *_, sol in calls) <= 600
-    assert sum(not sol.converged for *_, sol in calls) <= 2
+    assert sum(not sol.converged for *_, sol in calls) <= 1
     cold_at_top = [s for eps, s, u_init, _ in calls
                    if eps == eps_grid[0] and u_init is None]
     assert cold_at_top == [0.25]
@@ -452,6 +452,16 @@ def test_apriori_matrix_starts_cold_after_a_zero_boundary_value(
                if u_init is not None)
     assert [s for eps, s, u_init, _ in calls
             if eps == 3e-2 and u_init is None] == [0.0, 0.5]
+    # the cold s = 0.5 top converges from the transport start itself
+    assert all(sol.converged for *_, sol in calls)
+
+
+def test_cold_start_converges_on_a_large_anisotropic_domain():
+    # from the soft-capped transport profile alone, with no warm start
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=6.0, alpha=1.9, h=1 / 64.)
+    sol = sv.newton_solve(dom, 1e-2, 1.0, u_init=None, bc=4.0)
+    assert sol.converged
 
 
 def test_grid_jacobian_matches_fd():

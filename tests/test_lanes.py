@@ -152,7 +152,9 @@ def test_every_public_function_has_a_caller():
     # a public top-level function must be referenced outside its own
     # definition: from the package, from the benchmark (spans.py names its
     # targets by string), from stimcf.__all__ (the declared API), or be
-    # listed in NO_CALLER_YET
+    # listed in NO_CALLER_YET.  A private function or method (one leading
+    # underscore, at any depth) must be referenced by the package itself
+    # outside every definition of that name.
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))]
     package = sum((_name_counts(tree) for tree in trees),
@@ -168,6 +170,15 @@ def test_every_public_function_has_a_caller():
     assert sorted(set(uncalled) - set(NO_CALLER_YET)) == []
     # an entry that has found a caller leaves the list
     assert sorted(set(NO_CALLER_YET) - set(uncalled)) == []
+    own = collections.Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own[node.name] += _name_counts(node)[node.name]
+    unused = sorted(name for name in own if package[name] == own[name])
+    assert unused == [], f"private functions without a caller: {unused}"
 
 
 # public names of one lane only: the radial lane's boundary measures and
