@@ -19,7 +19,6 @@ from . import variational as vr
 from . import asymptotics as asym
 from . import records
 from .domain import build_domain, DomainError, LaneError
-from .solver import SolverError
 
 CONFIG_KEYS = {
     "preset": str,
@@ -101,7 +100,7 @@ def cmd_flow(args):
     except wf.FlowConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, wf.FlowError) as exc:
+    except wf.FlowError as exc:
         print(f"solver non-convergence: {exc}", file=sys.stderr)
         return 3
     wf.detect_jumps(rec)

@@ -1,8 +1,8 @@
 """Damped Newton solves of the regularized level-set problem.
 
 The operator family follows the continuity method: parameter s in [0, 1]
-scales the anisotropic K-term.  One driver, ``continuation_solve``, walks s
-up at the top eps, then a warm chain (``descend``) walks eps down each s.
+scales the anisotropic K-term.  One driver, ``continuation_solve``, solves
+each s down the eps chain, its top warm from the previous s's top.
 Cold starts are the lane's one ``initial_guess``, on the radial lane the
 soft-capped transport profile, which makes them reliable at moderate eps.
 
@@ -11,8 +11,8 @@ merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,
 section 6.5) and returns its last iterate unconverged when that fails.
 Only the line search reads f; the stopping test is the max-norm residual
 against max(tol, the float64 floor below).
-Recovery has one home, ``descend`` (warm start, cold retry, log-eps walk),
-and only the driver calls it.
+Recovery has one home, the driver (warm start, cold retry, and below the
+top rung a log-eps walk); no other function retries a solve.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -27,7 +27,7 @@ MAX_NEWTON = 60
 MAX_BACKTRACK = 30
 ARMIJO = 1e-4            # sufficient-decrease constant of the line search
 FLOOR_FACTOR = 20.0
-WALK_MIN_RATIO = 0.98       # descend's log-eps walk stops at finer steps
+WALK_MIN_RATIO = 0.98       # the driver's log-eps walk stops at finer steps
 _EPS = np.finfo(float).eps
 
 
@@ -137,10 +137,14 @@ def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
     The boundary value is s (L - 2), or ``bc`` for every s; with a fixed
     ``bc`` and K = 0 s has no effect and only the largest s runs.  The eps
     chain is eps_values descending, halved to ratios of at most 2 for reliable
-    warm steps.  At its top each s is one ``descend`` step from the previous
-    s's solution scaled by the ratio of boundary values (cold for the first s
-    and after bc = 0).  Returns ({s: top solution}, the top rows (s,
-    iterations, residual, ok), {s: the lazy ``descend`` chain below its top}).
+    warm steps.  Each rung tries, in order, until one solve converges: the
+    warm start, the cold (transport) start and, below the top, a walk in log
+    eps from the rung above that halves its step after each failure.  The
+    warm start is the rung above; at the top it is the previous s's top
+    scaled by the ratio of boundary values (none for the first s and after
+    bc = 0).  Raises SolverError when nothing converges.  Returns ({s:
+    [(solution, trace rows) per chain eps, top first]}, every trace row (s,
+    iterations, residual, ok) in solve order).
     """
     chain = []
     for e in sorted(eps_values, reverse=True):
@@ -149,67 +153,47 @@ def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
         chain.append(e)
     if bc is not None and dom.k_is_zero():
         s_values = [max(s_values)]
-    tops, trace, chains, prev = {}, [], {}, None
+    chains, trace, top = {}, [], None
     for s in sorted(s_values):
         b = s * (dom.L - 2.0) if bc is None else float(bc)
-        start = None if prev is None or prev.bc == 0.0 else ScalarSolution(
-            dom, prev.interior * (b / prev.bc), prev.eps, s, b,
-            prev.residual_norm, 0, prev.converged, prev.floor)
-        chains[s] = descend(dom, s, chain, bc=b, start=start, tol=tol,
-                            variant=variant)
-        prev, rows = next(chains[s])
-        tops[s] = prev
-        trace += rows
-    return tops, trace, chains
+        warm = (None if top is None or top.bc == 0.0
+                else top.interior * (b / top.bc))
+        chains[s], above = [], None
 
+        def attempt(e, init):
+            sol = newton_solve(dom, e, s, u_init=init, bc=b, tol=tol,
+                               variant=variant)
+            rows.append((s, sol.iterations, sol.residual_norm, sol.converged))
+            return sol
 
-def descend(dom, s, eps_values, bc, start=None, tol=TOL_NEWTON,
-            variant="stimcf"):
-    """Walk a descending eps list at fixed (s, bc), one converged solve each.
-
-    Yields (solution, trace rows (s, iterations, residual, ok)) per eps.
-    Each eps tries, in order, until one solve converges: the warm start
-    from the previous solution (``start`` before the first eps), the cold
-    (transport) start, then a walk in log eps from the last converged
-    solution that halves its step after each failure.  At the top of a chain
-    without ``start`` the walk begins from a cold solve at 2 eps and tries
-    the full step first.  Raises SolverError when nothing converges.
-    """
-    def attempt(e, init):
-        sol = newton_solve(dom, e, s, u_init=init, bc=bc, tol=tol,
-                           variant=variant)
-        trace.append((s, sol.iterations, sol.residual_norm, sol.converged))
-        return sol
-
-    prev = start
-    for eps in eps_values:
-        trace = []
-        for init in ([None] if prev is None else [prev.interior, None]):
-            sol = attempt(eps, init)
-            if sol.converged:
-                break
-        else:
-            if prev is not None:
-                base, ratio = prev, np.sqrt(eps / prev.eps)
-            else:
-                base, ratio = attempt(2.0 * eps, None), 0.5
-            while base.converged and ratio <= WALK_MIN_RATIO:
-                e_try = base.eps * ratio
-                if e_try < eps * 1.001:
-                    e_try = eps
-                cand = attempt(e_try, base.interior)
-                if not cand.converged:
-                    ratio = np.sqrt(ratio)
-                elif e_try == eps:
-                    sol = cand
+        for eps in chain:
+            rows = []
+            for init in ([None] if warm is None else [warm, None]):
+                sol = attempt(eps, init)
+                if sol.converged:
                     break
-                else:
-                    base = cand
+            if not sol.converged and above is not None:
+                base, ratio = above, np.sqrt(eps / above.eps)
+                while ratio <= WALK_MIN_RATIO:
+                    e_try = base.eps * ratio
+                    if e_try < eps * 1.001:
+                        e_try = eps
+                    cand = attempt(e_try, base.interior)
+                    if not cand.converged:
+                        ratio = np.sqrt(ratio)
+                    elif e_try == eps:
+                        sol = cand
+                        break
+                    else:
+                        base = cand
             if not sol.converged:
                 raise SolverError(f"descent failed at eps={eps}, s={s}: "
                                   f"{sol.diagnostic}")
-        yield sol, trace
-        prev = sol
+            chains[s].append((sol, rows))
+            trace += rows
+            above, warm = sol, sol.interior
+        top = chains[s][0][0]
+    return chains, trace
 
 
 def imcf_reference_solve(dom, eps):
@@ -289,11 +273,11 @@ def apriori_matrix(dom, s_values, eps_values):
     converge.  Returns {(eps, s): AprioriReport} over the requested pairs,
     with the solutions attached.
     """
-    tops, _, chains = continuation_solve(dom, s_values, eps_values)
+    chains, _ = continuation_solve(dom, s_values, eps_values)
     requested = set(eps_values)
     out = {}
-    for s, top in tops.items():
-        for sol in [top] + [sol for sol, _ in chains[s]]:
+    for s, chain in chains.items():
+        for sol, _ in chain:
             if sol.eps in requested:
                 rep = apriori_monitor(dom, sol)
                 rep.solution = sol

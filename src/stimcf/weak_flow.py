@@ -1,17 +1,15 @@
 """Drive the regularization to zero and read off the weak flow.
 
 The sweep is one ``solver.continuation_solve`` at the fixed boundary value
-L - 2: the endpoints s = 0 and s = 1 at the top epsilon rung, then a warm
-chain down the rest from each, where every failed start is recovered.  It
-tracks the Cauchy deltas of u and the share of field points where |grad u|
-grows (the compactness hypotheses are monitored, not proven), and keeps the
-gradient tail needed to reconstruct the unit normal across plateaus.  Jump
-regions are plateaus of the metric gradient; their outer boundary radius is
-located by value-crossing extrapolation, which resolves the horizon well
-below one cell.
+L - 2: the endpoint s = 0 down the epsilon chain, then s = 1 from its top;
+each rung starts warm from the one above, and the driver recovers every
+failed start.  It tracks the Cauchy deltas of u and the share of field
+points where |grad u| grows (the compactness hypotheses are monitored, not
+proven), and keeps the gradient tail needed to reconstruct the unit normal
+across plateaus.  Jump regions are plateaus of the metric gradient; their
+outer boundary radius is located by value-crossing extrapolation, which
+resolves the horizon well below one cell.
 """
-
-import itertools
 
 import numpy as np
 
@@ -80,7 +78,6 @@ class FlowRecord:
         self.suggestion = None
         self.jumps = []
         self.truncation_plateaus = []
-        self.normal_field = None
 
     @property
     def eps_last(self):
@@ -107,7 +104,8 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
     operator does not depend on s and the flow chain is the IMCF chain).
     A schedule that cannot start (unknown variant, eps0 or eps_last not
     positive, eps0 not above eps_last or above the feasibility bound) raises
-    FlowConfigError, a failed top rung FlowError.  Returns a FlowRecord.
+    FlowConfigError, a rung that no start converges FlowError naming its eps
+    and s.  Returns a FlowRecord.
     """
     if variant not in VARIANTS:
         raise FlowConfigError(f"unknown operator variant '{variant}'")
@@ -124,20 +122,19 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
             f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
             f"not above the feasibility bound {feas['eps_max']:.3g}")
     try:
-        tops, trace, chains = sv.continuation_solve(
+        chains, _ = sv.continuation_solve(
             dom, [0.0, 1.0], [e, eps_last], bc=dom.L - 2.0, tol=tol_newton,
             variant=variant)
     except sv.SolverError as exc:
-        raise FlowError(f"cold start failed at eps={e:.3g} ({exc}); "
-                        "check alpha/L (domain size) and resolution") from exc
-    flow = itertools.chain([(tops[1.0], trace)], chains[1.0])
-    imcf = None if 0.0 not in tops else itertools.chain(
-        [tops[0.0]], (sol for sol, _ in chains[0.0]))
+        raise FlowError(f"sweep failed ({exc}); check alpha/L (domain size) "
+                        "and resolution") from exc
+    flow = chains[1.0]
+    # the top rung's trace holds both endpoints' solves, s = 0 first
+    flow[0] = (flow[0][0], [row for c in chains.values() for row in c[0][1]])
     rec = FlowRecord(dom, variant)
     prev = None
     prev_grad = None
-    for sol, trace in flow:
-        imcf_sol = sol if imcf is None else next(imcf)
+    for (sol, trace), (imcf_sol, _) in zip(flow, chains.get(0.0, flow)):
         rec.epsilons.append(sol.eps)
         rec.traces.append(trace)
         grad = dom.gradient(sol.interior, sol.bc)
@@ -271,7 +268,6 @@ def reconstruct_normal_field(rec):
         plateau[j.cells] = True
     field = NormalField(vec, bool(np.all(turn[plateau]
                                          <= NORMAL_ANGLE_TOL_DEG)))
-    rec.normal_field = field
     return field
 
 

@@ -330,7 +330,7 @@ def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
 def test_apriori_matrix_needs_no_recovery_on_schwarzschild(m, e0,
                                                           monkeypatch):
     # the criterion-4 matrix (its eps and s lists, h = 1/128): every warm
-    # start of every chain converges, so descend never retries cold or walks
+    # start of every chain converges, so no rung retries cold or walks
     dom = build_domain(build_preset("schwarzschild_isotropic", m=m),
                        {"radius": e0}, L=4.0, alpha=1.5, h=1 / 128.)
     solves = []
@@ -390,15 +390,15 @@ def test_second_order_convergence_against_fine_reference():
 
 
 def test_continuation_trace_and_k_zero_collapse(flat_dom, aniso_dom):
-    tops, trace, _ = sv.continuation_solve(flat_dom, [0.0, 1.0], [0.03],
-                                           bc=flat_dom.L - 2.0)
+    chains, trace = sv.continuation_solve(flat_dom, [0.0, 1.0], [0.03],
+                                          bc=flat_dom.L - 2.0)
     assert [row[0] for row in trace] == [1.0]
-    assert list(tops) == [1.0]
-    tops2, trace2, _ = sv.continuation_solve(aniso_dom, [0.0, 1.0], [0.03],
-                                             bc=aniso_dom.L - 2.0)
+    assert list(chains) == [1.0]
+    chains2, trace2 = sv.continuation_solve(aniso_dom, [0.0, 1.0], [0.03],
+                                            bc=aniso_dom.L - 2.0)
     assert [row[0] for row in trace2] == [0.0, 1.0]
     assert all(row[3] for row in trace2)
-    sol2, imcf2 = tops2[1.0], tops2[0.0]
+    sol2, imcf2 = chains2[1.0][0][0], chains2[0.0][0][0]
     assert sol2.converged and sol2.s == 1.0
     # the s = 0 endpoint is the IMCF solve the s = 1 one started from
     assert imcf2.converged and (imcf2.s, imcf2.eps) == (0.0, 0.03)
@@ -566,23 +566,21 @@ def test_apriori_bisection_refines_next_to_the_last_converged_eps(
     assert calls[2:4] == [(2.5e-3, False, False), (2.5e-3, True, False)]
 
 
-def test_apriori_top_reaches_its_eps_by_one_warm_step_from_twice_it(
-        flat_dom, monkeypatch):
-    # the cold start fails at the top eps only: the chain cold-starts at
-    # 2 eps, steps down warm once and solves nothing more at the top
+def test_apriori_failed_cold_top_raises_after_one_solve(flat_dom,
+                                                        monkeypatch):
+    # the first s has no warm start and the top rung has no rung above to
+    # walk from: one failed cold solve there raises
     top = 2e-2
     calls = []
 
     def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
                           **kwargs):
-        ok = u_init is not None or eps != top
-        calls.append((eps, u_init is None, ok))
+        calls.append((eps, u_init is None))
         return sv.ScalarSolution(dom, np.zeros(dom.n_unknowns), eps, s,
-                                 s * (dom.L - 2.0), 0.0 if ok else 1.0, 1,
-                                 ok, 0.0, diagnostic=None if ok else "stall")
+                                 s * (dom.L - 2.0), 1.0, 1, False, 0.0,
+                                 diagnostic="stall")
 
     monkeypatch.setattr(sv, "newton_solve", fake_newton_solve)
-    out = sv.apriori_matrix(flat_dom, [1.0], [top])
-    assert calls == [(top, True, False), (2 * top, True, True),
-                     (top, False, True)]
-    assert out[(top, 1.0)].solution.eps == top
+    with pytest.raises(sv.SolverError, match=f"eps={top}, s=1.0"):
+        sv.apriori_matrix(flat_dom, [1.0], [top])
+    assert calls == [(top, True)]

@@ -77,10 +77,10 @@ def test_enumeration_stays_independent_of_the_hull_routes():
 
 
 def test_newton_solve_has_one_recovery_home():
-    # after a failed solve the next start is chosen by descend; no other
-    # function calls newton_solve itself, and the sweep retries nothing
-    # in a loop of its own
-    allowed = {"descend", "imcf_reference_solve"}
+    # after a failed solve the next start is chosen by continuation_solve;
+    # no other function calls newton_solve itself, and the sweep retries
+    # nothing in a loop of its own
+    allowed = {"continuation_solve", "imcf_reference_solve"}
     hits = []
     for name in ("solver.py", "weak_flow.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
@@ -100,13 +100,13 @@ def test_newton_solve_has_one_recovery_home():
             if isinstance(node, ast.ExceptHandler) and node.type and (
                     "SolverError" in ast.dump(node.type)):
                 hits.append(f"weak_flow.py:{node.lineno} retries in a loop")
-    assert not hits, f"recovery outside descend: {', '.join(hits)}"
+    assert not hits, f"recovery outside the driver: {', '.join(hits)}"
 
 
 def test_only_the_continuity_method_starts_a_sweep_chain_cold():
-    # one driver solves the (eps, s) family: descend, where every chain
-    # chooses its starts, is called only by continuation_solve, and the
-    # sweep and the a-priori matrix each call that driver once
+    # one driver solves the (eps, s) family, every rung eagerly: the sweep
+    # and the a-priori matrix each call it once, and the solver module
+    # hands out no lazy chain
     calls = collections.defaultdict(list)
     for name in ("solver.py", "weak_flow.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
@@ -115,14 +115,12 @@ def test_only_the_continuity_method_starts_a_sweep_chain_cold():
                 if isinstance(node, ast.Call):
                     callee = (getattr(node.func, "id", None)
                               or getattr(node.func, "attr", None))
-                    calls[callee].append((getattr(top, "name", "<module>"),
-                                          node))
-    assert {owner for owner, _ in calls["descend"]} == {"continuation_solve"}
-    cold = [node.lineno for _, node in calls["descend"]
-            if "start" not in {kw.arg for kw in node.keywords}]
-    assert not cold, f"descend without start= at solver.py:{cold}"
-    assert sorted(owner for owner, _ in calls["continuation_solve"]) == [
+                    calls[callee].append(getattr(top, "name", "<module>"))
+    assert sorted(calls["continuation_solve"]) == [
         "apriori_matrix", "epsilon_sweep"]
+    solver = ast.parse((SRC / "solver.py").read_text())
+    assert not [node.lineno for node in ast.walk(solver)
+                if isinstance(node, (ast.Yield, ast.YieldFrom))]
 
 
 # public functions that no run calls yet, each with the reason it stays
@@ -271,19 +269,23 @@ def test_grid_sweep_matches_the_radial_lane():
     assert radius == pytest.approx(wf.level_radius(radial, 0.1), rel=0.06)
 
 
-def test_benchmark_spans_see_the_radial_newton_layers():
-    # the traced benchmark times the operator, the assembly and the linear
-    # solve by wrapping them where they are looked up at call time; a solve
-    # that bypassed those names would leave its layers reading zero
+def _spans():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(PERFBENCH))
+    return spans
+
+
+def test_benchmark_spans_see_the_radial_newton_layers():
+    # the traced benchmark times the operator, the assembly and the linear
+    # solve by wrapping them where they are looked up at call time; a solve
+    # that bypassed those names would leave its layers reading zero
     from stimcf import solver as sv
     dom = build_domain(build_preset("flat", n=2), {"radius": 1.0}, L=4.0,
                        alpha=1.9, h=1 / 32.)
-    tracer = spans.Tracer()
+    tracer = _spans().Tracer()
     tracer.install()
     try:
         sol = sv.newton_solve(dom, 0.02, 1.0)
@@ -294,6 +296,26 @@ def test_benchmark_spans_see_the_radial_newton_layers():
                   "solver.linear_solve"):
         assert tracer.stats[layer]["calls"] >= 1, layer
     assert tracer.stats["solver.newton_solve"]["calls"] == 1
+
+
+def test_benchmark_spans_count_every_continuation_rung():
+    # the driver returns the trace rows of every rung of both sweep chains,
+    # so the traced benchmark counts one rung per Newton solve
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=4.0, alpha=1.9, h=1 / 32.)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        rec = wf.epsilon_sweep(dom, eps_last=1 / 128.)
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats
+    assert len(rec.epsilons) > 1
+    assert stats["solver.continuation_solve"]["calls"] == 1
+    assert stats["solver.continuation_solve"]["rungs"] \
+        == stats["solver.newton_solve"]["calls"] >= 2 * len(rec.epsilons)
+    assert stats["solver.continuation_solve"]["failed_rungs"] \
+        == stats["solver.newton_solve"]["unconverged"]
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
 
 
 def test_normal_field_radial_and_cauchy(aniso_rec):
-    nf = aniso_rec.normal_field
+    nf = wf.reconstruct_normal_field(aniso_rec)
     assert nf.cauchy_ok
     assert np.all(nf.vectors[aniso_rec.domain.r > 1.05] > 0)
 
@@ -217,13 +219,33 @@ def test_sweep_retries_a_failed_warm_start_cold(monkeypatch):
 
 def test_sweep_raises_when_every_cold_start_fails(monkeypatch):
     dom = _small_flat()
+    top = min(0.5 * dom.feasibility()["eps_max"], wf.DEFAULT_EPS0)
 
     def every_solve_stalls(dom, eps, s, u_init=None, bc=None, **kwargs):
         return _stalled(dom, eps, s, u_init, bc)
 
     monkeypatch.setattr(sv, "newton_solve", every_solve_stalls)
-    with pytest.raises(wf.FlowError, match="cold start failed"):
+    with pytest.raises(wf.FlowError, match=re.escape(f"eps={top}, s=1.0")):
         wf.epsilon_sweep(dom, eps_last=1e-3)
+
+
+def test_sweep_names_the_rung_below_the_top_that_fails(monkeypatch):
+    # every start below eps_fail stalls, the log-eps walk included: the
+    # sweep fails at the third rung, not at its top
+    dom = _small_flat()
+    newton = sv.newton_solve
+    eps_fail = 1e-2
+
+    def stalls_below(dom, eps, s, u_init=None, bc=None, **kwargs):
+        if eps < eps_fail:
+            return _stalled(dom, eps, s, u_init, bc)
+        return newton(dom, eps, s, u_init=u_init, bc=bc, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", stalls_below)
+    with pytest.raises(wf.FlowError) as err:
+        wf.epsilon_sweep(dom, eps_last=1e-3)
+    assert f"eps={1 / 128.}, s=1.0" in str(err.value)
+    assert "cold start" not in str(err.value)
 
 
 def test_sweep_rejects_eps0_above_the_feasibility_bound():
