@@ -220,10 +220,11 @@ def cmd_plotdata(args):
         if kind == "levelsets":
             lo, hi = rec.valid_time_range()
             ts = np.linspace(lo, hi * 0.95, 60)
+            radii = wf.level_radius(rec, ts)
             with open(path, "w") as fh:
                 fh.write("t,radius\n")
-                for t in ts:
-                    fh.write("%.17g,%.17g\n" % (t, wf.level_radius(rec, t)))
+                for t, r in zip(ts, radii):
+                    fh.write("%.17g,%.17g\n" % (t, r))
         elif kind == "Q-trace":
             tr = vr.monotone_quantity(rec)
             with open(path, "w") as fh:

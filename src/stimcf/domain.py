@@ -372,7 +372,7 @@ class RadialDomain:
         rows = np.abs(J[1])
         rows[1:] += np.abs(J[2, :-1])
         rows[:-1] += np.abs(J[0, 1:])
-        return float(np.max(rows))
+        return float(rows.max())
 
     def initial_guess(self, s, bc, eps):
         """The one cold start: the arrival-time profile of the radial
@@ -495,8 +495,8 @@ class RadialDomain:
                 self._sphere_mesh(outer_r, PLATEAU_SUBDIVISIONS))
 
     def level_radius(self, sol, t):
-        """Radius where the running maximum of u reaches t, linear between
-        nodes.
+        """Radius where the running maximum of u reaches t (a time or an
+        array of times), linear between nodes.
 
         The per-cell slopes this interpolates carry the odd-even component
         the centered scheme leaves undetermined wherever |grad u| >> eps,
@@ -504,7 +504,7 @@ class RadialDomain:
         nodal data with centered gradients instead.
         """
         u = np.maximum.accumulate(sol.full_field())
-        return float(np.interp(t, u, self.r))
+        return np.interp(t, u, self.r)
 
     def level_mesh(self, sol, t):
         mesh = self._sphere_mesh(self.level_radius(sol, t), LEVEL_SUBDIVISIONS)

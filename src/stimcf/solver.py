@@ -14,11 +14,22 @@ against max(tol, the float64 floor below).
 Recovery has one home, the driver (warm start, cold retry, and below the
 top rung a log-eps walk); no other function retries a solve.
 
+The driver steps warm down eps by up to MAX_WARM_RATIO and halves only
+wider gaps.  At 4 the criterion-4 grid (eps sqrt(10) apart) runs with no
+inserted rung: 112 Newton solves instead of 209 on the a-priori workload.
+A survey of 72 matrices (8 data sets and alphas x L in {4, 6, 8.4} x h in
+{1/32, 1/64, 1/128}, criterion 4's s and eps lists) completed 28 at ratio
+4 against 27 at ratio 2, lost none that ratio 2 completed and cut the
+Newton iterations from 15,067 to 11,598; on a grid exactly 4 apart it
+completed 28 against 27 as well.
+
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
 max-norm residual is about machineps * ||J||_inf (``dom.norm_inf``) * (1 +
 ||u||); iterates at that floor count as converged and record their residual.
 """
+
+import math
 
 import numpy as np
 
@@ -28,6 +39,7 @@ MAX_BACKTRACK = 30
 ARMIJO = 1e-4            # sufficient-decrease constant of the line search
 FLOOR_FACTOR = 20.0
 WALK_MIN_RATIO = 0.98       # the driver's log-eps walk stops at finer steps
+MAX_WARM_RATIO = 4.0        # wider eps gaps get halving rungs inserted
 _EPS = np.finfo(float).eps
 
 
@@ -88,22 +100,22 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         raise SolverError("initial guess has the wrong number of unknowns")
     res = dom.residual(u, eps, s, bc, variant)
     merit = 0.5 * float(res @ res)
-    nrm = float(np.max(np.abs(res)))
+    nrm = float(np.abs(res).max())
     for it in range(MAX_NEWTON + 1):
         J = dom.jacobian(u, eps, s, bc, variant)
-        floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+        floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.abs(u).max()))
                  * dom.norm_inf(J))
         if nrm < max(tol, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor)
         if it == MAX_NEWTON:
             break
-        if not (np.isfinite(nrm) and np.isfinite(floor)):
+        if not (math.isfinite(nrm) and math.isfinite(floor)):
             raise SolverError("non-finite residual or Jacobian at the iterate")
         try:
             step = dom.solve(J, -res)
         except Exception as exc:
             raise SolverError(f"linearization solve failed: {exc}") from exc
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         lam = 1.0
         for _ in range(MAX_BACKTRACK):
@@ -116,7 +128,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         else:
             break       # the line search failed
         u, res, merit = ut, rt, mt
-        nrm = float(np.max(np.abs(res)))
+        nrm = float(np.abs(res).max())
     return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
                           diagnostic=_nonconvergence_note(dom, eps))
 
@@ -136,19 +148,22 @@ def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
 
     The boundary value is s (L - 2), or ``bc`` for every s; with a fixed
     ``bc`` and K = 0 s has no effect and only the largest s runs.  The eps
-    chain is eps_values descending, halved to ratios of at most 2 for reliable
-    warm steps.  Each rung tries, in order, until one solve converges: the
-    warm start, the cold (transport) start and, below the top, a walk in log
-    eps from the rung above that halves its step after each failure.  The
-    warm start is the rung above; at the top it is the previous s's top
-    scaled by the ratio of boundary values (none for the first s and after
-    bc = 0).  Raises SolverError when nothing converges.  Returns ({s:
-    [(solution, trace rows) per chain eps, top first]}, every trace row (s,
-    iterations, residual, ok) in solve order).
+    chain is eps_values descending; a gap wider than MAX_WARM_RATIO gets
+    halving rungs until the rest is at most that wide.  At 4 no matrix of
+    the module's survey that completed at 2 fails, and the rungs no caller
+    reads are not solved; a caller that wants a finer ladder (the sweep)
+    passes it whole.  Each rung tries, in order, until one solve
+    converges: the warm start, the cold (transport) start and, below the
+    top, a walk in log eps from the rung above that halves its step after
+    each failure.  The warm start is the rung above; at the top it is the
+    previous s's top scaled by the ratio of boundary values (none for the
+    first s and after bc = 0).  Raises SolverError when nothing converges.
+    Returns ({s: [(solution, trace rows) per chain eps, top first]}, every
+    trace row (s, iterations, residual, ok) in solve order).
     """
     chain = []
     for e in sorted(eps_values, reverse=True):
-        while chain and chain[-1] / e > 2.0 * (1 + 1e-12):
+        while chain and chain[-1] / e > MAX_WARM_RATIO * (1 + 1e-12):
             chain.append(chain[-1] / 2.0)
         chain.append(e)
     if bc is not None and dom.k_is_zero():

@@ -403,7 +403,7 @@ def monotone_quantity(rec):
     with np.errstate(divide="ignore", invalid="ignore"):
         dQ_node = np.gradient(omega * dom.A + cum, r) / np.gradient(rec.u, r)
 
-    radii = np.array([level_radius(rec, t) for t in times])
+    radii = level_radius(rec, times)
     areas = omega * (np.asarray(dom.ids.radial.b(radii)) * radii) ** dom.n
     Q = areas + np.interp(radii, r, cum)
     prof = dom.profile

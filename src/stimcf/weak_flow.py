@@ -99,6 +99,8 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
                   tol_newton=sv.TOL_NEWTON, variant="stimcf"):
     """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
 
+    The sweep builds that ladder itself (every ratio at most 2, the last one
+    the remainder) and reads every rung of it, so the driver inserts none.
     One ``solver.continuation_solve`` at bc = L - 2 gives both chains: the
     flow at s = 1 and the IMCF reference at s = 0 (when K vanishes the
     operator does not depend on s and the flow chain is the IMCF chain).
@@ -121,9 +123,13 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
         raise FlowConfigError(
             f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
             f"not above the feasibility bound {feas['eps_max']:.3g}")
+    schedule = [e]
+    while schedule[-1] / eps_last > 2.0 * (1 + 1e-12):
+        schedule.append(schedule[-1] / 2.0)
+    schedule.append(eps_last)
     try:
         chains, _ = sv.continuation_solve(
-            dom, [0.0, 1.0], [e, eps_last], bc=dom.L - 2.0, tol=tol_newton,
+            dom, [0.0, 1.0], schedule, bc=dom.L - 2.0, tol=tol_newton,
             variant=variant)
     except sv.SolverError as exc:
         raise FlowError(f"sweep failed ({exc}); check alpha/L (domain size) "
@@ -235,12 +241,16 @@ def _jump_at(rec, t):
 
 
 def level_radius(rec, t):
-    """Radius of the level set (radial lane), honoring jumps."""
+    """Radius of the level set (radial lane), honoring jumps: a time inside
+    a jump reads that jump's outer radius, the first such jump's.  ``t`` may
+    be an array of times; a scalar gives a float."""
     rec.domain.require_radial("level radius")
-    j = _jump_at(rec, t)
-    if j is not None:
-        return j.outer_radius
-    return rec.domain.level_radius(rec.solution, t)
+    t = np.asarray(t, float)
+    radii = rec.domain.level_radius(rec.solution, t)
+    for j in reversed(rec.jumps):
+        radii = np.where((j.t_lo - 1e-12 <= t) & (t <= j.t_hi + 1e-12),
+                         j.outer_radius, radii)
+    return float(radii) if radii.ndim == 0 else radii
 
 
 # -- normal reconstruction ----------------------------------------------------

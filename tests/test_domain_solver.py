@@ -330,7 +330,8 @@ def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
 def test_apriori_matrix_needs_no_recovery_on_schwarzschild(m, e0,
                                                           monkeypatch):
     # the criterion-4 matrix (its eps and s lists, h = 1/128): every warm
-    # start of every chain converges, so no rung retries cold or walks
+    # start of every chain converges, so no rung retries cold or walks, and
+    # the grid's sqrt(10) steps get no inserted rung: one solve per report
     dom = build_domain(build_preset("schwarzschild_isotropic", m=m),
                        {"radius": e0}, L=4.0, alpha=1.5, h=1 / 128.)
     solves = []
@@ -345,7 +346,8 @@ def test_apriori_matrix_needs_no_recovery_on_schwarzschild(m, e0,
     out = sv.apriori_matrix(dom, [0.25, 0.5, 0.75, 1.0],
                             list(np.geomspace(3e-2, 3e-5, 7)))
     assert len(out) == 28
-    assert solves and all(solves), f"{solves.count(False)} unconverged"
+    assert len(solves) == 28
+    assert all(solves), f"{solves.count(False)} unconverged"
 
 
 def test_apriori_window_on_converged_solves(aniso_dom):
@@ -430,9 +432,11 @@ def test_apriori_matrix_starts_only_its_first_s_cold_at_the_top(
     assert len(out) == 28
     assert all(rep.solution.converged for rep in out.values())
     # cold tops for s = 0.5, 0.75 and 1 would take 136 iterations between
-    # them; the one unconverged solve is a warm start further down a chain
-    assert sum(sol.iterations for *_, sol in calls) <= 600
-    assert sum(not sol.converged for *_, sol in calls) <= 1
+    # them; every warm step down the grid's sqrt(10) gaps converges, with
+    # no inserted rung and no retry
+    assert len(calls) == 28
+    assert sum(sol.iterations for *_, sol in calls) <= 400
+    assert all(sol.converged for *_, sol in calls)
     cold_at_top = [s for eps, s, u_init, _ in calls
                    if eps == eps_grid[0] and u_init is None]
     assert cold_at_top == [0.25]
@@ -454,6 +458,25 @@ def test_apriori_matrix_starts_cold_after_a_zero_boundary_value(
             if eps == 3e-2 and u_init is None] == [0.0, 0.5]
     # the cold s = 0.5 top converges from the transport start itself
     assert all(sol.converged for *_, sol in calls)
+
+
+def test_apriori_matrix_completes_on_the_coarse_anisotropic_grid(
+        monkeypatch):
+    # the criterion-4 lists at h = 1/64: halving the grid's sqrt(10) gaps
+    # put a rung at eps = 4.74e-4 that no start converged for s = 0.5; on
+    # the grid itself one warm stall (eps = 3e-4, s = 0.5) is retried cold
+    dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                       L=4.0, alpha=1.9, h=1 / 64.)
+    calls = _record_solves(monkeypatch)
+    out = sv.apriori_matrix(dom, [0.25, 0.5, 0.75, 1.0],
+                            list(np.geomspace(3e-2, 3e-5, 7)))
+    assert len(out) == 28
+    hard = [(key, v) for key, rep in out.items() for v in rep.violations
+            if v.startswith(("(i)", "(ii)"))]
+    assert not hard
+    assert all(rep.solution.converged for rep in out.values())
+    assert len(calls) <= 30
+    assert sum(not sol.converged for *_, sol in calls) <= 1
 
 
 def test_cold_start_converges_on_a_large_anisotropic_domain():
@@ -536,9 +559,10 @@ def test_grid_domain_rejects_offdiagonal_metric():
 def test_apriori_bisection_refines_next_to_the_last_converged_eps(
         flat_dom, monkeypatch):
     # every start, cold ones included, fails below eps_fail: the chain
-    # 1e-2, 5e-3, 2.5e-3 converges at 5e-3, then has to bisect and raise
+    # 1e-2, 5e-3, 1.25e-3 (the 8x gap gets one halving rung) converges at
+    # 5e-3, then has to bisect and raise
     eps_fail = 4e-3
-    chain = (1e-2, 5e-3, 2.5e-3)
+    chain = (1e-2, 5e-3, 1.25e-3)
     calls = []
 
     def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
@@ -562,8 +586,8 @@ def test_apriori_bisection_refines_next_to_the_last_converged_eps(
             assert eps < nxt < last_ok
             checked += 1
     assert checked >= 2
-    # the failed warm start at 2.5e-3 is retried cold before any bisection
-    assert calls[2:4] == [(2.5e-3, False, False), (2.5e-3, True, False)]
+    # the failed warm start at 1.25e-3 is retried cold before any bisection
+    assert calls[2:4] == [(1.25e-3, False, False), (1.25e-3, True, False)]
 
 
 def test_apriori_failed_cold_top_raises_after_one_solve(flat_dom,

@@ -7,6 +7,7 @@ from stimcf import build_preset, build_domain
 from stimcf import solver as sv
 from stimcf import weak_flow as wf
 from stimcf import radial_oracle as orc
+from stimcf import variational as vr
 from tests.test_radial_oracle import R_STAR_ANISO
 
 
@@ -88,6 +89,32 @@ def test_monotone_along_rays_and_no_extrema(flat_rec, aniso_rec):
         sel1 = np.abs(r - r1) < 0.05
         sel2 = np.abs(r - (r1 + 1.0)) < 0.05
         assert np.min(u[sel2]) >= np.max(u[sel1]) - 1e-9
+
+
+def test_sweep_ladder_halves_from_eps0_to_eps_last(flat_rec):
+    # the sweep reads every rung, so it builds eps0 2^-k ... eps_last itself
+    # rather than take the driver's coarser warm steps
+    eps = flat_rec.epsilons
+    assert eps[:-1] == [eps[0] * 0.5 ** k for k in range(len(eps) - 1)]
+    assert eps[-1] == 1e-3
+    assert all(1.0 < a / b <= 2.0 * (1 + 1e-12) for a, b in zip(eps, eps[1:]))
+
+
+def test_level_radius_takes_an_array_of_times(aniso_rec):
+    # Q(t)'s probe times, the first of which lies inside the jump
+    lo, hi = aniso_rec.valid_time_range()
+    times = np.linspace(lo, hi - 0.05 * (hi - lo), vr.N_Q_TIMES)
+    j = aniso_rec.jumps[0]
+    inside = (times >= j.t_lo - 1e-12) & (times <= j.t_hi + 1e-12)
+    assert inside.any() and not inside.all()
+    radii = wf.level_radius(aniso_rec, times)
+    assert np.array_equal(radii, [wf.level_radius(aniso_rec, t)
+                                  for t in times])
+    assert np.all(radii[inside] == j.outer_radius)
+    dom = aniso_rec.domain
+    assert np.array_equal(radii[~inside], [
+        dom.level_radius(aniso_rec.solution, t) for t in times[~inside]])
+    assert isinstance(wf.level_radius(aniso_rec, times[0]), float)
 
 
 def test_anisotropic_jump_structure(aniso_rec):
