@@ -10,13 +10,14 @@ There is one globalization: ``newton_solve`` halves its step until the
 merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,
 section 6.5) and returns its last iterate unconverged when that fails.
 Only the line search reads f; the stopping test is the max-norm residual
-against max(tol, the float64 floor below).
-Recovery has one home, the driver (warm start, cold retry, and below the
-top rung a log-eps walk); no other function retries a solve.
+against max(TOL_NEWTON, the float64 floor below).
+Recovery has one home, the driver (warm start, then cold start, then
+SolverError); no other function retries a solve.
 
 The driver steps warm down eps by up to MAX_WARM_RATIO and halves only
-wider gaps.  At 4 the criterion-4 grid (eps sqrt(10) apart) runs with no
-inserted rung: 112 Newton solves instead of 209 on the a-priori workload.
+wider gaps (``eps_ladder``, which builds the sweep's ladder too).  At 4 the
+criterion-4 grid (eps sqrt(10) apart) runs with no inserted rung: 112
+Newton solves instead of 209 on the a-priori workload.
 A survey of 72 matrices (8 data sets and alphas x L in {4, 6, 8.4} x h in
 {1/32, 1/64, 1/128}, criterion 4's s and eps lists) completed 28 at ratio
 4 against 27 at ratio 2, lost none that ratio 2 completed and cut the
@@ -38,7 +39,6 @@ MAX_NEWTON = 60
 MAX_BACKTRACK = 30
 ARMIJO = 1e-4            # sufficient-decrease constant of the line search
 FLOOR_FACTOR = 20.0
-WALK_MIN_RATIO = 0.98       # the driver's log-eps walk stops at finer steps
 MAX_WARM_RATIO = 4.0        # wider eps gaps get halving rungs inserted
 _EPS = np.finfo(float).eps
 
@@ -71,18 +71,17 @@ class ScalarSolution:
         return self.domain.metric_gradient(self.interior, self.bc)
 
 
-def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
-                 variant="stimcf"):
+def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
     """Armijo-damped Newton on the discretized operator E^(eps, s).
 
     u_init is an interior vector (boundary data is imposed, not solved for);
     None selects the domain's cold start (the transport profile on the
     radial lane).  Each iteration assembles the Jacobian at the current
-    iterate and stops there if the max-norm residual is below max(tol,
-    floor).  Otherwise it halves the step lam s from lam = 1 until the merit
-    f = 1/2 ||F||_2^2 passes f(u + lam s) < (1 - 2 ARMIJO lam) f(u): the
-    fraction ARMIJO of the decrease the linear model predicts along the
-    Newton step s.  The solve gives up at the first failed line search, at
+    iterate and stops there if the max-norm residual is below
+    max(TOL_NEWTON, floor).  Otherwise it halves the step lam s from lam = 1
+    until the merit f = 1/2 ||F||_2^2 passes f(u + lam s) < (1 - 2 ARMIJO
+    lam) f(u): the fraction ARMIJO of the decrease the linear model predicts
+    along the Newton step s.  The solve gives up at the first failed line search, at
     a non-finite step or after MAX_NEWTON steps, and returns that iterate
     unconverged with a diagnostic (naming the feasibility bound when eps
     exceeds it); what to try next is the caller's decision.  A non-finite
@@ -93,7 +92,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         raise SolverError("elliptic regularization needs eps > 0")
     if not (0.0 <= s <= 1.0):
         raise SolverError("continuity parameter s must lie in [0, 1]")
-    bc = s * (dom.L - 2.0) if bc is None else float(bc)
+    bc = float(bc)
     u = (dom.initial_guess(s, bc, eps) if u_init is None
          else np.array(u_init, float, copy=True))
     if len(u) != dom.n_unknowns:
@@ -105,7 +104,7 @@ def newton_solve(dom, eps, s, u_init=None, bc=None, tol=TOL_NEWTON,
         J = dom.jacobian(u, eps, s, bc, variant)
         floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.abs(u).max()))
                  * dom.norm_inf(J))
-        if nrm < max(tol, floor):
+        if nrm < max(TOL_NEWTON, floor):
             return ScalarSolution(dom, u, eps, s, bc, nrm, it, True, floor)
         if it == MAX_NEWTON:
             break
@@ -142,30 +141,33 @@ def _nonconvergence_note(dom, eps):
     return "Newton stalled away from the float64 floor"
 
 
-def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
-                       variant="stimcf"):
+def eps_ladder(eps_values, max_ratio):
+    """eps_values descending, each gap wider than max_ratio split by halving
+    rungs from its top until the rest of the gap is at most that wide."""
+    ladder = []
+    for e in sorted(eps_values, reverse=True):
+        while ladder and ladder[-1] / e > max_ratio * (1 + 1e-12):
+            ladder.append(ladder[-1] / 2.0)
+        ladder.append(e)
+    return ladder
+
+
+def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf"):
     """The continuity method over an (eps, s) grid: s up, then eps down.
 
     The boundary value is s (L - 2), or ``bc`` for every s; with a fixed
     ``bc`` and K = 0 s has no effect and only the largest s runs.  The eps
-    chain is eps_values descending; a gap wider than MAX_WARM_RATIO gets
-    halving rungs until the rest is at most that wide.  At 4 no matrix of
+    chain is ``eps_ladder(eps_values, MAX_WARM_RATIO)``.  At 4 no matrix of
     the module's survey that completed at 2 fails, and the rungs no caller
     reads are not solved; a caller that wants a finer ladder (the sweep)
-    passes it whole.  Each rung tries, in order, until one solve
-    converges: the warm start, the cold (transport) start and, below the
-    top, a walk in log eps from the rung above that halves its step after
-    each failure.  The warm start is the rung above; at the top it is the
-    previous s's top scaled by the ratio of boundary values (none for the
-    first s and after bc = 0).  Raises SolverError when nothing converges.
-    Returns ({s: [(solution, trace rows) per chain eps, top first]}, every
-    trace row (s, iterations, residual, ok) in solve order).
+    passes it whole.  Each rung tries the warm start, then the cold
+    (transport) start, and raises SolverError when neither converges.  The
+    warm start is the rung above; at the top it is the previous s's top
+    scaled by the ratio of boundary values (none for the first s and after
+    bc = 0).  Returns ({s: [(solution, trace rows) per chain eps, top
+    first]}, every trace row (s, iterations, residual, ok) in solve order).
     """
-    chain = []
-    for e in sorted(eps_values, reverse=True):
-        while chain and chain[-1] / e > MAX_WARM_RATIO * (1 + 1e-12):
-            chain.append(chain[-1] / 2.0)
-        chain.append(e)
+    chain = eps_ladder(eps_values, MAX_WARM_RATIO)
     if bc is not None and dom.k_is_zero():
         s_values = [max(s_values)]
     chains, trace, top = {}, [], None
@@ -173,40 +175,22 @@ def continuation_solve(dom, s_values, eps_values, bc=None, tol=TOL_NEWTON,
         b = s * (dom.L - 2.0) if bc is None else float(bc)
         warm = (None if top is None or top.bc == 0.0
                 else top.interior * (b / top.bc))
-        chains[s], above = [], None
-
-        def attempt(e, init):
-            sol = newton_solve(dom, e, s, u_init=init, bc=b, tol=tol,
-                               variant=variant)
-            rows.append((s, sol.iterations, sol.residual_norm, sol.converged))
-            return sol
-
+        chains[s] = []
         for eps in chain:
             rows = []
             for init in ([None] if warm is None else [warm, None]):
-                sol = attempt(eps, init)
+                sol = newton_solve(dom, eps, s, u_init=init, bc=b,
+                                   variant=variant)
+                rows.append((s, sol.iterations, sol.residual_norm,
+                             sol.converged))
                 if sol.converged:
                     break
-            if not sol.converged and above is not None:
-                base, ratio = above, np.sqrt(eps / above.eps)
-                while ratio <= WALK_MIN_RATIO:
-                    e_try = base.eps * ratio
-                    if e_try < eps * 1.001:
-                        e_try = eps
-                    cand = attempt(e_try, base.interior)
-                    if not cand.converged:
-                        ratio = np.sqrt(ratio)
-                    elif e_try == eps:
-                        sol = cand
-                        break
-                    else:
-                        base = cand
-            if not sol.converged:
+            else:
                 raise SolverError(f"descent failed at eps={eps}, s={s}: "
                                   f"{sol.diagnostic}")
             chains[s].append((sol, rows))
             trace += rows
-            above, warm = sol, sol.interior
+            warm = sol.interior
         top = chains[s][0][0]
     return chains, trace
 

@@ -2,8 +2,8 @@
 
 The sweep is one ``solver.continuation_solve`` at the fixed boundary value
 L - 2: the endpoint s = 0 down the epsilon chain, then s = 1 from its top;
-each rung starts warm from the one above, and the driver recovers every
-failed start.  It tracks the Cauchy deltas of u and the share of field
+each rung starts warm from the one above, and the driver retries a failed
+warm start cold.  It tracks the Cauchy deltas of u and the share of field
 points where |grad u| grows (the compactness hypotheses are monitored, not
 proven), and keeps the gradient tail needed to reconstruct the unit normal
 across plateaus.  Jump regions are plateaus of the metric gradient; their
@@ -25,6 +25,7 @@ DEFAULT_EPS0 = 1.0 / 32.0
 TAIL_RUNGS = 4              # sweep rungs kept for the normal reconstruction
 NORMAL_ANGLE_TOL_DEG = 1.0  # tail normals agreeing within this are Cauchy
 TOL_HORIZON = 0.03          # max relative |H - |P|| on a verified horizon
+TOL_SWEEP = 0.05            # last sup-norm delta of a Cauchy sweep (flow time)
 
 
 class FlowError(RuntimeError):
@@ -95,19 +96,20 @@ class FlowRecord:
         return (0.0, self.truncation_threshold())
 
 
-def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
-                  tol_newton=sv.TOL_NEWTON, variant="stimcf"):
+def epsilon_sweep(dom, eps_last=1e-3, eps0=None, variant="stimcf"):
     """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
 
-    The sweep builds that ladder itself (every ratio at most 2, the last one
-    the remainder) and reads every rung of it, so the driver inserts none.
+    The sweep builds that ladder itself, ``solver.eps_ladder`` at ratio 2
+    (every ratio at most 2, the last one the remainder), and reads every
+    rung of it, so the driver inserts none.
     One ``solver.continuation_solve`` at bc = L - 2 gives both chains: the
     flow at s = 1 and the IMCF reference at s = 0 (when K vanishes the
     operator does not depend on s and the flow chain is the IMCF chain).
     A schedule that cannot start (unknown variant, eps0 or eps_last not
     positive, eps0 not above eps_last or above the feasibility bound) raises
-    FlowConfigError, a rung that no start converges FlowError naming its eps
-    and s.  Returns a FlowRecord.
+    FlowConfigError, a rung whose warm and cold starts both fail FlowError
+    naming its eps and s.  The sweep is Cauchy when its last sup-norm delta
+    lies below TOL_SWEEP.  Returns a FlowRecord.
     """
     if variant not in VARIANTS:
         raise FlowConfigError(f"unknown operator variant '{variant}'")
@@ -123,14 +125,10 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
         raise FlowConfigError(
             f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
             f"not above the feasibility bound {feas['eps_max']:.3g}")
-    schedule = [e]
-    while schedule[-1] / eps_last > 2.0 * (1 + 1e-12):
-        schedule.append(schedule[-1] / 2.0)
-    schedule.append(eps_last)
     try:
         chains, _ = sv.continuation_solve(
-            dom, [0.0, 1.0], schedule, bc=dom.L - 2.0, tol=tol_newton,
-            variant=variant)
+            dom, [0.0, 1.0], sv.eps_ladder([e, eps_last], 2.0),
+            bc=dom.L - 2.0, variant=variant)
     except sv.SolverError as exc:
         raise FlowError(f"sweep failed ({exc}); check alpha/L (domain size) "
                         "and resolution") from exc
@@ -160,11 +158,11 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, tol_sweep=0.05,
                                               imcf_reference=imcf_sol))
         rec.solution = sol
         rec.imcf = imcf_sol
-    rec.cauchy_ok = rec.sup_deltas[-1] < tol_sweep
+    rec.cauchy_ok = rec.sup_deltas[-1] < TOL_SWEEP
     if not rec.cauchy_ok:
         rate = (rec.sup_deltas[-1] / rec.sup_deltas[-2]
                 if len(rec.sup_deltas) > 1 else np.nan)
-        rec.suggestion = (f"sweep not Cauchy at tol {tol_sweep}: last delta "
+        rec.suggestion = (f"sweep not Cauchy at tol {TOL_SWEEP}: last delta "
                           f"{rec.sup_deltas[-1]:.3g}, rate {rate:.3g}; "
                           f"extend the schedule below {rec.eps_last:.3g}")
     return rec

@@ -106,7 +106,8 @@ def test_flow_rejects_missing_grid_file(tmp_path, capsys):
 
 def test_flow_rejects_unknown_key(tmp_path, capsys):
     for key in ("bogus_key", "grad_tol_factor", "tol_h_rel", "tol_min_rel",
-                "probe_times_flowtime"):
+                "probe_times_flowtime", "tol_newton_per_length",
+                "tol_sweep_flowtime"):
         _flow_rejects_config(tmp_path, capsys, FLAT_CFG + f"{key} = 1\n",
                              f"unknown key '{key}'")
 
@@ -183,6 +184,15 @@ def test_verify_fresh_record_passes(flat_record):
 def test_verify_single_section(flat_record):
     status = cli.main(["verify", str(flat_record), "--check", "monotone"])
     assert status == 0
+
+
+def test_verify_rejects_an_unknown_check_before_running_any(flat_record,
+                                                            capsys):
+    status = cli.main(["verify", str(flat_record), "--check", "horizon,bogus"])
+    out, err = capsys.readouterr()
+    assert status == 2
+    assert out == ""
+    assert "unknown check 'bogus'" in err
 
 
 def test_verify_detects_truncated_array(flat_record, tmp_path):

@@ -330,7 +330,7 @@ def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
 def test_apriori_matrix_needs_no_recovery_on_schwarzschild(m, e0,
                                                           monkeypatch):
     # the criterion-4 matrix (its eps and s lists, h = 1/128): every warm
-    # start of every chain converges, so no rung retries cold or walks, and
+    # start of every chain converges, so no rung retries cold, and
     # the grid's sqrt(10) steps get no inserted rung: one solve per report
     dom = build_domain(build_preset("schwarzschild_isotropic", m=m),
                        {"radius": e0}, L=4.0, alpha=1.5, h=1 / 128.)
@@ -556,17 +556,14 @@ def test_grid_domain_rejects_offdiagonal_metric():
                      mode="grid")
 
 
-def test_apriori_bisection_refines_next_to_the_last_converged_eps(
-        flat_dom, monkeypatch):
+def test_apriori_rung_retries_cold_once_then_raises(flat_dom, monkeypatch):
     # every start, cold ones included, fails below eps_fail: the chain
     # 1e-2, 5e-3, 1.25e-3 (the 8x gap gets one halving rung) converges at
-    # 5e-3, then has to bisect and raise
+    # 5e-3, then 1.25e-3 tries its warm start and its cold start and raises
     eps_fail = 4e-3
-    chain = (1e-2, 5e-3, 1.25e-3)
     calls = []
 
-    def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
-                          **kwargs):
+    def fake_newton_solve(dom, eps, s, u_init=None, **kwargs):
         ok = eps >= eps_fail
         calls.append((eps, u_init is None, ok))
         return sv.ScalarSolution(dom, np.zeros(dom.n_unknowns), eps, s,
@@ -574,31 +571,20 @@ def test_apriori_bisection_refines_next_to_the_last_converged_eps(
                                  ok, 0.0, diagnostic=None if ok else "stall")
 
     monkeypatch.setattr(sv, "newton_solve", fake_newton_solve)
-    with pytest.raises(sv.SolverError):
-        sv.apriori_matrix(flat_dom, [1.0], [chain[0], chain[-1]])
-    last_ok, checked = None, 0
-    for (eps, cold, ok), (nxt, _, _) in zip(calls, calls[1:]):
-        if ok:
-            last_ok = eps
-        elif eps not in chain:
-            # a failed midpoint: the next trial refines the step next to
-            # the last converged eps
-            assert eps < nxt < last_ok
-            checked += 1
-    assert checked >= 2
-    # the failed warm start at 1.25e-3 is retried cold before any bisection
-    assert calls[2:4] == [(1.25e-3, False, False), (1.25e-3, True, False)]
+    with pytest.raises(sv.SolverError, match="eps=0.00125, s=1.0"):
+        sv.apriori_matrix(flat_dom, [1.0], [1e-2, 1.25e-3])
+    assert calls == [(1e-2, True, True), (5e-3, False, True),
+                     (1.25e-3, False, False), (1.25e-3, True, False)]
 
 
 def test_apriori_failed_cold_top_raises_after_one_solve(flat_dom,
                                                         monkeypatch):
-    # the first s has no warm start and the top rung has no rung above to
-    # walk from: one failed cold solve there raises
+    # the first s has no warm start: one failed cold solve at its top
+    # rung raises
     top = 2e-2
     calls = []
 
-    def fake_newton_solve(dom, eps, s, u_init=None, tol=sv.TOL_NEWTON,
-                          **kwargs):
+    def fake_newton_solve(dom, eps, s, u_init=None, **kwargs):
         calls.append((eps, u_init is None))
         return sv.ScalarSolution(dom, np.zeros(dom.n_unknowns), eps, s,
                                  s * (dom.L - 2.0), 1.0, 1, False, 0.0,

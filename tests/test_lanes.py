@@ -77,22 +77,28 @@ def test_enumeration_stays_independent_of_the_hull_routes():
 
 
 def test_newton_solve_has_one_recovery_home():
-    # after a failed solve the next start is chosen by continuation_solve;
-    # no other function calls newton_solve itself, and the sweep retries
-    # nothing in a loop of its own
+    # after a failed solve the next start is chosen by continuation_solve,
+    # from one call site and no loop that walks in eps; no other function
+    # calls newton_solve itself, and the sweep retries nothing in a loop of
+    # its own
     allowed = {"continuation_solve", "imcf_reference_solve"}
-    hits = []
+    hits, driver_sites = [], []
     for name in ("solver.py", "weak_flow.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         for top in tree.body:
             owner = getattr(top, "name", "<module>")
-            if owner in allowed:
-                continue
             for node in ast.walk(top):
+                if owner == "continuation_solve" and isinstance(
+                        node, ast.While):
+                    hits.append(f"{name}:{node.lineno} walks in a loop")
                 if isinstance(node, ast.Call) and "newton_solve" in (
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)):
-                    hits.append(f"{name}:{node.lineno} in {owner}")
+                    if owner == "continuation_solve":
+                        driver_sites.append(node.lineno)
+                    elif owner not in allowed:
+                        hits.append(f"{name}:{node.lineno} in {owner}")
+    assert len(driver_sites) == 1, f"driver solves at lines {driver_sites}"
     for loop in ast.walk(ast.parse((SRC / "weak_flow.py").read_text())):
         if not isinstance(loop, (ast.For, ast.While)):
             continue
@@ -288,7 +294,7 @@ def test_benchmark_spans_see_the_radial_newton_layers():
     tracer = _spans().Tracer()
     tracer.install()
     try:
-        sol = sv.newton_solve(dom, 0.02, 1.0)
+        sol = sv.newton_solve(dom, 0.02, 1.0, bc=dom.L - 2.0)
     finally:
         tracer.uninstall()
     assert sol.converged

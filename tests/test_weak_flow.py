@@ -257,8 +257,8 @@ def test_sweep_raises_when_every_cold_start_fails(monkeypatch):
 
 
 def test_sweep_names_the_rung_below_the_top_that_fails(monkeypatch):
-    # every start below eps_fail stalls, the log-eps walk included: the
-    # sweep fails at the third rung, not at its top
+    # every start below eps_fail stalls, warm and cold: the sweep fails at
+    # the third rung, not at its top
     dom = _small_flat()
     newton = sv.newton_solve
     eps_fail = 1e-2
