@@ -16,6 +16,7 @@ DEFAULT_ANNULUS = (1.0, 3.0)
 # the outer truncation affects arrival times only within O(eps) of the
 # plateau value; a quarter flow-time unit of clearance is generous
 BLOWDOWN_VALUE_MARGIN = 0.25
+BLOWDOWN_SAMPLES = 512
 
 
 class BlowdownTrace:
@@ -44,23 +45,29 @@ def _sample_u(rec, points_radii):
     return np.interp(points_radii, dom.r, np.maximum.accumulate(rec.u))
 
 
-def blowdown_compare(rec, scales, n_samples=512):
-    """sup over DEFAULT_ANNULUS of |u^lambda - c_lambda - n ln|y|| per scale.
+def blowdown_covers(rec, lam):
+    """Whether the domain covers DEFAULT_ANNULUS pulled back by the scale
+    `lam`: u at |x| = DEFAULT_ANNULUS[1] / lam stays BLOWDOWN_VALUE_MARGIN
+    below the boundary value, clear of the outer truncation."""
+    u = _sample_u(rec, np.array([DEFAULT_ANNULUS[1] / lam]))[0]
+    return bool(u <= rec.solution.bc - BLOWDOWN_VALUE_MARGIN + 1e-9)
+
+
+def blowdown_compare(rec, scales):
+    """sup over DEFAULT_ANNULUS of |u^lambda - c_lambda - n ln|y|| per scale,
+    on BLOWDOWN_SAMPLES radii.
 
     c_lambda is the sup of |u^lambda| on the unit sphere (the paper's
-    normalization); the comparison requires that the annulus, pulled back by
-    the smallest scale, stays inside the truncation-free zone.
+    normalization).  Raises FlowError unless ``blowdown_covers`` holds at
+    the smallest scale.
     """
     dom = rec.domain
     scales = np.asarray(sorted(scales, reverse=True), float)
-    lo, hi_t = rec.valid_time_range()
-    r_needed = DEFAULT_ANNULUS[1] / scales.min()
-    u_at_needed = _sample_u(rec, np.array([r_needed]))[0]
-    if u_at_needed > rec.solution.bc - BLOWDOWN_VALUE_MARGIN + 1e-9:
+    if not blowdown_covers(rec, scales.min()):
         raise FlowError(
             f"domain radius insufficient: blowdown needs clean data out to "
-            f"|x| = {r_needed:.3g}")
-    rho = np.linspace(DEFAULT_ANNULUS[0], DEFAULT_ANNULUS[1], n_samples)
+            f"|x| = {DEFAULT_ANNULUS[1] / scales.min():.3g}")
+    rho = np.linspace(DEFAULT_ANNULUS[0], DEFAULT_ANNULUS[1], BLOWDOWN_SAMPLES)
     errors, cs, floors = [], [], []
     n = rec.ids.n
     for lam in scales:

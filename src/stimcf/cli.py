@@ -2,11 +2,14 @@
 direct oracle queries.
 
 Config files are flat ``key = value`` text with units spelled out in key
-names (chart lengths, flow times, inverse lengths).  Exit codes: 0 success,
-2 configuration error, 3 solver non-convergence, 4 invariant violation.
+names (chart lengths, flow times, inverse lengths); ``records`` parses and
+builds them, so a reloaded record is the run that ``flow`` made, and writes
+every CSV.  Exit codes: 0 success, 2 configuration error, 3 solver
+non-convergence, 4 invariant violation.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -18,71 +21,13 @@ from . import weak_flow as wf
 from . import variational as vr
 from . import asymptotics as asym
 from . import records
-from .domain import build_domain, DomainError, LaneError
-
-CONFIG_KEYS = {
-    "preset": str,
-    "grid_file": str,
-    "mass": float,
-    "n": int,
-    "e0_radius_chart": float,
-    "e0_center_chart": str,
-    "level_L_flowtime": float,
-    "alpha_exponent": float,
-    "grid_h_chart": float,
-    "mode": str,
-    "eps_last_per_length": float,
-    "eps0_per_length": float,
-    "variant": str,
-}
-
-
-def parse_config(path):
-    cfg = {}
-    try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"line {ln}: expected key = value")
-                k, _, v = line.partition("=")
-                k = k.strip()
-                v = v.strip()
-                if k not in CONFIG_KEYS:
-                    raise ValueError(f"line {ln}: unknown key '{k}'")
-                cfg[k] = CONFIG_KEYS[k](v)
-    except OSError as exc:
-        raise ValueError(str(exc))
-    return cfg
-
-
-def build_from_config(cfg):
-    if "grid_file" in cfg:
-        ids = idm.load_grid_data(cfg["grid_file"])
-    else:
-        preset = cfg.get("preset", "flat")
-        params = {}
-        if "mass" in cfg:
-            params["m"] = cfg["mass"]
-        if "n" in cfg:
-            params["n"] = cfg["n"]
-        ids = idm.build_preset(preset, **params)
-    e0 = {"radius": cfg.get("e0_radius_chart", 1.0)}
-    if "e0_center_chart" in cfg:
-        e0["center"] = [float(x) for x in cfg["e0_center_chart"].split()]
-    dom = build_domain(ids, e0, L=cfg.get("level_L_flowtime", 6.0),
-                       alpha=cfg.get("alpha_exponent", min(1.9, ids.n - 0.1)),
-                       h=cfg.get("grid_h_chart", 1.0 / 64),
-                       mode=cfg.get("mode", "auto"))
-    return ids, dom
+from .domain import DomainError, LaneError
 
 
 def cmd_flow(args):
     try:
-        cfg = parse_config(args.config)
-        ids, dom = build_from_config(cfg)
+        cfg = records.parse_config(args.config)
+        ids, dom = records.build_from_config(cfg)
         ids.validate()
     except (ValueError, DomainError, idm.InitialDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -134,14 +79,8 @@ BLOWDOWN_SCALES = (1.0, 0.5, 0.25, 0.125)
 def _blowdown_scales(rec):
     """The leading BLOWDOWN_SCALES whose pulled-back annulus the record's
     domain still covers."""
-    scales = []
-    for lam in BLOWDOWN_SCALES:
-        try:
-            asym.blowdown_compare(rec, [lam], n_samples=8)
-        except wf.FlowError:
-            break
-        scales.append(lam)
-    return scales
+    return list(itertools.takewhile(lambda lam: asym.blowdown_covers(rec, lam),
+                                    BLOWDOWN_SCALES))
 
 
 def cmd_verify(args):
@@ -219,17 +158,13 @@ def cmd_plotdata(args):
             ts = np.linspace(lo, hi * 0.95, 60)
             radii = wf.level_radius(rec, ts)
             with open(path, "w") as fh:
-                fh.write("t,radius\n")
-                for t, r in zip(ts, radii):
-                    fh.write("%.17g,%.17g\n" % (t, r))
+                records.write_csv(fh, ("t", "radius"), ts, radii)
         elif kind == "Q-trace":
             tr = vr.monotone_quantity(rec)
             with open(path, "w") as fh:
-                fh.write("t,Q,dQ_dt,predicted_dQ_dt,area\n")
-                for i in range(len(tr["t"])):
-                    fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                        tr["t"][i], tr["Q"][i], tr["dQ_dt"][i],
-                        tr["predicted"][i], tr["area"][i]))
+                records.write_csv(
+                    fh, ("t", "Q", "dQ_dt", "predicted_dQ_dt", "area"),
+                    tr["t"], tr["Q"], tr["dQ_dt"], tr["predicted"], tr["area"])
         elif kind == "blowdown":
             scales = _blowdown_scales(rec)
             if not scales:
@@ -237,16 +172,12 @@ def cmd_plotdata(args):
                 return 2
             bt = asym.blowdown_compare(rec, scales)
             with open(path, "w") as fh:
-                fh.write("scale,sup_error,normalization,floor\n")
-                for i in range(len(bt.scales)):
-                    fh.write("%.17g,%.17g,%.17g,%.17g\n" % (
-                        bt.scales[i], bt.errors[i], bt.normalizations[i],
-                        bt.floor[i]))
+                records.write_csv(
+                    fh, ("scale", "sup_error", "normalization", "floor"),
+                    bt.scales, bt.errors, bt.normalizations, bt.floor)
         elif kind == "jump-profile":
             with open(path, "w") as fh:
-                fh.write("r,u\n")
-                for r, u in zip(rec.domain.radii, rec.u):
-                    fh.write("%.17g,%.17g\n" % (r, u))
+                records.write_csv(fh, ("r", "u"), rec.domain.radii, rec.u)
     except LaneError as exc:
         print(f"{kind}: {exc}", file=sys.stderr)
         return 2
@@ -255,13 +186,8 @@ def cmd_plotdata(args):
 
 
 def cmd_oracle(args):
-    params = {}
-    if args.mass is not None:
-        params["m"] = args.mass
-    if args.n is not None:
-        params["n"] = args.n
     try:
-        ids = idm.build_preset(args.preset, **params)
+        ids = records.preset_data(args.preset, args.mass, args.n)
         prof = orc.RadialProfile.from_initial_data(ids)
     except (idm.InitialDataError, orc.OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -269,21 +195,21 @@ def cmd_oracle(args):
     try:
         if args.what == "diagnostics":
             H, P, Phi = prof.sphere_diagnostics(args.radius)
-            print("r,H,P,Phi")
-            print("%.17g,%.17g,%.17g,%.17g" % (args.radius, H, P, Phi))
+            records.write_csv(sys.stdout, ("r", "H", "P", "Phi"),
+                              [args.radius], [H], [P], [Phi])
         elif args.what == "horizon":
             root = orc.horizon_root(prof)
             print("none" if root is None else "%.17g" % root)
         elif args.what == "trajectory":
             traj = orc.smooth_flow_ode(prof, args.radius, args.t_end)
+            names = ("t", "r", "H", "P", "Phi", "area")
+            columns = [traj[c] for c in names]
             if args.out:
-                orc.trajectory_csv(traj, args.out)
+                with open(args.out, "w") as fh:
+                    records.write_csv(fh, names, *columns)
                 print(f"wrote {args.out} (blowup={traj['blowup']})")
             else:
-                print("t,r,H,P,Phi,area")
-                for i in range(len(traj["t"])):
-                    print(",".join("%.17g" % traj[c][i] for c in
-                                   ("t", "r", "H", "P", "Phi", "area")))
+                records.write_csv(sys.stdout, names, *columns)
     except orc.OracleError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -266,12 +266,6 @@ class RadialDomain:
         vol[[0, -1]] *= 0.5
         return vol
 
-    def boundary_measures(self):
-        omega = sphere_area(self.n)
-        area_in = omega * (self.b[0] * self.r[0]) ** self.n
-        area_out = omega * (self.b[-1] * self.r[-1]) ** self.n
-        return area_in, area_out, float(self.volumes().sum())
-
     # discrete operator -----------------------------------------------------
     def _stencil(self, interior, eps, bc, s):
         """One pass over the chain.  On the faces: the flux F = A q / Wf of
@@ -396,13 +390,15 @@ class RadialDomain:
         return self.alpha * np.log(np.maximum(self.r, 1e-300) / self.R0)
 
     def feasibility(self):
-        area_in, area_out, vol = self.boundary_measures()
+        omega = sphere_area(self.n)
+        area_in = omega * (self.b[0] * self.r[0]) ** self.n
+        area_out = omega * (self.b[-1] * self.r[-1]) ** self.n
         H_plus = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
         lam = float(np.max(np.abs(self.kr)))
         ric = np.abs(self.profile.ricci_normal(self.r))
         C1 = (self.n + 1) * float(np.max(ric))
-        return _feasibility(area_in + area_out, vol, H_plus, lam, C1,
-                            self.r_out - self.r_in)
+        return _feasibility(area_in + area_out, float(self.volumes().sum()),
+                            H_plus, lam, C1, self.r_out - self.r_in)
 
     def k_is_zero(self):
         return bool(np.all(self.kr == 0.0))
@@ -929,8 +925,8 @@ def choose_anchor_radius(ids, alpha, e0_outer_radius):
         prof = RadialProfile.from_initial_data(ids, r_max=4 * ANCHOR_R_MAX)
         res = subsolution_margin(prof, alpha, radii)
     else:
-        dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
-                         [1, 1, 1] / np.sqrt(3)])[:, :ids.dim]
+        d = ids.dim
+        dirs = np.vstack([np.eye(d), np.ones(d) / np.sqrt(d)])
         res = np.array([np.min(_pointwise_margin(
             ids, r * dirs, alpha)) for r in radii])
     # the residual of the log subsolution decays like (n - alpha)/r, so the

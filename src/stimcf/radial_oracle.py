@@ -255,11 +255,3 @@ def evolution_equation_check(profile, trajectory):
     res["Phi"] = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-14)))
     return res
 
-
-def trajectory_csv(trajectory, path):
-    """Write (t, r, H, P, Phi, area) columns at 17 significant digits."""
-    cols = ["t", "r", "H", "P", "Phi", "area"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(trajectory["t"])):
-            fh.write(",".join("%.17g" % trajectory[c][i] for c in cols) + "\n")

@@ -1,7 +1,12 @@
-"""FlowRecord persistence: a directory with manifest, arrays and CSV reports.
+"""Run descriptions and FlowRecord persistence.
 
-The manifest is flat key/value text; binary arrays are little-endian float64
-with a one-line header, and every payload's SHA-256 goes into the manifest so
+A run is a flat config (``CONFIG_KEYS``, ``parse_config``), and
+``build_from_config`` is the one place that turns it into initial data and a
+domain, for ``stimcf flow`` and ``load_record`` alike.
+
+A record is a directory with manifest, arrays and CSV reports.  The manifest
+is flat key/value text; binary arrays are little-endian float64 with a
+one-line header, and every payload's SHA-256 goes into the manifest so
 reloads detect corruption.  Identical configurations reproduce bit-identical
 manifests (no timestamps inside the hashed section).
 """
@@ -13,7 +18,68 @@ import os
 import numpy as np
 
 from . import initial_data as idm
-from .domain import build_domain
+from .domain import build_domain, DomainError
+
+CONFIG_KEYS = {
+    "preset": str,
+    "grid_file": str,
+    "mass": float,
+    "n": int,
+    "e0_radius_chart": float,
+    "e0_center_chart": str,
+    "level_L_flowtime": float,
+    "alpha_exponent": float,
+    "grid_h_chart": float,
+    "mode": str,
+    "eps_last_per_length": float,
+    "eps0_per_length": float,
+    "variant": str,
+}
+
+
+def parse_config(path):
+    cfg = {}
+    try:
+        with open(path) as fh:
+            for ln, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"line {ln}: expected key = value")
+                k, _, v = line.partition("=")
+                k = k.strip()
+                v = v.strip()
+                if k not in CONFIG_KEYS:
+                    raise ValueError(f"line {ln}: unknown key '{k}'")
+                cfg[k] = CONFIG_KEYS[k](v)
+    except OSError as exc:
+        raise ValueError(str(exc))
+    return cfg
+
+
+def preset_data(preset, mass=None, n=None):
+    """The preset initial data, with its mass and n when given."""
+    params = {k: v for k, v in (("m", mass), ("n", n)) if v is not None}
+    return idm.build_preset(preset, **params)
+
+
+def build_from_config(cfg):
+    """(initial data, domain) of a typed config, with the defaults of
+    ``stimcf flow`` for every key it leaves out."""
+    if "grid_file" in cfg:
+        ids = idm.load_grid_data(cfg["grid_file"])
+    else:
+        ids = preset_data(cfg.get("preset", "flat"), cfg.get("mass"),
+                          cfg.get("n"))
+    e0 = {"radius": cfg.get("e0_radius_chart", 1.0)}
+    if "e0_center_chart" in cfg:
+        e0["center"] = [float(x) for x in cfg["e0_center_chart"].split()]
+    dom = build_domain(ids, e0, L=cfg.get("level_L_flowtime", 6.0),
+                       alpha=cfg.get("alpha_exponent", min(1.9, ids.n - 0.1)),
+                       h=cfg.get("grid_h_chart", 1.0 / 64),
+                       mode=cfg.get("mode", "auto"))
+    return ids, dom
 
 
 class RecordError(RuntimeError):
@@ -44,6 +110,22 @@ def read_array(path):
         shape = tuple(int(s) for s in head[3:])
         data = np.frombuffer(fh.read(), dtype="<f8")
     return data.reshape(shape)
+
+
+def write_csv(fh, names, *columns):
+    """Write a header of `names` and one row per index of `columns`, every
+    value at 17 significant digits, to the open text file `fh`."""
+    fh.write(",".join(names) + "\n")
+    for row in zip(*columns):
+        fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def _domain_keys(dom):
+    """The manifest's ``domain.*`` entries, checked when the record loads."""
+    values = {"h": dom.h, "L": dom.L, "alpha": dom.alpha, "R0": dom.R0,
+              "grade_radius": dom.r_g}
+    return {"domain.kind": dom.kind,
+            **{f"domain.{k}": "%.17g" % v for k, v in values.items()}}
 
 
 def save_record(rec, outdir, config=None):
@@ -83,12 +165,7 @@ def save_record(rec, outdir, config=None):
     manifest["eps_last"] = "%.17g" % rec.eps_last
     manifest["bc"] = "%.17g" % rec.solution.bc
     manifest["residual_norm"] = "%.17g" % rec.solution.residual_norm
-    manifest["domain.kind"] = dom.kind
-    manifest["domain.h"] = "%.17g" % dom.h
-    manifest["domain.L"] = "%.17g" % dom.L
-    manifest["domain.alpha"] = "%.17g" % dom.alpha
-    manifest["domain.R0"] = "%.17g" % dom.R0
-    manifest["domain.grade_radius"] = "%.17g" % dom.r_g
+    manifest.update(_domain_keys(dom))
     for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv"):
         p = os.path.join(outdir, name)
         if os.path.exists(p):
@@ -127,8 +204,11 @@ def verify_hashes(record_dir):
 
 
 def load_record(record_dir):
-    """Rebuild a FlowRecord from a persisted directory (presets only).
+    """Rebuild a FlowRecord from a persisted directory.
 
+    The domain is rebuilt from the record's config by ``build_from_config``,
+    then checked against the manifest's ``domain.*`` entries.  Records built
+    from a grid file are refused: the file is not hashed with the record.
     Solver state (u, IMCF reference) is restored exactly; sweep-tail fields
     are reconstructed from the final solution alone, which is enough for the
     verification suites.
@@ -138,34 +218,32 @@ def load_record(record_dir):
 
     verify_hashes(record_dir)
     man = read_manifest(record_dir)
-    preset = man.get("config.preset")
-    if preset is None:
-        raise RecordError("record has no preset config; cannot rebuild domain")
-    params = {}
-    if "config.mass" in man:
-        params["m"] = float(man["config.mass"])
-    if "config.n" in man:
-        params["n"] = int(man["config.n"])
-    ids = idm.build_preset(preset, **params)
-    e0 = {"radius": float(man["config.e0_radius_chart"])}
-    if "config.e0_center_chart" in man:
-        e0["center"] = [float(x) for x in man["config.e0_center_chart"].split()]
-    dom = build_domain(ids, e0, L=float(man["domain.L"]),
-                       alpha=float(man["domain.alpha"]),
-                       h=float(man["domain.h"]),
-                       mode=man["domain.kind"])
-    # the same node count with other radii would otherwise load silently
-    r_g = man.get("domain.grade_radius")
-    if r_g != "%.17g" % dom.r_g:
-        raise RecordError(f"record grade radius {r_g} differs from the "
-                          f"rebuilt domain's {dom.r_g:.17g}")
+    cfg = {k[len("config."):]: v for k, v in man.items()
+           if k.startswith("config.")}
+    if not cfg:
+        raise RecordError("record has no config; cannot rebuild its domain")
+    if "grid_file" in cfg:
+        raise RecordError("record was built from a grid file, which it does "
+                          "not hash; cannot rebuild its domain")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise RecordError(f"record config has unknown key '{unknown[0]}'")
+    try:
+        _, dom = build_from_config({k: CONFIG_KEYS[k](v)
+                                    for k, v in cfg.items()})
+    except (ValueError, DomainError, idm.InitialDataError) as exc:
+        raise RecordError(f"cannot rebuild the record's domain: {exc}")
     rec = FlowRecord(dom, man.get("variant", "stimcf"))
     u = read_array(os.path.join(record_dir, "u.f64"))
     if u.shape != (dom.n_unknowns,):
         raise RecordError(f"u.f64 holds {u.size} values; the rebuilt domain "
                           f"has {dom.n_unknowns} unknowns")
-    eps_sched = [float(x) for x in man["eps_schedule"].split()]
-    rec.epsilons = eps_sched
+    # the same node count with other radii would otherwise load silently
+    for k, v in _domain_keys(dom).items():
+        if man.get(k) != v:
+            raise RecordError(f"record {k} = {man.get(k)} differs from the "
+                              f"rebuilt domain's {v}")
+    rec.epsilons = [float(x) for x in man["eps_schedule"].split()]
     bc = float(man["bc"])
     eps_last = float(man["eps_last"])
     sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from stimcf import build_domain, build_preset, cli, records
+from stimcf import build_domain, build_preset, cli, records, save_grid_data
 from stimcf import weak_flow as wf
 from stimcf.solver import ScalarSolution
 
@@ -113,18 +113,19 @@ def test_flow_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_every_config_key_is_read():
-    """Each key of cli.CONFIG_KEYS appears as a string constant somewhere in
-    cli.py outside the table itself, so no accepted key is ignored."""
-    tree = ast.parse(open(cli.__file__).read())
-    table = next(node.value for node in ast.walk(tree)
+    """Each key of records.CONFIG_KEYS appears as a string constant somewhere
+    in records.py or cli.py outside the table itself, so no accepted key is
+    ignored."""
+    trees = [ast.parse(open(mod.__file__).read()) for mod in (records, cli)]
+    table = next(node.value for node in ast.walk(trees[0])
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "CONFIG_KEYS"
                          for t in node.targets))
     in_table = {id(node) for node in ast.walk(table)}
-    used = {node.value for node in ast.walk(tree)
+    used = {node.value for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and id(node) not in in_table}
-    assert sorted(set(cli.CONFIG_KEYS) - used) == []
+    assert sorted(set(records.CONFIG_KEYS) - used) == []
 
 
 def test_flow_report_reads_the_normals_and_the_jump_band(flat_record,
@@ -172,7 +173,7 @@ def test_graded_record_rebuilds_its_radii(aniso_record, tmp_path):
     assert key in manifest.read_text()
     manifest.write_text(manifest.read_text().replace(
         key, "domain.grade_radius = %.17g" % (2 * dom.r_g)))
-    with pytest.raises(records.RecordError, match="grade radius"):
+    with pytest.raises(records.RecordError, match="grade_radius"):
         records.load_record(str(edited))
 
 
@@ -298,7 +299,9 @@ def _grid_record(path, center):
     rec.cauchy_ok = True
     records.save_record(rec, str(path), config={
         "preset": "flat", "n": 1, "e0_radius_chart": 1.0,
-        "e0_center_chart": " ".join(map(str, center))})
+        "e0_center_chart": " ".join(map(str, center)),
+        "level_L_flowtime": 2.2, "alpha_exponent": 0.9, "grid_h_chart": 0.25,
+        "mode": "grid"})
     return dom, sol
 
 
@@ -335,3 +338,41 @@ def test_verify_and_plotdata_on_a_grid_record(tmp_path, capsys):
                      "--out", str(tmp_path / "jp")]) == 0
     rows = (tmp_path / "jp" / "jump-profile.csv").read_text().splitlines()
     assert len(rows) == 1 + dom.n_unknowns
+
+
+def test_flow_on_2d_grid_file_data(tmp_path):
+    # flat n = 1 samples read back from a grid file give the run of the
+    # flat preset on the same grid domain; the samples cover the domain
+    # (|x| < 12), so the interpolated metric is the identity bit for bit
+    shape = (33, 33)
+    data = tmp_path / "flat2d.grid"
+    save_grid_data(data, origin=(-16.0, -16.0), spacing=1.0,
+                   g_samples=np.broadcast_to(np.eye(2), shape + (2, 2)),
+                   k_samples=np.zeros(shape + (2, 2)))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"grid_file = {data}\ne0_radius_chart = 1.0\n"
+                   "level_L_flowtime = 2.2\nalpha_exponent = 0.9\n"
+                   "grid_h_chart = 0.25\neps_last_per_length = 1e-2\n")
+    out = tmp_path / "rec"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    dom = build_domain(build_preset("flat", n=1), {"radius": 1.0}, L=2.2,
+                       alpha=0.9, h=0.25, mode="grid")
+    rec = wf.epsilon_sweep(dom, eps_last=1e-2)
+    u = records.read_array(str(out / "u.f64"))
+    assert np.array_equal(u, rec.solution.interior)
+    # the record cannot be reloaded: the grid file is not hashed with it
+    with pytest.raises(records.RecordError, match="grid file"):
+        records.load_record(str(out))
+
+
+@pytest.mark.parametrize("left_out", ["preset", "e0_radius_chart"])
+def test_default_config_record_passes_verify(tmp_path, left_out):
+    # a key left at its default (preset flat, E0 radius 1) is not in the
+    # manifest; the record still rebuilds the domain that the flow ran on
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(line + "\n" for line in FLAT_CFG.splitlines()
+                           if not line.startswith(left_out)))
+    out = tmp_path / "rec"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    assert f"config.{left_out}" not in (out / "manifest.txt").read_text()
+    assert cli.main(["verify", str(out)]) == 0

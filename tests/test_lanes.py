@@ -109,6 +109,22 @@ def test_newton_solve_has_one_recovery_home():
     assert not hits, f"recovery outside the driver: {', '.join(hits)}"
 
 
+def test_build_domain_has_one_caller():
+    # a run is built from its config in one place, so `stimcf flow` and a
+    # reloaded record cannot disagree on the domain
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "build_domain" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.append(f"{path.stem}."
+                                   f"{getattr(top, 'name', '<module>')}")
+    assert callers == ["records.build_from_config"]
+
+
 def test_only_the_continuity_method_starts_a_sweep_chain_cold():
     # one driver solves the (eps, s) family, every rung eagerly: the sweep
     # and the a-priori matrix each call it once, and the solver module
@@ -185,9 +201,9 @@ def test_every_public_function_has_a_caller():
     assert unused == [], f"private functions without a caller: {unused}"
 
 
-# public names of one lane only: the radial lane's boundary measures and
-# level radius, the grid lane's cut-fraction floor
-LANE_ONLY = {"boundary_measures", "level_radius", "THETA_MIN"}
+# public names of one lane only: the radial lane's level radius, the grid
+# lane's cut-fraction floor
+LANE_ONLY = {"level_radius", "THETA_MIN"}
 
 
 def test_lanes_define_the_same_public_names():

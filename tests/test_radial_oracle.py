@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stimcf import build_preset
+from stimcf import build_preset, cli
 from stimcf import radial_oracle as orc
 
 # Outermost real root of r^6 - 3r + 1 (H = |P| for the trapped example),
@@ -130,10 +130,16 @@ def test_oracle_determinism(profiles):
     assert qa == qb
 
 
-def test_trajectory_csv(tmp_path, profiles):
+def test_trajectory_csv(tmp_path, profiles, capsys):
     traj = orc.smooth_flow_ode(profiles["flat"], 1.0, 0.5)
     path = tmp_path / "traj.csv"
-    orc.trajectory_csv(traj, path)
+    assert cli.main(["oracle", "trajectory", "--preset", "flat", "--n", "2",
+                     "--radius", "1.0", "--t-end", "0.5",
+                     "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path} (blowup=False)\n"
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,r,H,P,Phi,area"
     assert len(rows) == len(traj["t"]) + 1
+    # 17 significant digits give the trajectory back bit for bit
+    data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(data[:, 1], traj["r"])

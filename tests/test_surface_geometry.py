@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stimcf import build_preset
+from stimcf import extraction
 from stimcf import surface_geometry as sg
 from tests.test_radial_oracle import R_STAR_ANISO
 
@@ -213,3 +214,28 @@ def test_mean_curvature_rejects_degenerate():
     with pytest.raises(sg.SurfaceError):
         sg.SurfaceMesh(np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]]),
                        np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("h, radius_tol, area_err", [(0.2, 0.014, -0.0104),
+                                                      (0.1, 0.004, -0.0026)])
+def test_marching_tetrahedra_contours_the_unit_sphere(flat3, h, radius_tol,
+                                                      area_err):
+    # |x| on cells of [-1.6, 1.6]^3: the centres are odd multiples of h/2, so
+    # no sample lies on the level |x| = 1
+    x = (np.arange(round(3.2 / h)) + 0.5) * h - 1.6
+    values = np.linalg.norm(np.stack(np.meshgrid(x, x, x, indexing="ij")),
+                            axis=0)
+    mesh = extraction.extract_isosurface(values, np.full(3, x[0]), h, 1.0)
+    # closed: every edge lies in exactly two facets
+    F = mesh.facets
+    edges = np.sort(np.concatenate([F[:, [0, 1]], F[:, [1, 2]],
+                                    F[:, [0, 2]]]), axis=1)
+    assert set(np.unique(edges, axis=0, return_counts=True)[1]) == {2}
+    # outward conormals, close to the radial direction
+    radial = mesh.centroids / np.linalg.norm(mesh.centroids, axis=1)[:, None]
+    assert np.min(np.einsum("mi,mi->m", mesh.conormals, radial)) > 0.95
+    assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)) \
+        < radius_tol
+    # the inscribed facets fall short of the sphere's area by O(h^2)
+    rel = mesh.metric_areas(flat3).sum() / (4 * np.pi) - 1.0
+    assert rel == pytest.approx(area_err, abs=5e-5)
