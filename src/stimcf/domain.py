@@ -36,12 +36,14 @@ of the package lives here; callers use only the protocol:
   ``boundary_level_set``, ``tail_normals``, ``extrema_excess``;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
+
+The radial lane solves its band Jacobian with ``scipy.linalg``.
+``scipy.sparse`` and ``scipy.ndimage`` load inside the grid lane's methods,
+on first use, so a radial run never imports them.
 """
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import surface_geometry as sg
 from .extraction import extract_isosurface
@@ -639,6 +641,7 @@ class GridDomain:
         centered gradient on axis k: the mean of the cell's two faces on
         that axis.
         """
+        import scipy.sparse as sp       # grid lane only: see the module
         nline, nact = len(self.f_lo), self.n_unknowns
         lo_act = self.active[self.f_lo]
         hi_act = self.active[self.f_hi]
@@ -748,6 +751,7 @@ class GridDomain:
         return self.Div_op @ F - rhs_value(W2c, T, s, variant)
 
     def jacobian(self, interior, eps, s, bc, variant="stimcf"):
+        import scipy.sparse as sp
         gn, gts, cell_grads, Wf = self._face_state(interior, bc, eps)
         ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
         # dF/dgn and dF/dgt_k
@@ -771,7 +775,8 @@ class GridDomain:
         return J.tocsc()
 
     def solve(self, J, rhs):
-        return spla.spsolve(J, rhs)
+        from scipy.sparse.linalg import spsolve
+        return spsolve(J, rhs)
 
     def norm_inf(self, J):
         return float(np.max(np.abs(J).sum(axis=1)))

@@ -15,9 +15,23 @@ _CUBE_OFFSETS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
                           [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
 
 
-def _edge_point(p0, p1, v0, v1):
+def _add_vertex(cache, verts, ends, p0, p1, v0, v1):
+    """Cache the vertex of the level on the edge between samples `ends`
+    (at p0, p1 with values v0, v1) under the sorted pair.  A level through
+    a sample (t = 0 or 1) gets one vertex there, keyed by the sample and
+    shared by all of its edges; the callers drop the facets that collapse
+    on it."""
+    key = ends if ends[0] < ends[1] else ends[::-1]
     t = v0 / (v0 - v1)
-    return p0 + t * (p1 - p0)
+    if t not in (0.0, 1.0):
+        verts.append(p0 + t * (p1 - p0))
+        cache[key] = len(verts) - 1
+        return
+    sample = ends[int(t)]
+    if sample not in cache:
+        verts.append(p1 if t else p0)
+        cache[sample] = len(verts) - 1
+    cache[key] = cache[sample]
 
 
 def marching_segments(values, origin, h, level, interior_point=None):
@@ -32,8 +46,8 @@ def marching_segments(values, origin, h, level, interior_point=None):
         if key not in cache:
             p0 = origin + h * np.array([i0, j0])
             p1 = origin + h * np.array([i1, j1])
-            verts.append(_edge_point(p0, p1, f[i0, j0], f[i1, j1]))
-            cache[key] = len(verts) - 1
+            _add_vertex(cache, verts, ((i0, j0), (i1, j1)), p0, p1,
+                        f[i0, j0], f[i1, j1])
         return cache[key]
 
     for i in range(ni - 1):
@@ -50,12 +64,10 @@ def marching_segments(values, origin, h, level, interior_point=None):
             for a, b in edges:
                 if inside[a] != inside[b]:
                     pts.append(vertex(*corners[a], *corners[b]))
-            if len(pts) == 2:
-                segs.append(pts)
-            elif len(pts) == 4:
-                # saddle: split consistently by pairing alternating edges
-                segs.append([pts[0], pts[1]])
-                segs.append([pts[2], pts[3]])
+            # a saddle (4 points) splits consistently by pairing
+            # alternating edges
+            segs += [pts[m:m + 2] for m in range(0, len(pts), 2)
+                     if pts[m] != pts[m + 1]]
     if not verts:
         return None
     return SurfaceMesh(np.array(verts), np.array(segs, int),
@@ -74,10 +86,8 @@ def marching_tetrahedra(values, origin, h, level, interior_point=None):
         if key not in cache:
             p0 = origin + h * np.array(np.unravel_index(key[0], f.shape))
             p1 = origin + h * np.array(np.unravel_index(key[1], f.shape))
-            v0 = f.flat[key[0]]
-            v1 = f.flat[key[1]]
-            verts.append(_edge_point(p0, p1, v0, v1))
-            cache[key] = len(verts) - 1
+            _add_vertex(cache, verts, key, p0, p1, f.flat[key[0]],
+                        f.flat[key[1]])
         return cache[key]
 
     # active cubes: any sign change among corners
@@ -103,8 +113,7 @@ def marching_tetrahedra(values, origin, h, level, interior_point=None):
             if cnt == 1 or cnt == 3:
                 lone = ins.index(cnt == 1)
                 others = [m for m in range(4) if m != lone]
-                p = [vertex(ids[lone], ids[o]) for o in others]
-                tris.append(p)
+                tris.append([vertex(ids[lone], ids[o]) for o in others])
             else:
                 a, b_ = [m for m in range(4) if ins[m]]
                 c, d = [m for m in range(4) if not ins[m]]
@@ -114,6 +123,7 @@ def marching_tetrahedra(values, origin, h, level, interior_point=None):
                 pbd = vertex(ids[b_], ids[d])
                 tris.append([pac, pad, pbd])
                 tris.append([pac, pbd, pbc])
+    tris = [t for t in tris if len(set(t)) == 3]
     if not verts:
         return None
     return SurfaceMesh(np.array(verts), np.array(tris, int),

@@ -4,8 +4,9 @@ A run is a flat config (``CONFIG_KEYS``, ``parse_config``), and
 ``build_from_config`` is the one place that turns it into initial data and a
 domain, for ``stimcf flow`` and ``load_record`` alike.
 
-A record is a directory with manifest, arrays and CSV reports.  The manifest
-is flat key/value text; binary arrays are little-endian float64 with a
+A record is a directory with manifest, arrays and CSV reports, and a copy
+of the grid file (``grid_data``) of a run made from one.  The manifest is
+flat key/value text; binary arrays are little-endian float64 with a
 one-line header, and every payload's SHA-256 goes into the manifest so
 reloads detect corruption.  Identical configurations reproduce bit-identical
 manifests (no timestamps inside the hashed section).
@@ -14,6 +15,7 @@ manifests (no timestamps inside the hashed section).
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -82,6 +84,9 @@ def build_from_config(cfg):
     return ids, dom
 
 
+GRID_COPY = "grid_data"      # a record's copy of the run's grid file
+
+
 class RecordError(RuntimeError):
     pass
 
@@ -130,9 +135,12 @@ def _domain_keys(dom):
 
 def save_record(rec, outdir, config=None):
     """Persist a FlowRecord.  `config` is the flat config dict used to build
-    the run (needed to rebuild the domain on load)."""
+    the run (needed to rebuild the domain on load); a grid file it names is
+    copied into the record as ``grid_data``."""
     os.makedirs(outdir, exist_ok=True)
     dom = rec.domain
+    if config and "grid_file" in config:
+        shutil.copyfile(config["grid_file"], os.path.join(outdir, GRID_COPY))
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
     # when K = 0 the IMCF reference is the flow solution (load_record
     # restores it from u.f64)
@@ -166,7 +174,7 @@ def save_record(rec, outdir, config=None):
     manifest["bc"] = "%.17g" % rec.solution.bc
     manifest["residual_norm"] = "%.17g" % rec.solution.residual_norm
     manifest.update(_domain_keys(dom))
-    for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv"):
+    for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv", GRID_COPY):
         p = os.path.join(outdir, name)
         if os.path.exists(p):
             manifest[f"sha256.{name}"] = _sha(p)
@@ -207,8 +215,8 @@ def load_record(record_dir):
     """Rebuild a FlowRecord from a persisted directory.
 
     The domain is rebuilt from the record's config by ``build_from_config``,
-    then checked against the manifest's ``domain.*`` entries.  Records built
-    from a grid file are refused: the file is not hashed with the record.
+    reading the record's hashed copy of a grid file rather than the original
+    path, then checked against the manifest's ``domain.*`` entries.
     Solver state (u, IMCF reference) is restored exactly; sweep-tail fields
     are reconstructed from the final solution alone, which is enough for the
     verification suites.
@@ -223,8 +231,7 @@ def load_record(record_dir):
     if not cfg:
         raise RecordError("record has no config; cannot rebuild its domain")
     if "grid_file" in cfg:
-        raise RecordError("record was built from a grid file, which it does "
-                          "not hash; cannot rebuild its domain")
+        cfg["grid_file"] = os.path.join(record_dir, GRID_COPY)
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise RecordError(f"record config has unknown key '{unknown[0]}'")

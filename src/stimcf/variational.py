@@ -7,9 +7,9 @@ radial lane's shells) by a two-state scan in O(N), any other graph by Dinic
 max-flow.  Both routes need nonnegative pair and boundary weights, which
 ``SetProblem`` enforces, and both are checked against
 ``exhaustive_minimizers``, an independent reference that evaluates every
-subset of up to 20 free cells by doubling (O(2^k) additions into one table
-of 2^k floats).  The function-level functional, the minimality sweep, the
-area identity and Q(t) run on the radial lane only.
+subset of up to 20 free cells by doubling (O(2^k) additions into tables of
+at most 2^16 floats).  The function-level functional, the minimality
+sweep, the area identity and Q(t) run on the radial lane only.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from .weak_flow import level_radius
 
 TOL_MIN_REL = 1e-3
 TOL_ENUM = 1e-11            # enumerated values within this of the minimum tie
+BLOCK_BITS = 16             # enumeration tables hold at most 2^16 values
 N_Q_TIMES = 160
 
 
@@ -76,8 +77,8 @@ def exhaustive_minimizers(problem):
     patterns 0..h-1 add add0[j] and those with a inside.  Only cut weights
     are added, so each value is a sum of the same terms as
     ``SetProblem.value`` in another order.  Cost: O(2^k) additions; memory:
-    the table of 2^k floats and one pair-weight table of at most 2^(k-1)
-    (12 MB at k = 20).
+    a table of the lowest 16 free cells, one block of 2^16 patterns that
+    fix the lowest k - 16 (same sums) and cut tables: 1.6-2 MB at k = 20.
     """
     free = np.where(problem.free)[0]
     k = len(free)
@@ -104,31 +105,60 @@ def exhaustive_minimizers(problem):
                 add1[j] += w
         elif core[a] != core[b]:
             const += w
-    values = np.empty(1 << k)
-    values[0] = const
-    for j in range(k):
-        h = 1 << j
+
+    def doubling(start, weights):
+        # table[q]: start plus the weights at the set bits of q, in bit order
+        table = np.empty(1 << len(weights))
+        table[0] = start
+        for a, w in enumerate(weights):
+            np.add(table[:1 << a], w, out=table[1 << a:2 << a])
+        return table
+
+    def cut_tables(j, fixed):
+        # cut[q]: weights of the pairs (a, j) with cell a inside in pattern
+        # q, period 2^span, read reversed when j is inside.  A block's fixed
+        # cells (low) start it over the rest (top); ``zero`` starts at 0
+        nbr = np.nonzero(pair_w[j, :j])[0]
+        span = int(nbr[-1]) + 1 if len(nbr) else 0
+        top = pair_w[j, fixed:span]
+        return (span, doubling(0.0, pair_w[j, :min(span, fixed)]), top,
+                doubling(0.0, top))
+
+    def add_cell(values, j, fixed, block, tables):
+        # values[t] holds pattern block + t * 2^fixed of the cells below j
+        h = 1 << (j - fixed)
         lo, hi = values[:h], values[h:2 * h]
         np.add(lo, add1[j], out=hi)
         lo += add0[j]
-        nbr = np.nonzero(pair_w[j, :j])[0]
-        if len(nbr):
-            # cut[q]: weights of the pairs (a, j) whose cell a is inside in
-            # pattern q, built by the same doubling over a < span; it
-            # repeats with period 2^span, and the complement of q within
-            # the period is 2^span - 1 - q, so cell j inside reads it reversed
-            span = int(nbr[-1]) + 1
-            cut = np.empty(1 << span)
-            cut[0] = 0.0
-            for a in range(span):
-                np.add(cut[:1 << a], pair_w[j, a], out=cut[1 << a:2 << a])
-            lo_rows = lo.reshape(-1, 1 << span)
-            hi_rows = hi.reshape(-1, 1 << span)
+        span, low, top, zero = tables
+        if span:
+            q = block % len(low)
+            cut, cut_in = (zero if start == 0.0 else doubling(start, top)
+                           for start in (low[q], low[-1 - q]))
+            lo_rows = lo.reshape(-1, len(cut))
+            hi_rows = hi.reshape(-1, len(cut))
             lo_rows += cut
-            hi_rows += cut[::-1]
-    best = float(np.min(values))
+            hi_rows += cut_in[::-1]
+
+    # the whole table of the lowest m cells, then per pattern b of the
+    # lowest nb the block of patterns b + t * 2^nb, summed in the same order
+    m, nb = min(k, BLOCK_BITS), max(k - BLOCK_BITS, 0)
+    table = np.full(1 << m, const)
+    for j in range(m):
+        add_cell(table, j, 0, 0, cut_tables(j, 0))
+    top_cells = [(j, cut_tables(j, nb)) for j in range(m, k)]
+    values = np.empty(1 << m)
+    best, kept = np.inf, []
+    for block in range(1 << nb):
+        values[:1 << (m - nb)] = table[block::1 << nb]
+        for j, tables in top_cells:
+            add_cell(values, j, nb, block, tables)
+        best = min(best, float(np.min(values)))
+        near = np.nonzero(values <= best + TOL_ENUM)[0]
+        kept.append((values[near], block + (near << nb)))
+    vals, patterns = (np.concatenate(c) for c in zip(*kept))
     masks = []
-    for p in np.nonzero(values <= best + TOL_ENUM)[0]:
+    for p in np.sort(patterns[vals <= best + TOL_ENUM]):
         mask = core.copy()
         mask[free[(p >> np.arange(k)) & 1 == 1]] = True
         masks.append(mask)

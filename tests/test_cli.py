@@ -360,9 +360,11 @@ def test_flow_on_2d_grid_file_data(tmp_path):
     rec = wf.epsilon_sweep(dom, eps_last=1e-2)
     u = records.read_array(str(out / "u.f64"))
     assert np.array_equal(u, rec.solution.interior)
-    # the record cannot be reloaded: the grid file is not hashed with it
-    with pytest.raises(records.RecordError, match="grid file"):
-        records.load_record(str(out))
+    # the record holds a hashed copy of the grid file and reloads from it
+    # once the original is gone
+    data.unlink()
+    assert np.array_equal(records.load_record(str(out)).u, u)
+    assert cli.main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("left_out", ["preset", "e0_radius_chart"])

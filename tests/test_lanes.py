@@ -350,3 +350,22 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_radial_run_leaves_scipy_sparse_unloaded():
+    # scipy.sparse loads with the grid lane: a radial sweep never imports
+    # it, and a grid domain built afterwards still solves
+    code = "\n".join([
+        "import sys, stimcf, stimcf.cli",
+        "from stimcf import build_domain, build_preset, weak_flow as wf",
+        "dom = build_domain(build_preset('flat', n=2), {'radius': 1.0},",
+        "                   L=6.0, alpha=1.9, h=1 / 32.)",
+        "wf.epsilon_sweep(dom, eps_last=1e-3)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+        "grid = build_domain(build_preset('flat', n=1), {'radius': 1.0},",
+        "                    L=2.2, alpha=0.9, h=0.5, mode='grid')",
+        "print(wf.epsilon_sweep(grid, eps_last=1e-2).solution.converged)"])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

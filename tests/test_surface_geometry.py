@@ -239,3 +239,30 @@ def test_marching_tetrahedra_contours_the_unit_sphere(flat3, h, radius_tol,
     # the inscribed facets fall short of the sphere's area by O(h^2)
     rel = mesh.metric_areas(flat3).sum() / (4 * np.pi) - 1.0
     assert rel == pytest.approx(area_err, abs=5e-5)
+
+
+@pytest.mark.parametrize("d, on_level, radius_tol", [(2, 12, 1e-3),
+                                                     (3, 30, 0.014)])
+def test_contouring_through_samples_on_the_level(d, on_level, radius_tol):
+    # |x| on cell centres -1.4, -1.2, ..., 1.4: some samples lie exactly on
+    # the level |x| = 1; each gets one vertex, the facets that collapse
+    # there are dropped, and the curve or surface stays closed
+    h = 0.2
+    x = (np.arange(15) - 7) * h
+    values = np.linalg.norm(np.stack(np.meshgrid(*[x] * d, indexing="ij")),
+                            axis=0)
+    assert np.sum(values == 1.0) == on_level
+    mesh = extraction.extract_isosurface(values, np.full(d, x[0]), h, 1.0)
+    F = mesh.facets
+    # every vertex is used; every curve vertex ends two segments, and every
+    # surface edge lies in two triangles
+    assert np.array_equal(np.unique(F), np.arange(len(mesh.vertices)))
+    if d == 2:
+        counts = np.bincount(F.ravel())
+    else:
+        edges = np.sort(np.concatenate([F[:, [0, 1]], F[:, [1, 2]],
+                                        F[:, [0, 2]]]), axis=1)
+        counts = np.unique(edges, axis=0, return_counts=True)[1]
+    assert set(counts) == {2}
+    assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)) \
+        < radius_tol

@@ -265,8 +265,9 @@ def test_enumeration_matches_set_problem_value():
 
 
 def test_enumeration_memory_at_twenty_free_cells():
-    # the value table of 2^20 floats is 8 MB; a (2^20, 20) bit matrix and
-    # its temporaries took 164 MB
+    # one block of 2^16 values is 0.5 MB; the whole table of 2^20 floats
+    # took 12 MB with its pair-weight table, and a (2^20, 20) bit matrix
+    # with its temporaries 164 MB
     prob = random_problem(np.random.default_rng(5), 20)
     tracemalloc.start()
     try:
@@ -274,7 +275,68 @@ def test_enumeration_memory_at_twenty_free_cells():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 2 * 2 ** 20
+
+
+def block_problem(rng, k, halves):
+    """k free cells among two core and two excluded cells in shuffled
+    order, a path over all cells and 2k random pairs.  With `halves` every
+    weight and gain is a multiple of 1/2, and the first free cell, which
+    the blocks fix, has no term at all, so every minimum ties across
+    blocks."""
+    n = k + 4
+    kind = rng.permutation(np.repeat([0, 1, 2], [2, k, 2]))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(int(c) for c in rng.integers(0, n, 2))
+              for _ in range(2 * k)]
+    if halves:
+        weights = rng.integers(0, 5, size=len(pairs)) / 2
+        boundary = rng.integers(0, 3, size=n) / 2
+        gains = rng.integers(-3, 5, size=n) / 2
+        j = int(np.where(kind == 1)[0][0])
+        boundary[j] = gains[j] = 0.0
+        weights[[j in pair for pair in pairs]] = 0.0
+    else:
+        weights = rng.uniform(0.0, 2.0, size=len(pairs))
+        boundary = rng.uniform(0.0, 0.5, size=n)
+        gains = rng.uniform(-1.0, 1.6, size=n)
+    return vr.SetProblem(n, pairs, weights, boundary, gains, kind == 0,
+                         kind == 1)
+
+
+def values_by_bit_matrix(prob):
+    """J of every subset of the free cells (bit j of the pattern is free
+    cell j) from a (patterns, cells) membership matrix, 2^14 patterns at a
+    time; ``SetProblem.value`` takes 27 us a subset, 3.5 s at k = 17."""
+    free = np.where(prob.free)[0]
+    values = np.empty(1 << len(free))
+    for start in range(0, len(values), 1 << 14):
+        p = np.arange(start, min(start + (1 << 14), len(values)))
+        M = np.repeat(prob.core[None], len(p), axis=0)
+        M[:, free] = (p[:, None] >> np.arange(len(free))) & 1 == 1
+        cut = M[:, prob.pairs[:, 0]] != M[:, prob.pairs[:, 1]]
+        values[p] = (cut @ prob.weights + M @ prob.boundary_weights
+                     - (M & ~prob.core) @ prob.gains)
+    return values
+
+
+@pytest.mark.parametrize("k, halves", [(17, True), (17, False), (20, True)])
+def test_blocked_enumeration_matches_the_bit_matrix(k, halves):
+    # above 16 free cells the table is built in 2^(k-16) blocks: 2 at
+    # k = 17, 16 at k = 20
+    prob = block_problem(np.random.default_rng(k), k, halves)
+    values = values_by_bit_matrix(prob)
+    free = np.where(prob.free)[0]
+    ref_masks = []
+    for p in np.nonzero(values <= values.min() + vr.TOL_ENUM)[0]:
+        mask = prob.core.copy()
+        mask[free[(p >> np.arange(k)) & 1 == 1]] = True
+        ref_masks.append(mask)
+    best, masks, minimal = vr.exhaustive_minimizers(prob)
+    assert best == pytest.approx(values.min(), abs=1e-12)
+    assert len(masks) == len(ref_masks) >= (2 if halves else 1)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+    assert np.array_equal(minimal, np.logical_and.reduce(ref_masks))
 
 
 def test_radial_hull_takes_the_chain_route(monkeypatch):
