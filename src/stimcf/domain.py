@@ -14,17 +14,16 @@ of the package lives here; callers use only the protocol:
 - the annulus: ``r_out`` (radius of the outer boundary sphere), ``L``,
   ``alpha``, ``R0``, ``h`` (the cell width up to ``r_g``), ``r_g`` (the
   radius beyond which the radial lane stretches its nodes; inf on grids);
-- operator: ``residual`` and ``jacobian`` of (interior, eps, s, bc,
-  variant), ``solve(J, rhs)`` for the linear step, ``norm_inf(J)`` (the
-  max-row-sum norm the Newton floor reads), ``initial_guess`` for a cold
-  start; J is whatever the lane's ``solve`` takes (a LAPACK band array on
-  the radial lane, a sparse matrix on grids).  ``jacobian`` may reuse the
-  stencil that ``residual`` built on the same interior array object (the
-  radial lane keys it on that object, eps, bc and s), so a caller must not
-  modify that array in place between the two calls; ``solve(J, rhs)``
-  leaves both J and rhs intact.  Where the K-term vanishes (``k_is_zero()``
-  or s = 0) both variants are sqrt(W^2), and the radial lane evaluates no
-  K-term there;
+- operator: ``residual(interior, eps, s, bc, variant)`` returns (res,
+  lin), the operator's value and its linearization, a tuple the lane owns
+  and only its ``jacobian(lin)`` reads; ``solve(J, rhs)`` for the linear
+  step, which leaves both J and rhs intact; ``norm_inf(J)`` (the
+  max-row-sum norm the Newton floor reads); ``initial_guess`` for a cold
+  start.  J is whatever the lane's ``solve`` takes (a LAPACK band array on
+  the radial lane, a sparse matrix on grids).  A lane keeps no state
+  between calls.  Where the K-term vanishes (``k_is_zero()`` or s = 0)
+  both variants are sqrt(W^2), and the radial lane evaluates no K-term
+  there;
 - fields over the field points: ``full_field``, ``gradient`` (signed d/dr
   over a on the radial lane, the per-axis stack on grids),
   ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
@@ -92,10 +91,8 @@ def rhs_value(W2, T, s, variant):
 
 
 def rhs_derivs(W2, T, s, variant):
-    """(dR/dW2, dR/dT) for the chosen right-hand side; dR/dT is None when T
-    is (no K-term)."""
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown operator variant '{variant}'")
+    """(dR/dW2, dR/dT) for the right-hand side that ``rhs_value`` checked
+    and evaluated; dR/dT is None when T is (no K-term)."""
     if T is None:
         return 0.5 / np.sqrt(W2), None
     if variant == "stimcf":
@@ -119,24 +116,15 @@ def _cumulative_trapezoid(y, x=None, dx=1.0):
     return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _feasibility(area, vol, H_plus, lam, C1, b_L):
+def _feasibility(area, vol):
     """Divergence feasibility of eps for boundary area `area` and volume
-    `vol`, with the e^{-A b_L} lower-barrier cap, A = 2(C2 + |lambda| + 4)
-    and C2 = H+ + C1 b_L.
-
-    The cap is recorded as a diagnostic only: for any usable domain it
-    underflows to zero, so it cannot gate schedules (see the run manifest).
-    """
+    `vol`."""
     eps_div = area / vol
-    A = 2.0 * (H_plus + C1 * b_L + lam + 4.0)
-    with np.errstate(under="ignore"):
-        cap = float(np.exp(-A * b_L))
     return {
         "eps_divergence_bound": eps_div,
         "eps_max": FEASIBILITY_SAFETY * eps_div,
         "volume": vol,
         "boundary_area": area,
-        "eps_theoretical_cap": cap,
     }
 
 
@@ -190,14 +178,12 @@ class RadialDomain:
     chain, so the Jacobian is tridiagonal and the lane keeps it in LAPACK
     band storage from assembly to solve.
 
-    ``residual`` and ``jacobian`` share one fused kernel, ``_stencil``: one
-    pass of in-place array operations over the chain, with no workspace
-    kept between calls.  When K vanishes identically or s = 0 the kernel
-    skips the K-term and both variants are sqrt(eps^2 + |grad u|^2).
-    ``residual`` leaves its stencil in a memo keyed on (interior array
-    object, eps, bc, s), since the shortcut makes the stencil depend on s
-    (not on the variant); ``jacobian`` takes it on a match and clears the
-    memo on every call.
+    ``residual`` runs one fused kernel, ``_stencil``: one pass of in-place
+    array operations over the chain.  When K vanishes identically or s = 0
+    the kernel skips the K-term and both variants are sqrt(eps^2 +
+    |grad u|^2).  ``residual`` returns the stencil with eps, s and the
+    variant as its linearization, and ``jacobian`` assembles from that
+    tuple alone.
     """
 
     kind = "radial"
@@ -239,7 +225,6 @@ class RadialDomain:
         self._inv_vol = 1.0 / (self.A[1:-1] * self.a[1:-1] * self.h)
         self._k_free = self.k_is_zero()
         self.n_unknowns = N - 1
-        self._memo = None     # (interior, eps, bc, s, stencil) of ``residual``
 
     # fields over the nodes -------------------------------------------------
     @property
@@ -298,34 +283,22 @@ class RadialDomain:
         return q, (Wf, Gc, W2, T)
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
-        """The operator at the interior nodes; its stencil stays for a
-        ``jacobian`` call on the same array (see there)."""
-        F, st = self._stencil(interior, eps, bc, s)
-        _, _, W2, T = st
+        """The operator at the interior nodes and its linearization, the
+        stencil with eps, s and the variant that ``jacobian`` reads."""
+        F, (Wf, Gc, W2, T) = self._stencil(interior, eps, bc, s)
         R = rhs_value(W2, T, s, variant)
-        self._memo = (interior, eps, bc, s, st)
         res = F[1:] - F[:-1]
         res *= self._inv_vol
         res -= R
-        return res
+        return res, (Wf, Gc, W2, T, eps, s, variant)
 
-    def jacobian(self, interior, eps, s, bc, variant="stimcf"):
-        """The tridiagonal Jacobian as a (3, N) LAPACK band array:
-        ``ab[1 + i - j, j] = J[i, j]``, so row 0 holds the superdiagonal
-        (ab[0, 0] unused), row 1 the diagonal and row 2 the subdiagonal
-        (ab[2, -1] unused); both unused entries are zero.
-
-        When the last ``residual`` call had this same array object, eps, bc
-        and s, its stencil is reused, so the caller must not have modified
-        the array in place since (``newton_solve`` never does).  The memo is
-        dropped either way.
-        """
-        memo, self._memo = self._memo, None
-        if (memo is not None and memo[0] is interior
-                and memo[1:4] == (eps, bc, s)):
-            Wf, Gc, W2, T = memo[4]
-        else:
-            Wf, Gc, W2, T = self._stencil(interior, eps, bc, s)[1]
+    def jacobian(self, lin):
+        """The tridiagonal Jacobian at the linearization ``lin`` of
+        ``residual``, as a (3, N) LAPACK band array: ``ab[1 + i - j, j] =
+        J[i, j]``, so row 0 holds the superdiagonal (ab[0, 0] unused), row 1
+        the diagonal and row 2 the subdiagonal (ab[2, -1] unused); both
+        unused entries are zero.  ``lin`` is only read."""
+        Wf, Gc, W2, T, eps, s, variant = lin
         e2 = eps * eps
         # dF/du across a face: A eps^2 / (a Wf^3 h)
         dF = Wf * Wf
@@ -395,12 +368,7 @@ class RadialDomain:
         omega = sphere_area(self.n)
         area_in = omega * (self.b[0] * self.r[0]) ** self.n
         area_out = omega * (self.b[-1] * self.r[-1]) ** self.n
-        H_plus = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
-        lam = float(np.max(np.abs(self.kr)))
-        ric = np.abs(self.profile.ricci_normal(self.r))
-        C1 = (self.n + 1) * float(np.max(ric))
-        return _feasibility(area_in + area_out, float(self.volumes().sum()),
-                            H_plus, lam, C1, self.r_out - self.r_in)
+        return _feasibility(area_in + area_out, float(self.volumes().sum()))
 
     def k_is_zero(self):
         return bool(np.all(self.kr == 0.0))
@@ -744,16 +712,20 @@ class GridDomain:
         return W2c, raised, KT / W2c
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
-        gn, _, cell_grads, Wf = self._face_state(interior, bc, eps)
-        ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
-        F = self.f_sqrt_g * ginv_n * gn / Wf
-        W2c, _, T = self._rhs_state(cell_grads, eps)
-        return self.Div_op @ F - rhs_value(W2c, T, s, variant)
-
-    def jacobian(self, interior, eps, s, bc, variant="stimcf"):
-        import scipy.sparse as sp
+        """The operator at the active cells and its linearization for
+        ``jacobian``: the face state, the normal inverse metric, the cell
+        state, s and the variant."""
         gn, gts, cell_grads, Wf = self._face_state(interior, bc, eps)
         ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
+        F = self.f_sqrt_g * ginv_n * gn / Wf
+        W2c, raised, T = self._rhs_state(cell_grads, eps)
+        res = self.Div_op @ F - rhs_value(W2c, T, s, variant)
+        return res, (gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, s,
+                     variant)
+
+    def jacobian(self, lin):
+        import scipy.sparse as sp
+        gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, s, variant = lin
         # dF/dgn and dF/dgt_k
         dF_dgn = self.f_sqrt_g * ginv_n * (1.0 / Wf
                                            - ginv_n * gn ** 2 / Wf ** 3)
@@ -762,7 +734,6 @@ class GridDomain:
             comp = np.where(self.f_ax != k, gts[k], 0.0)
             dF_dgt = -self.f_sqrt_g * ginv_n * gn * self.f_ginv[:, k] * comp / Wf ** 3
             J = J + self.Div_op @ (sp.diags(dF_dgt) @ self.HG_ops[k])
-        W2c, raised, T = self._rhs_state(cell_grads, eps)
         dRdW2, dRdT = rhs_derivs(W2c, T, s, variant)
         coef_w2 = dRdW2 - dRdT * T / W2c
         for k in range(self.d):
@@ -795,9 +766,7 @@ class GridDomain:
         area_out = sphere_area(self.n) * self.r_out ** self.n
         gbar = float(np.mean(self.g_diag[self.active]))
         area = (area_in + area_out) * gbar ** (self.n / 2)
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(self.K_cells))))
-        return _feasibility(area, vol, self.H_plus, lam, 0.0,
-                            self.r_out - self.e0_radius)
+        return _feasibility(area, vol)
 
     def k_is_zero(self):
         return bool(np.max(np.abs(self.K_act)) == 0.0)

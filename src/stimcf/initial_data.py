@@ -74,7 +74,7 @@ class InitialDataSet:
     """
 
     def __init__(self, n, metric, second_form, chart_radius=1.0,
-                 decay_eps=0.5, name="custom", radial=None, analytic=True,
+                 decay_eps=0.5, radial=None, analytic=True,
                  inner_radius=0.05):
         if n < 1:
             raise InitialDataError("need hypersurface dimension n >= 1")
@@ -86,9 +86,7 @@ class InitialDataSet:
         self._second_form = second_form
         self.chart_radius = float(chart_radius)
         self.decay_eps = float(decay_eps)
-        self.name = name
         self.radial = radial
-        self.analytic = bool(analytic)
         self.inner_radius = float(inner_radius)
         self.tol_max = TOL_MAX_ANALYTIC if analytic else TOL_MAX_GRID
 
@@ -232,7 +230,7 @@ def build_preset(name, **params):
                             db=lambda r: np.zeros_like(np.asarray(r, float)),
                             dkappa_r=lambda r: np.zeros_like(np.asarray(r, float)))
         return InitialDataSet(n, _flat_metric(dim), _zero_form(dim),
-                              chart_radius=1.0, name="flat", radial=radial)
+                              chart_radius=1.0, radial=radial)
     if name == "schwarzschild_isotropic":
         m = float(params.get("m", 1.0))
         if m <= 0:
@@ -245,11 +243,9 @@ def build_preset(name, **params):
         radial = RadialData(a=p2, b=p2, kappa_r=zero,
                             da=dp2, db=dp2, dkappa_r=zero,
                             r_min=1e-3)
-        ids = InitialDataSet(n, g, _zero_form(3), chart_radius=max(1.0, 2 * m),
-                             name=f"schwarzschild_isotropic(m={m})", radial=radial,
-                             inner_radius=m / 8)
-        ids.mass = m
-        return ids
+        return InitialDataSet(n, g, _zero_form(3),
+                              chart_radius=max(1.0, 2 * m), radial=radial,
+                              inner_radius=m / 8)
     if name == "paper_anisotropic":
         n = 2
         one = lambda r: np.ones_like(np.asarray(r, float))
@@ -259,8 +255,7 @@ def build_preset(name, **params):
         radial = RadialData(a=one, b=one, kappa_r=kfun,
                             da=zero, db=zero, dkappa_r=dk)
         return InitialDataSet(n, _flat_metric(3), _aniso_form,
-                              chart_radius=1.0, name="paper_anisotropic",
-                              radial=radial)
+                              chart_radius=1.0, radial=radial)
     raise InitialDataError(f"unknown preset '{name}'")
 
 
@@ -331,7 +326,7 @@ def load_grid_data(path):
     ids = InitialDataSet(dim - 1, interp_g, interp_k,
                          chart_radius=float(meta.get("chart_radius", 1.0)),
                          decay_eps=float(meta.get("decay_eps", 0.5)),
-                         name="grid_file", analytic=False)
+                         analytic=False)
     ids.grid = dict(origin=origin, spacing=spacing, g=g, K=K)
     return ids
 

@@ -136,16 +136,26 @@ def _domain_keys(dom):
 def save_record(rec, outdir, config=None):
     """Persist a FlowRecord.  `config` is the flat config dict used to build
     the run (needed to rebuild the domain on load); a grid file it names is
-    copied into the record as ``grid_data``."""
+    copied into the record as ``grid_data``.  The manifest hashes the files
+    this run writes, and an optional payload that it does not write is
+    removed, so a record written over another run's holds only its own."""
     os.makedirs(outdir, exist_ok=True)
     dom = rec.domain
+    written = ["u.f64", "sweep.json", "jumps.csv"]
     if config and "grid_file" in config:
         shutil.copyfile(config["grid_file"], os.path.join(outdir, GRID_COPY))
+        written.append(GRID_COPY)
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
     # when K = 0 the IMCF reference is the flow solution (load_record
     # restores it from u.f64)
     if rec.imcf is not None and rec.imcf is not rec.solution:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
+        written.append("u_imcf.f64")
+    # the payloads only some runs write, left by another run
+    for name in {"u_imcf.f64", GRID_COPY} - set(written):
+        p = os.path.join(outdir, name)
+        if os.path.exists(p):
+            os.remove(p)
     sweep_rows = []
     for i, eps in enumerate(rec.epsilons):
         row = {"eps": eps,
@@ -158,12 +168,11 @@ def save_record(rec, outdir, config=None):
                    "grad_increase_fraction": rec.grad_increase_fraction,
                    "suggestion": rec.suggestion}, fh, indent=1)
     with open(os.path.join(outdir, "jumps.csv"), "w") as fh:
-        fh.write("t0,t_lo,t_hi,volume,inner_radius,outer_radius,cells\n")
-        for j in rec.jumps:
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                j.value, j.t_lo, j.t_hi, j.volume,
-                j.inner_radius or float("nan"),
-                j.outer_radius or float("nan"), len(j.cells)))
+        # one row per jump, transposed into write_csv's columns
+        write_csv(fh, ["t0", "t_lo", "t_hi", "volume", "inner_radius",
+                       "outer_radius", "cells"],
+                  *zip(*((j.value, j.t_lo, j.t_hi, j.volume, j.inner_radius,
+                          j.outer_radius, len(j.cells)) for j in rec.jumps)))
     manifest = {}
     if config:
         for k, v in sorted(config.items()):
@@ -174,10 +183,8 @@ def save_record(rec, outdir, config=None):
     manifest["bc"] = "%.17g" % rec.solution.bc
     manifest["residual_norm"] = "%.17g" % rec.solution.residual_norm
     manifest.update(_domain_keys(dom))
-    for name in ("u.f64", "u_imcf.f64", "sweep.json", "jumps.csv", GRID_COPY):
-        p = os.path.join(outdir, name)
-        if os.path.exists(p):
-            manifest[f"sha256.{name}"] = _sha(p)
+    for name in written:
+        manifest[f"sha256.{name}"] = _sha(os.path.join(outdir, name))
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
         for k in sorted(manifest):
             fh.write(f"{k} = {manifest[k]}\n")

@@ -76,15 +76,16 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
 
     u_init is an interior vector (boundary data is imposed, not solved for);
     None selects the domain's cold start (the transport profile on the
-    radial lane).  Each iteration assembles the Jacobian at the current
-    iterate and stops there if the max-norm residual is below
-    max(TOL_NEWTON, floor).  Otherwise it halves the step lam s from lam = 1
-    until the merit f = 1/2 ||F||_2^2 passes f(u + lam s) < (1 - 2 ARMIJO
-    lam) f(u): the fraction ARMIJO of the decrease the linear model predicts
-    along the Newton step s.  The solve gives up at the first failed line search, at
-    a non-finite step or after MAX_NEWTON steps, and returns that iterate
-    unconverged with a diagnostic (naming the feasibility bound when eps
-    exceeds it); what to try next is the caller's decision.  A non-finite
+    radial lane).  Each iteration assembles the Jacobian from the
+    linearization that the iterate's residual returned and stops there if
+    the max-norm residual is below max(TOL_NEWTON, floor).  Otherwise it
+    halves the step lam s from lam = 1 until the merit f = 1/2 ||F||_2^2
+    passes f(u + lam s) < (1 - 2 ARMIJO lam) f(u): the fraction ARMIJO of
+    the decrease the linear model predicts along the Newton step s.  The
+    solve gives up at the first failed line search, at a non-finite step or
+    after MAX_NEWTON steps, and returns that iterate unconverged with a
+    diagnostic (naming the feasibility bound when eps exceeds it); what to
+    try next is the caller's decision.  A non-finite
     residual or Jacobian (a NaN start, say) raises SolverError before the
     linear solve, which does not check its inputs.
     """
@@ -97,11 +98,11 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
          else np.array(u_init, float, copy=True))
     if len(u) != dom.n_unknowns:
         raise SolverError("initial guess has the wrong number of unknowns")
-    res = dom.residual(u, eps, s, bc, variant)
+    res, lin = dom.residual(u, eps, s, bc, variant)
     merit = 0.5 * float(res @ res)
     nrm = float(np.abs(res).max())
     for it in range(MAX_NEWTON + 1):
-        J = dom.jacobian(u, eps, s, bc, variant)
+        J = dom.jacobian(lin)
         floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.abs(u).max()))
                  * dom.norm_inf(J))
         if nrm < max(TOL_NEWTON, floor):
@@ -119,14 +120,14 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
         lam = 1.0
         for _ in range(MAX_BACKTRACK):
             ut = u + lam * step
-            rt = dom.residual(ut, eps, s, bc, variant)
+            rt, lt = dom.residual(ut, eps, s, bc, variant)
             mt = 0.5 * float(rt @ rt)
             if np.isfinite(mt) and mt < (1.0 - 2.0 * ARMIJO * lam) * merit:
                 break
             lam *= 0.5
         else:
             break       # the line search failed
-        u, res, merit = ut, rt, mt
+        u, res, lin, merit = ut, rt, lt, mt
         nrm = float(np.abs(res).max())
     return ScalarSolution(dom, u, eps, s, bc, nrm, it, False, floor,
                           diagnostic=_nonconvergence_note(dom, eps))

@@ -46,13 +46,11 @@ class SurfaceMesh:
         self.centroids = V[F].mean(axis=1)
         if self.dim == 2:
             e = V[F[:, 1]] - V[F[:, 0]]
-            self.e_lengths = np.linalg.norm(e, axis=1)
             raw = np.stack([e[:, 1], -e[:, 0]], axis=1)
         else:
             e1 = V[F[:, 1]] - V[F[:, 0]]
             e2 = V[F[:, 2]] - V[F[:, 0]]
             raw = np.cross(e1, e2)
-            self.e_lengths = np.linalg.norm(raw, axis=1)
         nrm = np.linalg.norm(raw, axis=1)
         if np.any(nrm < 1e-300):
             raise SurfaceError("degenerate facet (zero chart area)")

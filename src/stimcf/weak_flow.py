@@ -40,8 +40,8 @@ class JumpRegion:
     """A plateau of the limit u; ``cells`` holds its field-point indices
     (radial nodes or active grid cells, see ``domain``)."""
 
-    def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius=None,
-                 outer_radius=None, truncation_artifact=False):
+    def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius,
+                 outer_radius, truncation_artifact):
         self.cells = cells
         self.value = value
         self.t_lo = t_lo

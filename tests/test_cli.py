@@ -283,6 +283,21 @@ def test_flat_record_stores_u_once(flat_record):
     assert cli.main(["verify", str(flat_record)]) == 0
 
 
+def test_flow_over_another_record_drops_its_payloads(aniso_record, tmp_path):
+    # a flat run written where a paper_anisotropic run left its IMCF
+    # reference (2,890 values): the flat record neither hashes nor reloads it
+    import shutil
+    out = tmp_path / "rec"
+    shutil.copytree(aniso_record, out)
+    assert (out / "u_imcf.f64").exists()
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(FLAT_CFG)
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "sha256.u_imcf.f64" not in records.read_manifest(str(out))
+    rec = records.load_record(str(out))
+    assert rec.imcf is rec.solution
+
+
 def _grid_record(path, center):
     """A grid-lane record without a sweep: flat n = 1 data and the field
     u = min(ln|x|, bc) at eps = 1e-3."""

@@ -142,7 +142,7 @@ def test_grid_file_roundtrip(tmp_path):
     idm.save_grid_data(path, origin=(-1.5, -1.5, -1.5), spacing=0.5,
                        g_samples=g, k_samples=K)
     ids = idm.load_grid_data(path)
-    assert ids.n == 2 and not ids.analytic
+    assert ids.n == 2 and ids.tol_max == idm.TOL_MAX_GRID
     got = ids.metric(np.array([[0.25, 0.0, 0.0]]))
     assert np.all(np.isfinite(got))
     assert ids.max_abs_trace(ids.grid["origin"] + 0.5) == 0.0
