@@ -36,13 +36,14 @@ of the package lives here; callers use only the protocol:
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
-The radial lane solves its band Jacobian with ``scipy.linalg``.
-``scipy.sparse`` and ``scipy.ndimage`` load inside the grid lane's methods,
-on first use, so a radial run never imports them.
+No scipy module loads with this module.  ``scipy.linalg`` loads at the
+first radial solve (``RadialDomain.solve``); ``scipy.sparse`` and
+``scipy.ndimage`` load inside the grid lane's methods, on first use.  So a
+radial run never imports the grid lane's modules, and a process that only
+builds radial domains or reads radial records loads no scipy at all.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import surface_geometry as sg
 from .extraction import extract_isosurface
@@ -57,6 +58,10 @@ ANCHOR_N_SCAN = 256
 PLATEAU_SUBDIVISIONS = 4
 LEVEL_SUBDIVISIONS = 3
 CIRCLE_SEGMENTS = 512
+# the largest grid box: building a grid lane domain holds about 1 kB per box
+# cell at its peak (tracemalloc on 3D Schwarzschild boxes of 66^3 and 86^3
+# cells: 1,002 and 956 B), so this box takes about 1 GB
+MAX_GRID_CELLS = 1_000_000
 VARIANTS = ("stimcf", "frauendiener")   # the right-hand sides of rhs_value
 # radial grading: r_g is this many times the radius where the s = 0
 # transport time reaches L - 2, found on this many fixed points
@@ -333,7 +338,15 @@ class RadialDomain:
 
     def solve(self, J, rhs):
         """Solve with the band array of ``jacobian`` (LAPACK gtsv) on
-        copies of J and rhs; ``newton_solve`` checks finiteness first."""
+        copies of J and rhs; ``newton_solve`` checks finiteness first.
+
+        ``scipy.linalg`` loads here, at the first radial solve, not with the
+        package: a process that only reads records never pays for it.
+        ``solve_banded`` is looked up on the module at every call, so a
+        wrapper set on ``scipy.linalg`` later (the benchmark's tracer) still
+        sees every solve.
+        """
+        import scipy.linalg as sla
         return sla.solve_banded((1, 1), J, rhs, check_finite=False)
 
     def norm_inf(self, J):
@@ -530,6 +543,14 @@ class GridDomain:
         m = int(np.ceil(2 * half / h))
         if m % 2:
             m += 1
+        if m ** d > MAX_GRID_CELLS:
+            # the widest even side that fits; a box side is 2 r_out / h + 4
+            # cells rounded up, and one cell to spare covers the rounding
+            side = int(MAX_GRID_CELLS ** (1.0 / d)) // 2 * 2
+            raise DomainError(
+                f"grid box of {m}^{d} = {m ** d:,} cells is above "
+                f"MAX_GRID_CELLS = {MAX_GRID_CELLS:,}; "
+                f"h >= {2 * self.r_out / (side - 5):.6g} fits")
         self.shape = (m,) * d
         axes = [(-half + (np.arange(m) + 0.5) * h) for _ in range(d)]
         grids = np.meshgrid(*axes, indexing="ij")

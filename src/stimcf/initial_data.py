@@ -46,9 +46,15 @@ def inverse_and_det(g):
     elif d == 2:
         cof = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     elif d == 3:
-        i1, i2 = [1, 2, 0], [2, 0, 1]
-        a, b = g[..., i1, :], g[..., i2, :]
-        cof = a[..., i1] * b[..., i2] - a[..., i2] * b[..., i1]
+        # one entry at a time from plain slices, no fancy-index copies, in
+        # the layout those copies had (row and column axes outermost): the
+        # det sum and every later reduction over g^-1 keep their bits
+        i1, i2 = (1, 2, 0), (2, 0, 1)
+        cof = np.moveaxis(np.empty((3, 3) + g.shape[:-2]), (0, 1), (-1, -2))
+        for r in range(3):
+            for c in range(3):
+                cof[..., r, c] = (g[..., i1[r], i1[c]] * g[..., i2[r], i2[c]]
+                                  - g[..., i1[r], i2[c]] * g[..., i2[r], i1[c]])
     else:
         raise InitialDataError(f"closed-form inverse needs d <= 3, got {d}")
     det = np.einsum('...j,...j->...', g[..., 0, :], cof[..., 0, :])

@@ -143,7 +143,11 @@ def save_record(rec, outdir, config=None):
     dom = rec.domain
     written = ["u.f64", "sweep.json", "jumps.csv"]
     if config and "grid_file" in config:
-        shutil.copyfile(config["grid_file"], os.path.join(outdir, GRID_COPY))
+        copy = os.path.join(outdir, GRID_COPY)
+        # a run into its own record reads its grid file from this copy
+        if not (os.path.exists(copy)
+                and os.path.samefile(config["grid_file"], copy)):
+            shutil.copyfile(config["grid_file"], copy)
         written.append(GRID_COPY)
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
     # when K = 0 the IMCF reference is the flow solution (load_record

@@ -380,6 +380,10 @@ def test_flow_on_2d_grid_file_data(tmp_path):
     data.unlink()
     assert np.array_equal(records.load_record(str(out)).u, u)
     assert cli.main(["verify", str(out)]) == 0
+    # a run into the same record that names its copy as the grid file
+    cfg.write_text(cfg.read_text().replace(str(data), str(out / "grid_data")))
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("left_out", ["preset", "e0_radius_chart"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -513,6 +515,41 @@ def test_grid_h_plus_is_the_metric_mean_curvature_of_e0():
                         alpha=1.9, h=1 / 4., mode="grid")
     assert flat.boundary_gradients(np.zeros(flat.n_unknowns), 0.0)[0] == \
         pytest.approx(2.0, abs=1e-6)
+
+
+def test_grid_domain_refuses_a_box_that_cannot_fit_in_memory(monkeypatch):
+    # 3D Schwarzschild around E0 of radius 0.6 at h = 1/2: a 210^3 box of
+    # 9.3M cells, which took 7.9 GB before the guard; it must be refused
+    # before any per-cell array exists (meshgrid raises here if it is not)
+
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("the grid box was allocated")
+
+    ids = build_preset("schwarzschild_isotropic", m=1.0)
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="210\\^3 = 9,261,000 cells"):
+            build_domain(ids, {"radius": 0.6}, L=4.0, alpha=1.5, h=0.5,
+                         mode="grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_grid_domain_guard_names_an_h_that_fits(monkeypatch):
+    # with a small cap the 190^2 box of the flat n = 1 case at h = 1/8 is
+    # refused, and the h the message names builds a box within the cap
+    monkeypatch.setattr("stimcf.domain.MAX_GRID_CELLS", 20_000)
+    ids = build_preset("flat", n=1)
+    with pytest.raises(DomainError, match="190\\^2 = 36,100") as err:
+        build_domain(ids, {"radius": 1.0}, L=2.2, alpha=0.9, h=1 / 8.,
+                     mode="grid")
+    h_fit = float(str(err.value).rsplit("h >= ", 1)[1].split()[0])
+    dom = build_domain(ids, {"radius": 1.0}, L=2.2, alpha=0.9, h=h_fit,
+                       mode="grid")
+    assert 0.9 * 20_000 < np.prod(dom.shape) <= 20_000
 
 
 def test_grid_domain_rejects_offdiagonal_metric():

@@ -49,6 +49,33 @@ def test_solver_leaves_linear_algebra_to_the_domain():
     assert not hits, f"scipy imported by the solver: {', '.join(hits)}"
 
 
+def _import_time_nodes(node):
+    # the statements that run when the module is imported: everything but
+    # the bodies of functions
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy loads inside the functions that call it, so importing the
+    # package, building set-ups and reading records load none of it
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.split(".")[0] == "scipy"]
+    assert not hits, f"scipy imported at import time: {', '.join(hits)}"
+
+
 def test_radial_lane_stays_banded():
     # the radial unknowns form a chain: its Jacobian, solve and norm work on
     # the tridiagonal band array and never build a scipy.sparse matrix
@@ -377,10 +404,13 @@ def _spans():
 def test_benchmark_spans_see_the_radial_newton_layers():
     # the traced benchmark times the operator, the assembly and the linear
     # solve by wrapping them where they are looked up at call time; a solve
-    # that bypassed those names would leave its layers reading zero
+    # that bypassed those names would leave its layers reading zero.  An
+    # untraced solve runs first, as in the benchmark, so a solve entry that
+    # a lane looked up once and kept would be caught here
     from stimcf import solver as sv
     dom = build_domain(build_preset("flat", n=2), {"radius": 1.0}, L=4.0,
                        alpha=1.9, h=1 / 32.)
+    assert sv.newton_solve(dom, 0.02, 1.0, bc=dom.L - 2.0).converged
     tracer = _spans().Tracer()
     tracer.install()
     try:
@@ -414,16 +444,51 @@ def test_benchmark_spans_count_every_continuation_rung():
         == stats["solver.newton_solve"]["unconverged"]
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate and the scipy.special it loads add about half to the
-    # package's import time; only the oracles use it, on first call
-    code = ("import sys, stimcf, stimcf.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.integrate')))")
+SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')")
+
+
+def test_import_and_set_up_leave_scipy_unloaded():
+    # scipy loads where a run calls it: the radial solve, the grid lane and
+    # the oracles.  Importing the package and building a radial domain, its
+    # radial profile and a set problem in it load no scipy module
+    code = "\n".join([
+        "import sys, stimcf, stimcf.cli",
+        "from stimcf import build_domain, build_preset",
+        "from stimcf import radial_oracle as orc, variational as vr",
+        "ids = build_preset('paper_anisotropic')",
+        "dom = build_domain(ids, {'radius': 1.0}, L=4.0, alpha=1.9,",
+        "                   h=1 / 32.)",
+        "orc.RadialProfile.from_initial_data(ids)",
+        "vr.radial_set_problem(dom, 1.5, 3.0)",
+        f"print({SCIPY_LOADED})"])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_record_readers_load_no_scipy(tmp_path):
+    # stimcf verify and plotdata read a radial record without solving, so
+    # a fresh process running either loads no scipy module
+    from stimcf import cli
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("preset = flat\nn = 2\ne0_radius_chart = 1.0\n"
+                   "level_L_flowtime = 5.0\nalpha_exponent = 1.9\n"
+                   "grid_h_chart = 0.03125\neps_last_per_length = 1e-3\n")
+    rec = tmp_path / "rec"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(rec)]) == 0
+    code = ("import sys; from stimcf import cli; "
+            f"status = cli.main(sys.argv[1:]); print({SCIPY_LOADED}); "
+            "sys.exit(status)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for args in (["verify", str(rec)],
+                 ["plotdata", str(rec), "--kind", "Q-trace",
+                  "--out", str(tmp_path / "plots")]):
+        out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, (args[0], out.stdout, out.stderr)
+        assert out.stdout.strip().splitlines()[-1] == "[]", args[0]
 
 
 def test_radial_run_leaves_scipy_sparse_unloaded():
