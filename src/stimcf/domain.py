@@ -30,9 +30,10 @@ of the package lives here; callers use only the protocol:
 - data: ``feasibility()``, ``subsolution_values``, ``k_is_zero()``,
   ``boundary_gradients`` (the a-priori criterion (iii) inputs);
 - geometry read off a solution: ``components(mask)`` (lists of field-point
-  indices), ``plateau_radii(sol, comp, t0, knee_floor)``,
-  ``plateau_meshes(sol, t0, inner_r, outer_r)``, ``level_mesh(sol, t)``,
-  ``boundary_level_set``, ``tail_normals``, ``extrema_excess``;
+  indices), ``plateau_radii(sol, comp, t0, knee_floor)``, ``tail_normals``,
+  ``extrema_excess``, and the meshes ``plateau_mesh(sol, jump, side)`` (a
+  jump's ``"inner"`` or ``"outer"`` boundary) and ``level_mesh(sol, t)``,
+  built on call with H and P filled from the lane's level-set description;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
@@ -59,8 +60,8 @@ PLATEAU_SUBDIVISIONS = 4
 LEVEL_SUBDIVISIONS = 3
 CIRCLE_SEGMENTS = 512
 # the largest grid box: building a grid lane domain holds about 1 kB per box
-# cell at its peak (tracemalloc on 3D Schwarzschild boxes of 66^3 and 86^3
-# cells: 1,002 and 956 B), so this box takes about 1 GB
+# cell at its peak (tracemalloc on a 3D Schwarzschild box of 66^3 cells and
+# an anisotropic one of 64^3: 930 and 977 B), so this box takes about 1 GB
 MAX_GRID_CELLS = 1_000_000
 VARIANTS = ("stimcf", "frauendiener")   # the right-hand sides of rhs_value
 # radial grading: r_g is this many times the radius where the s = 0
@@ -463,15 +464,19 @@ class RadialDomain:
         return inner, est
 
     def _sphere_mesh(self, radius, subdivisions):
-        if self.n == 1:
-            return sg.circle_mesh(radius, segments=CIRCLE_SEGMENTS)
-        return sg.icosphere(radius=radius, subdivisions=subdivisions)
-
-    def plateau_meshes(self, sol, t0, inner_r, outer_r):
+        """The centred sphere of ``radius`` (a circle when n = 1), H and P
+        filled from its level set |x|; None for n > 2."""
         if self.n not in (1, 2):
-            return None, None
-        return (self._sphere_mesh(inner_r, PLATEAU_SUBDIVISIONS),
-                self._sphere_mesh(outer_r, PLATEAU_SUBDIVISIONS))
+            return None
+        mesh = (sg.circle_mesh(radius, segments=CIRCLE_SEGMENTS) if self.n == 1
+                else sg.icosphere(radius=radius, subdivisions=subdivisions))
+        centre = sg.sphere_level_set(np.zeros(self.ids.dim))
+        return sg.populate_diagnostics(self.ids, mesh, level_set=centre)
+
+    def plateau_mesh(self, sol, jump, side):
+        """The sphere at the jump's ``side`` ("inner" or "outer") radius."""
+        radius = {"inner": jump.inner_radius, "outer": jump.outer_radius}[side]
+        return self._sphere_mesh(radius, PLATEAU_SUBDIVISIONS)
 
     def level_radius(self, sol, t):
         """Radius where the running maximum of u reaches t (a time or an
@@ -486,14 +491,7 @@ class RadialDomain:
         return np.interp(t, u, self.r)
 
     def level_mesh(self, sol, t):
-        mesh = self._sphere_mesh(self.level_radius(sol, t), LEVEL_SUBDIVISIONS)
-        return sg.populate_diagnostics(self.ids, mesh,
-                                       level_set=self.boundary_level_set())
-
-    def boundary_level_set(self):
-        """Level-set description of plateau boundary meshes: centered
-        spheres."""
-        return sg.sphere_level_set(np.zeros(self.ids.dim))
+        return self._sphere_mesh(self.level_radius(sol, t), LEVEL_SUBDIVISIONS)
 
     def tail_normals(self, grads):
         """Radial normal signs of the last tail rung, and per node the turn
@@ -569,7 +567,6 @@ class GridDomain:
             raise DomainError("grid lane requires a diagonal metric in the chart")
         self.g_diag = np.einsum('mii->mi', g).copy()
         self.sqrt_g = np.sqrt(np.prod(self.g_diag, axis=1))
-        self.K_cells = ids.second_form(x)
         # H+ on dE0: the largest mean curvature of the E0 sphere in the
         # metric, at the vertices of a sphere mesh
         mesh = (sg.icosphere(self.e0_radius, subdivisions=2) if d == 3
@@ -676,7 +673,7 @@ class GridDomain:
         self.HG_ops = [self.half_op @ G for G in self.G_ops]
         act = np.where(self.active)[0]
         self.ginv_cells = 1.0 / self.g_diag[act]
-        self.K_act = self.K_cells[act]
+        self.K_act = self.ids.second_form(self.centers[act])
         self.sg_act = self.sqrt_g[act]
         self.r_act = np.linalg.norm(self.centers[act], axis=1)
         self.near_e0 = self.sdf[act] <= 2 * self.h
@@ -834,10 +831,13 @@ class GridDomain:
         return extract_isosurface(field, self.centers[0], self.h, t,
                                   interior_point=self.e0_center)
 
-    def plateau_meshes(self, sol, t0, inner_r, outer_r):
-        field = self._extended_field(sol)
+    def plateau_mesh(self, sol, jump, side):
+        """The contour t0 -/+ 3 eps of the jump's value t0, H from the weak
+        first variation (u is flat on the plateau); None if it is empty."""
         delta = 3 * sol.eps
-        return self._contour(field, t0 - delta), self._contour(field, t0 + delta)
+        t = {"inner": jump.value - delta, "outer": jump.value + delta}[side]
+        mesh = self._contour(self._extended_field(sol), t)
+        return None if mesh is None else sg.populate_diagnostics(self.ids, mesh)
 
     def level_mesh(self, sol, t):
         from scipy.ndimage import map_coordinates
@@ -856,9 +856,6 @@ class GridDomain:
         # its normal-field divergence is the H of choice
         return sg.populate_diagnostics(self.ids, mesh, level_set=phi,
                                        level_set_h=self.h)
-
-    def boundary_level_set(self):
-        return None
 
     def tail_normals(self, grads):
         """Unit gradient directions of the last tail rung, and per cell the

@@ -161,14 +161,20 @@ def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf"):
     chain is ``eps_ladder(eps_values, MAX_WARM_RATIO)``.  At 4 no matrix of
     the module's survey that completed at 2 fails, and the rungs no caller
     reads are not solved; a caller that wants a finer ladder (the sweep)
-    passes it whole.  Each rung tries the warm start, then the cold
-    (transport) start, and raises SolverError when neither converges.  The
-    warm start is the rung above; at the top it is the previous s's top
-    scaled by the ratio of boundary values (none for the first s and after
-    bc = 0).  Returns ({s: [(solution, trace rows) per chain eps, top
-    first]}, every trace row (s, iterations, residual, ok) in solve order).
+    passes it whole.  A top above ``eps_max`` (0.9 of the divergence bound,
+    past which no solution exists) raises SolverError before any solve.
+    Each rung tries the warm start, then the cold (transport) start, and
+    raises SolverError when neither converges.  The warm start is the rung
+    above; at the top it is the previous s's top scaled by the ratio of
+    boundary values (none for the first s and after bc = 0).  Returns ({s:
+    [(solution, trace rows) per chain eps, top first]}, every trace row (s,
+    iterations, residual, ok) in solve order).
     """
     chain = eps_ladder(eps_values, MAX_WARM_RATIO)
+    eps_max = dom.feasibility()["eps_max"]
+    if chain[0] > eps_max:
+        raise SolverError(f"eps={chain[0]:.3g} lies above the feasibility "
+                          f"bound eps_max={eps_max:.3g}; no solve started")
     if bc is not None and dom.k_is_zero():
         s_values = [max(s_values)]
     chains, trace, top = {}, [], None

@@ -37,8 +37,9 @@ class FlowConfigError(FlowError, ValueError):
 
 
 class JumpRegion:
-    """A plateau of the limit u; ``cells`` holds its field-point indices
-    (radial nodes or active grid cells, see ``domain``)."""
+    """A plateau of the limit u as ``detect_jumps`` measured it; ``cells``
+    holds its field-point indices (radial nodes or active grid cells, see
+    ``domain``).  ``domain.plateau_mesh`` builds its boundaries."""
 
     def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius,
                  outer_radius, truncation_artifact):
@@ -49,8 +50,6 @@ class JumpRegion:
         self.volume = volume
         self.inner_radius = inner_radius
         self.outer_radius = outer_radius
-        self.inner_mesh = None      # boundary meshes, set by detect_jumps
-        self.outer_mesh = None
         self.truncation_artifact = truncation_artifact
 
     def __repr__(self):
@@ -185,6 +184,7 @@ def detect_jumps(rec):
     order-one slope), so a fixed multiple of the final regularization
     separates plateaus from transport regions.  Components living at the
     outer truncation value are classified as truncation artifacts, not jumps.
+    It only measures: no boundary mesh is built.
     """
     dom = rec.domain
     sol = rec.solution
@@ -198,15 +198,11 @@ def detect_jumps(rec):
         trunc = t0 > rec.truncation_threshold()
         inner_r, outer_r = dom.plateau_radii(
             sol, comp, t0, 2.0 * GRAD_TOL_FACTOR * rec.eps_last)
-        jump = JumpRegion(comp, t0, float(np.min(u[comp])),
-                          float(np.max(u[comp])),
-                          float(np.sum(dom.volumes()[comp])),
-                          inner_radius=inner_r, outer_radius=outer_r,
-                          truncation_artifact=trunc)
-        if not trunc:
-            jump.inner_mesh, jump.outer_mesh = dom.plateau_meshes(
-                sol, t0, inner_r, outer_r)
-        jumps.append(jump)
+        jumps.append(JumpRegion(comp, t0, float(np.min(u[comp])),
+                                float(np.max(u[comp])),
+                                float(np.sum(dom.volumes()[comp])),
+                                inner_radius=inner_r, outer_radius=outer_r,
+                                truncation_artifact=trunc))
     rec.jumps = [j for j in jumps if not j.truncation_artifact]
     rec.truncation_plateaus = [j for j in jumps if j.truncation_artifact]
     return rec.jumps
@@ -215,8 +211,9 @@ def detect_jumps(rec):
 # -- level sets ---------------------------------------------------------------
 
 def extract_level_sets(rec, times):
-    """Meshes of Sigma_t = boundary of {u < t}; at jump values both the inner
-    and outer boundary (Sigma_t, Sigma_t+) are returned as a pair."""
+    """Meshes of Sigma_t = boundary of {u < t}, built here with H and P
+    filled; at jump values the inner and outer boundary (Sigma_t, Sigma_t+)
+    come back as a pair."""
     lo, hi = rec.valid_time_range()
     out = []
     for t in times:
@@ -225,7 +222,8 @@ def extract_level_sets(rec, times):
                 f"time {t} beyond the outer boundary influence zone (max {hi:.3g})")
         jump = _jump_at(rec, t)
         if jump is not None:
-            out.append((jump.inner_mesh, jump.outer_mesh))
+            out.append(tuple(rec.domain.plateau_mesh(rec.solution, jump, side)
+                             for side in ("inner", "outer")))
             continue
         out.append(rec.domain.level_mesh(rec.solution, t))
     return out
@@ -304,14 +302,14 @@ def verify_horizon(rec, jump):
     Per-facet residuals use the outward normals of the boundary mesh; the
     inner boundary is tested for the weak inequality H >= |P_nu| only where
     it coincides with the hull boundary (disjoint horizons make that check
-    vacuous).  The outer boundary is labelled by ``classify`` with the same
+    vacuous), and only then built: ``domain.plateau_mesh`` builds each mesh
+    read here.  The outer boundary is labelled by ``classify`` with the same
     relative tolerance, TOL_HORIZON times the median scale.
     """
     dom = rec.domain
-    if jump.outer_mesh is None:
+    mesh = dom.plateau_mesh(rec.solution, jump, "outer")
+    if mesh is None:
         raise FlowError("jump has no outer boundary mesh")
-    mesh = sg.populate_diagnostics(rec.ids, jump.outer_mesh,
-                                   level_set=dom.boundary_level_set())
     H, P = mesh.H, mesh.P
     # scale: |H| where it is the dominant quantity, else the round-sphere
     # curvature at this radius (a K = 0 horizon has H -> 0, |P| = 0, and the
@@ -321,12 +319,9 @@ def verify_horizon(rec, jump):
     rel = np.abs(H - np.abs(P)) / scale
     labels = sg.classify(mesh, tol=TOL_HORIZON * float(np.median(scale)))
     coincide = (jump.outer_radius - jump.inner_radius) < 2.5 * dom.h
-    weak_ok = True
-    if coincide and jump.inner_mesh is not None:
-        sg.populate_diagnostics(rec.ids, jump.inner_mesh,
-                                level_set=dom.boundary_level_set())
-        weak_ok = bool(np.median(jump.inner_mesh.H)
-                       >= np.abs(np.median(jump.inner_mesh.P)) - TOL_HORIZON)
+    inner = dom.plateau_mesh(rec.solution, jump, "inner") if coincide else None
+    weak_ok = inner is None or bool(
+        np.median(inner.H) >= np.abs(np.median(inner.P)) - TOL_HORIZON)
     return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok,
                          labels)
 

@@ -605,3 +605,48 @@ def test_apriori_failed_cold_top_raises_after_one_solve(flat_dom,
     with pytest.raises(sv.SolverError, match=f"eps={top}, s=1.0"):
         sv.apriori_matrix(flat_dom, [1.0], [top])
     assert calls == [(top, True)]
+
+
+# data whose eps_max at h = 1/32 lies below the criterion-4 top of 3e-2
+INFEASIBLE_TOP = [("flat", {"n": 2}, 1.0, 8.4, 1.7)] + [
+    ("schwarzschild_isotropic", {"m": m}, e0, L, alpha)
+    for m, e0 in ((0.5, 0.3), (1.0, 0.6))
+    for alpha in (1.5, 1.7) for L in (6.0, 8.4)] + [
+    ("paper_anisotropic", {}, 1.0, 8.4, alpha) for alpha in (1.9, 1.7)]
+
+
+@pytest.mark.parametrize(
+    "name, kw, e0, L, alpha", INFEASIBLE_TOP,
+    ids=[f"{name}{''.join(f'-{k}{v}' for k, v in kw.items())}-L{L}-a{alpha}"
+         for name, kw, e0, L, alpha in INFEASIBLE_TOP])
+def test_apriori_matrix_refuses_an_infeasible_top_before_any_solve(
+        name, kw, e0, L, alpha, monkeypatch):
+    # no solution exists above the divergence bound, and eps_max is 0.9 of
+    # it, so a solve there only grinds; the matrix raises before its first
+    dom = build_domain(build_preset(name, **kw), {"radius": e0}, L=L,
+                       alpha=alpha, h=1 / 32.)
+    eps_max = dom.feasibility()["eps_max"]
+    solves = []
+    newton_solve = sv.newton_solve
+
+    def counted(*args, **kwargs):
+        solves.append(args[1:3])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", counted)
+    with pytest.raises(sv.SolverError,
+                       match=f"eps=0.03 .* eps_max={eps_max:.3g}"):
+        sv.apriori_matrix(dom, [0.25, 0.5, 0.75, 1.0],
+                          list(np.geomspace(3e-2, 3e-5, 7)))
+    assert solves == []
+
+
+def test_grid_second_form_is_evaluated_on_the_active_cells():
+    # K is read on the active cells only; no per-box-cell copy is kept
+    ids = build_preset("paper_anisotropic")
+    dom = build_domain(ids, {"radius": 1.0, "center": (0.1, 0.0, 0.0)},
+                       L=2.6, alpha=1.5, h=1 / 2., mode="grid")
+    assert dom.d == 3 and not dom.k_is_zero()
+    assert np.array_equal(dom.K_act,
+                          ids.second_form(dom.centers)[dom.active])
+    assert not hasattr(dom, "K_cells")

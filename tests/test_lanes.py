@@ -12,6 +12,7 @@ import pytest
 
 import stimcf
 from stimcf import build_preset, build_domain
+from stimcf import solver as sv
 from stimcf import weak_flow as wf
 from stimcf.domain import GridDomain, RadialDomain, outer_radius
 
@@ -364,6 +365,27 @@ def test_components_split_two_runs(lane):
     comps = lane.components(mask)
     assert len(comps) == 2
     assert np.array_equal(np.sort(np.concatenate(comps)), np.where(mask)[0])
+
+
+def test_plateau_mesh_builds_one_filled_boundary_per_side(lane):
+    # each lane builds the boundary of a jump that it is asked for, from
+    # the level-set description it owns, and returns it with H and P
+    bc = lane.L - 2.0
+    eps = 0.02
+    sol = sv.ScalarSolution(lane, lane.initial_guess(1.0, bc, eps), eps,
+                            1.0, bc, 0.0, 0, True, 0.0)
+    lo, hi = lane.radii.min(), lane.radii.max()
+    jump = wf.JumpRegion(np.arange(3), 0.5 * bc, 0.4 * bc, 0.6 * bc, 1.0,
+                         inner_radius=lo + 0.3 * (hi - lo),
+                         outer_radius=lo + 0.6 * (hi - lo),
+                         truncation_artifact=False)
+    size = {}
+    for side in ("inner", "outer"):
+        mesh = lane.plateau_mesh(sol, jump, side)
+        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
+        size[side] = float(np.mean(np.linalg.norm(
+            mesh.vertices - mesh.interior_point, axis=1)))
+    assert size["inner"] < size["outer"]
 
 
 def test_grid_sweep_matches_the_radial_lane():

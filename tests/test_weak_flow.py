@@ -7,6 +7,7 @@ from stimcf import build_preset, build_domain
 from stimcf import solver as sv
 from stimcf import weak_flow as wf
 from stimcf import radial_oracle as orc
+from stimcf import surface_geometry as sg
 from stimcf import variational as vr
 from tests.test_radial_oracle import R_STAR_ANISO
 
@@ -147,6 +148,55 @@ def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
     # away from the jump a single mesh comes back
     single = wf.extract_level_sets(aniso_rec, [1.0])[0]
     assert not isinstance(single, tuple)
+
+
+def _count_sphere_meshes(monkeypatch):
+    """Names of the sphere and circle meshes built from here on."""
+    built = []
+    for name in ("icosphere", "circle_mesh"):
+        def counted(*args, _name=name, _make=getattr(sg, name), **kwargs):
+            built.append(_name)
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(sg, name, counted)
+    return built
+
+
+def test_detect_jumps_only_measures(aniso_rec, monkeypatch):
+    # a jump is what was measured (cells, values, radii); its boundary
+    # meshes are built when a check reads them
+    built = _count_sphere_meshes(monkeypatch)
+    jumps = wf.detect_jumps(aniso_rec)
+    assert len(jumps) == 1
+    assert built == []
+    assert not [k for k in vars(jumps[0]) if "mesh" in k]
+
+
+def test_verify_horizon_builds_only_the_mesh_it_reads(aniso_rec,
+                                                      monkeypatch):
+    # the boundaries lie far apart, so only the outer one is read; the
+    # report is the one the outer sphere, filled from its level set, gives
+    j = aniso_rec.jumps[0]
+    ids = aniso_rec.ids
+    ref = sg.populate_diagnostics(ids, sg.icosphere(j.outer_radius, 4),
+                                  level_set=sg.sphere_level_set(np.zeros(3)))
+    scale = np.maximum(np.maximum(np.abs(ref.H), np.abs(ref.P)),
+                       ids.n / j.outer_radius)
+    built = _count_sphere_meshes(monkeypatch)
+    rep = wf.verify_horizon(aniso_rec, j)
+    assert built == ["icosphere"]
+    assert rep.max_rel_residual == float(
+        np.max(np.abs(ref.H - np.abs(ref.P)) / scale))
+    assert rep.labels == sg.classify(
+        ref, tol=wf.TOL_HORIZON * float(np.median(scale)))
+
+
+def test_jump_time_extraction_fills_both_boundaries(aniso_rec):
+    # a pair comes back filled like a single level set, whatever ran on
+    # the record before
+    j = aniso_rec.jumps[0]
+    for mesh in wf.extract_level_sets(aniso_rec, [j.value])[0]:
+        assert mesh.H is not None and mesh.P is not None
+        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
 
 
 def test_normal_field_radial_and_cauchy(aniso_rec):
