@@ -44,7 +44,6 @@ def cmd_flow(args):
     except wf.FlowError as exc:
         print(f"solver non-convergence: {exc}", file=sys.stderr)
         return 3
-    wf.detect_jumps(rec)
     normals = wf.reconstruct_normal_field(rec)
     status = 0
     hard = []
@@ -94,7 +93,6 @@ def cmd_verify(args):
     except records.RecordError as exc:
         print(f"record error: {exc}", file=sys.stderr)
         return 2
-    wf.detect_jumps(rec)
     failures = []
     for ck in checks:
         try:
@@ -148,7 +146,6 @@ def cmd_plotdata(args):
     except records.RecordError as exc:
         print(f"record error: {exc}", file=sys.stderr)
         return 2
-    wf.detect_jumps(rec)
     os.makedirs(args.out, exist_ok=True)
     kind = args.kind
     path = os.path.join(args.out, f"{kind}.csv")

@@ -204,7 +204,7 @@ class RadialDomain:
         self.R0 = float(R0)
         self.r_in = float(r_in)
         self.r_out = outer_radius(L, alpha, R0)
-        self.profile = RadialProfile.from_initial_data(ids, r_max=4 * self.r_out)
+        self.profile = RadialProfile.from_initial_data(ids)
         self.r_g = _grade_radius(self.profile, self.r_in, self.r_out, self.L)
         x_out = (self.r_g * (2.0 - self.r_g / self.r_out)
                  if self.r_g < self.r_out else self.r_out)
@@ -914,7 +914,7 @@ def choose_anchor_radius(ids, alpha, e0_outer_radius):
     lo = max(1.001 * e0_outer_radius, 1.001 * ids.inner_radius, 0.05)
     radii = np.geomspace(lo, ANCHOR_R_MAX, ANCHOR_N_SCAN)
     if ids.radial is not None:
-        prof = RadialProfile.from_initial_data(ids, r_max=4 * ANCHOR_R_MAX)
+        prof = RadialProfile.from_initial_data(ids)
         res = subsolution_margin(prof, alpha, radii)
     else:
         d = ids.dim

@@ -22,6 +22,7 @@ QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-11
 BLOWUP_FRACTION = 1e-6
 RICCI_FD_STEP = 1e-4
+PROFILE_R_MAX = 1e6          # outer bound of every profile's radial domain
 HORIZON_SCAN_R_MAX = 256.0  # horizon_root scans geometric radii up to here
 HORIZON_N_SCAN = 4096
 N_EVOLUTION_TIMES = 2001    # resampled times of evolution_equation_check
@@ -32,23 +33,23 @@ class OracleError(ValueError):
 
 
 class RadialProfile:
-    """Radial reduction of an initial data set with closed-form diagnostics."""
+    """Radial reduction of an initial data set with closed-form diagnostics,
+    on radii from the data's r_min up to the module bound PROFILE_R_MAX."""
 
-    def __init__(self, radial_data, n, r_max=1e6):
+    def __init__(self, radial_data, n):
         self.data = radial_data
         self.n = int(n)
         self.r_min = radial_data.r_min
-        self.r_max = float(r_max)
 
     @classmethod
-    def from_initial_data(cls, ids, r_max=1e6):
+    def from_initial_data(cls, ids):
         if ids.radial is None:
             raise OracleError("initial data set carries no radial reduction")
-        return cls(ids.radial, ids.n, r_max=r_max)
+        return cls(ids.radial, ids.n)
 
     def _check_domain(self, r):
-        if np.any(np.asarray(r) < self.r_min) or np.any(np.asarray(r) > self.r_max):
-            raise OracleError(f"radius outside profile domain [{self.r_min}, {self.r_max}]")
+        if np.any(np.asarray(r) < self.r_min) or np.any(np.asarray(r) > PROFILE_R_MAX):
+            raise OracleError(f"radius outside profile domain [{self.r_min}, {PROFILE_R_MAX}]")
 
     def mean_curvature(self, r):
         r = np.asarray(r, float)
@@ -129,7 +130,7 @@ def smooth_flow_ode(profile, r0, t_end):
 
     def leaves_domain(t, y):
         return min(y[0] - profile.r_min * (1 + 1e-12),
-                   profile.r_max * (1 - 1e-12) - y[0])
+                   PROFILE_R_MAX * (1 - 1e-12) - y[0])
     leaves_domain.terminal = True
 
     sol = solve_ivp(rhs, (0.0, t_end), [r0], rtol=ODE_RTOL, atol=ODE_ATOL,
@@ -183,8 +184,7 @@ def horizon_root(profile):
     change of H - |P| and bisects it to BISECT_REL_TOL relative accuracy.
     """
     lo = profile.r_min
-    hi = min(profile.r_max, HORIZON_SCAN_R_MAX)
-    rs = np.geomspace(max(lo, 1e-8), hi, HORIZON_N_SCAN)
+    rs = np.geomspace(max(lo, 1e-8), HORIZON_SCAN_R_MAX, HORIZON_N_SCAN)
     D = profile.mean_curvature(rs) - np.abs(profile.k_trace(rs))
     sign_change = np.where((D[:-1] <= 0) & (D[1:] > 0))[0]
     if len(sign_change) == 0:

@@ -8,8 +8,10 @@ A record is a directory with manifest, arrays and CSV reports, and a copy
 of the grid file (``grid_data``) of a run made from one.  The manifest is
 flat key/value text; binary arrays are little-endian float64 with a
 one-line header, and every payload's SHA-256 goes into the manifest so
-reloads detect corruption.  Identical configurations reproduce bit-identical
-manifests (no timestamps inside the hashed section).
+reloads detect corruption.  The payloads hold the whole run, the sweep's
+tail rungs included, so ``load_record`` returns the flow's record.
+Identical configurations reproduce bit-identical manifests (no timestamps
+inside the hashed section).
 """
 
 import hashlib
@@ -141,7 +143,7 @@ def save_record(rec, outdir, config=None):
     removed, so a record written over another run's holds only its own."""
     os.makedirs(outdir, exist_ok=True)
     dom = rec.domain
-    written = ["u.f64", "sweep.json", "jumps.csv"]
+    written = ["u.f64", "tail.f64", "sweep.json", "jumps.csv"]
     if config and "grid_file" in config:
         copy = os.path.join(outdir, GRID_COPY)
         # a run into its own record reads its grid file from this copy
@@ -150,8 +152,11 @@ def save_record(rec, outdir, config=None):
             shutil.copyfile(config["grid_file"], copy)
         written.append(GRID_COPY)
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
-    # when K = 0 the IMCF reference is the flow solution (load_record
-    # restores it from u.f64)
+    # the tail rungs but the final one, which is u.f64; their eps end
+    # eps_schedule
+    write_array(os.path.join(outdir, "tail.f64"),
+                [x for _, x, _ in rec.tail[:-1]])
+    # when K = 0 the IMCF reference is u itself, and not written
     if rec.imcf is not None and rec.imcf is not rec.solution:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
         written.append("u_imcf.f64")
@@ -223,14 +228,15 @@ def verify_hashes(record_dir):
 
 
 def load_record(record_dir):
-    """Rebuild a FlowRecord from a persisted directory.
+    """The FlowRecord that a flow persisted into `record_dir`.
 
     The domain is rebuilt from the record's config by ``build_from_config``,
     reading the record's hashed copy of a grid file rather than the original
-    path, then checked against the manifest's ``domain.*`` entries.
-    Solver state (u, IMCF reference) is restored exactly; sweep-tail fields
-    are reconstructed from the final solution alone, which is enough for the
-    verification suites.
+    path, then checked against the manifest's ``domain.*`` entries.  The
+    persisted fields, the tail rungs of ``tail.f64`` included, go to the
+    ``FlowRecord`` constructor that the sweep uses, so the record is the
+    flow's, not a reconstruction; only the a-priori reports are not kept.
+    A record without ``tail.f64`` is refused.
     """
     from . import solver as sv
     from .weak_flow import FlowRecord
@@ -251,7 +257,6 @@ def load_record(record_dir):
                                     for k, v in cfg.items()})
     except (ValueError, DomainError, idm.InitialDataError) as exc:
         raise RecordError(f"cannot rebuild the record's domain: {exc}")
-    rec = FlowRecord(dom, man.get("variant", "stimcf"))
     u = read_array(os.path.join(record_dir, "u.f64"))
     if u.shape != (dom.n_unknowns,):
         raise RecordError(f"u.f64 holds {u.size} values; the rebuilt domain "
@@ -261,22 +266,24 @@ def load_record(record_dir):
         if man.get(k) != v:
             raise RecordError(f"record {k} = {man.get(k)} differs from the "
                               f"rebuilt domain's {v}")
-    rec.epsilons = [float(x) for x in man["eps_schedule"].split()]
+    p_tail = os.path.join(record_dir, "tail.f64")
+    if not os.path.exists(p_tail):
+        raise RecordError(f"record {record_dir} has no tail.f64")
+    tail = [*read_array(p_tail).reshape(-1, dom.n_unknowns), u]
+    epsilons = [float(x) for x in man["eps_schedule"].split()]
     bc = float(man["bc"])
     eps_last = float(man["eps_last"])
     sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc,
                             float(man["residual_norm"]), 0, True, 0.0)
-    rec.solution = sol
-    rec.tail = [(eps_last, u.copy(), dom.gradient(u, bc))]
     p_im = os.path.join(record_dir, "u_imcf.f64")
-    if os.path.exists(p_im):
-        rec.imcf = sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0,
-                                     bc, 0.0, 0, True, 0.0)
-    elif dom.k_is_zero():
-        rec.imcf = sol
+    imcf = (sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0, bc, 0.0,
+                              0, True, 0.0)
+            if os.path.exists(p_im) else None)
     with open(os.path.join(record_dir, "sweep.json")) as fh:
         sweep = json.load(fh)
-    rec.cauchy_ok = sweep["cauchy_ok"]
-    rec.grad_increase_fraction = sweep.get("grad_increase_fraction", [])
-    rec.sup_deltas = [row["sup_delta"] for row in sweep["rows"][1:]]
-    return rec
+    return FlowRecord(
+        dom, man.get("variant", "stimcf"), sol, imcf, epsilons,
+        [[tuple(r) for r in row["trace"]] for row in sweep["rows"]],
+        [row["sup_delta"] for row in sweep["rows"][1:]],
+        sweep["grad_increase_fraction"], [],
+        list(zip(epsilons[-len(tail):], tail)))

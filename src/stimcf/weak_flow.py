@@ -8,7 +8,8 @@ points where |grad u| grows (the compactness hypotheses are monitored, not
 proven), and keeps the gradient tail needed to reconstruct the unit normal
 across plateaus.  Jump regions are plateaus of the metric gradient; their
 outer boundary radius is located by value-crossing extrapolation, which
-resolves the horizon well below one cell.
+resolves the horizon well below one cell.  The one ``FlowRecord``
+constructor, for the sweep and ``records.load_record`` alike, measures them.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from . import solver as sv
 from . import surface_geometry as sg
 from .domain import VARIANTS
-from .radial_oracle import sphere_area
 
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
 GRAD_TOL_FACTOR = 10.0      # plateau when |grad u|_g < factor * eps_last
@@ -59,25 +59,38 @@ class JumpRegion:
 
 
 class FlowRecord:
-    """Everything a run produces: the limit u, sweep diagnostics, jumps,
-    reconstructed normals and the IMCF reference (u itself when K = 0)."""
+    """Everything a run produces: the limit u, sweep diagnostics, jumps and
+    the IMCF reference.  The one constructor, for ``epsilon_sweep`` and
+    ``records.load_record`` alike, takes the sweep's solutions, per-rung
+    rows and tail rungs as (eps, interior), and derives the rest: the tail
+    gradients, the Cauchy verdict, the IMCF reference (u itself when K = 0,
+    where ``imcf`` is None) and the jumps, by ``detect_jumps``."""
 
-    def __init__(self, domain, variant="stimcf"):
+    def __init__(self, domain, variant, solution, imcf, epsilons, traces,
+                 sup_deltas, grad_increase_fraction, apriori, tail):
         self.domain = domain
         self.ids = domain.ids
         self.variant = variant
-        self.epsilons = []
-        self.sup_deltas = []
-        self.grad_increase_fraction = []
-        self.traces = []
-        self.apriori = []
-        self.tail = []            # (eps, interior, metric-gradient data)
-        self.solution = None
-        self.imcf = None
-        self.cauchy_ok = None
+        self.solution = solution
+        # when K = 0 the operator does not depend on s: u is its own reference
+        self.imcf = solution if domain.k_is_zero() else imcf
+        self.epsilons = epsilons
+        self.traces = traces
+        self.sup_deltas = sup_deltas
+        self.grad_increase_fraction = grad_increase_fraction
+        self.apriori = apriori
+        # (eps, interior, gradient) of the last TAIL_RUNGS rungs, final last
+        self.tail = [(eps, x, domain.gradient(x, solution.bc))
+                     for eps, x in tail]
+        last = sup_deltas[-1] if sup_deltas else np.inf   # one rung: no delta
+        self.cauchy_ok = last < TOL_SWEEP
         self.suggestion = None
-        self.jumps = []
-        self.truncation_plateaus = []
+        if not self.cauchy_ok:
+            rate = last / sup_deltas[-2] if len(sup_deltas) > 1 else np.nan
+            self.suggestion = (f"sweep not Cauchy at tol {TOL_SWEEP}: last "
+                               f"delta {last:.3g}, rate {rate:.3g}; extend "
+                               f"the schedule below {self.eps_last:.3g}")
+        detect_jumps(self)
 
     @property
     def eps_last(self):
@@ -108,7 +121,7 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, variant="stimcf"):
     positive, eps0 not above eps_last or above the feasibility bound) raises
     FlowConfigError, a rung whose warm and cold starts both fail FlowError
     naming its eps and s.  The sweep is Cauchy when its last sup-norm delta
-    lies below TOL_SWEEP.  Returns a FlowRecord.
+    lies below TOL_SWEEP.  Returns a FlowRecord, its jumps measured.
     """
     if variant not in VARIANTS:
         raise FlowConfigError(f"unknown operator variant '{variant}'")
@@ -134,37 +147,19 @@ def epsilon_sweep(dom, eps_last=1e-3, eps0=None, variant="stimcf"):
     flow = chains[1.0]
     # the top rung's trace holds both endpoints' solves, s = 0 first
     flow[0] = (flow[0][0], [row for c in chains.values() for row in c[0][1]])
-    rec = FlowRecord(dom, variant)
-    prev = None
-    prev_grad = None
-    for (sol, trace), (imcf_sol, _) in zip(flow, chains.get(0.0, flow)):
-        rec.epsilons.append(sol.eps)
-        rec.traces.append(trace)
-        grad = dom.gradient(sol.interior, sol.bc)
-        gmag = np.abs(sol.metric_gradient())
-        if prev is not None:
-            delta = float(np.max(np.abs(sol.full_field() - prev)))
-            rec.sup_deltas.append(delta)
-            tol_g = 1e-6 * (1 + np.max(prev_grad))
-            rec.grad_increase_fraction.append(
-                float(np.mean(gmag > prev_grad + tol_g)))
-        prev = sol.full_field()
-        prev_grad = gmag
-        rec.tail.append((sol.eps, sol.interior.copy(), grad))
-        if len(rec.tail) > TAIL_RUNGS:
-            rec.tail.pop(0)
-        rec.apriori.append(sv.apriori_monitor(dom, sol,
-                                              imcf_reference=imcf_sol))
-        rec.solution = sol
-        rec.imcf = imcf_sol
-    rec.cauchy_ok = rec.sup_deltas[-1] < TOL_SWEEP
-    if not rec.cauchy_ok:
-        rate = (rec.sup_deltas[-1] / rec.sup_deltas[-2]
-                if len(rec.sup_deltas) > 1 else np.nan)
-        rec.suggestion = (f"sweep not Cauchy at tol {TOL_SWEEP}: last delta "
-                          f"{rec.sup_deltas[-1]:.3g}, rate {rate:.3g}; "
-                          f"extend the schedule below {rec.eps_last:.3g}")
-    return rec
+    sols = [sol for sol, _ in flow]
+    fields = [sol.full_field() for sol in sols]
+    gmags = [np.abs(sol.metric_gradient()) for sol in sols]
+    return FlowRecord(
+        dom, variant, sols[-1],
+        chains[0.0][-1][0] if 0.0 in chains else None,
+        [sol.eps for sol in sols], [trace for _, trace in flow],
+        [float(np.max(np.abs(u1 - u0))) for u0, u1 in zip(fields, fields[1:])],
+        [float(np.mean(g1 > g0 + 1e-6 * (1 + np.max(g0))))
+         for g0, g1 in zip(gmags, gmags[1:])],
+        [sv.apriori_monitor(dom, sol, imcf_reference=imcf_sol)
+         for sol, (imcf_sol, _) in zip(sols, chains.get(0.0, flow))],
+        [(sol.eps, sol.interior) for sol in sols[-TAIL_RUNGS:]])
 
 
 def frauendiener_solve(dom, **kwargs):
@@ -184,7 +179,8 @@ def detect_jumps(rec):
     order-one slope), so a fixed multiple of the final regularization
     separates plateaus from transport regions.  Components living at the
     outer truncation value are classified as truncation artifacts, not jumps.
-    It only measures: no boundary mesh is built.
+    It only measures: no boundary mesh is built.  ``FlowRecord`` calls it;
+    a second call returns equal jumps.
     """
     dom = rec.domain
     sol = rec.solution
@@ -265,16 +261,12 @@ def reconstruct_normal_field(rec):
     excluded from horizon verification.  Off plateaus the final gradient
     direction is used.
     """
-    dom = rec.domain
-    if not rec.jumps and not rec.truncation_plateaus:
-        detect_jumps(rec)
-    vec, turn = dom.tail_normals([g for (_, _, g) in rec.tail])
+    vec, turn = rec.domain.tail_normals([g for (_, _, g) in rec.tail])
     plateau = np.zeros(len(turn), bool)
     for j in rec.jumps:
         plateau[j.cells] = True
-    field = NormalField(vec, bool(np.all(turn[plateau]
-                                         <= NORMAL_ANGLE_TOL_DEG)))
-    return field
+    return NormalField(vec, bool(np.all(turn[plateau]
+                                        <= NORMAL_ANGLE_TOL_DEG)))
 
 
 # -- horizon verification -----------------------------------------------------
@@ -330,14 +322,16 @@ def verify_horizon(rec, jump):
 
 def jump_band_excess(rec, jump):
     """Volume of {t_lo < u < t_hi} beyond the plateau cells, in units of one
-    cell layer of the outer boundary (a genuine plateau stays below 1)."""
+    cell layer of the outer boundary: the metric volume of the field points
+    within h/2 of its radius (a genuine plateau stays below 1)."""
     dom = rec.domain
     u = rec.u
     band = (u > jump.t_lo) & (u < jump.t_hi)
     vols = dom.volumes()
     band_vol = float(np.sum(vols[band]))
     plateau_vol = float(np.sum(vols[jump.cells]))
-    layer = sphere_area(dom.n) * (jump.outer_radius ** dom.n) * dom.h
+    layer = float(np.sum(
+        vols[np.abs(dom.radii - jump.outer_radius) <= 0.5 * dom.h]))
     return max(band_vol - plateau_vol, 0.0) / layer
 
 

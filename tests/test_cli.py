@@ -298,6 +298,78 @@ def test_flow_over_another_record_drops_its_payloads(aniso_record, tmp_path):
     assert rec.imcf is rec.solution
 
 
+@pytest.fixture(scope="module")
+def aniso_flow(tmp_path_factory):
+    """The ANISO_CFG sweep run in this process, with no detect_jumps call."""
+    cfg = tmp_path_factory.mktemp("aniso_flow") / "aniso.cfg"
+    cfg.write_text(ANISO_CFG)
+    _, dom = records.build_from_config(records.parse_config(str(cfg)))
+    return wf.epsilon_sweep(dom, eps_last=1e-4)
+
+
+def _jump_rows(rec):
+    return [(j.value, j.t_lo, j.t_hi, j.volume, j.inner_radius,
+             j.outer_radius, j.cells.tolist()) for j in rec.jumps]
+
+
+def test_a_fresh_sweep_comes_with_its_jumps(aniso_flow):
+    # the record measures its jumps when it is built, and a second
+    # detect_jumps call measures the same ones
+    assert len(aniso_flow.jumps) == 1
+    assert (wf.level_radius(aniso_flow, 0.0)
+            == aniso_flow.jumps[0].outer_radius)
+    rows = _jump_rows(aniso_flow)
+    wf.detect_jumps(aniso_flow)
+    assert _jump_rows(aniso_flow) == rows
+
+
+def test_reloaded_record_is_the_flows(aniso_record, aniso_flow):
+    rec = records.load_record(str(aniso_record))
+    assert _jump_rows(rec) == _jump_rows(aniso_flow)
+    assert rec.traces == aniso_flow.traces
+    assert len(rec.tail) == len(aniso_flow.tail) == wf.TAIL_RUNGS
+    for (eps, x, g), (eps_f, x_f, g_f) in zip(rec.tail, aniso_flow.tail):
+        assert eps == eps_f
+        assert x.tobytes() == x_f.tobytes()
+        assert g.tobytes() == g_f.tobytes()
+    assert (wf.reconstruct_normal_field(rec).cauchy_ok
+            == wf.reconstruct_normal_field(aniso_flow).cauchy_ok)
+    assert (rec.cauchy_ok, rec.suggestion) == (aniso_flow.cauchy_ok,
+                                               aniso_flow.suggestion)
+    assert rec.sup_deltas == aniso_flow.sup_deltas
+    assert rec.grad_increase_fraction == aniso_flow.grad_increase_fraction
+
+
+def test_reloaded_record_saves_the_same_record(aniso_record, tmp_path):
+    # what a reloaded record writes loads again, under the same manifest
+    cfg = tmp_path / "aniso.cfg"
+    cfg.write_text(ANISO_CFG)
+    out = tmp_path / "again"
+    records.save_record(records.load_record(str(aniso_record)), str(out),
+                        config=records.parse_config(str(cfg)))
+    assert ((out / "manifest.txt").read_text()
+            == (aniso_record / "manifest.txt").read_text())
+    back = records.load_record(str(out))
+    assert np.array_equal(back.u, records.load_record(str(aniso_record)).u)
+
+
+@pytest.mark.parametrize("hashed", [True, False])
+def test_record_without_its_tail_is_refused(aniso_record, tmp_path, hashed):
+    # the tail rungs are part of the run: a record that lost them (hashed)
+    # or never had them is refused by the file's name
+    import shutil
+    out = tmp_path / "rec"
+    shutil.copytree(aniso_record, out)
+    (out / "tail.f64").unlink()
+    if not hashed:
+        manifest = out / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(True)
+            if "tail.f64" not in line))
+    with pytest.raises(records.RecordError, match="tail.f64"):
+        records.load_record(str(out))
+
+
 def _grid_record(path, center):
     """A grid-lane record without a sweep: flat n = 1 data and the field
     u = min(ln|x|, bc) at eps = 1e-3."""
@@ -307,11 +379,8 @@ def _grid_record(path, center):
     bc = dom.L - 2.0
     sol = ScalarSolution(dom, np.minimum(np.log(dom.r_act), bc), 1e-3, 1.0,
                          bc, 0.0, 0, True, 0.0)
-    rec = wf.FlowRecord(dom)
-    rec.solution = sol
-    rec.epsilons = [sol.eps]
-    rec.traces = [[]]
-    rec.cauchy_ok = True
+    rec = wf.FlowRecord(dom, "stimcf", sol, None, [sol.eps], [[]], [], [],
+                        [], [(sol.eps, sol.interior)])
     records.save_record(rec, str(path), config={
         "preset": "flat", "n": 1, "e0_radius_chart": 1.0,
         "e0_center_chart": " ".join(map(str, center)),

@@ -240,9 +240,9 @@ NO_READER_YET = {
 }
 
 
-def _self_targets(node):
-    """Names of the self attributes an assignment statement stores into,
-    directly or through a subscript."""
+def _self_targets(node, owner="self"):
+    """Names of the attributes of `owner` that an assignment statement
+    stores into, directly or through a subscript."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -251,7 +251,7 @@ def _self_targets(node):
         return []
     return [sub.attr for target in targets for sub in ast.walk(target)
             if isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+            and isinstance(sub.value, ast.Name) and sub.value.id == owner]
 
 
 def test_every_stored_attribute_has_a_reader():
@@ -277,6 +277,28 @@ def test_every_stored_attribute_has_a_reader():
     assert sorted(unread - set(NO_READER_YET)) == []
     # an entry that has found a reader leaves the list
     assert sorted(set(NO_READER_YET) - unread) == []
+
+
+def test_a_record_is_built_in_one_place():
+    # FlowRecord.__init__ builds every record, the sweep's and the reload's,
+    # and detect_jumps, which it calls, stores the jumps; no other code of
+    # the package assigns an attribute on a record
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in ast.walk(tree):
+            if isinstance(top, ast.ClassDef) and top.name == "FlowRecord":
+                hits += [f"FlowRecord.{fn.name} self.{attr}"
+                         for fn in top.body if isinstance(fn, ast.FunctionDef)
+                         and fn.name != "__init__"
+                         for node in ast.walk(fn)
+                         for attr in _self_targets(node)]
+            elif (isinstance(top, ast.FunctionDef)
+                  and top.name != "detect_jumps"):
+                hits += [f"{path.name}:{node.lineno} rec.{attr}"
+                         for node in ast.walk(top)
+                         for attr in _self_targets(node, "rec")]
+    assert not hits, f"records assembled outside the constructor: {hits}"
 
 
 def test_lane_operators_keep_no_state():

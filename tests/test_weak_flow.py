@@ -128,6 +128,20 @@ def test_anisotropic_jump_structure(aniso_rec):
     assert wf.jump_band_excess(aniso_rec, j) < 1.0
 
 
+def test_band_excess_counts_metric_layers(schw_rec):
+    # one node of the band beyond the plateau cells is about one layer of
+    # the outer boundary in the metric, whose volume element there is ~62
+    # times the flat one (psi^6 with psi = 1 + m / 2r near r = m / 2)
+    j = schw_rec.jumps[0]
+    u = schw_rec.u
+    radii = schw_rec.domain.radii
+    band = np.where((u > j.t_lo) & (u < j.t_hi))[0]
+    one = band[np.argmax(radii[band])]
+    region = wf.JumpRegion(band[band != one], j.value, j.t_lo, j.t_hi,
+                           j.volume, j.inner_radius, j.outer_radius, False)
+    assert 0.5 <= wf.jump_band_excess(schw_rec, region) <= 2.0
+
+
 def test_anisotropic_horizon_verification(aniso_rec):
     rep = wf.verify_horizon(aniso_rec, aniso_rec.jumps[0])
     assert rep.max_rel_residual < 0.03
