@@ -36,7 +36,6 @@ def cmd_flow(args):
         rec = wf.epsilon_sweep(
             dom,
             eps_last=cfg.get("eps_last_per_length", 1e-3),
-            eps0=cfg.get("eps0_per_length"),
             variant=cfg.get("variant", "stimcf"))
     except wf.FlowConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,16 +24,15 @@ of the package lives here; callers use only the protocol:
   between calls.  Where the K-term vanishes (``k_is_zero()`` or s = 0)
   both variants are sqrt(W^2), and the radial lane evaluates no K-term
   there;
-- fields over the field points: ``full_field``, ``gradient`` (signed d/dr
-  over a on the radial lane, the per-axis stack on grids),
-  ``metric_gradient`` (|.| of it is |grad u|_g), ``volumes()``, ``radii``;
+- fields over the field points: ``full_field``, ``metric_gradient`` (|.|
+  of it is |grad u|_g), ``volumes()``, ``radii``;
 - data: ``feasibility()``, ``subsolution_values``, ``k_is_zero()``,
   ``boundary_gradients`` (the a-priori criterion (iii) inputs);
 - geometry read off a solution: ``components(mask)`` (lists of field-point
-  indices), ``plateau_radii(sol, comp, t0, knee_floor)``, ``tail_normals``,
-  ``extrema_excess``, and the meshes ``plateau_mesh(sol, jump, side)`` (a
-  jump's ``"inner"`` or ``"outer"`` boundary) and ``level_mesh(sol, t)``,
-  built on call with H and P filled from the lane's level-set description;
+  indices), ``plateau_radii(sol, comp, t0, knee_floor)``,
+  ``tail_normals(interiors, bc)``, ``extrema_excess``, and the mesh
+  ``plateau_mesh(sol, jump, side)`` of a jump's ``"inner"`` or ``"outer"``
+  boundary, built on call with H and P filled;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
@@ -55,9 +54,8 @@ FEASIBILITY_SAFETY = 0.9
 KNEE_EPS_FACTOR = 60.0      # plateau-edge thresholds start at this many eps
 ANCHOR_R_MAX = 64.0         # anchor radius scan: geomspace up to here
 ANCHOR_N_SCAN = 256
-# radial-lane sphere meshes: plateau boundaries, level sets, circles (n = 1)
+# radial-lane plateau boundaries: spheres, and circles when n = 1
 PLATEAU_SUBDIVISIONS = 4
-LEVEL_SUBDIVISIONS = 3
 CIRCLE_SEGMENTS = 512
 # the largest grid box: building a grid lane domain holds about 1 kB per box
 # cell at its peak (tracemalloc on a 3D Schwarzschild box of 66^3 cells and
@@ -244,13 +242,11 @@ class RadialDomain:
         u[1:-1] = interior
         return u
 
-    def gradient(self, interior, bc):
+    def metric_gradient(self, interior, bc):
         """Signed du/dx over a at the nodes (centered, one-sided at the
         ends), which is du/dr over a_phys; its absolute value is
         |grad u|_g."""
         return np.gradient(self.full_field(interior, bc), self.h) / self.a
-
-    metric_gradient = gradient
 
     def volumes(self):
         """Dual volumes of the nodes, metric measure a (b r)^n dx dOmega,
@@ -388,9 +384,9 @@ class RadialDomain:
         return bool(np.all(self.kr == 0.0))
 
     def boundary_gradients(self, interior, bc):
-        """(H+ on dE0, inner and outer boundary slope) for criterion (iii).
+        """(H+ on dE0, inner boundary slope) for criterion (iii).
 
-        The slopes are parity-averaged: the centered scheme leaves the
+        The slope is parity-averaged: the centered scheme leaves the
         odd-even component of the boundary gradient undetermined.
         """
         H_in = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
@@ -398,9 +394,7 @@ class RadialDomain:
         k = min(4, len(u) - 1)
         g_in = float(np.mean(np.diff(u[:k + 1])) / self.h
                      / np.mean(self.af[:k]))
-        g_out = float(np.mean(np.diff(u[-k - 1:])) / self.h
-                      / np.mean(self.af[-k:]))
-        return H_in, g_in, g_out
+        return H_in, g_in
 
     def require_radial(self, what):
         pass
@@ -463,20 +457,17 @@ class RadialDomain:
             return inner, fallback
         return inner, est
 
-    def _sphere_mesh(self, radius, subdivisions):
-        """The centred sphere of ``radius`` (a circle when n = 1), H and P
-        filled from its level set |x|; None for n > 2."""
+    def plateau_mesh(self, sol, jump, side):
+        """The centred sphere (a circle when n = 1) at the jump's ``side``
+        ("inner" or "outer") radius, H and P filled from its level set |x|;
+        None for n > 2."""
         if self.n not in (1, 2):
             return None
+        radius = {"inner": jump.inner_radius, "outer": jump.outer_radius}[side]
         mesh = (sg.circle_mesh(radius, segments=CIRCLE_SEGMENTS) if self.n == 1
-                else sg.icosphere(radius=radius, subdivisions=subdivisions))
+                else sg.icosphere(radius, PLATEAU_SUBDIVISIONS))
         centre = sg.sphere_level_set(np.zeros(self.ids.dim))
         return sg.populate_diagnostics(self.ids, mesh, level_set=centre)
-
-    def plateau_mesh(self, sol, jump, side):
-        """The sphere at the jump's ``side`` ("inner" or "outer") radius."""
-        radius = {"inner": jump.inner_radius, "outer": jump.outer_radius}[side]
-        return self._sphere_mesh(radius, PLATEAU_SUBDIVISIONS)
 
     def level_radius(self, sol, t):
         """Radius where the running maximum of u reaches t (a time or an
@@ -490,13 +481,11 @@ class RadialDomain:
         u = np.maximum.accumulate(sol.full_field())
         return np.interp(t, u, self.r)
 
-    def level_mesh(self, sol, t):
-        return self._sphere_mesh(self.level_radius(sol, t), LEVEL_SUBDIVISIONS)
-
-    def tail_normals(self, grads):
+    def tail_normals(self, interiors, bc):
         """Radial normal signs of the last tail rung, and per node the turn
         angle over the tail (0 where every rung agrees in sign, else 180)."""
-        signs = [np.sign(g + 1e-300) for g in grads]
+        signs = [np.sign(self.metric_gradient(x, bc) + 1e-300)
+                 for x in interiors]
         agree = np.ones(len(self.r), bool)
         for k in range(1, len(signs)):
             agree &= (signs[k] == signs[k - 1])
@@ -691,10 +680,6 @@ class GridDomain:
         return [self.G_ops[k] @ interior + self.G_bc_outer[k] * bc
                 for k in range(self.d)]
 
-    def gradient(self, interior, bc):
-        """Per-axis centered gradient, one row per active cell."""
-        return np.stack(self._cell_grads(interior, bc), axis=1)
-
     def metric_gradient(self, interior, bc):
         cell_grads = self._cell_grads(interior, bc)
         W2 = np.zeros(self.n_unknowns)
@@ -791,12 +776,9 @@ class GridDomain:
 
     def boundary_gradients(self, interior, bc):
         """(H+ of the E0 sphere in the metric, max |grad u|_g over the cells
-        within 2h of E0 and over those within 2h of the outer sphere)."""
+        within 2h of E0)."""
         grad = self.metric_gradient(interior, bc)
-        far = self.r_act >= self.r_out - 2 * self.h
-        g_in = float(np.max(grad[self.near_e0]))
-        g_out = float(np.max(grad[far])) if np.any(far) else 0.0
-        return self.H_plus, g_in, g_out
+        return self.H_plus, float(np.max(grad[self.near_e0]))
 
     def require_radial(self, what):
         raise LaneError(f"{what} runs on the radial lane")
@@ -819,7 +801,7 @@ class GridDomain:
     def _extended_field(self, sol):
         """u on the full grid: smooth signed-distance continuation into E0
         (slope matched to the boundary gradient) and the Dirichlet value
-        outside, so interpolants and contouring stay well behaved."""
+        outside, so contouring stays well behaved."""
         full = np.full(len(self.active), sol.bc)
         slope = float(np.median(sol.metric_gradient()[self.near_e0]))
         inside = self.sdf <= 0
@@ -827,39 +809,19 @@ class GridDomain:
         full[self.active] = sol.interior
         return full.reshape(self.shape)
 
-    def _contour(self, field, t):
-        return extract_isosurface(field, self.centers[0], self.h, t,
-                                  interior_point=self.e0_center)
-
     def plateau_mesh(self, sol, jump, side):
         """The contour t0 -/+ 3 eps of the jump's value t0, H from the weak
         first variation (u is flat on the plateau); None if it is empty."""
         delta = 3 * sol.eps
         t = {"inner": jump.value - delta, "outer": jump.value + delta}[side]
-        mesh = self._contour(self._extended_field(sol), t)
+        mesh = extract_isosurface(self._extended_field(sol), self.centers[0],
+                                  self.h, t, interior_point=self.e0_center)
         return None if mesh is None else sg.populate_diagnostics(self.ids, mesh)
 
-    def level_mesh(self, sol, t):
-        from scipy.ndimage import map_coordinates
-        field = self._extended_field(sol)
-        mesh = self._contour(field, t)
-        if mesh is None:
-            return None
-        origin = self.centers[0]
-
-        def phi(points):
-            # quadratic interpolant of the extended field
-            coords = (np.atleast_2d(points) - origin[None, :]) / self.h
-            return map_coordinates(field, coords.T, order=2, mode="nearest")
-
-        # away from jumps the flow field itself describes the level set;
-        # its normal-field divergence is the H of choice
-        return sg.populate_diagnostics(self.ids, mesh, level_set=phi,
-                                       level_set_h=self.h)
-
-    def tail_normals(self, grads):
-        """Unit gradient directions of the last tail rung, and per cell the
-        largest angle between consecutive rungs, in degrees."""
+    def tail_normals(self, interiors, bc):
+        """Unit centered-gradient directions of the last tail rung, and per
+        cell the largest angle between consecutive rungs, in degrees."""
+        grads = [np.stack(self._cell_grads(x, bc), axis=1) for x in interiors]
         tails = [g / np.maximum(np.sqrt(np.sum(g * g, axis=1)), 1e-300)[:, None]
                  for g in grads]
         max_ang = np.zeros(self.n_unknowns)

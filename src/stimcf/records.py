@@ -36,7 +36,6 @@ CONFIG_KEYS = {
     "grid_h_chart": float,
     "mode": str,
     "eps_last_per_length": float,
-    "eps0_per_length": float,
     "variant": str,
 }
 
@@ -155,7 +154,7 @@ def save_record(rec, outdir, config=None):
     # the tail rungs but the final one, which is u.f64; their eps end
     # eps_schedule
     write_array(os.path.join(outdir, "tail.f64"),
-                [x for _, x, _ in rec.tail[:-1]])
+                [x for _, x in rec.tail[:-1]])
     # when K = 0 the IMCF reference is u itself, and not written
     if rec.imcf is not None and rec.imcf is not rec.solution:
         write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
@@ -227,6 +226,19 @@ def verify_hashes(record_dir):
     return True
 
 
+def _manifest_floats(man, key, count=None):
+    """The numbers of manifest entry `key`, `count` of them when given; no
+    hash covers the manifest, so a RecordError names a bad entry."""
+    try:
+        values = [float(x) for x in man[key].split()]
+    except (KeyError, ValueError):
+        values = []
+    if not values or count not in (None, len(values)):
+        raise RecordError(f"record manifest entry {key} is missing or "
+                          f"malformed: {man.get(key)!r}")
+    return values
+
+
 def load_record(record_dir):
     """The FlowRecord that a flow persisted into `record_dir`.
 
@@ -236,7 +248,7 @@ def load_record(record_dir):
     persisted fields, the tail rungs of ``tail.f64`` included, go to the
     ``FlowRecord`` constructor that the sweep uses, so the record is the
     flow's, not a reconstruction; only the a-priori reports are not kept.
-    A record without ``tail.f64`` is refused.
+    A record without ``tail.f64`` or with a bad run entry is refused.
     """
     from . import solver as sv
     from .weak_flow import FlowRecord
@@ -270,11 +282,11 @@ def load_record(record_dir):
     if not os.path.exists(p_tail):
         raise RecordError(f"record {record_dir} has no tail.f64")
     tail = [*read_array(p_tail).reshape(-1, dom.n_unknowns), u]
-    epsilons = [float(x) for x in man["eps_schedule"].split()]
-    bc = float(man["bc"])
-    eps_last = float(man["eps_last"])
-    sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc,
-                            float(man["residual_norm"]), 0, True, 0.0)
+    epsilons = _manifest_floats(man, "eps_schedule")
+    eps_last, bc, residual_norm = (_manifest_floats(man, k, 1)[0] for k in
+                                   ("eps_last", "bc", "residual_norm"))
+    sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc, residual_norm, 0,
+                            True, 0.0)
     p_im = os.path.join(record_dir, "u_imcf.f64")
     imcf = (sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0, bc, 0.0,
                               0, True, 0.0)

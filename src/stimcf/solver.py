@@ -229,11 +229,10 @@ class AprioriReport:
 def apriori_monitor(dom, sol, imcf_reference=None):
     """Check the a-priori window and boundary gradient bounds on a solution.
 
-    Hard checks: u >= -eps, u <= s(L-2), and u >= v + (s-1)(L-1) - 2 outside
-    the anchor radius, up to tol = 1e-8 (1 + |s(L-2)|).  The outer boundary
-    gradient bound C(L) and the lower bridge barrier are recorded, not
-    asserted.  With an IMCF reference the barrier ordering u <= u_imcf is
-    checked as well.
+    Hard checks: u >= -eps and u <= s(L-2) up to tol = 1e-8 (1 + |s(L-2)|);
+    u >= v + (s-1)(L-1) - 2 outside the anchor radius up to a dip of
+    5 eps + tol; |grad u| <= H+ + eps on dE0 with slack 0.1 H+ + 10 h.
+    With an IMCF reference the barrier ordering u <= u_imcf is checked too.
     """
     rep = AprioriReport()
     eps, s, bc = sol.eps, sol.s, sol.bc
@@ -254,10 +253,9 @@ def apriori_monitor(dom, sol, imcf_reference=None):
     # at finite regularization; only larger dips count as violations
     if gap < -(5.0 * eps + tol):
         rep.violations.append(f"(i) u - (v + (s-1)(L-1) - 2) dips to {gap:.3e}")
-    H_in, g_in, g_out = dom.boundary_gradients(sol.interior, bc)
+    H_in, g_in = dom.boundary_gradients(sol.interior, bc)
     rep.measured["boundary_gradient_inner"] = g_in
     rep.measured["H_plus_inner"] = H_in
-    rep.measured["boundary_gradient_outer_CL"] = g_out
     # (iii) inner bound asserted with discretization slack
     slack = 0.1 * H_in + 10 * dom.h
     if g_in > H_in + eps + slack:

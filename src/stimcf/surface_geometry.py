@@ -2,15 +2,16 @@
 
 Meshes are simplicial (segments in a 2D chart, triangles in 3D) with
 per-facet diagnostics.  Mean curvature comes from the divergence of the
-extended unit normal when the surface is described as a level set (spheres,
-extracted level sets), and from the discrete first variation of metric area
-for free meshes.  Sign convention: outward normal, H = n/r > 0 on round
-spheres in the flat chart.
+extended unit normal when the surface is described as a level set (spheres),
+and from the discrete first variation of metric area for free meshes.  Sign
+convention: outward normal, H = n/r > 0 on round spheres in the flat chart.
 """
 
 import numpy as np
 
 from .initial_data import _as_points, inverse_and_det
+
+LEVEL_SET_FD_STEP = 1e-4    # central-difference step of the level-set H
 
 
 class SurfaceError(ValueError):
@@ -140,8 +141,9 @@ def icosphere(radius=1.0, subdivisions=3):
 
 # -- level-set mean curvature ----------------------------------------------
 
-def level_set_mean_curvature(ids, points, phi, h=1e-4):
-    """H = div_g( grad phi / |grad phi|_g ) at points, by nested central FD.
+def level_set_mean_curvature(ids, points, phi):
+    """H = div_g( grad phi / |grad phi|_g ) at points, by nested central FD
+    with step LEVEL_SET_FD_STEP.
 
     `phi` maps (m, d) points to level values; the extended unit normal field
     is differentiated with the metric volume weight, matching the operator of
@@ -150,6 +152,7 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
     """
     points = _as_points(points)
     d = points.shape[1]
+    h = LEVEL_SET_FD_STEP
     shifts = np.eye(d) * h
 
     def unit_field(x):
@@ -169,13 +172,12 @@ def level_set_mean_curvature(ids, points, phi, h=1e-4):
     return div / sg0
 
 
-def mean_curvature(ids, surf, level_set=None, level_set_h=None):
+def mean_curvature(ids, surf, level_set=None):
     """Per-facet mean curvature of the mesh in the data's metric.
 
     level_set: optional callable describing the surface as its zero/level set
-    (used for spheres and extracted level sets), differentiated with step
-    level_set_h (default 1e-4); free meshes fall back to the vertex
-    first-variation estimate averaged onto facets.
+    (used for spheres); free meshes fall back to the vertex first-variation
+    estimate averaged onto facets.
     """
     nu = surf.unit_normals(ids)
     norms = np.sqrt(np.einsum('mij,mi,mj->m', ids.metric(surf.centroids),
@@ -183,8 +185,7 @@ def mean_curvature(ids, surf, level_set=None, level_set_h=None):
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise SurfaceError("normals failed to normalize in the metric")
     if level_set is not None:
-        H = level_set_mean_curvature(ids, surf.centroids, level_set,
-                                     h=level_set_h or 1e-4)
+        H = level_set_mean_curvature(ids, surf.centroids, level_set)
     else:
         Hv = weak_mean_curvature(ids, surf)
         H = Hv[surf.facets].mean(axis=1)
@@ -300,9 +301,9 @@ def weak_mean_curvature(ids, surf):
     return np.einsum('vi,vi->v', grad, nu_v) / np.maximum(dual, 1e-300)
 
 
-def populate_diagnostics(ids, surf, level_set=None, level_set_h=None):
+def populate_diagnostics(ids, surf, level_set=None):
     """Fill H, P, Phi, theta+- and return the mesh."""
-    mean_curvature(ids, surf, level_set=level_set, level_set_h=level_set_h)
+    mean_curvature(ids, surf, level_set=level_set)
     k_trace(ids, surf)
     spacetime_mean_curvature(surf)
     return surf

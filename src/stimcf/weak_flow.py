@@ -5,7 +5,7 @@ L - 2: the endpoint s = 0 down the epsilon chain, then s = 1 from its top;
 each rung starts warm from the one above, and the driver retries a failed
 warm start cold.  It tracks the Cauchy deltas of u and the share of field
 points where |grad u| grows (the compactness hypotheses are monitored, not
-proven), and keeps the gradient tail needed to reconstruct the unit normal
+proven), and keeps the tail rungs needed to reconstruct the unit normal
 across plateaus.  Jump regions are plateaus of the metric gradient; their
 outer boundary radius is located by value-crossing extrapolation, which
 resolves the horizon well below one cell.  The one ``FlowRecord``
@@ -62,9 +62,9 @@ class FlowRecord:
     """Everything a run produces: the limit u, sweep diagnostics, jumps and
     the IMCF reference.  The one constructor, for ``epsilon_sweep`` and
     ``records.load_record`` alike, takes the sweep's solutions, per-rung
-    rows and tail rungs as (eps, interior), and derives the rest: the tail
-    gradients, the Cauchy verdict, the IMCF reference (u itself when K = 0,
-    where ``imcf`` is None) and the jumps, by ``detect_jumps``."""
+    rows and tail rungs as (eps, interior), and derives the rest: the
+    Cauchy verdict, the IMCF reference (u itself when K = 0, where ``imcf``
+    is None) and the jumps, by ``detect_jumps``."""
 
     def __init__(self, domain, variant, solution, imcf, epsilons, traces,
                  sup_deltas, grad_increase_fraction, apriori, tail):
@@ -79,9 +79,8 @@ class FlowRecord:
         self.sup_deltas = sup_deltas
         self.grad_increase_fraction = grad_increase_fraction
         self.apriori = apriori
-        # (eps, interior, gradient) of the last TAIL_RUNGS rungs, final last
-        self.tail = [(eps, x, domain.gradient(x, solution.bc))
-                     for eps, x in tail]
+        # (eps, interior) of the last TAIL_RUNGS rungs, final last
+        self.tail = tail
         last = sup_deltas[-1] if sup_deltas else np.inf   # one rung: no delta
         self.cauchy_ok = last < TOL_SWEEP
         self.suggestion = None
@@ -108,35 +107,33 @@ class FlowRecord:
         return (0.0, self.truncation_threshold())
 
 
-def epsilon_sweep(dom, eps_last=1e-3, eps0=None, variant="stimcf"):
-    """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last.
+def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
+    """Run the sweep down the geometric schedule eps0, eps0/2, ..., eps_last
+    from the top rung eps0 = min(eps_max / 2, DEFAULT_EPS0), with eps_max
+    the domain's feasibility bound.
 
     The sweep builds that ladder itself, ``solver.eps_ladder`` at ratio 2
     (every ratio at most 2, the last one the remainder), and reads every
-    rung of it, so the driver inserts none.
-    One ``solver.continuation_solve`` at bc = L - 2 gives both chains: the
-    flow at s = 1 and the IMCF reference at s = 0 (when K vanishes the
-    operator does not depend on s and the flow chain is the IMCF chain).
-    A schedule that cannot start (unknown variant, eps0 or eps_last not
-    positive, eps0 not above eps_last or above the feasibility bound) raises
+    rung of it, so the driver inserts none.  One
+    ``solver.continuation_solve`` at bc = L - 2 gives both chains: the flow
+    at s = 1 and the IMCF reference at s = 0 (when K vanishes the operator
+    does not depend on s and the flow chain is the IMCF chain).  A schedule
+    that cannot start (unknown variant, eps_last not in (0, eps0)) raises
     FlowConfigError, a rung whose warm and cold starts both fail FlowError
     naming its eps and s.  The sweep is Cauchy when its last sup-norm delta
     lies below TOL_SWEEP.  Returns a FlowRecord, its jumps measured.
     """
     if variant not in VARIANTS:
         raise FlowConfigError(f"unknown operator variant '{variant}'")
-    if eps_last <= 0 or (eps0 is not None and eps0 <= 0):
-        raise FlowConfigError("the sweep needs eps0 > 0 and eps_last > 0 "
-                              f"(got eps0 = {eps0}, eps_last = {eps_last})")
-    feas = dom.feasibility()
+    if eps_last <= 0:
+        raise FlowConfigError(f"the sweep needs eps_last > 0 (got {eps_last})")
     # at eps_max (0.9 of the divergence bound) the cold start stalls for
     # all 60 Newton iterations on the anisotropic and the deep Schwarzschild
     # domains; at half of it the one cold solve converges
-    e = min(0.5 * feas["eps_max"], DEFAULT_EPS0) if eps0 is None else eps0
-    if not eps_last < e <= feas["eps_max"]:
+    e = min(0.5 * dom.feasibility()["eps_max"], DEFAULT_EPS0)
+    if not eps_last < e:
         raise FlowConfigError(
-            f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g} and "
-            f"not above the feasibility bound {feas['eps_max']:.3g}")
+            f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g}")
     try:
         chains, _ = sv.continuation_solve(
             dom, [0.0, 1.0], sv.eps_ladder([e, eps_last], 2.0),
@@ -204,33 +201,7 @@ def detect_jumps(rec):
     return rec.jumps
 
 
-# -- level sets ---------------------------------------------------------------
-
-def extract_level_sets(rec, times):
-    """Meshes of Sigma_t = boundary of {u < t}, built here with H and P
-    filled; at jump values the inner and outer boundary (Sigma_t, Sigma_t+)
-    come back as a pair."""
-    lo, hi = rec.valid_time_range()
-    out = []
-    for t in times:
-        if t < lo - 1e-12 or t > hi:
-            raise FlowError(
-                f"time {t} beyond the outer boundary influence zone (max {hi:.3g})")
-        jump = _jump_at(rec, t)
-        if jump is not None:
-            out.append(tuple(rec.domain.plateau_mesh(rec.solution, jump, side)
-                             for side in ("inner", "outer")))
-            continue
-        out.append(rec.domain.level_mesh(rec.solution, t))
-    return out
-
-
-def _jump_at(rec, t):
-    for j in rec.jumps:
-        if j.t_lo - 1e-12 <= t <= j.t_hi + 1e-12:
-            return j
-    return None
-
+# -- level radius ------------------------------------------------------------
 
 def level_radius(rec, t):
     """Radius of the level set (radial lane), honoring jumps: a time inside
@@ -261,7 +232,8 @@ def reconstruct_normal_field(rec):
     excluded from horizon verification.  Off plateaus the final gradient
     direction is used.
     """
-    vec, turn = rec.domain.tail_normals([g for (_, _, g) in rec.tail])
+    vec, turn = rec.domain.tail_normals([x for _, x in rec.tail],
+                                        rec.solution.bc)
     plateau = np.zeros(len(turn), bool)
     for j in rec.jumps:
         plateau[j.cells] = True

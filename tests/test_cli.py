@@ -80,14 +80,12 @@ def _flow_rejects_config(tmp_path, capsys, text, message):
 
 def test_flow_rejects_negative_eps_last(tmp_path, capsys):
     # a sweep that cannot start is a configuration error, not a solver one:
-    # a negative eps_last, an eps0 above this domain's feasibility bound
-    # (0.0739), an eps0 below eps_last and an unknown operator variant
+    # a negative eps_last, an eps_last above the top rung and an unknown
+    # operator variant
     for old, new in [("eps_last_per_length = 1e-3",
                       "eps_last_per_length = -1e-3"),
                      ("eps_last_per_length = 1e-3",
-                      "eps_last_per_length = 1e-3\neps0_per_length = 10"),
-                     ("eps_last_per_length = 1e-3",
-                      "eps_last_per_length = 1e-3\neps0_per_length = 5e-4"),
+                      "eps_last_per_length = 0.05"),
                      ("preset = flat", "preset = flat\nvariant = bogus")]:
         _flow_rejects_config(tmp_path, capsys, FLAT_CFG.replace(old, new),
                              "config error")
@@ -107,7 +105,7 @@ def test_flow_rejects_missing_grid_file(tmp_path, capsys):
 def test_flow_rejects_unknown_key(tmp_path, capsys):
     for key in ("bogus_key", "grad_tol_factor", "tol_h_rel", "tol_min_rel",
                 "probe_times_flowtime", "tol_newton_per_length",
-                "tol_sweep_flowtime"):
+                "tol_sweep_flowtime", "eps0_per_length"):
         _flow_rejects_config(tmp_path, capsys, FLAT_CFG + f"{key} = 1\n",
                              f"unknown key '{key}'")
 
@@ -205,6 +203,28 @@ def test_verify_detects_truncated_array(flat_record, tmp_path):
         fh.write(b"\x00\x00\x00\x00")
     status = cli.main(["verify", str(broken)])
     assert status == 2
+
+
+@pytest.mark.parametrize("entry, value", [("bc", None), ("eps_last", "abc")],
+                         ids=["missing", "malformed"])
+def test_bad_manifest_entry_is_a_record_error(flat_record, tmp_path, capsys,
+                                              entry, value):
+    # no hash covers the manifest, so verify and plotdata both refuse an
+    # entry that the reload reads and cannot, naming it, with exit 2
+    import shutil
+    out = tmp_path / "rec"
+    shutil.copytree(flat_record, out)
+    manifest = out / "manifest.txt"
+    lines = [line for line in manifest.read_text().splitlines(keepends=True)
+             if not line.startswith(f"{entry} =")]
+    if value is not None:
+        lines.append(f"{entry} = {value}\n")
+    manifest.write_text("".join(lines))
+    assert cli.main(["verify", str(out)]) == 2
+    assert cli.main(["plotdata", str(out), "--kind", "levelsets",
+                     "--out", str(tmp_path / "plot")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"record error: record manifest entry {entry} ") == 2
 
 
 def test_plotdata_kinds(flat_record, tmp_path):
@@ -328,10 +348,9 @@ def test_reloaded_record_is_the_flows(aniso_record, aniso_flow):
     assert _jump_rows(rec) == _jump_rows(aniso_flow)
     assert rec.traces == aniso_flow.traces
     assert len(rec.tail) == len(aniso_flow.tail) == wf.TAIL_RUNGS
-    for (eps, x, g), (eps_f, x_f, g_f) in zip(rec.tail, aniso_flow.tail):
+    for (eps, x), (eps_f, x_f) in zip(rec.tail, aniso_flow.tail):
         assert eps == eps_f
         assert x.tobytes() == x_f.tobytes()
-        assert g.tobytes() == g_f.tobytes()
     assert (wf.reconstruct_normal_field(rec).cauchy_ok
             == wf.reconstruct_normal_field(aniso_flow).cauchy_ok)
     assert (rec.cauchy_ok, rec.suggestion) == (aniso_flow.cauchy_ok,

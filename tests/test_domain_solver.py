@@ -223,7 +223,7 @@ def test_graded_gradient_is_d_dr_over_a(aniso_dom):
     r = aniso_dom.r
     assert aniso_dom.r_g < aniso_dom.r_out
     u = 2 * np.log(r / r[0])
-    g = aniso_dom.gradient(u[1:-1], u[-1])
+    g = aniso_dom.metric_gradient(u[1:-1], u[-1])
     assert_allclose(g[1:-1], 2 / r[1:-1], rtol=1e-3)
 
 

@@ -58,19 +58,6 @@ def test_flat_has_no_jumps_but_a_truncation_plateau(flat_rec):
     assert t0 == pytest.approx(flat_rec.solution.bc, abs=0.05)
 
 
-def test_flat_level_set_radius(flat_rec):
-    t = 2 * np.log(2.0)
-    mesh = wf.extract_level_sets(flat_rec, [t])[0]
-    radii = np.linalg.norm(mesh.centroids, axis=1)
-    assert np.mean(radii) == pytest.approx(2.0, rel=5e-3)
-    assert np.median(mesh.H) == pytest.approx(1.0, rel=2e-2)
-
-
-def test_extraction_rejects_truncation_zone(flat_rec):
-    with pytest.raises(wf.FlowError, match="influence zone"):
-        wf.extract_level_sets(flat_rec, [flat_rec.solution.bc - 0.1])
-
-
 def test_nonnegative_and_imcf_dominated(flat_rec, aniso_rec, schw_rec):
     for rec in (flat_rec, aniso_rec, schw_rec):
         assert rec.u.min() >= -rec.eps_last - 1e-10
@@ -151,19 +138,6 @@ def test_anisotropic_horizon_verification(aniso_rec):
     assert rep.labels == {"MOTS", "generalized_horizon"}
 
 
-def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
-    j = aniso_rec.jumps[0]
-    pair = wf.extract_level_sets(aniso_rec, [j.value])[0]
-    inner, outer = pair
-    assert np.mean(np.linalg.norm(inner.centroids, axis=1)) \
-        == pytest.approx(1.0, abs=0.05)
-    assert np.mean(np.linalg.norm(outer.centroids, axis=1)) \
-        == pytest.approx(R_STAR_ANISO, rel=0.02)
-    # away from the jump a single mesh comes back
-    single = wf.extract_level_sets(aniso_rec, [1.0])[0]
-    assert not isinstance(single, tuple)
-
-
 def _count_sphere_meshes(monkeypatch):
     """Names of the sphere and circle meshes built from here on."""
     built = []
@@ -202,15 +176,6 @@ def test_verify_horizon_builds_only_the_mesh_it_reads(aniso_rec,
         np.max(np.abs(ref.H - np.abs(ref.P)) / scale))
     assert rep.labels == sg.classify(
         ref, tol=wf.TOL_HORIZON * float(np.median(scale)))
-
-
-def test_jump_time_extraction_fills_both_boundaries(aniso_rec):
-    # a pair comes back filled like a single level set, whatever ran on
-    # the record before
-    j = aniso_rec.jumps[0]
-    for mesh in wf.extract_level_sets(aniso_rec, [j.value])[0]:
-        assert mesh.H is not None and mesh.P is not None
-        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
 
 
 def test_normal_field_radial_and_cauchy(aniso_rec):
@@ -339,26 +304,16 @@ def test_sweep_names_the_rung_below_the_top_that_fails(monkeypatch):
     assert "cold start" not in str(err.value)
 
 
-def test_sweep_rejects_eps0_above_the_feasibility_bound():
-    dom = _small_flat()
-    eps_max = dom.feasibility()["eps_max"]
-    with pytest.raises(wf.FlowError, match="feasibility bound"):
-        wf.epsilon_sweep(dom, eps0=1.5 * eps_max, eps_last=1e-3)
+@pytest.mark.parametrize("eps_last", [0.0, -1e-3])
+def test_sweep_rejects_nonpositive_eps(eps_last):
+    with pytest.raises(wf.FlowConfigError, match="eps_last > 0"):
+        wf.epsilon_sweep(_small_flat(), eps_last=eps_last)
 
 
-@pytest.mark.parametrize("eps0, eps_last", [(None, 0.0), (None, -1e-3),
-                                            (0.0, 1e-3)])
-def test_sweep_rejects_nonpositive_eps(eps0, eps_last):
-    with pytest.raises(wf.FlowError, match="eps0 > 0 and eps_last > 0"):
-        wf.epsilon_sweep(_small_flat(), eps0=eps0, eps_last=eps_last)
-
-
-@pytest.mark.parametrize("eps0, eps_last", [(5e-4, 1e-3), (1e-3, 1e-3),
-                                            (None, 0.05)])
-def test_sweep_rejects_a_top_rung_not_above_eps_last(eps0, eps_last):
-    # the default top, min(eps_max / 2, 1/32), lies below eps_last = 0.05
+def test_sweep_rejects_a_top_rung_not_above_eps_last():
+    # the top rung, min(eps_max / 2, 1/32), lies below eps_last = 0.05
     with pytest.raises(wf.FlowConfigError, match="must lie above eps_last"):
-        wf.epsilon_sweep(_small_flat(), eps0=eps0, eps_last=eps_last)
+        wf.epsilon_sweep(_small_flat(), eps_last=0.05)
 
 
 def test_sweep_rejects_an_unknown_variant_before_any_solve(monkeypatch):
