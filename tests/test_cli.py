@@ -205,8 +205,10 @@ def test_verify_detects_truncated_array(flat_record, tmp_path):
     assert status == 2
 
 
-@pytest.mark.parametrize("entry, value", [("bc", None), ("eps_last", "abc")],
-                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("entry, value", [("bc", None), ("eps_last", "abc"),
+                                          ("residual_norm", "1 2"),
+                                          ("eps_schedule", "")],
+                         ids=["missing", "malformed", "two_values", "empty"])
 def test_bad_manifest_entry_is_a_record_error(flat_record, tmp_path, capsys,
                                               entry, value):
     # no hash covers the manifest, so verify and plotdata both refuse an

@@ -58,6 +58,12 @@ def test_flat_has_no_jumps_but_a_truncation_plateau(flat_rec):
     assert t0 == pytest.approx(flat_rec.solution.bc, abs=0.05)
 
 
+def test_flat_level_set_radius(flat_rec):
+    # the flat flow's level set {u = t} is the sphere of radius e^(t/2)
+    t = 2 * np.log(2.0)
+    assert wf.level_radius(flat_rec, t) == pytest.approx(2.0, rel=5e-3)
+
+
 def test_nonnegative_and_imcf_dominated(flat_rec, aniso_rec, schw_rec):
     for rec in (flat_rec, aniso_rec, schw_rec):
         assert rec.u.min() >= -rec.eps_last - 1e-10
@@ -136,6 +142,33 @@ def test_anisotropic_horizon_verification(aniso_rec):
     # labelled at the check's own tolerance: theta+ = H + P vanishes with
     # H - |P|, so the verified horizon is a MOTS too, not trapped
     assert rep.labels == {"MOTS", "generalized_horizon"}
+
+
+def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
+    # at the jump time both boundaries exist: E0 inside, the horizon outside;
+    # the level radius there reads the outer one, and away from the jump
+    # the level set's own radius
+    j = aniso_rec.jumps[0]
+    dom = aniso_rec.domain
+    inner, outer = (dom.plateau_mesh(aniso_rec.solution, j, side)
+                    for side in ("inner", "outer"))
+    assert np.mean(np.linalg.norm(inner.centroids, axis=1)) \
+        == pytest.approx(1.0, abs=0.05)
+    assert np.mean(np.linalg.norm(outer.centroids, axis=1)) \
+        == pytest.approx(R_STAR_ANISO, rel=0.02)
+    assert wf.level_radius(aniso_rec, j.value) == j.outer_radius
+    assert wf.level_radius(aniso_rec, 1.0) > j.outer_radius
+
+
+def test_jump_time_extraction_fills_both_boundaries(aniso_rec):
+    # each boundary comes back filled like a single level set, whatever ran
+    # on the record before
+    j = aniso_rec.jumps[0]
+    wf.verify_horizon(aniso_rec, j)
+    for side in ("inner", "outer"):
+        mesh = aniso_rec.domain.plateau_mesh(aniso_rec.solution, j, side)
+        assert mesh.H is not None and mesh.P is not None
+        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
 
 
 def _count_sphere_meshes(monkeypatch):
@@ -310,10 +343,12 @@ def test_sweep_rejects_nonpositive_eps(eps_last):
         wf.epsilon_sweep(_small_flat(), eps_last=eps_last)
 
 
-def test_sweep_rejects_a_top_rung_not_above_eps_last():
-    # the top rung, min(eps_max / 2, 1/32), lies below eps_last = 0.05
+@pytest.mark.parametrize("eps_last", [1 / 32., 0.05])
+def test_sweep_rejects_a_top_rung_not_above_eps_last(eps_last):
+    # the top rung, min(eps_max / 2, 1/32) = 1/32 here, equals or lies
+    # below eps_last
     with pytest.raises(wf.FlowConfigError, match="must lie above eps_last"):
-        wf.epsilon_sweep(_small_flat(), eps_last=0.05)
+        wf.epsilon_sweep(_small_flat(), eps_last=eps_last)
 
 
 def test_sweep_rejects_an_unknown_variant_before_any_solve(monkeypatch):
