@@ -25,6 +25,11 @@ from .domain import DomainError, LaneError
 
 
 def cmd_flow(args):
+    """Run the configured sweep and write its record with ``report.txt``:
+    ``status`` (the exit code), ``cauchy_ok``, a ``suggestion`` for a sweep
+    that is not Cauchy, ``normals_cauchy``, one ``jump`` line per jump (t0,
+    outer radius, horizon residual and band excess) and one ``violation``
+    line per failed a-priori or interior-extremum check."""
     try:
         cfg = records.parse_config(args.config)
         ids, dom = records.build_from_config(cfg)
@@ -57,6 +62,8 @@ def cmd_flow(args):
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(f"status {status}\n")
         fh.write(f"cauchy_ok {rec.cauchy_ok}\n")
+        if rec.suggestion:
+            fh.write(f"suggestion {rec.suggestion}\n")
         fh.write(f"normals_cauchy {normals.cauchy_ok}\n")
         for j in rec.jumps:
             hr = wf.verify_horizon(rec, j)

@@ -4,14 +4,16 @@ A run is a flat config (``CONFIG_KEYS``, ``parse_config``), and
 ``build_from_config`` is the one place that turns it into initial data and a
 domain, for ``stimcf flow`` and ``load_record`` alike.
 
-A record is a directory with manifest, arrays and CSV reports, and a copy
-of the grid file (``grid_data``) of a run made from one.  The manifest is
-flat key/value text; binary arrays are little-endian float64 with a
-one-line header, and every payload's SHA-256 goes into the manifest so
-reloads detect corruption.  The payloads hold the whole run, the sweep's
-tail rungs included, so ``load_record`` returns the flow's record.
-Identical configurations reproduce bit-identical manifests (no timestamps
-inside the hashed section).
+A record is a directory of payloads and a manifest.  The payloads are
+``u.f64`` (the limit u), ``tail.f64`` (the tail rungs above it),
+``sweep.json`` (each rung's eps, trace rows and sup-norm delta, and the
+gradient-growth shares), ``jumps.csv`` and, for a run made from a grid
+file, its copy ``grid_data``.  Binary arrays are little-endian float64 with
+a one-line header.  The manifest is flat key/value text holding only the
+run's ``config.*``, the rebuilt domain's ``domain.*`` checks and each
+payload's ``sha256.*``: every run value comes from a hashed payload, so an
+edited manifest loads the flow's record or is refused.  Identical
+configurations reproduce bit-identical manifests (no timestamps).
 """
 
 import hashlib
@@ -55,7 +57,11 @@ def parse_config(path):
                 v = v.strip()
                 if k not in CONFIG_KEYS:
                     raise ValueError(f"line {ln}: unknown key '{k}'")
-                cfg[k] = CONFIG_KEYS[k](v)
+                try:
+                    cfg[k] = CONFIG_KEYS[k](v)
+                except ValueError:
+                    raise ValueError(f"line {ln}: key '{k}' needs a "
+                                     f"{CONFIG_KEYS[k].__name__}, not '{v}'")
     except OSError as exc:
         raise ValueError(str(exc))
     return cfg
@@ -137,33 +143,27 @@ def _domain_keys(dom):
 def save_record(rec, outdir, config=None):
     """Persist a FlowRecord.  `config` is the flat config dict used to build
     the run (needed to rebuild the domain on load); a grid file it names is
-    copied into the record as ``grid_data``.  The manifest hashes the files
-    this run writes, and an optional payload that it does not write is
-    removed, so a record written over another run's holds only its own."""
+    copied into the record as ``grid_data``.  The payloads are those of the
+    module docstring; the manifest holds the config, the domain checks and
+    the payloads' hashes, and no run value.  A ``grid_data`` that this run
+    does not write is removed, so a record written over another run's holds
+    only its own payloads."""
     os.makedirs(outdir, exist_ok=True)
-    dom = rec.domain
     written = ["u.f64", "tail.f64", "sweep.json", "jumps.csv"]
+    copy = os.path.join(outdir, GRID_COPY)
     if config and "grid_file" in config:
-        copy = os.path.join(outdir, GRID_COPY)
         # a run into its own record reads its grid file from this copy
         if not (os.path.exists(copy)
                 and os.path.samefile(config["grid_file"], copy)):
             shutil.copyfile(config["grid_file"], copy)
         written.append(GRID_COPY)
+    elif os.path.exists(copy):
+        os.remove(copy)
     write_array(os.path.join(outdir, "u.f64"), rec.solution.interior)
-    # the tail rungs but the final one, which is u.f64; their eps end
-    # eps_schedule
+    # the tail rungs but the final one, which is u.f64; their eps are those
+    # of the last sweep.json rows
     write_array(os.path.join(outdir, "tail.f64"),
                 [x for _, x in rec.tail[:-1]])
-    # when K = 0 the IMCF reference is u itself, and not written
-    if rec.imcf is not None and rec.imcf is not rec.solution:
-        write_array(os.path.join(outdir, "u_imcf.f64"), rec.imcf.interior)
-        written.append("u_imcf.f64")
-    # the payloads only some runs write, left by another run
-    for name in {"u_imcf.f64", GRID_COPY} - set(written):
-        p = os.path.join(outdir, name)
-        if os.path.exists(p):
-            os.remove(p)
     sweep_rows = []
     for i, eps in enumerate(rec.epsilons):
         row = {"eps": eps,
@@ -172,25 +172,17 @@ def save_record(rec, outdir, config=None):
                          for (s, it, rn, ok) in rec.traces[i]]}
         sweep_rows.append(row)
     with open(os.path.join(outdir, "sweep.json"), "w") as fh:
-        json.dump({"rows": sweep_rows, "cauchy_ok": bool(rec.cauchy_ok),
-                   "grad_increase_fraction": rec.grad_increase_fraction,
-                   "suggestion": rec.suggestion}, fh, indent=1)
+        json.dump({"rows": sweep_rows,
+                   "grad_increase_fraction": rec.grad_increase_fraction},
+                  fh, indent=1)
     with open(os.path.join(outdir, "jumps.csv"), "w") as fh:
         # one row per jump, transposed into write_csv's columns
         write_csv(fh, ["t0", "t_lo", "t_hi", "volume", "inner_radius",
                        "outer_radius", "cells"],
                   *zip(*((j.value, j.t_lo, j.t_hi, j.volume, j.inner_radius,
                           j.outer_radius, len(j.cells)) for j in rec.jumps)))
-    manifest = {}
-    if config:
-        for k, v in sorted(config.items()):
-            manifest[f"config.{k}"] = v
-    manifest["variant"] = rec.variant
-    manifest["eps_schedule"] = " ".join("%.17g" % e for e in rec.epsilons)
-    manifest["eps_last"] = "%.17g" % rec.eps_last
-    manifest["bc"] = "%.17g" % rec.solution.bc
-    manifest["residual_norm"] = "%.17g" % rec.solution.residual_norm
-    manifest.update(_domain_keys(dom))
+    manifest = {f"config.{k}": v for k, v in (config or {}).items()}
+    manifest.update(_domain_keys(rec.domain))
     for name in written:
         manifest[f"sha256.{name}"] = _sha(os.path.join(outdir, name))
     with open(os.path.join(outdir, "manifest.txt"), "w") as fh:
@@ -226,39 +218,36 @@ def verify_hashes(record_dir):
     return True
 
 
-def _manifest_floats(man, key, count=None):
-    """The numbers of manifest entry `key`, `count` of them when given; no
-    hash covers the manifest, so a RecordError names a bad entry."""
-    try:
-        values = [float(x) for x in man[key].split()]
-    except (KeyError, ValueError):
-        values = []
-    if not values or count not in (None, len(values)):
-        raise RecordError(f"record manifest entry {key} is missing or "
-                          f"malformed: {man.get(key)!r}")
-    return values
-
-
 def load_record(record_dir):
     """The FlowRecord that a flow persisted into `record_dir`.
 
     The domain is rebuilt from the record's config by ``build_from_config``,
     reading the record's hashed copy of a grid file rather than the original
-    path, then checked against the manifest's ``domain.*`` entries.  The
-    persisted fields, the tail rungs of ``tail.f64`` included, go to the
-    ``FlowRecord`` constructor that the sweep uses, so the record is the
-    flow's, not a reconstruction; only the a-priori reports are not kept.
-    A record without ``tail.f64`` or with a bad run entry is refused.
+    path, then checked against the manifest's ``domain.*`` entries.  Every
+    payload read here must have its hash in the manifest, or the record is
+    refused by the file's name.  The run comes from the hashed payloads
+    alone: the epsilons, traces and deltas from the ``sweep.json`` rows, the
+    tail rungs from ``tail.f64`` and ``u.f64``, and the solution's s,
+    iterations, residual and converged flag from the last trace row of the
+    last rung; bc is L - 2, the sweep's one boundary value.  The Newton
+    floor is not persisted, so the reloaded solution's is NaN.  These go to
+    the ``FlowRecord`` constructor that the sweep uses, so the record is the
+    flow's, not a reconstruction; only the a-priori reports and a K != 0
+    IMCF reference are not kept (``apriori`` is [], ``imcf`` None).
     """
     from . import solver as sv
-    from .weak_flow import FlowRecord
+    from .weak_flow import FlowRecord, TAIL_RUNGS
 
-    verify_hashes(record_dir)
     man = read_manifest(record_dir)
     cfg = {k[len("config."):]: v for k, v in man.items()
            if k.startswith("config.")}
     if not cfg:
         raise RecordError("record has no config; cannot rebuild its domain")
+    for name in ["u.f64", "tail.f64", "sweep.json"] + (
+            [GRID_COPY] if "grid_file" in cfg else []):
+        if f"sha256.{name}" not in man:
+            raise RecordError(f"record manifest has no hash of {name}")
+    verify_hashes(record_dir)
     if "grid_file" in cfg:
         cfg["grid_file"] = os.path.join(record_dir, GRID_COPY)
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
@@ -278,24 +267,23 @@ def load_record(record_dir):
         if man.get(k) != v:
             raise RecordError(f"record {k} = {man.get(k)} differs from the "
                               f"rebuilt domain's {v}")
-    p_tail = os.path.join(record_dir, "tail.f64")
-    if not os.path.exists(p_tail):
-        raise RecordError(f"record {record_dir} has no tail.f64")
-    tail = [*read_array(p_tail).reshape(-1, dom.n_unknowns), u]
-    epsilons = _manifest_floats(man, "eps_schedule")
-    eps_last, bc, residual_norm = (_manifest_floats(man, k, 1)[0] for k in
-                                   ("eps_last", "bc", "residual_norm"))
-    sol = sv.ScalarSolution(dom, u, eps_last, 1.0, bc, residual_norm, 0,
-                            True, 0.0)
-    p_im = os.path.join(record_dir, "u_imcf.f64")
-    imcf = (sv.ScalarSolution(dom, read_array(p_im), eps_last, 0.0, bc, 0.0,
-                              0, True, 0.0)
-            if os.path.exists(p_im) else None)
+    tail = [*read_array(os.path.join(record_dir, "tail.f64"))
+            .reshape(-1, dom.n_unknowns), u]
     with open(os.path.join(record_dir, "sweep.json")) as fh:
         sweep = json.load(fh)
+    rows = sweep["rows"]
+    if len(tail) != min(TAIL_RUNGS, len(rows)):
+        raise RecordError(f"sweep.json has {len(rows)} rungs, which do not "
+                          f"end in the {len(tail)} rungs of tail.f64")
+    if not rows[-1]["trace"]:
+        raise RecordError("sweep.json has no trace row of the final rung")
+    epsilons = [row["eps"] for row in rows]
+    s, iterations, residual_norm, converged = rows[-1]["trace"][-1]
+    sol = sv.ScalarSolution(dom, u, epsilons[-1], s, dom.L - 2.0,
+                            residual_norm, iterations, converged, float("nan"))
     return FlowRecord(
-        dom, man.get("variant", "stimcf"), sol, imcf, epsilons,
-        [[tuple(r) for r in row["trace"]] for row in sweep["rows"]],
-        [row["sup_delta"] for row in sweep["rows"][1:]],
+        dom, sol, None, epsilons,
+        [[tuple(r) for r in row["trace"]] for row in rows],
+        [row["sup_delta"] for row in rows[1:]],
         sweep["grad_increase_fraction"], [],
         list(zip(epsilons[-len(tail):], tail)))

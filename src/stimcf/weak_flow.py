@@ -63,14 +63,15 @@ class FlowRecord:
     the IMCF reference.  The one constructor, for ``epsilon_sweep`` and
     ``records.load_record`` alike, takes the sweep's solutions, per-rung
     rows and tail rungs as (eps, interior), and derives the rest: the
-    Cauchy verdict, the IMCF reference (u itself when K = 0, where ``imcf``
-    is None) and the jumps, by ``detect_jumps``."""
+    Cauchy verdict with its suggestion, the IMCF reference and the jumps,
+    by ``detect_jumps``.  When K = 0 the IMCF reference is u itself;
+    otherwise it is the s = 0 solve of the sweep, which a record does not
+    persist, so a reloaded K != 0 record has ``imcf`` None."""
 
-    def __init__(self, domain, variant, solution, imcf, epsilons, traces,
+    def __init__(self, domain, solution, imcf, epsilons, traces,
                  sup_deltas, grad_increase_fraction, apriori, tail):
         self.domain = domain
         self.ids = domain.ids
-        self.variant = variant
         self.solution = solution
         # when K = 0 the operator does not depend on s: u is its own reference
         self.imcf = solution if domain.k_is_zero() else imcf
@@ -148,7 +149,7 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
     fields = [sol.full_field() for sol in sols]
     gmags = [np.abs(sol.metric_gradient()) for sol in sols]
     return FlowRecord(
-        dom, variant, sols[-1],
+        dom, sols[-1],
         chains[0.0][-1][0] if 0.0 in chains else None,
         [sol.eps for sol in sols], [trace for _, trace in flow],
         [float(np.max(np.abs(u1 - u0))) for u0, u1 in zip(fields, fields[1:])],

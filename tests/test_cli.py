@@ -1,5 +1,7 @@
 import ast
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -110,6 +112,12 @@ def test_flow_rejects_unknown_key(tmp_path, capsys):
                              f"unknown key '{key}'")
 
 
+def test_flow_names_a_value_that_does_not_convert(tmp_path, capsys):
+    _flow_rejects_config(tmp_path, capsys, FLAT_CFG.replace(
+        "level_L_flowtime = 5.0", "level_L_flowtime = abc"),
+        "line 5: key 'level_L_flowtime' needs a float, not 'abc'")
+
+
 def test_every_config_key_is_read():
     """Each key of records.CONFIG_KEYS appears as a string constant somewhere
     in records.py or cli.py outside the table itself, so no accepted key is
@@ -138,6 +146,22 @@ def test_flow_report_reads_the_normals_and_the_jump_band(flat_record,
     assert float(jumps[0].split("band_excess=")[1]) < 1.0
 
 
+def test_report_suggests_a_longer_schedule_only_when_not_cauchy(
+        flat_record, tmp_path, monkeypatch):
+    assert not [line for line in (flat_record / "report.txt").read_text()
+                .splitlines() if line.startswith("suggestion")]
+    # at a zero tolerance no sweep is Cauchy; the verdict is not a gate
+    monkeypatch.setattr(wf, "TOL_SWEEP", 0.0)
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(FLAT_CFG)
+    out = tmp_path / "rec"
+    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "cauchy_ok False" in report
+    assert [line for line in report
+            if line.startswith("suggestion sweep not Cauchy at tol 0")]
+
+
 def test_verify_monotone_reports_the_area_identity(aniso_record, capsys):
     assert cli.main(["verify", str(aniso_record), "--check", "monotone"]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
@@ -156,7 +180,6 @@ def test_verify_horizon_prints_the_labels(aniso_record, capsys):
 
 
 def test_graded_record_rebuilds_its_radii(aniso_record, tmp_path):
-    import shutil
     rec = records.load_record(str(aniso_record))
     dom = build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
                        L=6.0, alpha=1.9, h=0.0078125)
@@ -195,7 +218,6 @@ def test_verify_rejects_an_unknown_check_before_running_any(flat_record,
 
 
 def test_verify_detects_truncated_array(flat_record, tmp_path):
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(flat_record, broken)
     with open(broken / "u.f64", "r+b") as fh:
@@ -205,28 +227,31 @@ def test_verify_detects_truncated_array(flat_record, tmp_path):
     assert status == 2
 
 
-@pytest.mark.parametrize("entry, value", [("bc", None), ("eps_last", "abc"),
-                                          ("residual_norm", "1 2"),
-                                          ("eps_schedule", "")],
-                         ids=["missing", "malformed", "two_values", "empty"])
-def test_bad_manifest_entry_is_a_record_error(flat_record, tmp_path, capsys,
-                                              entry, value):
-    # no hash covers the manifest, so verify and plotdata both refuse an
-    # entry that the reload reads and cannot, naming it, with exit 2
-    import shutil
+@pytest.mark.parametrize("payload", ["u.f64", "sweep.json"])
+def test_payload_without_its_hash_is_refused(flat_record, tmp_path, capsys,
+                                             payload):
+    # a payload that the reload reads is read only under its hash: with the
+    # manifest's entry gone, an edited payload is refused by name, exit 2
     out = tmp_path / "rec"
     shutil.copytree(flat_record, out)
     manifest = out / "manifest.txt"
-    lines = [line for line in manifest.read_text().splitlines(keepends=True)
-             if not line.startswith(f"{entry} =")]
-    if value is not None:
-        lines.append(f"{entry} = {value}\n")
-    manifest.write_text("".join(lines))
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(True)
+        if not line.startswith(f"sha256.{payload} =")))
+    if payload == "sweep.json":
+        sweep = json.loads((out / payload).read_text())
+        sweep["grad_increase_fraction"][0] = 0.5
+        (out / payload).write_text(json.dumps(sweep))
+    else:
+        with open(out / payload, "r+b") as fh:
+            fh.seek(64)
+            fh.write(b"\x00\x00\x00\x00")
     assert cli.main(["verify", str(out)]) == 2
     assert cli.main(["plotdata", str(out), "--kind", "levelsets",
                      "--out", str(tmp_path / "plot")]) == 2
     err = capsys.readouterr().err
-    assert err.count(f"record error: record manifest entry {entry} ") == 2
+    assert err.count(f"record error: record manifest has no hash of "
+                     f"{payload}") == 2
 
 
 def test_plotdata_kinds(flat_record, tmp_path):
@@ -295,29 +320,58 @@ def test_record_roundtrip_preserves_solution(flat_record):
     assert rec.solution.interior.ndim == 1
 
 
+PAYLOADS = ["jumps.csv", "manifest.txt", "report.txt", "sweep.json",
+            "tail.f64", "u.f64"]
+
+
 def test_flat_record_stores_u_once(flat_record):
-    # K = 0: the IMCF reference is the flow solution, so u_imcf.f64 would
-    # repeat u.f64 byte for byte
-    assert not (flat_record / "u_imcf.f64").exists()
+    # K = 0: the IMCF reference is the flow solution, read from u.f64
+    assert sorted(os.listdir(flat_record)) == PAYLOADS
     rec = records.load_record(str(flat_record))
     u = records.read_array(str(flat_record / "u.f64"))
     assert np.array_equal(rec.imcf.interior, u)
     assert cli.main(["verify", str(flat_record)]) == 0
 
 
-def test_flow_over_another_record_drops_its_payloads(aniso_record, tmp_path):
-    # a flat run written where a paper_anisotropic run left its IMCF
-    # reference (2,890 values): the flat record neither hashes nor reloads it
-    import shutil
+def test_manifest_holds_no_run_value(aniso_record):
+    # every run value lives in a hashed payload; the manifest holds the
+    # config, the domain checks and the hashes only.  A K != 0 record keeps
+    # no IMCF reference, so its reload has none
+    assert sorted(os.listdir(aniso_record)) == PAYLOADS
+    keys = records.read_manifest(str(aniso_record))
+    assert [k for k in keys
+            if not k.startswith(("config.", "domain.", "sha256."))] == []
+    assert records.load_record(str(aniso_record)).imcf is None
+
+
+def _grid_file_config(tmp_path):
+    """A config over a grid file of flat n = 1 samples that cover the
+    domain (|x| < 12), so the interpolated metric is the identity."""
+    shape = (33, 33)
+    data = tmp_path / "flat2d.grid"
+    save_grid_data(data, origin=(-16.0, -16.0), spacing=1.0,
+                   g_samples=np.broadcast_to(np.eye(2), shape + (2, 2)),
+                   k_samples=np.zeros(shape + (2, 2)))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"grid_file = {data}\ne0_radius_chart = 1.0\n"
+                   "level_L_flowtime = 2.2\nalpha_exponent = 0.9\n"
+                   "grid_h_chart = 0.25\neps_last_per_length = 1e-2\n")
+    return data, cfg
+
+
+def test_flow_over_another_record_drops_its_payloads(tmp_path):
+    # a preset run written where a grid-file run left its copy of the grid
+    # file: the preset record neither keeps nor hashes it
+    _, cfg = _grid_file_config(tmp_path)
     out = tmp_path / "rec"
-    shutil.copytree(aniso_record, out)
-    assert (out / "u_imcf.f64").exists()
-    cfg = tmp_path / "flat.cfg"
-    cfg.write_text(FLAT_CFG)
-    assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "sha256.u_imcf.f64" not in records.read_manifest(str(out))
-    rec = records.load_record(str(out))
-    assert rec.imcf is rec.solution
+    _grid_record(out, (0.0, 0.0))
+    records.save_record(records.load_record(str(out)), str(out),
+                        config=records.parse_config(str(cfg)))
+    assert "sha256.grid_data" in records.read_manifest(str(out))
+    _grid_record(out, (0.0, 0.0))
+    assert not (out / "grid_data").exists()
+    assert "sha256.grid_data" not in records.read_manifest(str(out))
+    assert records.load_record(str(out)).domain.kind == "grid"
 
 
 @pytest.fixture(scope="module")
@@ -345,9 +399,20 @@ def test_a_fresh_sweep_comes_with_its_jumps(aniso_flow):
     assert _jump_rows(aniso_flow) == rows
 
 
+def _solution_rows(rec):
+    sol = rec.solution
+    return (sol.eps, sol.s, sol.bc, sol.iterations, sol.residual_norm,
+            sol.converged)
+
+
 def test_reloaded_record_is_the_flows(aniso_record, aniso_flow):
     rec = records.load_record(str(aniso_record))
     assert _jump_rows(rec) == _jump_rows(aniso_flow)
+    assert rec.epsilons == aniso_flow.epsilons
+    # the solution's metadata is the flow's, but for the floor, which the
+    # record does not keep
+    assert _solution_rows(rec) == _solution_rows(aniso_flow)
+    assert np.isnan(rec.solution.floor)
     assert rec.traces == aniso_flow.traces
     assert len(rec.tail) == len(aniso_flow.tail) == wf.TAIL_RUNGS
     for (eps, x), (eps_f, x_f) in zip(rec.tail, aniso_flow.tail):
@@ -374,11 +439,65 @@ def test_reloaded_record_saves_the_same_record(aniso_record, tmp_path):
     assert np.array_equal(back.u, records.load_record(str(aniso_record)).u)
 
 
+@pytest.mark.parametrize("entry", ["eps_schedule", "bc", "variant"])
+def test_run_values_in_the_manifest_are_not_read(aniso_record, aniso_flow,
+                                                 tmp_path, entry):
+    # a cut eps schedule, another bc or another operator variant written
+    # into the unhashed manifest leaves the reload the flow's record, which
+    # saves the manifest that the flow wrote
+    value = {"eps_schedule": " ".join("%.17g" % e
+                                      for e in aniso_flow.epsilons[-2:]),
+             "bc": "3", "variant": "frauendiener"}[entry]
+    out = tmp_path / "rec"
+    shutil.copytree(aniso_record, out)
+    manifest = out / "manifest.txt"
+    manifest.write_text("".join(
+        line for line in manifest.read_text().splitlines(True)
+        if not line.startswith(f"{entry} =")) + f"{entry} = {value}\n")
+    rec = records.load_record(str(out))
+    assert len(rec.epsilons) == 10 and rec.epsilons == aniso_flow.epsilons
+    assert ([eps for eps, _ in rec.tail]
+            == [eps for eps, _ in aniso_flow.tail])
+    assert len(rec.tail) == wf.TAIL_RUNGS
+    assert _solution_rows(rec) == _solution_rows(aniso_flow)
+    cfg = tmp_path / "aniso.cfg"
+    cfg.write_text(ANISO_CFG)
+    records.save_record(rec, str(tmp_path / "again"),
+                        config=records.parse_config(str(cfg)))
+    assert ((tmp_path / "again" / "manifest.txt").read_text()
+            == (aniso_record / "manifest.txt").read_text())
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("two_rungs", "sweep.json has 2 rungs"),
+    ("no_final_trace", "sweep.json has no trace row")],
+    ids=["two_rungs", "no_final_trace"])
+def test_sweep_rows_that_miss_tail_rungs_are_refused(aniso_record, tmp_path,
+                                                     edit, message):
+    # a sweep.json cut to two rungs and hashed again no longer ends in the
+    # four rungs of the tail, and one without the final rung's trace holds
+    # no solution metadata: the record is refused, not cut to fit
+    out = tmp_path / "rec"
+    shutil.copytree(aniso_record, out)
+    sweep = json.loads((out / "sweep.json").read_text())
+    if edit == "two_rungs":
+        sweep["rows"] = sweep["rows"][-2:]
+    else:
+        sweep["rows"][-1]["trace"] = []
+    (out / "sweep.json").write_text(json.dumps(sweep))
+    manifest = out / "manifest.txt"
+    manifest.write_text("".join(
+        line if not line.startswith("sha256.sweep.json =")
+        else f"sha256.sweep.json = {records._sha(out / 'sweep.json')}\n"
+        for line in manifest.read_text().splitlines(True)))
+    with pytest.raises(records.RecordError, match=message):
+        records.load_record(str(out))
+
+
 @pytest.mark.parametrize("hashed", [True, False])
 def test_record_without_its_tail_is_refused(aniso_record, tmp_path, hashed):
     # the tail rungs are part of the run: a record that lost them (hashed)
     # or never had them is refused by the file's name
-    import shutil
     out = tmp_path / "rec"
     shutil.copytree(aniso_record, out)
     (out / "tail.f64").unlink()
@@ -400,8 +519,8 @@ def _grid_record(path, center):
     bc = dom.L - 2.0
     sol = ScalarSolution(dom, np.minimum(np.log(dom.r_act), bc), 1e-3, 1.0,
                          bc, 0.0, 0, True, 0.0)
-    rec = wf.FlowRecord(dom, "stimcf", sol, None, [sol.eps], [[]], [], [],
-                        [], [(sol.eps, sol.interior)])
+    rec = wf.FlowRecord(dom, sol, None, [sol.eps], [[(1.0, 0, 0.0, True)]],
+                        [], [], [], [(sol.eps, sol.interior)])
     records.save_record(rec, str(path), config={
         "preset": "flat", "n": 1, "e0_radius_chart": 1.0,
         "e0_center_chart": " ".join(map(str, center)),
@@ -447,17 +566,8 @@ def test_verify_and_plotdata_on_a_grid_record(tmp_path, capsys):
 
 def test_flow_on_2d_grid_file_data(tmp_path):
     # flat n = 1 samples read back from a grid file give the run of the
-    # flat preset on the same grid domain; the samples cover the domain
-    # (|x| < 12), so the interpolated metric is the identity bit for bit
-    shape = (33, 33)
-    data = tmp_path / "flat2d.grid"
-    save_grid_data(data, origin=(-16.0, -16.0), spacing=1.0,
-                   g_samples=np.broadcast_to(np.eye(2), shape + (2, 2)),
-                   k_samples=np.zeros(shape + (2, 2)))
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(f"grid_file = {data}\ne0_radius_chart = 1.0\n"
-                   "level_L_flowtime = 2.2\nalpha_exponent = 0.9\n"
-                   "grid_h_chart = 0.25\neps_last_per_length = 1e-2\n")
+    # flat preset on the same grid domain, bit for bit
+    data, cfg = _grid_file_config(tmp_path)
     out = tmp_path / "rec"
     assert cli.main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
     dom = build_domain(build_preset("flat", n=1), {"radius": 1.0}, L=2.2,
