@@ -89,6 +89,8 @@ def _blowdown_scales(rec):
 
 
 def cmd_verify(args):
+    """Reload a record, print its ``normals_cauchy`` line as ``report.txt``
+    has it, then run the named checks (all of ``CHECKS`` by default)."""
     checks = args.check.split(",") if args.check else list(CHECKS)
     unknown = [ck for ck in checks if ck not in CHECKS]
     if unknown:
@@ -99,6 +101,7 @@ def cmd_verify(args):
     except records.RecordError as exc:
         print(f"record error: {exc}", file=sys.stderr)
         return 2
+    print(f"normals_cauchy {wf.reconstruct_normal_field(rec).cauchy_ok}")
     failures = []
     for ck in checks:
         try:

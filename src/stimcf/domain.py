@@ -36,12 +36,21 @@ of the package lives here; callers use only the protocol:
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
-No scipy module loads with this module.  ``scipy.linalg`` loads at the
-first radial solve (``RadialDomain.solve``); ``scipy.sparse`` and
+No scipy module loads with this module, and a radial run loads none.  The
+radial solve (``RadialDomain.solve``) calls LAPACK ``dgtsv`` through
+``ctypes`` from the OpenBLAS that numpy's wheel bundles and has already
+loaded (``_gtsv``).  It falls back to ``scipy.linalg.solve_banded``, the
+same LAPACK routine with the same bits, where that library or symbol is
+missing (a conda or distro numpy) and where ``scipy.linalg`` is loaded
+already, since then there is no memory left to save.  ``scipy.sparse`` and
 ``scipy.ndimage`` load inside the grid lane's methods, on first use.  So a
-radial run never imports the grid lane's modules, and a process that only
-builds radial domains or reads radial records loads no scipy at all.
+radial run never imports the grid lane's modules.
 """
+
+import ctypes
+import functools
+import os
+import sys
 
 import numpy as np
 
@@ -108,6 +117,49 @@ def rhs_derivs(W2, T, s, variant):
 
 def outer_radius(L, alpha, R0):
     return R0 * np.exp(L / alpha)
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK ``dgtsv`` from the OpenBLAS in numpy's wheel, as a function
+    gtsv(J, rhs) of the band array of ``RadialDomain.jacobian``, or None when
+    numpy bundles no such library.  The symbol is looked up once per
+    process; each call solves on copies of the three diagonals and of rhs,
+    and raises ``np.linalg.LinAlgError`` on a singular J, as
+    ``scipy.linalg.solve_banded`` does.
+    """
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
+    try:
+        fn = ctypes.CDLL(paths[0]).scipy_dgtsv_64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    # (N, NRHS, DL, D, DU, B, LDB, INFO), with 64-bit integers
+    fn.argtypes = [int64, int64] + [ctypes.c_void_p] * 4 + [int64, int64]
+    fn.restype = None
+
+    def gtsv(J, rhs):
+        n = len(rhs)
+        if J.shape != (3, n) or np.shape(rhs) != (n,):
+            raise ValueError(f"band array of shape {J.shape} and rhs of "
+                             f"shape {np.shape(rhs)} do not match")
+        dl, d, du, x = (np.array(a, dtype=np.float64)
+                        for a in (J[2, :-1], J[1], J[0, 1:], rhs))
+        size, one, info = (ctypes.c_int64(v) for v in (n, 1, 0))
+        fn(ctypes.byref(size), ctypes.byref(one), dl.ctypes.data,
+           d.ctypes.data, du.ctypes.data, x.ctypes.data, ctypes.byref(size),
+           ctypes.byref(info))
+        if info.value > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} "
+                             f"of dgtsv")
+        return x
+
+    return gtsv
 
 
 def _cumulative_trapezoid(y, x=None, dx=1.0):
@@ -337,14 +389,19 @@ class RadialDomain:
         """Solve with the band array of ``jacobian`` (LAPACK gtsv) on
         copies of J and rhs; ``newton_solve`` checks finiteness first.
 
-        ``scipy.linalg`` loads here, at the first radial solve, not with the
-        package: a process that only reads records never pays for it.
-        ``solve_banded`` is looked up on the module at every call, so a
-        wrapper set on ``scipy.linalg`` later (the benchmark's tracer) still
-        sees every solve.
+        The solve calls numpy's bundled ``dgtsv`` (``_gtsv``), so a radial
+        run loads no scipy.  It takes ``scipy.linalg.solve_banded``, which
+        gives the same bits, when that binding is missing or when
+        ``scipy.linalg`` is loaded already: then it costs no more memory,
+        and a wrapper set on it (the benchmark's tracer, which imports
+        ``scipy.linalg`` to install itself) sees every solve.  That is why
+        ``solve_banded`` is looked up on the module at every call.
         """
-        import scipy.linalg as sla
-        return sla.solve_banded((1, 1), J, rhs, check_finite=False)
+        gtsv = _gtsv()
+        if gtsv is None or "scipy.linalg" in sys.modules:
+            import scipy.linalg as sla
+            return sla.solve_banded((1, 1), J, rhs, check_finite=False)
+        return gtsv(J, rhs)
 
     def norm_inf(self, J):
         """Max row sum of |J| from the band array."""

@@ -225,15 +225,17 @@ def load_record(record_dir):
     reading the record's hashed copy of a grid file rather than the original
     path, then checked against the manifest's ``domain.*`` entries.  Every
     payload read here must have its hash in the manifest, or the record is
-    refused by the file's name.  The run comes from the hashed payloads
-    alone: the epsilons, traces and deltas from the ``sweep.json`` rows, the
-    tail rungs from ``tail.f64`` and ``u.f64``, and the solution's s,
-    iterations, residual and converged flag from the last trace row of the
-    last rung; bc is L - 2, the sweep's one boundary value.  The Newton
-    floor is not persisted, so the reloaded solution's is NaN.  These go to
-    the ``FlowRecord`` constructor that the sweep uses, so the record is the
-    flow's, not a reconstruction; only the a-priori reports and a K != 0
-    IMCF reference are not kept (``apriori`` is [], ``imcf`` None).
+    refused by the file's name, and a ``sweep.json`` that lacks an entry
+    read here is refused by the entry's name.  The run comes from the
+    hashed payloads alone: the epsilons, traces and deltas from the
+    ``sweep.json`` rows, the tail rungs from ``tail.f64`` and ``u.f64``,
+    and the solution's s, iterations, residual and converged flag from the
+    last trace row of the last rung; bc is L - 2, the sweep's one boundary
+    value.  The Newton floor is not persisted, so the reloaded solution's
+    is NaN.  These go to the ``FlowRecord`` constructor that the sweep
+    uses, so the record is the flow's, not a reconstruction; only the
+    a-priori reports and a K != 0 IMCF reference are not kept
+    (``apriori`` is [], ``imcf`` None).
     """
     from . import solver as sv
     from .weak_flow import FlowRecord, TAIL_RUNGS
@@ -271,19 +273,24 @@ def load_record(record_dir):
             .reshape(-1, dom.n_unknowns), u]
     with open(os.path.join(record_dir, "sweep.json")) as fh:
         sweep = json.load(fh)
-    rows = sweep["rows"]
+    try:
+        rows = sweep["rows"]
+        epsilons = [row["eps"] for row in rows]
+        traces = [[tuple(r) for r in row["trace"]] for row in rows]
+        sup_deltas = [row["sup_delta"] for row in rows[1:]]
+        grad_increase_fraction = sweep["grad_increase_fraction"]
+    except KeyError as exc:
+        raise RecordError(f"sweep.json has no entry {exc}") from None
+    except TypeError as exc:
+        raise RecordError(f"sweep.json is malformed: {exc}") from None
     if len(tail) != min(TAIL_RUNGS, len(rows)):
         raise RecordError(f"sweep.json has {len(rows)} rungs, which do not "
                           f"end in the {len(tail)} rungs of tail.f64")
-    if not rows[-1]["trace"]:
+    if not traces[-1]:
         raise RecordError("sweep.json has no trace row of the final rung")
-    epsilons = [row["eps"] for row in rows]
-    s, iterations, residual_norm, converged = rows[-1]["trace"][-1]
+    s, iterations, residual_norm, converged = traces[-1][-1]
     sol = sv.ScalarSolution(dom, u, epsilons[-1], s, dom.L - 2.0,
                             residual_norm, iterations, converged, float("nan"))
-    return FlowRecord(
-        dom, sol, None, epsilons,
-        [[tuple(r) for r in row["trace"]] for row in rows],
-        [row["sup_delta"] for row in rows[1:]],
-        sweep["grad_increase_fraction"], [],
-        list(zip(epsilons[-len(tail):], tail)))
+    return FlowRecord(dom, sol, None, epsilons, traces, sup_deltas,
+                      grad_increase_fraction, [],
+                      list(zip(epsilons[-len(tail):], tail)))

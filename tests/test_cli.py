@@ -468,6 +468,48 @@ def test_run_values_in_the_manifest_are_not_read(aniso_record, aniso_flow,
             == (aniso_record / "manifest.txt").read_text())
 
 
+def _write_hashed_sweep(out, sweep):
+    """Write `sweep` as the record's sweep.json, with its hash updated."""
+    (out / "sweep.json").write_text(json.dumps(sweep))
+    manifest = out / "manifest.txt"
+    manifest.write_text("".join(
+        line if not line.startswith("sha256.sweep.json =")
+        else f"sha256.sweep.json = {records._sha(out / 'sweep.json')}\n"
+        for line in manifest.read_text().splitlines(True)))
+
+
+@pytest.mark.parametrize("key", ["rows", "eps", "trace", "sup_delta",
+                                 "grad_increase_fraction", None])
+def test_sweep_json_without_an_entry_is_a_record_error(flat_record, tmp_path,
+                                                       capsys, key):
+    # a hashed sweep.json that lacks an entry the reload reads, or holds a
+    # null trace, is refused by name (exit 2), not with a traceback
+    out = tmp_path / "rec"
+    shutil.copytree(flat_record, out)
+    sweep = json.loads((out / "sweep.json").read_text())
+    last = sweep["rows"][-1]
+    if key is None:
+        last["trace"] = None
+    else:
+        del (sweep if key in sweep else last)[key]
+    _write_hashed_sweep(out, sweep)
+    assert cli.main(["verify", str(out)]) == 2
+    message = ("sweep.json is malformed" if key is None
+               else f"sweep.json has no entry '{key}'")
+    assert f"record error: {message}" in capsys.readouterr().err
+
+
+def test_verify_prints_the_reports_normals_line(aniso_record, capsys):
+    # the reloaded record's normal field is the flow's, so stimcf verify
+    # prints the normals_cauchy line of report.txt
+    assert cli.main(["verify", str(aniso_record), "--check", "monotone"]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("normals_cauchy")]
+    report = [line for line in (aniso_record / "report.txt").read_text()
+              .splitlines() if line.startswith("normals_cauchy")]
+    assert len(report) == 1 and printed == report
+
+
 @pytest.mark.parametrize("edit, message", [
     ("two_rungs", "sweep.json has 2 rungs"),
     ("no_final_trace", "sweep.json has no trace row")],
@@ -484,12 +526,7 @@ def test_sweep_rows_that_miss_tail_rungs_are_refused(aniso_record, tmp_path,
         sweep["rows"] = sweep["rows"][-2:]
     else:
         sweep["rows"][-1]["trace"] = []
-    (out / "sweep.json").write_text(json.dumps(sweep))
-    manifest = out / "manifest.txt"
-    manifest.write_text("".join(
-        line if not line.startswith("sha256.sweep.json =")
-        else f"sha256.sweep.json = {records._sha(out / 'sweep.json')}\n"
-        for line in manifest.read_text().splitlines(True)))
+    _write_hashed_sweep(out, sweep)
     with pytest.raises(records.RecordError, match=message):
         records.load_record(str(out))
 

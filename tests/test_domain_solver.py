@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from stimcf import build_preset, build_domain
 from stimcf import solver as sv
-from stimcf.domain import (DomainError, _cumulative_trapezoid,
+from stimcf.domain import (DomainError, _cumulative_trapezoid, _gtsv,
                            subsolution_margin)
 from stimcf.radial_oracle import RadialProfile
 
@@ -158,6 +158,70 @@ def test_radial_band_solve_leaves_j_and_rhs_intact(aniso_dom):
         ab_keep, rhs_keep = ab.copy(), rhs.copy()
         dom.solve(ab, rhs)
         assert np.array_equal(ab, ab_keep) and np.array_equal(rhs, rhs_keep)
+
+
+needs_gtsv = pytest.mark.skipif(_gtsv() is None,
+                                reason="numpy bundles no OpenBLAS dgtsv")
+
+
+def _newton_systems(dom, monkeypatch):
+    """(J, rhs) of every Newton step of cold solves on `dom`."""
+    systems = []
+    solve = dom.solve
+
+    def keep(J, rhs):
+        systems.append((J.copy(), rhs.copy()))
+        return solve(J, rhs)
+
+    monkeypatch.setattr(dom, "solve", keep)
+    for eps, s in [(0.05, 1.0), (0.02, 0.5)]:
+        assert sv.newton_solve(dom, eps, s, bc=dom.L - 2.0).converged
+    monkeypatch.undo()
+    return systems
+
+
+@needs_gtsv
+def test_gtsv_binding_matches_solve_banded_bit_for_bit(aniso_dom,
+                                                      monkeypatch):
+    # the pytest process has scipy.linalg loaded, so dom.solve takes
+    # solve_banded here; the binding is called directly on the same
+    # systems: random diagonally dominant and indefinite ones, and the
+    # Jacobians of paper_anisotropic Newton iterates
+    import scipy.linalg as sla
+    rng = np.random.default_rng(5)
+    systems = []
+    for n in (1, 2, 3, 100, 1000):
+        for dominant in (True, False):
+            J = rng.normal(size=(3, n))
+            J[0, 0] = J[2, -1] = 0.0
+            if dominant:
+                J[1] = np.where(J[1] < 0, -1.0, 1.0) * (
+                    np.abs(J[0]) + np.abs(J[2]) + rng.uniform(0.1, 1.0, n))
+            systems.append((J, rng.normal(size=n)))
+    real = _newton_systems(aniso_dom, monkeypatch)
+    assert len(real) >= 4
+    gtsv = _gtsv()
+    for J, rhs in systems + real:
+        J_keep, rhs_keep = J.copy(), rhs.copy()
+        x = gtsv(J, rhs)
+        assert np.array_equal(x, sla.solve_banded((1, 1), J, rhs,
+                                                  check_finite=False))
+        assert np.array_equal(J, J_keep) and np.array_equal(rhs, rhs_keep)
+
+
+@needs_gtsv
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_gtsv_binding_raises_on_a_singular_j(n):
+    import scipy.linalg as sla
+    rng = np.random.default_rng(n)
+    J = rng.normal(size=(3, n))
+    J[0, 0] = J[2, -1] = 0.0
+    J[:, n // 2] = 0.0          # a zero column
+    rhs = rng.normal(size=n)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _gtsv()(J, rhs)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        sla.solve_banded((1, 1), J, rhs, check_finite=False)
 
 
 def test_cumulative_trapezoid_matches_scipy_bit_for_bit():

@@ -14,7 +14,7 @@ import stimcf
 from stimcf import build_preset, build_domain
 from stimcf import solver as sv
 from stimcf import weak_flow as wf
-from stimcf.domain import GridDomain, RadialDomain, outer_radius
+from stimcf.domain import GridDomain, RadialDomain, _gtsv, outer_radius
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stimcf"
 
@@ -545,6 +545,70 @@ def test_record_readers_load_no_scipy(tmp_path):
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, (args[0], out.stdout, out.stderr)
         assert out.stdout.strip().splitlines()[-1] == "[]", args[0]
+
+
+# one paper_anisotropic sweep (a K != 0 s-ladder), run the same way in this
+# process and in fresh ones
+ANISO_SWEEP = "\n".join([
+    "import hashlib, sys",
+    "from stimcf import build_domain, build_preset, weak_flow as wf",
+    "dom = build_domain(build_preset('paper_anisotropic'), {'radius': 1.0},",
+    "                   L=4.0, alpha=1.9, h=1 / 32.)",
+    "def u_digest():",
+    "    rec = wf.epsilon_sweep(dom, eps_last=1 / 128.)",
+    "    return hashlib.sha256(rec.solution.interior.tobytes()).hexdigest()"])
+
+
+def _run_fresh(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    return out.stdout.splitlines()
+
+
+needs_gtsv = pytest.mark.skipif(_gtsv() is None,
+                                reason="numpy bundles no OpenBLAS dgtsv")
+
+
+@needs_gtsv
+def test_radial_run_loads_no_scipy(tmp_path):
+    # a radial solve calls numpy's dgtsv, so a fresh process that sweeps or
+    # runs stimcf flow on a radial config loads no scipy module; this
+    # process has scipy.linalg loaded and so solves with solve_banded, and
+    # both routes give the same u
+    import scipy.linalg  # noqa: F401
+    ns = {}
+    exec(ANISO_SWEEP, ns)
+    cfg = tmp_path / "aniso.cfg"
+    cfg.write_text("preset = paper_anisotropic\ne0_radius_chart = 1.0\n"
+                   "level_L_flowtime = 4.0\nalpha_exponent = 1.9\n"
+                   "grid_h_chart = 0.03125\n"
+                   "eps_last_per_length = 0.0078125\n")
+    code = "\n".join([
+        ANISO_SWEEP, "print(u_digest())", f"print({SCIPY_LOADED})",
+        "from stimcf import cli",
+        "status = cli.main(['flow', '--config', sys.argv[1],",
+        "                   '--out', sys.argv[2]])",
+        f"print(status, {SCIPY_LOADED})"])
+    lines = _run_fresh(code, str(cfg), str(tmp_path / "rec"))
+    assert lines[:2] == [ns["u_digest"](), "[]"]
+    assert lines[-1] == "0 []"
+
+
+@needs_gtsv
+def test_missing_gtsv_falls_back_with_the_same_bits():
+    # with the dgtsv lookup patched to find nothing, as with a numpy that
+    # bundles no OpenBLAS, the sweep loads scipy.linalg and gives the same u
+    code = "\n".join([
+        ANISO_SWEEP,
+        "print(u_digest(), 'scipy.linalg' in sys.modules)",
+        "from stimcf import domain",
+        "domain._gtsv = lambda: None",
+        "print(u_digest(), 'scipy.linalg' in sys.modules)"])
+    binding, fallback = _run_fresh(code)
+    assert binding.split()[1] == "False" and fallback.split()[1] == "True"
+    assert binding.split()[0] == fallback.split()[0]
 
 
 def test_radial_run_leaves_scipy_sparse_unloaded():
