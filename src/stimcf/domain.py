@@ -30,9 +30,10 @@ of the package lives here; callers use only the protocol:
   ``boundary_gradients`` (the a-priori criterion (iii) inputs);
 - geometry read off a solution: ``components(mask)`` (lists of field-point
   indices), ``plateau_radii(sol, comp, t0, knee_floor)``,
-  ``tail_normals(interiors, bc)``, ``extrema_excess``, and the mesh
-  ``plateau_mesh(sol, jump, side)`` of a jump's ``"inner"`` or ``"outer"``
-  boundary, built on call with H and P filled;
+  ``tail_normals(interiors, bc)``, ``extrema_excess``, and
+  ``boundary_curvatures(sol, jump, side)``, samples (H, P) of a jump's
+  ``"inner"`` or ``"outer"`` boundary: one exact value of the centred
+  sphere on the radial lane, one per facet of a contour on grids;
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
@@ -63,9 +64,6 @@ FEASIBILITY_SAFETY = 0.9
 KNEE_EPS_FACTOR = 60.0      # plateau-edge thresholds start at this many eps
 ANCHOR_R_MAX = 64.0         # anchor radius scan: geomspace up to here
 ANCHOR_N_SCAN = 256
-# radial-lane plateau boundaries: spheres, and circles when n = 1
-PLATEAU_SUBDIVISIONS = 4
-CIRCLE_SEGMENTS = 512
 # the largest grid box: building a grid lane domain holds about 1 kB per box
 # cell at its peak (tracemalloc on a 3D Schwarzschild box of 66^3 cells and
 # an anisotropic one of 64^3: 930 and 977 B), so this box takes about 1 GB
@@ -514,17 +512,12 @@ class RadialDomain:
             return inner, fallback
         return inner, est
 
-    def plateau_mesh(self, sol, jump, side):
-        """The centred sphere (a circle when n = 1) at the jump's ``side``
-        ("inner" or "outer") radius, H and P filled from its level set |x|;
-        None for n > 2."""
-        if self.n not in (1, 2):
-            return None
+    def boundary_curvatures(self, sol, jump, side):
+        """(H, P) of the centred sphere at the jump's ``side`` ("inner" or
+        "outer") radius: one exact sample each, from the radial profile."""
         radius = {"inner": jump.inner_radius, "outer": jump.outer_radius}[side]
-        mesh = (sg.circle_mesh(radius, segments=CIRCLE_SEGMENTS) if self.n == 1
-                else sg.icosphere(radius, PLATEAU_SUBDIVISIONS))
-        centre = sg.sphere_level_set(np.zeros(self.ids.dim))
-        return sg.populate_diagnostics(self.ids, mesh, level_set=centre)
+        return (self.profile.mean_curvature([radius]),
+                self.profile.k_trace([radius]))
 
     def level_radius(self, sol, t):
         """Radius where the running maximum of u reaches t (a time or an
@@ -866,14 +859,17 @@ class GridDomain:
         full[self.active] = sol.interior
         return full.reshape(self.shape)
 
-    def plateau_mesh(self, sol, jump, side):
-        """The contour t0 -/+ 3 eps of the jump's value t0, H from the weak
-        first variation (u is flat on the plateau); None if it is empty."""
+    def boundary_curvatures(self, sol, jump, side):
+        """(H, P) per facet of the contour t0 -/+ 3 eps of the jump's value
+        t0, H from the weak first variation (u is flat on the plateau);
+        None if the contour is empty."""
         delta = 3 * sol.eps
         t = {"inner": jump.value - delta, "outer": jump.value + delta}[side]
         mesh = extract_isosurface(self._extended_field(sol), self.centers[0],
                                   self.h, t, interior_point=self.e0_center)
-        return None if mesh is None else sg.populate_diagnostics(self.ids, mesh)
+        if mesh is None:
+            return None
+        return sg.mean_curvature(self.ids, mesh), sg.k_trace(self.ids, mesh)
 
     def tail_normals(self, interiors, bc):
         """Unit centered-gradient directions of the last tail rung, and per

@@ -329,12 +329,10 @@ def load_grid_data(path):
         raise InitialDataError("grid file holds a non-symmetric K")
     interp_g = _GridInterpolant(origin, spacing, g)
     interp_k = _GridInterpolant(origin, spacing, K)
-    ids = InitialDataSet(dim - 1, interp_g, interp_k,
-                         chart_radius=float(meta.get("chart_radius", 1.0)),
-                         decay_eps=float(meta.get("decay_eps", 0.5)),
-                         analytic=False)
-    ids.grid = dict(origin=origin, spacing=spacing, g=g, K=K)
-    return ids
+    return InitialDataSet(dim - 1, interp_g, interp_k,
+                          chart_radius=float(meta.get("chart_radius", 1.0)),
+                          decay_eps=float(meta.get("decay_eps", 0.5)),
+                          analytic=False)
 
 
 class _GridInterpolant:

@@ -1,10 +1,12 @@
-"""Extrinsic geometry of hypersurfaces: H, P, expansions and classification.
+"""Extrinsic geometry of hypersurfaces: H, P and classification.
 
 Meshes are simplicial (segments in a 2D chart, triangles in 3D) with
 per-facet diagnostics.  Mean curvature comes from the divergence of the
 extended unit normal when the surface is described as a level set (spheres),
 and from the discrete first variation of metric area for free meshes.  Sign
 convention: outward normal, H = n/r > 0 on round spheres in the flat chart.
+``classify`` reads samples of H and P from any source: a mesh's facets, or
+the one exact value of a centred sphere that ``RadialProfile`` gives.
 """
 
 import numpy as np
@@ -21,9 +23,9 @@ class SurfaceError(ValueError):
 class SurfaceMesh:
     """Closed simplicial hypersurface with cached per-facet diagnostics.
 
-    Fields H, P, Phi, theta_plus, theta_minus are filled by the operations
-    below; Phi is NaN wherever H^2 < P^2 (spacetime mean curvature undefined
-    there, which is a flag rather than an error).
+    The per-facet fields H and P are filled by ``mean_curvature`` and
+    ``k_trace`` (both by ``populate_diagnostics``); ``classify`` reads the
+    expansions H +- P off them.
     """
 
     def __init__(self, vertices, facets, interior_point=None):
@@ -36,9 +38,6 @@ class SurfaceMesh:
                                else np.asarray(interior_point, float))
         self.H = None
         self.P = None
-        self.Phi = None
-        self.theta_plus = None
-        self.theta_minus = None
         self._euclid_geometry()
 
     # -- chart (Euclidean) geometry, metric corrections applied on demand --
@@ -213,32 +212,16 @@ def k_trace(ids, surf):
     return P
 
 
-def spacetime_mean_curvature(surf):
-    """Fill (Phi, theta+, theta-) from stored H and P; Phi NaN when H^2<P^2."""
-    if surf.H is None or surf.P is None:
-        raise SurfaceError("populate H and P before the spacetime quantities")
-    H, P = surf.H, surf.P
-    disc = H ** 2 - P ** 2
-    surf.Phi = np.where(disc >= 0, np.sqrt(np.maximum(disc, 0.0)), np.nan)
-    surf.theta_plus = H + P
-    surf.theta_minus = H - P
-    return surf.Phi, surf.theta_plus, surf.theta_minus
-
-
-def classify(surf, tol):
-    """Classify the surface from facet medians of H, P, theta+- against the
-    absolute tolerance `tol`.
+def classify(H, P, tol):
+    """Classify a surface from samples of its H and P (per facet, or one
+    exact value on a centred sphere): the medians of H, P and the
+    expansions theta+- = H +- P against the absolute tolerance `tol`.
 
     Returns a set drawn from {untrapped, trapped, MOTS, MITS,
     generalized_horizon}; a MOTS or MITS is in particular a generalized
     apparent horizon, so several labels may coexist.
     """
-    if surf.theta_plus is None:
-        spacetime_mean_curvature(surf)
-    H = float(np.median(surf.H))
-    P = float(np.median(surf.P))
-    tp = float(np.median(surf.theta_plus))
-    tm = float(np.median(surf.theta_minus))
+    tp, tm, H, P = (float(np.median(x)) for x in (H + P, H - P, H, P))
     labels = set()
     if abs(tp) <= tol:
         labels.add("MOTS")
@@ -302,8 +285,7 @@ def weak_mean_curvature(ids, surf):
 
 
 def populate_diagnostics(ids, surf, level_set=None):
-    """Fill H, P, Phi, theta+- and return the mesh."""
+    """Fill H and P per facet and return the mesh."""
     mean_curvature(ids, surf, level_set=level_set)
     k_trace(ids, surf)
-    spacetime_mean_curvature(surf)
     return surf

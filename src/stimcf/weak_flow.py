@@ -39,7 +39,8 @@ class FlowConfigError(FlowError, ValueError):
 class JumpRegion:
     """A plateau of the limit u as ``detect_jumps`` measured it; ``cells``
     holds its field-point indices (radial nodes or active grid cells, see
-    ``domain``).  ``domain.plateau_mesh`` builds its boundaries."""
+    ``domain``).  ``domain.boundary_curvatures`` reads H and P on its
+    boundaries."""
 
     def __init__(self, cells, value, t_lo, t_hi, volume, inner_radius,
                  outer_radius, truncation_artifact):
@@ -117,8 +118,10 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
     (every ratio at most 2, the last one the remainder), and reads every
     rung of it, so the driver inserts none.  One
     ``solver.continuation_solve`` at bc = L - 2 gives both chains: the flow
-    at s = 1 and the IMCF reference at s = 0 (when K vanishes the operator
-    does not depend on s and the flow chain is the IMCF chain).  A schedule
+    at s = 1 and the IMCF reference at s = 0.  When K vanishes the operator
+    does not depend on s and the flow chain is the IMCF chain, so the
+    a-priori monitor gets no reference to check u <= u_imcf against: it
+    would compare u with itself.  A schedule
     that cannot start (unknown variant, eps_last not in (0, eps0)) raises
     FlowConfigError, a rung whose warm and cold starts both fail FlowError
     naming its eps and s.  The sweep is Cauchy when its last sup-norm delta
@@ -146,6 +149,9 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
     # the top rung's trace holds both endpoints' solves, s = 0 first
     flow[0] = (flow[0][0], [row for c in chains.values() for row in c[0][1]])
     sols = [sol for sol, _ in flow]
+    # when K = 0 there is no s = 0 chain, and u is no reference for itself
+    imcf_chain = ([sol for sol, _ in chains[0.0]] if 0.0 in chains
+                  else [None] * len(sols))
     fields = [sol.full_field() for sol in sols]
     gmags = [np.abs(sol.metric_gradient()) for sol in sols]
     return FlowRecord(
@@ -155,8 +161,8 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
         [float(np.max(np.abs(u1 - u0))) for u0, u1 in zip(fields, fields[1:])],
         [float(np.mean(g1 > g0 + 1e-6 * (1 + np.max(g0))))
          for g0, g1 in zip(gmags, gmags[1:])],
-        [sv.apriori_monitor(dom, sol, imcf_reference=imcf_sol)
-         for sol, (imcf_sol, _) in zip(sols, chains.get(0.0, flow))],
+        [sv.apriori_monitor(dom, sol, imcf_reference=imcf)
+         for sol, imcf in zip(sols, imcf_chain)],
         [(sol.eps, sol.interior) for sol in sols[-TAIL_RUNGS:]])
 
 
@@ -177,7 +183,7 @@ def detect_jumps(rec):
     order-one slope), so a fixed multiple of the final regularization
     separates plateaus from transport regions.  Components living at the
     outer truncation value are classified as truncation artifacts, not jumps.
-    It only measures: no boundary mesh is built.  ``FlowRecord`` calls it;
+    It only measures: no boundary curvature is read.  ``FlowRecord`` calls it;
     a second call returns equal jumps.
     """
     dom = rec.domain
@@ -264,29 +270,31 @@ class HorizonReport:
 def verify_horizon(rec, jump):
     """Check H = |P_nu| on the outer jump boundary Sigma_t0+.
 
-    Per-facet residuals use the outward normals of the boundary mesh; the
-    inner boundary is tested for the weak inequality H >= |P_nu| only where
-    it coincides with the hull boundary (disjoint horizons make that check
-    vacuous), and only then built: ``domain.plateau_mesh`` builds each mesh
-    read here.  The outer boundary is labelled by ``classify`` with the same
-    relative tolerance, TOL_HORIZON times the median scale.
+    ``domain.boundary_curvatures`` gives the samples read here: one exact
+    (H, P) of the centred sphere on the radial lane, one per facet of the
+    boundary contour on grids.  The inner boundary is tested for the weak
+    inequality H >= |P_nu| only where it coincides with the hull boundary
+    (disjoint horizons make that check vacuous), and only then read.  The
+    outer boundary is labelled by ``classify`` with the same relative
+    tolerance, TOL_HORIZON times the median scale.
     """
     dom = rec.domain
-    mesh = dom.plateau_mesh(rec.solution, jump, "outer")
-    if mesh is None:
-        raise FlowError("jump has no outer boundary mesh")
-    H, P = mesh.H, mesh.P
+    outer = dom.boundary_curvatures(rec.solution, jump, "outer")
+    if outer is None:
+        raise FlowError("jump has no outer boundary")
+    H, P = outer
     # scale: |H| where it is the dominant quantity, else the round-sphere
     # curvature at this radius (a K = 0 horizon has H -> 0, |P| = 0, and the
     # raw ratio |H - |P||/H would be 1 no matter how accurate the radius)
     scale = np.maximum(np.maximum(np.abs(H), np.abs(P)),
                        rec.ids.n / max(jump.outer_radius, 1e-12))
     rel = np.abs(H - np.abs(P)) / scale
-    labels = sg.classify(mesh, tol=TOL_HORIZON * float(np.median(scale)))
+    labels = sg.classify(H, P, tol=TOL_HORIZON * float(np.median(scale)))
     coincide = (jump.outer_radius - jump.inner_radius) < 2.5 * dom.h
-    inner = dom.plateau_mesh(rec.solution, jump, "inner") if coincide else None
+    inner = (dom.boundary_curvatures(rec.solution, jump, "inner")
+             if coincide else None)
     weak_ok = inner is None or bool(
-        np.median(inner.H) >= np.abs(np.median(inner.P)) - TOL_HORIZON)
+        np.median(inner[0]) >= np.abs(np.median(inner[1])) - TOL_HORIZON)
     return HorizonReport(jump.outer_radius, float(np.max(rel)), weak_ok,
                          labels)
 

@@ -139,13 +139,14 @@ def test_grid_file_roundtrip(tmp_path):
     g += 0.01 * np.einsum("xyz,ij->xyzij", rng.random(shape), np.eye(3))
     K = np.zeros(shape + (3, 3))
     path = tmp_path / "data.grid"
-    idm.save_grid_data(path, origin=(-1.5, -1.5, -1.5), spacing=0.5,
+    origin = np.array([-1.5, -1.5, -1.5])
+    idm.save_grid_data(path, origin=origin, spacing=0.5,
                        g_samples=g, k_samples=K)
     ids = idm.load_grid_data(path)
     assert ids.n == 2 and ids.tol_max == idm.TOL_MAX_GRID
     got = ids.metric(np.array([[0.25, 0.0, 0.0]]))
     assert np.all(np.isfinite(got))
-    assert ids.max_abs_trace(ids.grid["origin"] + 0.5) == 0.0
+    assert ids.max_abs_trace(origin + 0.5) == 0.0
 
 
 def test_grid_file_rejects_asymmetric(tmp_path):

@@ -406,9 +406,10 @@ def test_components_split_two_runs(lane):
     assert np.array_equal(np.sort(np.concatenate(comps)), np.where(mask)[0])
 
 
-def test_plateau_mesh_builds_one_filled_boundary_per_side(lane):
-    # each lane builds the boundary of a jump that it is asked for, from
-    # the level-set description it owns, and returns it with H and P
+def test_boundary_curvatures_on_flat_data(lane):
+    # flat data: P = 0 on every boundary; the radial lane reads the exact
+    # H = n/r of the centred sphere, a grid lane's contours curve less
+    # outside than inside
     bc = lane.L - 2.0
     eps = 0.02
     sol = sv.ScalarSolution(lane, lane.initial_guess(1.0, bc, eps), eps,
@@ -418,13 +419,14 @@ def test_plateau_mesh_builds_one_filled_boundary_per_side(lane):
                          inner_radius=lo + 0.3 * (hi - lo),
                          outer_radius=lo + 0.6 * (hi - lo),
                          truncation_artifact=False)
-    size = {}
-    for side in ("inner", "outer"):
-        mesh = lane.plateau_mesh(sol, jump, side)
-        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
-        size[side] = float(np.mean(np.linalg.norm(
-            mesh.vertices - mesh.interior_point, axis=1)))
-    assert size["inner"] < size["outer"]
+    H = {}
+    for side, radius in (("inner", jump.inner_radius),
+                         ("outer", jump.outer_radius)):
+        H[side], P = lane.boundary_curvatures(sol, jump, side)
+        assert len(H[side]) == len(P) and np.all(P == 0.0)
+        if isinstance(lane, RadialDomain):
+            assert H[side].tolist() == [lane.n / radius]
+    assert np.median(H["inner"]) > np.median(H["outer"])
 
 
 def test_grid_sweep_matches_the_radial_lane():

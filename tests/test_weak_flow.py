@@ -145,70 +145,91 @@ def test_anisotropic_horizon_verification(aniso_rec):
 
 
 def test_jump_time_extraction_returns_both_boundaries(aniso_rec):
-    # at the jump time both boundaries exist: E0 inside, the horizon outside;
-    # the level radius there reads the outer one, and away from the jump
-    # the level set's own radius
+    # at the jump time both boundaries exist: E0 inside, the horizon outside,
+    # each read off the radial profile at its radius; the level radius there
+    # reads the outer one, and away from the jump the level set's own radius
     j = aniso_rec.jumps[0]
     dom = aniso_rec.domain
-    inner, outer = (dom.plateau_mesh(aniso_rec.solution, j, side)
-                    for side in ("inner", "outer"))
-    assert np.mean(np.linalg.norm(inner.centroids, axis=1)) \
-        == pytest.approx(1.0, abs=0.05)
-    assert np.mean(np.linalg.norm(outer.centroids, axis=1)) \
-        == pytest.approx(R_STAR_ANISO, rel=0.02)
+    assert j.inner_radius == pytest.approx(1.0, abs=0.05)
+    assert j.outer_radius == pytest.approx(R_STAR_ANISO, rel=0.02)
+    for side, radius in (("inner", j.inner_radius),
+                         ("outer", j.outer_radius)):
+        H, P = dom.boundary_curvatures(aniso_rec.solution, j, side)
+        assert H.tolist() == [float(dom.profile.mean_curvature(radius))]
+        assert P.tolist() == [float(dom.profile.k_trace(radius))]
     assert wf.level_radius(aniso_rec, j.value) == j.outer_radius
     assert wf.level_radius(aniso_rec, 1.0) > j.outer_radius
 
 
 def test_jump_time_extraction_fills_both_boundaries(aniso_rec):
-    # each boundary comes back filled like a single level set, whatever ran
-    # on the record before
+    # each boundary comes back as one (H, P) sample pair, the same whatever
+    # ran on the record before
     j = aniso_rec.jumps[0]
+    dom = aniso_rec.domain
+    before = [dom.boundary_curvatures(aniso_rec.solution, j, side)
+              for side in ("inner", "outer")]
     wf.verify_horizon(aniso_rec, j)
-    for side in ("inner", "outer"):
-        mesh = aniso_rec.domain.plateau_mesh(aniso_rec.solution, j, side)
-        assert mesh.H is not None and mesh.P is not None
-        assert len(mesh.H) == len(mesh.P) == len(mesh.facets)
+    for side, (H0, P0) in zip(("inner", "outer"), before):
+        H, P = dom.boundary_curvatures(aniso_rec.solution, j, side)
+        assert len(H) == len(P) == 1
+        assert np.array_equal(H, H0) and np.array_equal(P, P0)
 
 
-def _count_sphere_meshes(monkeypatch):
-    """Names of the sphere and circle meshes built from here on."""
-    built = []
-    for name in ("icosphere", "circle_mesh"):
+def _count_calls(monkeypatch, names):
+    """Names of the ``surface_geometry`` functions called from here on."""
+    called = []
+    for name in names:
         def counted(*args, _name=name, _make=getattr(sg, name), **kwargs):
-            built.append(_name)
+            called.append(_name)
             return _make(*args, **kwargs)
         monkeypatch.setattr(sg, name, counted)
-    return built
+    return called
 
 
 def test_detect_jumps_only_measures(aniso_rec, monkeypatch):
-    # a jump is what was measured (cells, values, radii); its boundary
-    # meshes are built when a check reads them
-    built = _count_sphere_meshes(monkeypatch)
+    # a jump is what was measured (cells, values, radii); its boundaries'
+    # curvatures are read when a check asks for them
+    built = _count_calls(monkeypatch, ("icosphere", "circle_mesh"))
     jumps = wf.detect_jumps(aniso_rec)
     assert len(jumps) == 1
     assert built == []
     assert not [k for k in vars(jumps[0]) if "mesh" in k]
 
 
-def test_verify_horizon_builds_only_the_mesh_it_reads(aniso_rec,
-                                                      monkeypatch):
-    # the boundaries lie far apart, so only the outer one is read; the
-    # report is the one the outer sphere, filled from its level set, gives
-    j = aniso_rec.jumps[0]
-    ids = aniso_rec.ids
-    ref = sg.populate_diagnostics(ids, sg.icosphere(j.outer_radius, 4),
-                                  level_set=sg.sphere_level_set(np.zeros(3)))
-    scale = np.maximum(np.maximum(np.abs(ref.H), np.abs(ref.P)),
-                       ids.n / j.outer_radius)
-    built = _count_sphere_meshes(monkeypatch)
-    rep = wf.verify_horizon(aniso_rec, j)
-    assert built == ["icosphere"]
+@pytest.mark.parametrize("key, labels", [
+    ("aniso", {"MOTS", "generalized_horizon"}),
+    ("schw", {"MOTS", "MITS", "generalized_horizon"}),
+])
+def test_radial_verify_horizon_reads_the_profile(request, monkeypatch, key,
+                                                 labels):
+    # a radial check builds no mesh: its report is the radial profile's
+    # exact H and P at the outer radius
+    rec = request.getfixturevalue(f"{key}_rec")
+    j = rec.jumps[0]
+    prof = rec.domain.profile
+    H = prof.mean_curvature([j.outer_radius])
+    P = prof.k_trace([j.outer_radius])
+    scale = np.maximum(np.maximum(np.abs(H), np.abs(P)),
+                       rec.ids.n / j.outer_radius)
+    called = _count_calls(monkeypatch, ("icosphere", "circle_mesh",
+                                        "populate_diagnostics"))
+    rep = wf.verify_horizon(rec, j)
+    assert called == []
     assert rep.max_rel_residual == float(
-        np.max(np.abs(ref.H - np.abs(ref.P)) / scale))
-    assert rep.labels == sg.classify(
-        ref, tol=wf.TOL_HORIZON * float(np.median(scale)))
+        np.max(np.abs(H - np.abs(P)) / scale))
+    assert rep.labels == labels
+
+
+def test_apriori_reports_check_imcf_domination_only_when_k_is_nonzero(
+        flat_rec, aniso_rec):
+    # K = 0: the flow chain is the IMCF chain, so there is no reference
+    # other than u itself to dominate; K != 0: every rung is checked
+    assert all("imcf_domination_margin" not in rep.measured
+               for rep in flat_rec.apriori)
+    margins = [rep.measured["imcf_domination_margin"]
+               for rep in aniso_rec.apriori]
+    assert len(margins) == len(aniso_rec.epsilons)
+    assert max(margins) <= 0
 
 
 def test_normal_field_radial_and_cauchy(aniso_rec):
