@@ -37,15 +37,18 @@ of the package lives here; callers use only the protocol:
 - ``require_radial(what)``: a no-op on the radial lane and ``LaneError`` on
   grids, for diagnostics that exist on the radial lane only.
 
-No scipy module loads with this module, and a radial run loads none.  The
-radial solve (``RadialDomain.solve``) calls LAPACK ``dgtsv`` through
-``ctypes`` from the OpenBLAS that numpy's wheel bundles and has already
-loaded (``_gtsv``).  It falls back to ``scipy.linalg.solve_banded``, the
-same LAPACK routine with the same bits, where that library or symbol is
-missing (a conda or distro numpy) and where ``scipy.linalg`` is loaded
-already, since then there is no memory left to save.  ``scipy.sparse`` and
-``scipy.ndimage`` load inside the grid lane's methods, on first use.  So a
-radial run never imports the grid lane's modules.
+No scipy module loads with this module, and a radial run, its oracle
+checks (``radial_oracle``) included, loads none.  The radial solve
+(``RadialDomain.solve``) calls LAPACK ``dgtsv`` through ``ctypes`` from the
+OpenBLAS that numpy's wheel bundles and has already loaded (``_gtsv``).
+scipy loads in two places only:
+
+- ``scipy.linalg.solve_banded``, the same LAPACK routine with the same
+  bits, is the radial solve's fallback where that library or symbol is
+  missing (a conda or distro numpy) and where ``scipy.linalg`` is loaded
+  already, since then there is no memory left to save;
+- ``scipy.sparse`` and ``scipy.ndimage`` load inside the grid lane's
+  methods, on first use, so a radial run never imports them.
 """
 
 import ctypes
@@ -164,7 +167,8 @@ def _cumulative_trapezoid(y, x=None, dx=1.0):
     """Running trapezoid integral of 1-D y from 0 over x (or spacing dx).
 
     The arithmetic is scipy's ``cumulative_trapezoid(..., initial=0)``, bit
-    for bit, without importing scipy.integrate (see ``radial_oracle``).
+    for bit, without importing scipy.integrate, which no module of the
+    package loads (see the module docstring).
     """
     d = dx if x is None else np.diff(x)
     return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))

@@ -5,12 +5,21 @@ diagnostics, the smooth-flow ODE, arrival-time quadrature and horizon root
 finding for warped-product data g = a(r)^2 dr^2 + (b(r) r)^2 dOmega^2.
 These serve as the oracle side of the two-route checks.
 
-scipy.integrate (``quad``, ``solve_ivp``) loads on the first call of
-``smooth_flow_ode`` or ``level_set_quadrature``, not at import: with the
-scipy.linalg and scipy.special it loads it nearly quadruples the import
-time of the package (``import stimcf, stimcf.cli`` 0.23 s, then
-``import scipy.integrate`` 0.85 s in all, on a 2-core x86 host), and the
-solver pipeline calls neither oracle.
+The smooth flow of a centred sphere and its arrival time are two routes to
+one curve, each with its own textbook method on numpy alone:
+
+- ``smooth_flow_ode`` steps dr/dt = 1/(a Phi) in t with the Dormand-Prince
+  5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), Shampine's
+  quartic dense output and terminal events, under the step control of
+  scipy's RK45;
+- ``level_set_quadrature`` sums u(r1) - u(r0) = int a Phi dr in r with a
+  globally adaptive 7-point Gauss / 15-point Kronrod rule (Piessens et al.,
+  QUADPACK, Springer 1983).
+
+Neither calls the other or reads its samples, so the identity u(r(t)) = t
+that criterion 8 checks compares a time-stepping with a quadrature and does
+not hold by construction.  No function here imports scipy; the tests take
+scipy's ``solve_ivp`` and ``quad`` as the references for both.
 """
 
 import numpy as np
@@ -20,6 +29,7 @@ ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-11
+QUAD_LIMIT = 400             # subintervals of level_set_quadrature
 BLOWUP_FRACTION = 1e-6
 RICCI_FD_STEP = 1e-4
 PROFILE_R_MAX = 1e6          # outer bound of every profile's radial domain
@@ -102,40 +112,37 @@ def sphere_area(n):
 
 
 def smooth_flow_ode(profile, r0, t_end):
-    """Integrate the radial flow dr/dt = 1 / (a(r) Phi(r)).
+    """Integrate the radial flow dr/dt = 1 / (a(r) Phi(r)) from r0 at t = 0
+    to t_end (backward for t_end < 0).
 
     Stops with ``blowup = True`` when Phi drops below BLOWUP_FRACTION of its
     initial value (the smooth flow ends exactly when the speed blows up).
-    Returns a dict with t, r arrays and diagnostics along the trajectory.
+    Returns a dict with t, r arrays and diagnostics along the trajectory;
+    its ``"sol"`` carries the steps and the dense output r(t).
     """
-    from scipy.integrate import solve_ivp   # on first use: see the module
+    if not np.isfinite(t_end):
+        raise OracleError(f"flow end time {t_end} is not finite")
     profile._check_domain(r0)
     phi0 = profile.spacetime_mean_curvature(r0)
     if not np.isfinite(phi0) or phi0 <= 0:
         raise OracleError("initial sphere has no positive spacetime mean curvature")
 
-    def rhs(t, y):
-        r = y[0]
-        phi = profile.spacetime_mean_curvature(r)
-        return [1.0 / (profile.data.a(r) * phi)]
+    def speed(r):
+        return 1.0 / (profile.data.a(r) * profile.spacetime_mean_curvature(r))
 
     floor = BLOWUP_FRACTION * phi0
 
-    def speed_blowup(t, y):
-        phi = profile.spacetime_mean_curvature(y[0])
+    def speed_blowup(r):
+        phi = profile.spacetime_mean_curvature(r)
         if not np.isfinite(phi):
             return 0.0
         return phi - floor
-    speed_blowup.terminal = True
 
-    def leaves_domain(t, y):
-        return min(y[0] - profile.r_min * (1 + 1e-12),
-                   PROFILE_R_MAX * (1 - 1e-12) - y[0])
-    leaves_domain.terminal = True
+    def leaves_domain(r):
+        return min(r - profile.r_min * (1 + 1e-12),
+                   PROFILE_R_MAX * (1 - 1e-12) - r)
 
-    sol = solve_ivp(rhs, (0.0, t_end), [r0], rtol=ODE_RTOL, atol=ODE_ATOL,
-                    events=[speed_blowup, leaves_domain], dense_output=True,
-                    max_step=abs(t_end) / 16 if t_end else np.inf)
+    sol = _dopri5(speed, r0, t_end, [speed_blowup, leaves_domain])
     t = sol.t
     r = sol.y[0]
     phi_final = profile.spacetime_mean_curvature(r[-1])
@@ -156,9 +163,188 @@ def smooth_flow_ode(profile, r0, t_end):
     }
 
 
+# Dormand-Prince 5(4): stages, 5th-order weights, error weights (5th minus
+# the embedded 4th order; the last one on the first-same-as-last stage) and
+# Shampine's quartic dense output, the coefficients of scipy's RK45
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# step-size control: safety factor and the least and most a step may change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+class _Trajectory:
+    """A ``_dopri5`` run, in the layout of scipy's ``solve_ivp`` result:
+    step times ``t``, states ``y`` (shape (1, len(t))), ``t_events`` (one
+    array per event), ``status`` (0 reached t_end, 1 stopped at an event,
+    -1 the step size collapsed) and the dense output ``sol``."""
+
+    def __init__(self, t, r, t_events, status, steps):
+        self.t = np.array(t)
+        self.y = np.array(r)[None]
+        self.t_events = [np.array(te) for te in t_events]
+        self.status = status
+        # per step: start time, signed length, start state, and the four
+        # dense-output coefficients by row
+        t0, h, r0, q = zip(*steps)
+        self._t0, self._h, self._r0 = np.array(t0), np.array(h), np.array(r0)
+        self._q = np.array(q).T
+
+    def sol(self, t):
+        """r(t) for scalar or array t, shape (1,) or (1, len(t)), from the
+        quartic of the step that holds t (the earlier one at a step end)."""
+        t = np.asarray(t, float)
+        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
+        k = np.clip(np.searchsorted(d * self.t, d * t) - 1, 0, len(self._h) - 1)
+        step = (self._t0[k], self._h[k], self._r0[k], self._q[:, k])
+        return np.asarray(_dense(step, t))[None]
+
+
+def _dense(step, t):
+    """Shampine's quartic through one step (t0, h, r0, q), at t."""
+    t0, h, r0, q = step
+    x = (t - t0) / h
+    return r0 + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+
+
+def _initial_step(speed, r, f, t_end):
+    """Starting step for a 4th-order error estimate (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.4), as scipy chooses it."""
+    scale = ODE_ATOL + abs(r) * ODE_RTOL
+    d0, d1 = abs(r) / scale, abs(f) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end))
+    d2 = abs(speed(r + np.sign(t_end) * h0 * f) - f) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, abs(t_end) / 16)
+
+
+def _event_root(event, step, lo, hi):
+    """Where event(r(t)) changes sign between the step times lo and hi, by
+    bisection on the step's dense output to 4 ulp; an end where the event
+    is 0 is the root, as in scipy's brentq."""
+    g_lo = event(_dense(step, lo))
+    if g_lo == 0:
+        return lo
+    if event(_dense(step, hi)) == 0:
+        return hi
+    while abs(hi - lo) > 4 * np.finfo(float).eps * (1 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        g_mid = event(_dense(step, mid))
+        if g_mid == 0:
+            return mid
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _dopri5(speed, r0, t_end, events):
+    """Integrate the autonomous scalar ODE dr/dt = speed(r) from r(0) = r0
+    to t_end, with scipy RK45's step control.
+
+    Dormand-Prince 5(4) steps, at most |t_end| / 16 long, keep the local
+    error below ODE_ATOL + ODE_RTOL |r|.  A step whose error estimate is
+    NaN or infinite is rejected and shrunk; a step size below 10 ulp of t
+    ends the run with status -1.  The events are terminal: the earliest
+    sign change of any of them, located on the step's dense output, ends
+    the run there with status 1.
+    """
+    t, r = 0.0, float(r0)
+    t_events = [[] for _ in events]
+    if t_end == 0:
+        # no step: the dense output is the constant r0
+        return _Trajectory([t], [r], t_events, 0, [(t, 1.0, r, np.zeros(4))])
+    d = np.sign(t_end)
+    f = speed(r)
+    h_abs = _initial_step(speed, r, f, t_end)
+    ts, rs, steps = [t], [r], []
+    g = [event(r) for event in events]
+    K = np.empty(7)
+    status = None
+    while status is None:
+        min_step = 10 * abs(np.nextafter(t, d * np.inf) - t)
+        h_abs = min(max(h_abs, min_step), abs(t_end) / 16)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + d * h_abs
+            if d * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = speed(r + h * (K[:s] @ _DP_A[s, :s]))
+            r_new = r + h * (K[:6] @ _DP_B)
+            K[6] = speed(r_new)
+            err = abs(h * (K @ _DP_E)) / (
+                ODE_ATOL + max(abs(r), abs(r_new)) * ODE_RTOL)
+            if err < 1:
+                break
+            # NaN where a stage left the region where Phi is defined
+            h_abs *= _MIN_FACTOR if np.isnan(err) else max(
+                _MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+        else:
+            status = -1
+            break
+        factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
+                                                  _SAFETY * err ** -0.2)
+        h_abs *= min(1.0, factor) if rejected else factor
+        step = (t, h, r, K @ _DP_P)
+        g_new = [event(r_new) for event in events]
+        crossed = [i for i, (a, b) in enumerate(zip(g, g_new))
+                   if a <= 0 <= b or a >= 0 >= b]
+        if crossed:
+            roots = {i: _event_root(events[i], step, t, t_new)
+                     for i in crossed}
+            first = min(crossed, key=lambda i: d * roots[i])
+            t_new = roots[first]
+            r_new = float(_dense(step, t_new))
+            t_events[first].append(t_new)
+            status = 1
+        elif t_new == t_end:
+            status = 0
+        ts.append(t_new)
+        rs.append(r_new)
+        steps.append(step)
+        t, r, f, g = t_new, r_new, K[6], g_new
+    return _Trajectory(ts, rs, t_events, status, steps)
+
+
 def level_set_quadrature(profile, r0, r1):
-    """Arrival time u(r1) - u(r0) = int a(r) Phi(r) dr by adaptive quadrature."""
-    from scipy.integrate import quad    # on first use: see the module
+    """Arrival time u(r1) - u(r0) = int a(r) Phi(r) dr by globally adaptive
+    Gauss-Kronrod quadrature, to max(QUAD_EPSABS, QUAD_EPSREL |u|).
+
+    Each pass bisects the fewest intervals, largest error estimate first,
+    that leave the remaining error within tolerance, and evaluates the
+    integrand on all their halves' nodes in one call.  Raises OracleError
+    when the error is still above tolerance at QUAD_LIMIT intervals.
+    """
     profile._check_domain(r0)
     profile._check_domain(r1)
     scan = np.linspace(r0, r1, 257)
@@ -172,9 +358,63 @@ def level_set_quadrature(profile, r0, r1):
     def integrand(r):
         return profile.data.a(r) * profile.spacetime_mean_curvature(r)
 
-    val, _ = quad(integrand, r0, r1, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                  limit=400)
-    return val
+    lo, hi = np.array([r0], float), np.array([r1], float)
+    value, err = _gauss_kronrod(integrand, lo, hi)
+    while True:
+        tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(value.sum()))
+        if err.sum() <= tol:
+            return float(value.sum())
+        order = np.argsort(err)[::-1]
+        left = err.sum() - np.cumsum(err[order])
+        n_split = min(int(np.argmax(left <= tol)) + 1, QUAD_LIMIT - len(lo))
+        if n_split == 0:
+            raise OracleError(
+                f"quadrature on [{r0}, {r1}] did not converge in {QUAD_LIMIT} "
+                f"subintervals: error estimate {err.sum():.3g} above "
+                f"tolerance {tol:.3g}")
+        split, keep = order[:n_split], order[n_split:]
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        new_value, new_err = _gauss_kronrod(integrand, *halves)
+        lo = np.concatenate([lo[keep], halves[0]])
+        hi = np.concatenate([hi[keep], halves[1]])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])
+
+
+# the 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule on its
+# every other node (QUADPACK's qk15, to double precision): positive nodes
+# outermost first, then the weights of those nodes and of the centre
+_KRONROD_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+              0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+              0.20778495500789848)
+_KRONROD_W = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+              0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+              0.20443294007529889, 0.20948214108472782)
+_GAUSS_W = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
+            0.0, 0.3818300505051189, 0.0, 0.4179591836734694)
+_GK_X = np.array(tuple(-x for x in _KRONROD_X) + (0.0,) + _KRONROD_X[::-1])
+_GK_WK = np.array(_KRONROD_W + _KRONROD_W[6::-1])
+_GK_WG = np.array(_GAUSS_W + _GAUSS_W[6::-1])
+
+
+def _gauss_kronrod(integrand, lo, hi):
+    """The 15-point Kronrod values of the integral over each [lo_i, hi_i]
+    and QUADPACK's error estimates for them, from one integrand call."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centre[:, None] + half[:, None] * _GK_X
+    f = integrand(nodes.ravel()).reshape(nodes.shape)
+    kronrod = f @ _GK_WK
+    err = np.abs((kronrod - f @ _GK_WG) * half)
+    resabs = np.abs(f) @ _GK_WK * np.abs(half)
+    resasc = np.abs(f - 0.5 * kronrod[:, None]) @ _GK_WK * np.abs(half)
+    # QUADPACK scales |K15 - G7| by the integrand's spread about its mean,
+    # and never claims less than 50 ulp of the integral of |f|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    return kronrod * half, np.maximum(50 * np.finfo(float).eps * resabs, err)
 
 
 def horizon_root(profile):

@@ -2,6 +2,9 @@ import ast
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +303,31 @@ def test_oracle_query_errors_are_config_errors(capsys):
                   "--radius", "1.0"]):
         assert cli.main(["oracle", *argv]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_oracle_trajectory_end_time_edge_cases(tmp_path):
+    # in a fresh process with a timeout, so that an integration that never
+    # ends fails the test: a non-finite end time is a config error, and a
+    # zero one writes the start sphere once
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    path = tmp_path / "traj.csv"
+
+    def trajectory(t_end):
+        return subprocess.run(
+            [sys.executable, "-m", "stimcf.cli", "oracle", "trajectory",
+             "--preset", "flat", "--n", "2", f"--t-end={t_end}",
+             "--out", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    for t_end in ("nan", "inf", "-inf"):
+        out = trajectory(t_end)
+        assert out.returncode == 2, (t_end, out.stderr)
+        assert "config error" in out.stderr and "not finite" in out.stderr
+    assert not path.exists()
+    out = trajectory("0")
+    assert out.returncode == 0, out.stderr
+    rows = path.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,1,2,")
 
 
 def test_manifest_determinism(tmp_path):

@@ -507,9 +507,10 @@ SCIPY_LOADED = ("sorted(m for m in sys.modules "
 
 
 def test_import_and_set_up_leave_scipy_unloaded():
-    # scipy loads where a run calls it: the radial solve, the grid lane and
-    # the oracles.  Importing the package and building a radial domain, its
-    # radial profile and a set problem in it load no scipy module
+    # scipy loads where a run calls it: the grid lane, and the radial
+    # solve's solve_banded fallback where numpy bundles no dgtsv.  Importing
+    # the package and building a radial domain, its radial profile and a set
+    # problem in it load no scipy module
     code = "\n".join([
         "import sys, stimcf, stimcf.cli",
         "from stimcf import build_domain, build_preset",
@@ -567,6 +568,25 @@ def _run_fresh(code, *args):
                          check=True, capture_output=True, text=True,
                          timeout=120)
     return out.stdout.splitlines()
+
+
+def test_oracle_loads_no_scipy(tmp_path):
+    # the oracle's integrators are numpy alone: a fresh process that flows
+    # forward and back to the horizon, sums the arrival time, checks the
+    # evolution identities and runs stimcf oracle trajectory loads no scipy
+    code = "\n".join([
+        "import sys",
+        "from stimcf import build_preset, cli, radial_oracle as orc",
+        "ids = build_preset('paper_anisotropic')",
+        "prof = orc.RadialProfile.from_initial_data(ids)",
+        "traj = orc.smooth_flow_ode(prof, 1.5, 1.5)",
+        "assert orc.smooth_flow_ode(prof, 1.3, -3.0)['blowup']",
+        "orc.level_set_quadrature(prof, 1.5, float(traj['r'][-1]))",
+        "orc.evolution_equation_check(prof, traj)",
+        "status = cli.main(['oracle', 'trajectory', '--preset', 'flat',",
+        "                   '--n', '2', '--out', sys.argv[1]])",
+        f"print(status, {SCIPY_LOADED})"])
+    assert _run_fresh(code, str(tmp_path / "traj.csv"))[-1] == "0 []"
 
 
 needs_gtsv = pytest.mark.skipif(_gtsv() is None,

@@ -91,6 +91,96 @@ def test_quadrature_schwarzschild_from_horizon(profiles):
     assert u[-1] == pytest.approx(ref, rel=1e-8)
 
 
+def _scipy_quad(prof, r0, r1):
+    from scipy.integrate import quad
+    val, _ = quad(lambda r: prof.data.a(r) * prof.spacetime_mean_curvature(r),
+                  r0, r1, epsabs=orc.QUAD_EPSABS, epsrel=orc.QUAD_EPSREL,
+                  limit=orc.QUAD_LIMIT)
+    return val
+
+
+@pytest.mark.parametrize("name, r0, r1", [
+    ("flat", 1.0, 3.0),
+    ("flat", 0.3, 50.0),
+    ("paper_anisotropic", 1.5, 4.0),
+    ("paper_anisotropic", 2.0, 1.5),
+    # just outside the horizon, where Phi ~ sqrt(r - r*)
+    ("paper_anisotropic", R_STAR_ANISO * (1 + 1e-10), 1.3),
+    ("paper_anisotropic", R_STAR_ANISO * (1 + 1e-10), 2.0),
+    # from the minimal surface r = m/2, where Phi = 0
+    ("schwarzschild_isotropic", 0.5, 4.0),
+    ("schwarzschild_isotropic", 1.0, 200.0),
+])
+def test_quadrature_matches_scipy_quad(profiles, name, r0, r1):
+    # scipy's QUADPACK qags (21-point rule, extrapolated) is the reference
+    prof = profiles[name]
+    assert orc.level_set_quadrature(prof, r0, r1) \
+        == pytest.approx(_scipy_quad(prof, r0, r1), rel=1e-11)
+
+
+def test_quadrature_that_does_not_converge_raises(profiles, monkeypatch):
+    # with no tolerance to meet, the interval limit is reached and named
+    monkeypatch.setattr(orc, "QUAD_EPSABS", 0.0)
+    monkeypatch.setattr(orc, "QUAD_EPSREL", 0.0)
+    with pytest.raises(orc.OracleError,
+                       match=r"on \[1\.0, 3\.0\] did not converge in 400 "
+                             r"subintervals: error estimate \S+ above"):
+        orc.level_set_quadrature(profiles["flat"], 1.0, 3.0)
+
+
+def _scipy_flow(prof, r0, t_end):
+    """smooth_flow_ode's problem, events included, on scipy's RK45."""
+    from scipy.integrate import solve_ivp
+    floor = orc.BLOWUP_FRACTION * prof.spacetime_mean_curvature(r0)
+
+    def speed_blowup(t, y):
+        phi = prof.spacetime_mean_curvature(y[0])
+        return phi - floor if np.isfinite(phi) else 0.0
+
+    def leaves_domain(t, y):
+        return min(y[0] - prof.r_min * (1 + 1e-12),
+                   orc.PROFILE_R_MAX * (1 - 1e-12) - y[0])
+
+    speed_blowup.terminal = leaves_domain.terminal = True
+    return solve_ivp(
+        lambda t, y: 1.0 / (prof.data.a(y) * prof.spacetime_mean_curvature(y)),
+        (0.0, t_end), [r0], method="RK45", rtol=orc.ODE_RTOL,
+        atol=orc.ODE_ATOL, events=[speed_blowup, leaves_domain],
+        dense_output=True, max_step=abs(t_end) / 16)
+
+
+@pytest.mark.parametrize("name, r0, t_end, status", [
+    ("flat", 1.0, 2.0, 0), ("paper_anisotropic", 1.5, 1.5, 0),
+    ("paper_anisotropic", 1.4, -0.2, 0),
+    ("schwarzschild_isotropic", 2.0, 3.0, 0),
+    # events: past PROFILE_R_MAX at t = 2 ln 1e6, and Phi at its floor on
+    # the way back to the minimal surface r = m/2
+    ("flat", 1.0, 40.0, 1), ("schwarzschild_isotropic", 2.0, -5.0, 1)])
+def test_flow_ode_matches_scipy_rk45(profiles, name, r0, t_end, status):
+    prof = profiles[name]
+    traj = orc.smooth_flow_ode(prof, r0, t_end)
+    ref = _scipy_flow(prof, r0, t_end)
+    assert traj["sol"].status == ref.status == status
+    for mine, theirs in zip(traj["sol"].t_events, ref.t_events, strict=True):
+        assert_allclose(mine, theirs, rtol=1e-10)
+    ts = np.linspace(0.0, ref.t[-1], 257)
+    assert_allclose(traj["sol"].sol(ts)[0], ref.sol(ts)[0], rtol=1e-8)
+    assert traj["sol"].sol(ts[100]).shape == (1,)
+    assert traj["sol"].sol(ts[100])[0] == traj["sol"].sol(ts)[0, 100]
+
+
+def test_backward_blowup_time_matches_scipy_and_the_quadrature(profiles):
+    # the steps collapse at the horizon before Phi reaches its floor, on
+    # both integrators; the time to get there is also int_r*^1.3 a Phi dr
+    prof = profiles["paper_anisotropic"]
+    traj = orc.smooth_flow_ode(prof, 1.3, -3.0)
+    ref = _scipy_flow(prof, 1.3, -3.0)
+    assert traj["blowup"] and traj["sol"].status == ref.status == -1
+    assert traj["blowup_time"] == pytest.approx(ref.t[-1], abs=1e-6)
+    arrival = orc.level_set_quadrature(prof, R_STAR_ANISO * (1 + 1e-10), 1.3)
+    assert -traj["blowup_time"] == pytest.approx(arrival, abs=1e-6)
+
+
 def test_quadrature_requires_positive_speed(profiles):
     with pytest.raises(orc.OracleError):
         orc.level_set_quadrature(profiles["paper_anisotropic"], 1.05, 2.0)
