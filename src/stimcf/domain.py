@@ -93,27 +93,33 @@ def rhs_value(W2, T, s, variant):
     frauendiener:  W/2 + sqrt(W^2 + 4 s T^2)/2
     with W^2 = eps^2 + |grad u|^2 and T the K-contraction term.  Both reduce
     to W when the K-term vanishes; T = None says that it does (K = 0, or
-    s = 0), and then no K-term is evaluated.
+    s = 0), and then no K-term is evaluated.  Returns (R, roots): the square
+    roots it took, which ``rhs_derivs`` reads in place of taking them again
+    (R itself for stimcf and for T = None, (W, the root) for frauendiener).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown operator variant '{variant}'")
     if T is None:
-        return np.sqrt(W2)
-    if variant == "stimcf":
-        return np.sqrt(W2 + s * T ** 2)
-    return 0.5 * np.sqrt(W2) + 0.5 * np.sqrt(W2 + 4.0 * s * T ** 2)
-
-
-def rhs_derivs(W2, T, s, variant):
-    """(dR/dW2, dR/dT) for the right-hand side that ``rhs_value`` checked
-    and evaluated; dR/dT is None when T is (no K-term)."""
-    if T is None:
-        return 0.5 / np.sqrt(W2), None
+        R = np.sqrt(W2)
+        return R, (R,)
     if variant == "stimcf":
         R = np.sqrt(W2 + s * T ** 2)
+        return R, (R,)
+    W, root = np.sqrt(W2), np.sqrt(W2 + 4.0 * s * T ** 2)
+    return 0.5 * W + 0.5 * root, (W, root)
+
+
+def rhs_derivs(roots, T, s, variant):
+    """(dR/dW2, dR/dT) for the right-hand side that ``rhs_value`` checked
+    and evaluated, from the roots it returned; dR/dT is None when T is (no
+    K-term)."""
+    if T is None:
+        return 0.5 / roots[0], None
+    if variant == "stimcf":
+        R, = roots
         return 0.5 / R, s * T / R
-    root = np.sqrt(W2 + 4.0 * s * T ** 2)
-    return 0.25 / np.sqrt(W2) + 0.25 / root, 2.0 * s * T / root
+    W, root = roots
+    return 0.25 / W + 0.25 / root, 2.0 * s * T / root
 
 
 def outer_radius(L, alpha, R0):
@@ -340,13 +346,14 @@ class RadialDomain:
 
     def residual(self, interior, eps, s, bc, variant="stimcf"):
         """The operator at the interior nodes and its linearization, the
-        stencil with eps, s and the variant that ``jacobian`` reads."""
+        stencil with the right-hand side's roots, eps, s and the variant
+        that ``jacobian`` reads."""
         F, (Wf, Gc, W2, T) = self._stencil(interior, eps, bc, s)
-        R = rhs_value(W2, T, s, variant)
+        R, roots = rhs_value(W2, T, s, variant)
         res = F[1:] - F[:-1]
         res *= self._inv_vol
         res -= R
-        return res, (Wf, Gc, W2, T, eps, s, variant)
+        return res, (Wf, Gc, W2, T, roots, eps, s, variant)
 
     def jacobian(self, lin):
         """The tridiagonal Jacobian at the linearization ``lin`` of
@@ -354,7 +361,7 @@ class RadialDomain:
         J[i, j]``, so row 0 holds the superdiagonal (ab[0, 0] unused), row 1
         the diagonal and row 2 the subdiagonal (ab[2, -1] unused); both
         unused entries are zero.  ``lin`` is only read."""
-        Wf, Gc, W2, T, eps, s, variant = lin
+        Wf, Gc, W2, T, roots, eps, s, variant = lin
         e2 = eps * eps
         # dF/du across a face: A eps^2 / (a Wf^3 h)
         dF = Wf * Wf
@@ -364,7 +371,7 @@ class RadialDomain:
         dF *= e2 / self.h
         # the right-hand side through G2 = Gc^2 (T = G2 k / W2, so dT/dG2 =
         # k eps^2 / W2^2), and Gc through the centred difference
-        g, dRdT = rhs_derivs(W2, T, s, variant)
+        g, dRdT = rhs_derivs(roots, T, s, variant)
         if T is not None:
             dRdT *= self.kr[1:-1]
             dRdT *= e2
@@ -771,18 +778,20 @@ class GridDomain:
     def residual(self, interior, eps, s, bc, variant="stimcf"):
         """The operator at the active cells and its linearization for
         ``jacobian``: the face state, the normal inverse metric, the cell
-        state, s and the variant."""
+        state, the right-hand side's roots, s and the variant."""
         gn, gts, cell_grads, Wf = self._face_state(interior, bc, eps)
         ginv_n = self.f_ginv[np.arange(len(gn)), self.f_ax]
         F = self.f_sqrt_g * ginv_n * gn / Wf
         W2c, raised, T = self._rhs_state(cell_grads, eps)
-        res = self.Div_op @ F - rhs_value(W2c, T, s, variant)
-        return res, (gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, s,
-                     variant)
+        R, roots = rhs_value(W2c, T, s, variant)
+        res = self.Div_op @ F - R
+        return res, (gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, roots,
+                     s, variant)
 
     def jacobian(self, lin):
         import scipy.sparse as sp
-        gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, s, variant = lin
+        (gn, gts, cell_grads, Wf, ginv_n, W2c, raised, T, roots, s,
+         variant) = lin
         # dF/dgn and dF/dgt_k
         dF_dgn = self.f_sqrt_g * ginv_n * (1.0 / Wf
                                            - ginv_n * gn ** 2 / Wf ** 3)
@@ -791,7 +800,7 @@ class GridDomain:
             comp = np.where(self.f_ax != k, gts[k], 0.0)
             dF_dgt = -self.f_sqrt_g * ginv_n * gn * self.f_ginv[:, k] * comp / Wf ** 3
             J = J + self.Div_op @ (sp.diags(dF_dgt) @ self.HG_ops[k])
-        dRdW2, dRdT = rhs_derivs(W2c, T, s, variant)
+        dRdW2, dRdT = rhs_derivs(roots, T, s, variant)
         coef_w2 = dRdW2 - dRdT * T / W2c
         for k in range(self.d):
             dKT_dgk = np.zeros(self.n_unknowns)

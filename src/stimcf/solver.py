@@ -8,7 +8,17 @@ soft-capped transport profile, which makes them reliable at moderate eps.
 
 There is one globalization: ``newton_solve`` halves its step until the
 merit f = 1/2 ||F||_2^2 passes the Armijo test (Dennis & Schnabel 1983,
-section 6.5) and returns its last iterate unconverged when that fails.
+sections 6.3 and 6.5) and returns its last iterate unconverged when that
+fails.  Each search starts from twice the step the solve accepted last,
+capped at 1 (Nocedal & Wright 2006, section 3.5): in the hard phase of a
+solve, where lam = 2^-5 is accepted step after step, a search from 1 spent
+six residuals per step, and on the a-priori workload 62% of the trial
+residuals were rejected.  A step accepted at lam <= 2^-RESTART_HALVINGS
+sends the next search back to 1: without that reset two matrices of the
+survey below stalled at their s = 0.75 tops, creeping at lam ~ 2^-11 until
+MAX_NEWTON.  A search still fails only when no lam in {1, 1/2, ...,
+2^-(MAX_BACKTRACK - 1)} passes: after halving from its start to the last of
+those it tries the larger ones it skipped, from 1 down.
 Only the line search reads f; the stopping test is the max-norm residual
 against max(TOL_NEWTON, the float64 floor below).
 Recovery has one home, the driver (warm start, then cold start, then
@@ -19,10 +29,11 @@ wider gaps (``eps_ladder``, which builds the sweep's ladder too).  At 4 the
 criterion-4 grid (eps sqrt(10) apart) runs with no inserted rung: 112
 Newton solves instead of 209 on the a-priori workload.
 A survey of 72 matrices (8 data sets and alphas x L in {4, 6, 8.4} x h in
-{1/32, 1/64, 1/128}, criterion 4's s and eps lists) completed 28 at ratio
-4 against 27 at ratio 2, lost none that ratio 2 completed and cut the
-Newton iterations from 15,067 to 11,598; on a grid exactly 4 apart it
-completed 28 against 27 as well.
+{1/32, 1/64, 1/128}, criterion 4's s and eps lists), re-measured with the
+line-search start above, completes 28 at ratio 4 against 26 at ratio 2,
+loses none that ratio 2 completes and cuts the Newton iterations from
+12,778 to 9,196; on a grid exactly 4 apart it completes 28 against 27, in
+9,778 iterations against 12,265.
 
 Convergence accounts for the float64 attainable floor: in plateau regions the
 Jacobian row scale grows like 1/(eps h^2), so the smallest representable
@@ -40,6 +51,7 @@ MAX_BACKTRACK = 30
 ARMIJO = 1e-4            # sufficient-decrease constant of the line search
 FLOOR_FACTOR = 20.0
 MAX_WARM_RATIO = 4.0        # wider eps gaps get halving rungs inserted
+RESTART_HALVINGS = 7     # a step accepted at lam <= 2^-7 restarts at lam = 1
 _EPS = np.finfo(float).eps
 
 
@@ -79,13 +91,17 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
     radial lane).  Each iteration assembles the Jacobian from the
     linearization that the iterate's residual returned and stops there if
     the max-norm residual is below max(TOL_NEWTON, floor).  Otherwise it
-    halves the step lam s from lam = 1 until the merit f = 1/2 ||F||_2^2
-    passes f(u + lam s) < (1 - 2 ARMIJO lam) f(u): the fraction ARMIJO of
-    the decrease the linear model predicts along the Newton step s.  The
-    solve gives up at the first failed line search, at a non-finite step or
-    after MAX_NEWTON steps, and returns that iterate unconverged with a
-    diagnostic (naming the feasibility bound when eps exceeds it); what to
-    try next is the caller's decision.  A non-finite
+    takes the first lam = 2^-k of its search with f(u + lam s) < (1 - 2
+    ARMIJO lam) f(u), f = 1/2 ||F||_2^2: the fraction ARMIJO of the decrease
+    the linear model predicts along the Newton step s.  The search starts
+    at min(1, 2 lam_prev), lam_prev the step accepted last (1 at the first
+    step, and 1 again after a step of lam <= 2^-RESTART_HALVINGS), halves
+    down to 2^-(MAX_BACKTRACK - 1), then tries the skipped larger lam from
+    1 down; so it fails only when no lam of {1, 1/2, ..., 2^-(MAX_BACKTRACK
+    - 1)} passes.  The solve gives up at the first failed line search, at a
+    non-finite step or after MAX_NEWTON steps, and returns that iterate
+    unconverged with a diagnostic (naming the feasibility bound when eps
+    exceeds it); what to try next is the caller's decision.  A non-finite
     residual or Jacobian (a NaN start, say) raises SolverError before the
     linear solve, which does not check its inputs.
     """
@@ -101,6 +117,7 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
     res, lin = dom.residual(u, eps, s, bc, variant)
     merit = 0.5 * float(res @ res)
     nrm = float(np.abs(res).max())
+    k = 0               # the last accepted step was lam = 2^-k
     for it in range(MAX_NEWTON + 1):
         J = dom.jacobian(lin)
         floor = (FLOOR_FACTOR * _EPS * (1.0 + float(np.abs(u).max()))
@@ -117,14 +134,16 @@ def newton_solve(dom, eps, s, u_init=None, *, bc, variant="stimcf"):
             raise SolverError(f"linearization solve failed: {exc}") from exc
         if not np.isfinite(step).all():
             break
-        lam = 1.0
-        for _ in range(MAX_BACKTRACK):
+        # lam = 2^-k from twice the last accepted step (1 after a short
+        # one) down to 2^-(MAX_BACKTRACK - 1), then the skipped ones from 1
+        k0 = k - 1 if 0 < k < RESTART_HALVINGS else 0
+        for k in (*range(k0, MAX_BACKTRACK), *range(k0)):
+            lam = 0.5 ** k
             ut = u + lam * step
             rt, lt = dom.residual(ut, eps, s, bc, variant)
             mt = 0.5 * float(rt @ rt)
             if np.isfinite(mt) and mt < (1.0 - 2.0 * ARMIJO * lam) * merit:
                 break
-            lam *= 0.5
         else:
             break       # the line search failed
         u, res, lin, merit = ut, rt, lt, mt

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stimcf import build_preset, build_domain
+from stimcf import domain
 from stimcf import solver as sv
 from stimcf.domain import (DomainError, _cumulative_trapezoid, _gtsv,
                            subsolution_margin)
@@ -118,6 +119,62 @@ def _check_jacobian_columns(dom, u, eps, s, variant, rng):
         denom = max(1.0, np.max(np.abs(col)))
         # a wrong term shows up at O(1); FD truncation sits far below
         assert np.max(np.abs(col - J[:, j])) / denom < 5e-4
+
+
+def _rhs_derivs_from_w2(W2, T, s, variant):
+    """(dR/dW2, dR/dT) recomputed from W2, as the lanes took them before
+    ``rhs_value`` handed its roots on."""
+    if T is None:
+        return 0.5 / np.sqrt(W2), None
+    if variant == "stimcf":
+        R = np.sqrt(W2 + s * T ** 2)
+        return 0.5 / R, s * T / R
+    root = np.sqrt(W2 + 4.0 * s * T ** 2)
+    return 0.25 / np.sqrt(W2) + 0.25 / root, 2.0 * s * T / root
+
+
+def _grid_state(k_scale, rng):
+    """The grid domain of the finite-difference test, its K scaled by
+    k_scale, and a perturbed state on it."""
+    dom = build_domain(build_preset("flat", n=1), {"radius": 1.0}, L=2.2,
+                       alpha=0.9, h=1 / 4., mode="grid")
+    K = k_scale * rng.normal(size=dom.K_act.shape)
+    dom.K_act = 0.5 * (K + np.swapaxes(K, 1, 2))
+    u = (np.clip(np.log(dom.r_act), 0, 0.2)
+         + 0.1 * rng.normal(size=dom.n_unknowns))
+    return dom, u
+
+
+@pytest.mark.parametrize("variant", ["stimcf", "frauendiener"])
+def test_jacobian_reuses_the_rhs_roots_bit_for_bit(flat_dom, aniso_dom,
+                                                   variant, monkeypatch):
+    # the K-term on (aniso at s > 0, a grid with K) and off (aniso at s = 0,
+    # flat, a grid with K = 0); J from the roots rhs_value handed on equals
+    # J from roots taken afresh
+    rng = np.random.default_rng(23)
+    cases = [(dom, s, 2.0, (np.clip(2 * np.log(dom.r), 0, 2.0) + 0.05
+                            * rng.normal(size=len(dom.r)))[1:-1])
+             for dom, s in ((aniso_dom, 0.7), (aniso_dom, 0.0),
+                            (flat_dom, 1.0))]
+    for k_scale in (0.1, 0.0):
+        dom, u = _grid_state(k_scale, rng)
+        cases.append((dom, 0.7, 0.2, u))
+    rhs_value = domain.rhs_value
+    for dom, s, bc, x in cases:
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(domain, "rhs_value",
+                      lambda W2, *a: seen.append(W2) or rhs_value(W2, *a))
+            _, lin = dom.residual(x, 0.03, s, bc, variant)
+        got = dom.jacobian(lin)
+        with monkeypatch.context() as m:
+            m.setattr(domain, "rhs_derivs",
+                      lambda roots, T, s, variant: _rhs_derivs_from_w2(
+                          seen[0], T, s, variant))
+            want = dom.jacobian(lin)
+        if not isinstance(got, np.ndarray):
+            got, want = got.toarray(), want.toarray()
+        assert np.array_equal(got, want)
 
 
 def test_radial_band_solve_and_norm_match_dense(aniso_dom):
@@ -529,6 +586,86 @@ def test_cold_start_converges_on_a_large_anisotropic_domain():
                        L=6.0, alpha=1.9, h=1 / 64.)
     sol = sv.newton_solve(dom, 1e-2, 1.0, u_init=None, bc=4.0)
     assert sol.converged
+
+
+@pytest.mark.parametrize("h", [1 / 32., 1 / 64.])
+def test_apriori_matrix_completes_when_steps_turn_short(h):
+    # Schwarzschild m = 1 at alpha 1.7: the s = 0.75 top accepts steps near
+    # lam = 2^-11; a search that kept starting from twice such a step crept
+    # until MAX_NEWTON, warm and cold, and raised at eps = 0.03, s = 0.75
+    dom = build_domain(build_preset("schwarzschild_isotropic", m=1.0),
+                       {"radius": 0.6}, L=4.0, alpha=1.7, h=h)
+    out = sv.apriori_matrix(dom, [0.25, 0.5, 0.75, 1.0],
+                            list(np.geomspace(3e-2, 3e-5, 7)))
+    assert len(out) == 28
+    assert all(rep.solution.converged for rep in out.values())
+
+
+def test_apriori_matrix_line_searches_stay_within_budget(aniso_dom,
+                                                         monkeypatch):
+    # criterion 4 on the anisotropic data: line searches that all start
+    # from lam = 1 make 753 residual evaluations here; starting from twice
+    # the last accepted step makes 528
+    calls = []
+    residual = aniso_dom.residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(aniso_dom, "residual", counted)
+    out = sv.apriori_matrix(aniso_dom, [0.25, 0.5, 0.75, 1.0],
+                            list(np.geomspace(3e-2, 3e-5, 7)))
+    assert len(out) == 28
+    assert len(calls) <= 600
+
+
+class _ScriptedLane:
+    """One unknown with F scripted at the points a solve visits, J = 1:
+    from u = 0 the Newton step is 1 and only lam = 1/4 passes, so the next
+    search starts at lam = 1/2; from u = 1/4 the step is 1/2 and only the
+    full step, to u = 3/4, passes (when ``root``), or no lam does."""
+
+    n_unknowns = 1
+
+    def __init__(self, root):
+        self.F = {0.0: -1.0, 0.25: -0.5, **({0.75: 0.0} if root else {})}
+        self.trials = []
+
+    def residual(self, u, eps, s, bc, variant):
+        self.trials.append(float(u[0]))
+        return np.array([self.F.get(float(u[0]), 10.0)]), None
+
+    def jacobian(self, lin):
+        return 1.0
+
+    def norm_inf(self, J):
+        return 1.0
+
+    def solve(self, J, rhs):
+        return rhs / J
+
+    def feasibility(self):
+        return {"eps_max": 1.0}
+
+
+@pytest.mark.parametrize("root", [True, False])
+def test_line_search_fails_only_when_no_step_passes(root):
+    lane = _ScriptedLane(root)
+    sol = sv.newton_solve(lane, 0.1, 1.0, u_init=[0.0], bc=0.0)
+    # the first search from lam = 1 down to the 1/4 that passes
+    assert lane.trials[:4] == [0.0, 1.0, 0.5, 0.25]
+    # the second from 1/2 down to the last lam, then the skipped lam = 1:
+    # every lam of 1, 1/2, ..., 2^-(MAX_BACKTRACK - 1) once
+    lams = [(u - 0.25) / 0.5 for u in lane.trials[4:]]
+    assert lams == [0.5 ** k for k in range(1, sv.MAX_BACKTRACK)] + [1.0]
+    if root:
+        # lam = 1 passes: the step is taken and the solve converges
+        assert sol.converged and sol.iterations == 2
+        assert sol.interior[0] == 0.75
+    else:
+        assert not sol.converged and sol.iterations == 1
+        assert sol.interior[0] == 0.25
 
 
 def test_grid_jacobian_matches_fd():
