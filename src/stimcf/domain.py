@@ -17,13 +17,14 @@ of the package lives here; callers use only the protocol:
 - operator: ``residual(interior, eps, s, bc, variant)`` returns (res,
   lin), the operator's value and its linearization, a tuple the lane owns
   and only its ``jacobian(lin)`` reads; ``solve(J, rhs)`` for the linear
-  step, which leaves both J and rhs intact; ``norm_inf(J)`` (the
-  max-row-sum norm the Newton floor reads); ``initial_guess`` for a cold
-  start.  J is whatever the lane's ``solve`` takes (a LAPACK band array on
-  the radial lane, a sparse matrix on grids).  A lane keeps no state
-  between calls.  Where the K-term vanishes (``k_is_zero()`` or s = 0)
-  both variants are sqrt(W^2), and the radial lane evaluates no K-term
-  there;
+  step, which may overwrite both J and rhs (the caller reads neither
+  afterwards); ``norm_inf(J)`` (the max-row-sum norm the Newton floor
+  reads, before the solve); ``initial_guess`` for a cold start.  J is
+  whatever the lane's ``solve`` takes (a LAPACK band array on the radial
+  lane, solved in place, and a sparse matrix on grids).  A lane keeps no
+  state between calls.  Where the K-term vanishes (``k_is_zero()`` or
+  s = 0) both variants are sqrt(W^2), and the radial lane evaluates no
+  K-term there;
 - fields over the field points: ``full_field``, ``metric_gradient`` (|.|
   of it is |grad u|_g), ``volumes()``, ``radii``;
 - data: ``feasibility()``, ``subsolution_values``, ``k_is_zero()``,
@@ -131,8 +132,11 @@ def _gtsv():
     """LAPACK ``dgtsv`` from the OpenBLAS in numpy's wheel, as a function
     gtsv(J, rhs) of the band array of ``RadialDomain.jacobian``, or None when
     numpy bundles no such library.  The symbol is looked up once per
-    process; each call solves on copies of the three diagonals and of rhs,
-    and raises ``np.linalg.LinAlgError`` on a singular J, as
+    process.  Each call solves in place: DL, D and DU are rows 2, 1 and 0
+    of J (DL and DU from columns 0 and 1), so J returns holding the
+    factorization and rhs the solution, which is returned.  J and rhs must
+    be C-contiguous float64 arrays of shapes (3, N) and (N,), else
+    ValueError; a singular J raises ``np.linalg.LinAlgError``, as
     ``scipy.linalg.solve_banded`` does.
     """
     import glob
@@ -143,9 +147,8 @@ def _gtsv():
         fn = ctypes.CDLL(paths[0]).scipy_dgtsv_64_
     except (IndexError, OSError, AttributeError):
         return None
-    int64 = ctypes.POINTER(ctypes.c_int64)
-    # (N, NRHS, DL, D, DU, B, LDB, INFO), with 64-bit integers
-    fn.argtypes = [int64, int64] + [ctypes.c_void_p] * 4 + [int64, int64]
+    # (N, NRHS, DL, D, DU, B, LDB, INFO), all passed by address
+    fn.argtypes = [ctypes.c_void_p] * 8
     fn.restype = None
 
     def gtsv(J, rhs):
@@ -153,18 +156,20 @@ def _gtsv():
         if J.shape != (3, n) or np.shape(rhs) != (n,):
             raise ValueError(f"band array of shape {J.shape} and rhs of "
                              f"shape {np.shape(rhs)} do not match")
-        dl, d, du, x = (np.array(a, dtype=np.float64)
-                        for a in (J[2, :-1], J[1], J[0, 1:], rhs))
-        size, one, info = (ctypes.c_int64(v) for v in (n, 1, 0))
-        fn(ctypes.byref(size), ctypes.byref(one), dl.ctypes.data,
-           d.ctypes.data, du.ctypes.data, x.ctypes.data, ctypes.byref(size),
-           ctypes.byref(info))
-        if info.value > 0:
+        if not all(a.dtype == np.float64 and a.flags.c_contiguous
+                   for a in (J, rhs)):
+            raise ValueError("dgtsv solves in place: J and rhs must be "
+                             "C-contiguous float64 arrays")
+        ints = np.array([n, 1, n, 0], np.int64)    # N, NRHS, LDB, INFO
+        i, a = ints.ctypes.data, J.ctypes.data
+        fn(i, i + 8, a + 16 * n, a + 8 * n, a + 8, rhs.ctypes.data, i + 16,
+           i + 24)
+        if ints[3] > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        if info.value < 0:
-            raise ValueError(f"illegal value in argument {-info.value} "
+        if ints[3] < 0:
+            raise ValueError(f"illegal value in argument {-ints[3]} "
                              f"of dgtsv")
-        return x
+        return rhs
 
     return gtsv
 
@@ -395,21 +400,24 @@ class RadialDomain:
         return ab
 
     def solve(self, J, rhs):
-        """Solve with the band array of ``jacobian`` (LAPACK gtsv) on
-        copies of J and rhs; ``newton_solve`` checks finiteness first.
+        """Solve with the band array of ``jacobian`` (LAPACK gtsv) in
+        place: J and rhs are overwritten, and the returned step is rhs;
+        ``newton_solve`` checks finiteness first and reads neither after.
 
         The solve calls numpy's bundled ``dgtsv`` (``_gtsv``), so a radial
         run loads no scipy.  It takes ``scipy.linalg.solve_banded``, which
-        gives the same bits, when that binding is missing or when
-        ``scipy.linalg`` is loaded already: then it costs no more memory,
-        and a wrapper set on it (the benchmark's tracer, which imports
-        ``scipy.linalg`` to install itself) sees every solve.  That is why
-        ``solve_banded`` is looked up on the module at every call.
+        gives the same bits and overwrites the same arrays, when that
+        binding is missing or when ``scipy.linalg`` is loaded already: then
+        it costs no more memory, and a wrapper set on it (the benchmark's
+        tracer, which imports ``scipy.linalg`` to install itself) sees every
+        solve.  That is why ``solve_banded`` is looked up on the module at
+        every call.
         """
         gtsv = _gtsv()
         if gtsv is None or "scipy.linalg" in sys.modules:
             import scipy.linalg as sla
-            return sla.solve_banded((1, 1), J, rhs, check_finite=False)
+            return sla.solve_banded((1, 1), J, rhs, overwrite_ab=True,
+                                    overwrite_b=True, check_finite=False)
         return gtsv(J, rhs)
 
     def norm_inf(self, J):

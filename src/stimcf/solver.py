@@ -172,7 +172,8 @@ def eps_ladder(eps_values, max_ratio):
     return ladder
 
 
-def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf"):
+def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf",
+                       solved=None):
     """The continuity method over an (eps, s) grid: s up, then eps down.
 
     The boundary value is s (L - 2), or ``bc`` for every s; with a fixed
@@ -185,9 +186,13 @@ def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf"):
     Each rung tries the warm start, then the cold (transport) start, and
     raises SolverError when neither converges.  The warm start is the rung
     above; at the top it is the previous s's top scaled by the ratio of
-    boundary values (none for the first s and after bc = 0).  Returns ({s:
-    [(solution, trace rows) per chain eps, top first]}, every trace row (s,
-    iterations, residual, ok) in solve order).
+    boundary values (none for the first s and after bc = 0).  ``solved``
+    hands over chains solved before, {s: [(solution, trace rows) per chain
+    eps, top first]} on this domain, ladder, bc and operator: those s are
+    not solved again, and the next s starts warm from their top as from its
+    own.  Returns ({s: [(solution, trace rows) per chain eps, top first]},
+    every trace row (s, iterations, residual, ok) of the solves it ran, in
+    solve order; the rows of a handed-over chain stay in its entries).
     """
     chain = eps_ladder(eps_values, MAX_WARM_RATIO)
     eps_max = dom.feasibility()["eps_max"]
@@ -198,6 +203,10 @@ def continuation_solve(dom, s_values, eps_values, bc=None, variant="stimcf"):
         s_values = [max(s_values)]
     chains, trace, top = {}, [], None
     for s in sorted(s_values):
+        if solved and s in solved:
+            chains[s] = solved[s]
+            top = chains[s][0][0]
+            continue
         b = s * (dom.L - 2.0) if bc is None else float(bc)
         warm = (None if top is None or top.bc == 0.0
                 else top.interior * (b / top.bc))

@@ -10,7 +10,20 @@ across plateaus.  Jump regions are plateaus of the metric gradient; their
 outer boundary radius is located by value-crossing extrapolation, which
 resolves the horizon well below one cell.  The one ``FlowRecord``
 constructor, for the sweep and ``records.load_record`` alike, measures them.
+
+The s = 0 chain of a K != 0 domain is solved once per domain and eps
+ladder.  It is the weak IMCF (Huisken & Ilmanen 2001), the upper barrier
+u <= u_imcf that every rung's a-priori monitor reads, and it does not
+depend on the operator variant: at s = 0 both variants' right-hand sides
+are sqrt(W^2) (``domain.rhs_value``; the radial lane evaluates no K-term
+there, and on grids the K-term enters times s = 0, an exact zero), so
+every variant's chain has the same bits.  A sweep that finds the chain in ``_IMCF_CHAINS`` hands it to
+``solver.continuation_solve`` and solves s = 1 only.  The memo holds no
+reference to the domain (its read-only interiors, the solutions' scalars
+and the trace rows), so an entry dies with its domain.
 """
+
+import weakref
 
 import numpy as np
 
@@ -26,6 +39,10 @@ TAIL_RUNGS = 4              # sweep rungs kept for the normal reconstruction
 NORMAL_ANGLE_TOL_DEG = 1.0  # tail normals agreeing within this are Cauchy
 TOL_HORIZON = 0.03          # max relative |H - |P|| on a verified horizon
 TOL_SWEEP = 0.05            # last sup-norm delta of a Cauchy sweep (flow time)
+
+# domain -> {eps ladder: s = 0 chain, per rung ((interior, eps, s, bc,
+# residual, iterations, converged, floor, diagnostic), trace rows)}
+_IMCF_CHAINS = weakref.WeakKeyDictionary()
 
 
 class FlowError(RuntimeError):
@@ -121,7 +138,10 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
     at s = 1 and the IMCF reference at s = 0.  When K vanishes the operator
     does not depend on s and the flow chain is the IMCF chain, so the
     a-priori monitor gets no reference to check u <= u_imcf against: it
-    would compare u with itself.  A schedule
+    would compare u with itself.  Otherwise the s = 0 chain comes from the
+    domain's memo when a sweep down the same ladder solved it before (see
+    the module docstring), and that sweep's trace rows stand in for its
+    solves in the record.  A schedule
     that cannot start (unknown variant, eps_last not in (0, eps0)) raises
     FlowConfigError, a rung whose warm and cold starts both fail FlowError
     naming its eps and s.  The sweep is Cauchy when its last sup-norm delta
@@ -138,13 +158,21 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
     if not eps_last < e:
         raise FlowConfigError(
             f"eps0 = {e:.3g} must lie above eps_last = {eps_last:.3g}")
+    ladder = tuple(sv.eps_ladder([e, eps_last], 2.0))
+    memo = None if dom.k_is_zero() else _IMCF_CHAINS.setdefault(dom, {})
+    kept = memo.get(ladder) if memo is not None else None
+    solved = None if kept is None else {0.0: [
+        (sv.ScalarSolution(dom, *state), list(rows)) for state, rows in kept]}
     try:
         chains, _ = sv.continuation_solve(
-            dom, [0.0, 1.0], sv.eps_ladder([e, eps_last], 2.0),
-            bc=dom.L - 2.0, variant=variant)
+            dom, [0.0, 1.0], ladder, bc=dom.L - 2.0, variant=variant,
+            solved=solved)
     except sv.SolverError as exc:
         raise FlowError(f"sweep failed ({exc}); check alpha/L (domain size) "
                         "and resolution") from exc
+    if memo is not None and kept is None:
+        memo[ladder] = [(_domain_free(sol), tuple(rows))
+                        for sol, rows in chains[0.0]]
     flow = chains[1.0]
     # the top rung's trace holds both endpoints' solves, s = 0 first
     flow[0] = (flow[0][0], [row for c in chains.values() for row in c[0][1]])
@@ -164,6 +192,14 @@ def epsilon_sweep(dom, eps_last=1e-3, variant="stimcf"):
         [sv.apriori_monitor(dom, sol, imcf_reference=imcf)
          for sol, imcf in zip(sols, imcf_chain)],
         [(sol.eps, sol.interior) for sol in sols[-TAIL_RUNGS:]])
+
+
+def _domain_free(sol):
+    """The arguments of ``ScalarSolution`` after the domain, with the
+    interior made read-only: a memo entry that a later sweep revives."""
+    sol.interior.flags.writeable = False
+    return (sol.interior, sol.eps, sol.s, sol.bc, sol.residual_norm,
+            sol.iterations, sol.converged, sol.floor, sol.diagnostic)
 
 
 def frauendiener_solve(dom, **kwargs):

@@ -191,9 +191,10 @@ def test_radial_band_solve_and_norm_match_dense(aniso_dom):
         ab = dom.jacobian(lin)
         J = _band_to_dense(ab)
         rhs = -res
-        step = dom.solve(ab, rhs)
         norm = np.max(np.abs(J).sum(axis=1))
         assert dom.norm_inf(ab) == pytest.approx(norm, rel=1e-12, abs=0)
+        # the solve may overwrite both of its inputs
+        step = dom.solve(ab, rhs.copy())
         # backward error of the band solve: measured 7e-17
         assert (np.max(np.abs(J @ step - rhs))
                 <= 1e-12 * norm * np.max(np.abs(step)))
@@ -202,19 +203,39 @@ def test_radial_band_solve_and_norm_match_dense(aniso_dom):
                 <= 1e-9 * np.max(np.abs(dense)))
 
 
-def test_radial_band_solve_leaves_j_and_rhs_intact(aniso_dom):
-    # newton_solve reads J (its norm) and the residual after the step
+def _newton_states(dom):
+    """The results of cold and warm solves of both variants on `dom`."""
+    out = []
+    for variant in ("stimcf", "frauendiener"):
+        for s in (1.0, 0.5):
+            cold = sv.newton_solve(dom, 0.05, s, bc=dom.L - 2.0,
+                                   variant=variant)
+            warm = sv.newton_solve(dom, 0.02, s, u_init=cold.interior,
+                                   bc=dom.L - 2.0, variant=variant)
+            for sol in (cold, warm):
+                out.append((sol.interior.tobytes(), sol.iterations,
+                            sol.residual_norm, sol.converged, sol.floor))
+    return out
+
+
+def test_newton_reads_neither_j_nor_rhs_after_the_radial_solve(aniso_dom,
+                                                              monkeypatch):
+    # the lane's solve may overwrite J and rhs: newton_solve gives the same
+    # bits when both come back filled with NaN, by either solve route
     dom = aniso_dom
-    rng = np.random.default_rng(11)
-    x = (np.clip(2 * np.log(dom.r), 0, 2.0)
-         + 0.05 * rng.normal(size=len(dom.r)))[1:-1]
-    for eps, s, variant in [(0.05, 1.0, "stimcf"), (0.02, 0.3, "stimcf"),
-                            (0.05, 1.0, "frauendiener")]:
-        res, lin = dom.residual(x, eps, s, 2.0, variant)
-        ab, rhs = dom.jacobian(lin), -res
-        ab_keep, rhs_keep = ab.copy(), rhs.copy()
-        dom.solve(ab, rhs)
-        assert np.array_equal(ab, ab_keep) and np.array_equal(rhs, rhs_keep)
+    want = _newton_states(dom)
+    assert all(state[3] for state in want)
+    routes = [dom.solve] + ([_gtsv()] if _gtsv() is not None else [])
+    for route in routes:
+        def poisoned(J, rhs):
+            step = route(J, rhs).copy()
+            J.fill(np.nan)
+            rhs.fill(np.nan)
+            return step
+
+        monkeypatch.setattr(dom, "solve", poisoned)
+        assert _newton_states(dom) == want
+        monkeypatch.undo()
 
 
 needs_gtsv = pytest.mark.skipif(_gtsv() is None,
@@ -259,11 +280,9 @@ def test_gtsv_binding_matches_solve_banded_bit_for_bit(aniso_dom,
     assert len(real) >= 4
     gtsv = _gtsv()
     for J, rhs in systems + real:
-        J_keep, rhs_keep = J.copy(), rhs.copy()
-        x = gtsv(J, rhs)
+        x = gtsv(J.copy(), rhs.copy())
         assert np.array_equal(x, sla.solve_banded((1, 1), J, rhs,
                                                   check_finite=False))
-        assert np.array_equal(J, J_keep) and np.array_equal(rhs, rhs_keep)
 
 
 @needs_gtsv
@@ -279,6 +298,25 @@ def test_gtsv_binding_raises_on_a_singular_j(n):
         _gtsv()(J, rhs)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         sla.solve_banded((1, 1), J, rhs, check_finite=False)
+
+
+@needs_gtsv
+def test_gtsv_binding_refuses_arrays_it_cannot_solve_in_place():
+    # dgtsv writes through the arrays' buffers, so a strided or converted
+    # copy would leave the caller's arrays unsolved: such inputs raise
+    n = 8
+    J = np.zeros((3, n))
+    J[1] = 4.0
+    rhs = np.ones(n)
+    gtsv = _gtsv()
+    for bad_J, bad_rhs in [(np.asfortranarray(J), rhs),
+                           (J.astype(np.float32), rhs),
+                           (J, np.ones(2 * n)[::2]),
+                           (J, np.ones(n, np.int64)),
+                           (np.zeros((3, 2 * n))[:, ::2], rhs)]:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            gtsv(bad_J, bad_rhs)
+    assert np.array_equal(gtsv(J, rhs), np.full(n, 0.25))
 
 
 def test_cumulative_trapezoid_matches_scipy_bit_for_bit():

@@ -1,9 +1,12 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from stimcf import build_preset, build_domain
+from stimcf import domain
 from stimcf import solver as sv
 from stimcf import weak_flow as wf
 from stimcf import radial_oracle as orc
@@ -438,3 +441,86 @@ def test_sweep_top_converges_at_half_the_feasibility_bound(
     assert all(sol.converged for sol in solves)
     eps_max = dom.feasibility()["eps_max"]
     assert rec.epsilons[0] == min(eps_max / 2, 1 / 32.)
+
+
+# -- the IMCF chain, solved once per domain ------------------------------------
+
+def _aniso32():
+    return build_domain(build_preset("paper_anisotropic"), {"radius": 1.0},
+                        L=8.4, alpha=1.9, h=1 / 32.)
+
+
+def test_imcf_chain_is_the_same_for_every_variant():
+    # the premise of the memo: at s = 0 no variant's operator reads the
+    # K-term, so the s = 0 chain of the sweep's ladder has the same bits
+    dom = _aniso32()
+    top = min(0.5 * dom.feasibility()["eps_max"], wf.DEFAULT_EPS0)
+    ladder = sv.eps_ladder([top, 1e-3], 2.0)
+    states = []
+    for variant in domain.VARIANTS:
+        chains, trace = sv.continuation_solve(dom, [0.0], ladder,
+                                              bc=dom.L - 2.0, variant=variant)
+        states.append(([(sol.interior.tobytes(), sol.residual_norm,
+                         sol.floor, rows) for sol, rows in chains[0.0]],
+                       trace))
+    assert len(states[0][0]) == len(ladder)
+    assert all(state == states[0] for state in states)
+
+
+def _sweep_state(rec):
+    return (rec.u.tobytes(), rec.imcf.interior.tobytes(), rec.imcf.floor,
+            rec.imcf.residual_norm, rec.imcf.iterations, rec.traces,
+            rec.sup_deltas, rec.grad_increase_fraction,
+            [rep.measured for rep in rec.apriori],
+            [(eps, x.tobytes()) for eps, x in rec.tail])
+
+
+def test_a_second_sweep_reuses_the_imcf_chain_bit_for_bit(monkeypatch):
+    dom = _aniso32()
+    first = wf.epsilon_sweep(dom, eps_last=1e-3)
+    calls = _count_solves(monkeypatch)
+    driver = sv.continuation_solve
+    solved_rows = []
+
+    def counted(*args, **kwargs):
+        out = driver(*args, **kwargs)
+        solved_rows.extend(out[1])
+        return out
+
+    monkeypatch.setattr(sv, "continuation_solve", counted)
+    second = wf.frauendiener_solve(dom, eps_last=1e-3)
+    # only the s = 1 rungs are solved, and the driver's trace counts them
+    assert [c[0] for c in calls] == second.epsilons
+    assert all(c[1] == 1.0 for c in calls)
+    assert len(solved_rows) == len(calls)
+    monkeypatch.undo()
+    fresh = wf.frauendiener_solve(_aniso32(), eps_last=1e-3)
+    assert _sweep_state(second) == _sweep_state(fresh)
+    assert second.imcf.interior is first.imcf.interior
+
+
+def test_reused_imcf_interiors_are_read_only():
+    dom = _aniso32()
+    rec = wf.epsilon_sweep(dom, eps_last=1e-3)
+    (chain,) = wf._IMCF_CHAINS[dom].values()
+    assert len(chain) == len(rec.epsilons)
+    for x in [state[0] for state, _ in chain] + [rec.imcf.interior]:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+    assert rec.solution.interior.flags.writeable
+
+
+def test_the_imcf_memo_dies_with_its_domain():
+    # the memo's entries hold no reference to the domain, so dropping the
+    # domain and its records frees it by reference counting alone
+    gc.disable()
+    try:
+        dom = _aniso32()
+        recs = [wf.epsilon_sweep(dom, eps_last=1e-3),
+                wf.frauendiener_solve(dom, eps_last=1e-3)]
+        assert dom in wf._IMCF_CHAINS
+        ref = weakref.ref(dom)
+        del dom, recs
+        assert ref() is None
+    finally:
+        gc.enable()
