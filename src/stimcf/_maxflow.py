@@ -1,11 +1,17 @@
 """Dinic max-flow on float capacities, small graphs.
 
-Returns the minimal source-side min cut (reachable set in the residual
-graph), which for our submodular set problems is the unique inclusion-minimal
-minimizer.
+Each node keeps a list of its edge ids; edge e and its reverse e ^ 1 are
+added together.  A phase builds the BFS levels and then pushes a blocking
+flow by an iterative depth-first search with a current-arc pointer per
+node, so a path as long as the graph needs no Python recursion (and no
+change of the process-wide recursion limit).  Returns the minimal
+source-side min cut (reachable set in the residual graph), which for our
+submodular set problems is the unique inclusion-minimal minimizer.
 """
 
 import numpy as np
+
+EPS_FLOW = 1e-15            # residual capacity at or below which an edge is full
 
 
 class MaxFlow:
@@ -15,76 +21,89 @@ class MaxFlow:
         self.sink = n_nodes + 1
         self.head = []
         self.cap = []
-        self.nxt = []
-        self.first = [-1] * self.n
+        self.adj = [[] for _ in range(self.n)]
 
     def add_edge(self, u, v, cap_uv, cap_vu=0.0):
-        for (a, b, c) in ((u, v, cap_uv), (v, u, cap_vu)):
-            self.head.append(b)
-            self.cap.append(float(c))
-            self.nxt.append(self.first[a])
-            self.first[a] = len(self.head) - 1
+        e = len(self.head)
+        self.head += [v, u]
+        self.cap += [float(cap_uv), float(cap_vu)]
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
 
-    def _bfs(self):
+    def _levels(self):
+        """BFS distance from the source over edges with residual capacity,
+        -1 where unreachable."""
+        head, cap, adj = self.head, self.cap, self.adj
         level = [-1] * self.n
         level[self.source] = 0
         queue = [self.source]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            e = self.first[u]
-            while e != -1:
-                v = self.head[e]
-                if self.cap[e] > 1e-15 and level[v] < 0:
+        for u in queue:
+            for e in adj[u]:
+                v = head[e]
+                if cap[e] > EPS_FLOW and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-                e = self.nxt[e]
-        self.level = level
-        return level[self.sink] >= 0
+        return level
 
-    def _dfs(self, u, pushed):
-        if u == self.sink:
-            return pushed
-        while self.iter[u] != -1:
-            e = self.iter[u]
-            v = self.head[e]
-            if self.cap[e] > 1e-15 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, min(pushed, self.cap[e]))
-                if d > 1e-15:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            self.iter[u] = self.nxt[e]
-        return 0.0
+    def _blocking_flow(self, level):
+        """Push source-sink paths of the level graph until none is left;
+        returns the flow pushed.  ``it[u]`` is u's current arc: the arcs
+        before it are full or lead to dead ends."""
+        head, cap, adj, sink = self.head, self.cap, self.adj, self.sink
+        it = [0] * self.n
+        flow = 0.0
+        path = []               # edge ids from the source to node u
+        u = self.source
+        while True:
+            arcs, i, next_level = adj[u], it[u], level[u] + 1
+            while i < len(arcs):
+                e = arcs[i]
+                v = head[e]
+                if cap[e] > EPS_FLOW and level[v] == next_level:
+                    break
+                i += 1
+            else:
+                # dead end: retreat, and the arc into u is spent
+                it[u] = i
+                if not path:
+                    return flow
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            it[u] = i
+            path.append(e)
+            if v != sink:
+                u = v
+                continue
+            pushed = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
+            flow += pushed
+            # resume at the tail of the first edge the push filled
+            j = next(j for j, e in enumerate(path) if cap[e] <= EPS_FLOW)
+            u = head[path[j] ^ 1]
+            del path[j:]
 
     def solve(self):
-        import sys
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, self.n + 100))
         flow = 0.0
-        while self._bfs():
-            self.iter = list(self.first)
-            while True:
-                pushed = self._dfs(self.source, np.inf)
-                if pushed <= 1e-15:
-                    break
-                flow += pushed
-        sys.setrecursionlimit(old)
-        return flow
+        while True:
+            level = self._levels()
+            if level[self.sink] < 0:
+                return flow
+            flow += self._blocking_flow(level)
 
     def source_side(self):
         """Nodes reachable from the source in the residual graph."""
+        head, cap, adj = self.head, self.cap, self.adj
         seen = np.zeros(self.n, bool)
         seen[self.source] = True
         stack = [self.source]
         while stack:
             u = stack.pop()
-            e = self.first[u]
-            while e != -1:
-                v = self.head[e]
-                if self.cap[e] > 1e-12 and not seen[v]:
+            for e in adj[u]:
+                v = head[e]
+                if cap[e] > 1e-12 and not seen[v]:
                     seen[v] = True
                     stack.append(v)
-                e = self.nxt[e]
         return seen[:-2]

@@ -294,6 +294,8 @@ class RadialDomain:
         self._inv_vol = 1.0 / (self.A[1:-1] * self.a[1:-1] * self.h)
         self._k_free = self.k_is_zero()
         self.n_unknowns = N - 1
+        # H+ on dE0, which the a-priori monitor reads on every rung
+        self._H_in = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
 
     # fields over the nodes -------------------------------------------------
     @property
@@ -463,12 +465,11 @@ class RadialDomain:
         The slope is parity-averaged: the centered scheme leaves the
         odd-even component of the boundary gradient undetermined.
         """
-        H_in = max(float(self.profile.mean_curvature(self.r_in)), 0.0)
         u = self.full_field(interior, bc)
         k = min(4, len(u) - 1)
         g_in = float(np.mean(np.diff(u[:k + 1])) / self.h
                      / np.mean(self.af[:k]))
-        return H_in, g_in
+        return self._H_in, g_in
 
     def require_radial(self, what):
         pass

@@ -3,13 +3,15 @@
 The discrete perimeter is a face-weighted cut metric; on the radial lane it
 is exact (sphere areas).  Hulls are exact minimizers of this discrete
 functional, which is also the one every comparison here uses: a chain (the
-radial lane's shells) by a two-state scan in O(N), any other graph by Dinic
-max-flow.  Both routes need nonnegative pair and boundary weights, which
-``SetProblem`` enforces, and both are checked against
+radial lane's shells) by a two-state scan in O(universe), the core and
+free cells up to the last of them, not the whole domain; any other graph
+by Dinic max-flow.  Both routes need nonnegative pair and boundary
+weights, which ``SetProblem`` enforces, and both are checked against
 ``exhaustive_minimizers``, an independent reference that evaluates every
 subset of up to 20 free cells by doubling (O(2^k) additions into tables of
 at most 2^16 floats).  The function-level functional, the minimality
-sweep, the area identity and Q(t) run on the radial lane only.
+sweep, the area identity and Q(t) run on the radial lane only; the sweep
+scores each bump, dent and plateau shift in O(its support).
 """
 
 import numpy as np
@@ -176,9 +178,9 @@ def mincut_hull(problem):
     """Inclusion-minimal minimizer of the set functional and its value.
 
     A chain, whose pairs are exactly (0, 1), (1, 2), ..., (n-2, n-1) as
-    ``radial_set_problem`` builds them, is cut exactly in O(N) by a
-    two-state scan (``_chain_cut``); every other graph goes to Dinic
-    max-flow (``_dinic_cut``).
+    ``radial_set_problem`` builds them, is cut exactly by a two-state scan
+    of its core and free cells (``_chain_cut``); every other graph goes to
+    Dinic max-flow (``_dinic_cut``).
     """
     n = problem.n_cells
     path = np.stack([np.arange(n - 1), np.arange(1, n)], 1)
@@ -200,30 +202,41 @@ def _chain_cut(problem):
     whose value is near the minimum add up to at most ``scale`` in absolute
     value, and the sums of up to ~1e5 terms round by less than
     TOL_ENUM * scale.
+
+    The scan covers the universe: cells 0..m-1, m the first cell after
+    the last core or free cell.  Every later cell is outside every set,
+    and scanned it would add exact zeros (outside cost 0, inside cost
+    inf) to F and B, so they are left out and stay outside the mask.  On
+    a radial set problem that is the shells up to the omega radius, not
+    the whole domain; the value is still taken on the whole problem.
     """
     n = problem.n_cells
     inf = float("inf")
     inside = problem.core | problem.free
-    unary = problem.boundary_weights - np.where(problem.core, 0.0,
-                                                problem.gains)
-    out_cost = np.where(problem.core, inf, 0.0).tolist()
+    where = np.flatnonzero(inside)
+    m = min(int(where[-1]) + 2, n) if len(where) else 1
+    core, inside = problem.core[:m], inside[:m]
+    unary = problem.boundary_weights[:m] - np.where(core, 0.0,
+                                                    problem.gains[:m])
+    out_cost = np.where(core, inf, 0.0).tolist()
     in_cost = np.where(inside, unary, inf).tolist()
-    w = problem.weights.tolist()
+    w = problem.weights[:m - 1].tolist()
     f0, f1 = out_cost[0], in_cost[0]
     F0 = [f0]
-    for i in range(1, n):
+    for i in range(1, m):
         f0, f1 = (out_cost[i] + min(f0, f1 + w[i - 1]),
                   in_cost[i] + min(f1, f0 + w[i - 1]))
         F0.append(f0)
     best = min(f0, f1)
     b0 = b1 = 0.0
-    B0 = [0.0] * n
-    for i in range(n - 2, -1, -1):
+    B0 = [0.0] * m
+    for i in range(m - 2, -1, -1):
         c0, c1 = out_cost[i + 1] + b0, in_cost[i + 1] + b1
         b0, b1 = min(c0, c1 + w[i]), min(c1, c0 + w[i])
         B0[i] = b0
     scale = 1.0 + abs(best) + 2.0 * float(np.sum(np.abs(unary[inside])))
-    mask = np.array(F0) + np.array(B0) > best + TOL_ENUM * scale
+    mask = np.zeros(n, bool)
+    mask[:m] = np.array(F0) + np.array(B0) > best + TOL_ENUM * scale
     return mask, problem.value(mask)
 
 
@@ -238,22 +251,24 @@ def _dinic_cut(problem):
     n = problem.n_cells
     mf = MaxFlow(n)
     s, t = mf.source, mf.sink
-    INF = (np.sum(problem.weights) + np.sum(problem.boundary_weights)
-           + np.sum(np.abs(problem.gains)) + 1.0)
-    for i in np.where(problem.core)[0]:
-        mf.add_edge(s, int(i), INF)
-    for i in np.where(problem.free)[0]:
-        if problem.gains[i] > 0:
-            mf.add_edge(s, int(i), problem.gains[i])
-        elif problem.gains[i] < 0:
-            mf.add_edge(int(i), t, -problem.gains[i])
-    for i in np.where(~problem.core & ~problem.free)[0]:
-        mf.add_edge(int(i), t, INF)
-    for (a, b), w in zip(problem.pairs, problem.weights):
+    INF = float(np.sum(problem.weights) + np.sum(problem.boundary_weights)
+                + np.sum(np.abs(problem.gains)) + 1.0)
+    for i, core, free, gain, bw in zip(
+            range(n), problem.core.tolist(), problem.free.tolist(),
+            problem.gains.tolist(), problem.boundary_weights.tolist()):
+        if core:
+            mf.add_edge(s, i, INF)
+        elif not free:
+            mf.add_edge(i, t, INF)
+        elif gain > 0:
+            mf.add_edge(s, i, gain)
+        elif gain < 0:
+            mf.add_edge(i, t, -gain)
+        if bw > 0:
+            mf.add_edge(i, t, bw)
+    for (a, b), w in zip(problem.pairs.tolist(), problem.weights.tolist()):
         if w > 0:
-            mf.add_edge(int(a), int(b), w, w)
-    for i in np.where(problem.boundary_weights > 0)[0]:
-        mf.add_edge(int(i), t, problem.boundary_weights[i])
+            mf.add_edge(a, b, w, w)
     mf.solve()
     side = mf.source_side()
     mask = np.asarray(side, bool)
@@ -290,6 +305,12 @@ def radial_set_problem(dom, core_radius, omega_radius):
 
 # -- function-level functional -------------------------------------------------
 
+def _function_weights(dom):
+    """Face areas and dual node volumes of the function-level functional."""
+    areas = sphere_area(dom.n) * (dom.b * dom.r) ** dom.n
+    return 0.5 * (areas[1:] + areas[:-1]), dom.volumes()
+
+
 def functional_on_function(dom, v, bulk):
     """J(v) = total variation of v plus the frozen bulk term integral.
 
@@ -297,12 +318,9 @@ def functional_on_function(dom, v, bulk):
     the radial lane, so set indicators reproduce the perimeter.
     """
     dom.require_radial("functional on functions")
-    omega = sphere_area(dom.n)
-    areas = omega * (dom.b * dom.r) ** dom.n
-    fa = 0.5 * (areas[1:] + areas[:-1])
-    dv = np.abs(np.diff(v))
-    tv = np.sum(fa * dv)
-    blk = np.sum(v * bulk * dom.volumes())
+    fa, vol = _function_weights(dom)
+    tv = np.sum(fa * np.abs(np.diff(v)))
+    blk = np.sum(v * bulk * vol)
     return float(tv + blk)
 
 
@@ -330,26 +348,50 @@ def minimality_test(rec, n_random=60, seed=5):
     and level dilations (blended resampling u(s x)).  A failure is a
     competitor beating the solution by more than TOL_MIN_REL of the local
     energy scale.
+
+    A bump, dent or plateau shift changes u on a window only, so its margin
+    J(v) - J(u) is summed there, in O(its support): the faces of the window
+    add fa (|dv| - |du|) and its nodes (v - u) bulk vol.  The two level
+    dilations change u everywhere and are scored by
+    ``functional_on_function``.
     """
     dom = rec.domain
     dom.require_radial("minimality sweep")
-    rng = np.random.default_rng(seed)
     bulk = frozen_bulk(rec)
     u = rec.u
-    r = dom.r
-    lo, hi = rec.valid_time_range()
-    rmax = level_radius(rec, hi) if hi > lo else r[-1]
+    fa, vol = _function_weights(dom)
+    bulk_vol = bulk * vol
     base = functional_on_function(dom, u, bulk)
     scale = abs(base) + 1.0
     rep = MinimalityReport()
-
-    def try_competitor(name, v):
-        val = functional_on_function(dom, v, bulk)
-        margin = val - base
+    for name, lo, v in _competitors(rec, n_random, seed):
+        if lo is None:
+            margin = functional_on_function(dom, v, bulk) - base
+        else:
+            hi = lo + len(v)
+            uw = u[lo:hi]
+            dtv = np.abs(v[1:] - v[:-1]) - np.abs(uw[1:] - uw[:-1])
+            margin = float(fa[lo:hi - 1] @ dtv + (v - uw) @ bulk_vol[lo:hi])
         rep.rows.append((name, margin))
         if margin < -TOL_MIN_REL * scale:
             rep.failures.append((name, margin))
+    return rep
 
+
+def _competitors(rec, n_random, seed):
+    """The competitors of ``minimality_test``, as (name, lo, v).
+
+    v is the competitor on nodes lo..lo+len(v)-1, and u elsewhere; the
+    window holds one node of u on each side of {v != u} (unless that side
+    is the domain's end), so every face whose slope changes lies inside
+    it.  A level dilation comes with lo None and v on every node.
+    """
+    dom = rec.domain
+    rng = np.random.default_rng(seed)
+    u = rec.u
+    r = dom.r
+    t_lo, t_hi = rec.valid_time_range()
+    rmax = level_radius(rec, t_hi) if t_hi > t_lo else r[-1]
     for k in range(n_random):
         rho = rng.uniform(3 * dom.h, 0.5)
         # {v != u} must stay compactly inside the annulus
@@ -357,20 +399,24 @@ def minimality_test(rec, n_random=60, seed=5):
                          max(min(rmax, r[-1] - rho - 2 * dom.h),
                              r[0] + rho + 3 * dom.h))
         c = rng.uniform(0.01, 0.5) * (1 if k % 2 == 0 else -1)
-        hat = np.maximum(0.0, 1.0 - np.abs(r - x0) / rho)
+        # the hat is zero at |r - x0| >= rho
+        lo, hi = np.searchsorted(r, (x0 - rho, x0 + rho)).tolist()
+        lo, hi = max(lo - 1, 0), min(hi + 1, len(r))
+        hat = np.maximum(0.0, 1.0 - np.abs(r[lo:hi] - x0) / rho)
         fam = "bump" if c > 0 else "dent"
-        try_competitor(f"{fam}[{k}]", u + c * hat)
+        yield f"{fam}[{k}]", lo, u[lo:hi] + c * hat
     for j, jump in enumerate(rec.jumps):
+        lo = max(int(np.min(jump.cells)) - 1, 0)
+        hi = min(int(np.max(jump.cells)) + 2, len(r))
         for c in (0.05, -0.05, 0.2, -0.2):
-            v = u.copy()
-            v[jump.cells] += c
-            try_competitor(f"plateau_shift[{j},{c}]", v)
+            v = u[lo:hi].copy()
+            v[jump.cells - lo] += c
+            yield f"plateau_shift[{j},{c}]", lo, v
     for sdil in (0.97, 1.03):
         cut = np.clip((rmax - r) / max(rmax - r[0], dom.h), 0, 1)
         cut = np.minimum(cut, np.clip((r - r[0]) / 0.5, 0, 1))
         us = np.interp(np.clip(sdil * r, r[0], r[-1]), r, u)
-        try_competitor(f"level_dilation[{sdil}]", u + cut * (us - u))
-    return rep
+        yield f"level_dilation[{sdil}]", None, u + cut * (us - u)
 
 
 # -- area identity and the monotone quantity ------------------------------------

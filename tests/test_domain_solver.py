@@ -446,6 +446,15 @@ def test_default_start_converges_into_barrier_window():
     assert from_v.converged or from_v.diagnostic is not None
 
 
+def test_radial_h_plus_is_the_profile_mean_curvature_of_e0(aniso_dom):
+    # criterion (iii) reads H+ = max(H(r_in), 0), which the domain computes
+    # once for every a-priori monitor call
+    dom = aniso_dom
+    H = float(dom.profile.mean_curvature(dom.r_in))
+    zeros = np.zeros(dom.n_unknowns)
+    assert dom.boundary_gradients(zeros, 0.0)[0] == max(H, 0.0) > 0.0
+
+
 def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
     feas = flat_dom.feasibility()
     eps_bad = 1.5 * feas["eps_divergence_bound"]

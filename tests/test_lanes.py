@@ -104,6 +104,21 @@ def test_enumeration_stays_independent_of_the_hull_routes():
     assert not hits, f"exhaustive_minimizers uses {', '.join(hits)}"
 
 
+def test_no_module_changes_the_recursion_limit():
+    # the limit is process-wide, and a raise is not undone when the code
+    # that raised it fails; deep searches in the package are iterative
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "setrecursionlimit") or (
+                    isinstance(node, ast.alias)
+                    and node.name == "setrecursionlimit"):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, f"recursion limit changed at {', '.join(hits)}"
+
+
 def test_newton_solve_has_one_recovery_home():
     # after a failed solve the next start is chosen by continuation_solve,
     # from one call site and no loop that walks in eps; no other function
@@ -551,13 +566,14 @@ def test_record_readers_load_no_scipy(tmp_path):
 
 
 # one paper_anisotropic sweep (a K != 0 s-ladder), run the same way in this
-# process and in fresh ones
+# process and in fresh ones; each call builds its own domain, so it solves
+# the s = 0 chain too rather than reuse the memo of an earlier call
 ANISO_SWEEP = "\n".join([
     "import hashlib, sys",
     "from stimcf import build_domain, build_preset, weak_flow as wf",
-    "dom = build_domain(build_preset('paper_anisotropic'), {'radius': 1.0},",
-    "                   L=4.0, alpha=1.9, h=1 / 32.)",
     "def u_digest():",
+    "    dom = build_domain(build_preset('paper_anisotropic'),",
+    "                       {'radius': 1.0}, L=4.0, alpha=1.9, h=1 / 32.)",
     "    rec = wf.epsilon_sweep(dom, eps_last=1 / 128.)",
     "    return hashlib.sha256(rec.solution.interior.tobytes()).hexdigest()"])
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,15 +123,21 @@ def test_hull_idempotent_and_contains_core():
         assert np.array_equal(mask2, mask)
 
 
-def random_chain(rng, halves):
+def random_chain(rng, halves, gaps=False):
     """A chain [core..., free..., excluded...] with 1-2 core, 1-14 free and
     0-2 excluded cells.  With `halves`, weights, boundary weights and gains
-    are multiples of 1/2, summed exactly in float64, so ties occur."""
+    are multiples of 1/2, summed exactly in float64, so ties occur.  With
+    `gaps`, about a quarter of the free cells are excluded instead and the
+    excluded tail has 3-40 cells."""
     n_core, n_free, n_tail = (int(rng.integers(1, 3)), int(rng.integers(1, 15)),
                               int(rng.integers(0, 3)))
+    if gaps:
+        n_tail = int(rng.integers(3, 41))
     n = n_core + n_free + n_tail
     core = np.arange(n) < n_core
     free = ~core & (np.arange(n) < n_core + n_free)
+    if gaps:
+        free &= rng.random(n) >= 0.25
     if halves:
         weights = rng.integers(1, 5, size=n - 1) / 2
         boundary = rng.integers(0, 2, size=n) / 2
@@ -157,6 +164,45 @@ def test_chain_cut_matches_dinic_and_enumeration():
             assert val == pytest.approx(best, abs=1e-9)
     # chains with more than one minimizer: 10 of the 150
     assert ties >= 5
+
+
+def test_chain_cut_matches_with_excluded_gaps_and_tails():
+    # excluded cells inside the universe, and tails of up to 40 excluded
+    # cells, of which the scan reads only the first; the value is still
+    # that of the whole problem
+    rng = np.random.default_rng(29)
+    for k in range(120):
+        prob = random_chain(rng, halves=k % 3 == 0, gaps=True)
+        best, masks, minimal = vr.exhaustive_minimizers(prob)
+        for cut in (vr._chain_cut, vr._dinic_cut):
+            mask, val = cut(prob)
+            assert np.array_equal(mask, minimal), (k, cut.__name__)
+            assert val == pytest.approx(best, abs=1e-9)
+        assert vr._chain_cut(prob)[1] == prob.value(minimal)
+
+
+def test_dinic_runs_a_long_path_without_recursion(monkeypatch):
+    # a 5,000-cell chain whose augmenting paths run through thousands of
+    # cells; the search must not touch the process-wide recursion limit
+    rng = np.random.default_rng(31)
+    n = 5000
+    core = np.arange(n) < 2
+    free = ~core & (np.arange(n) < n - 1)
+    gains = np.where(np.arange(n) < 400, rng.uniform(0.0, 0.05, n), 0.0)
+    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], 1)
+    prob = vr.SetProblem(n, pairs, rng.uniform(1.0, 2.0, n - 1),
+                         np.zeros(n), gains * free, core, free)
+
+    def no_limit_change(limit):
+        raise AssertionError("the max-flow changed the recursion limit")
+
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", no_limit_change)
+    mask, val = vr._dinic_cut(prob)
+    assert sys.getrecursionlimit() == limit
+    chain = vr._chain_cut(prob)
+    assert np.array_equal(mask, chain[0]) and val == chain[1]
+    assert mask.sum() > 1000
 
 
 def test_negative_gain_instance_agrees_on_every_route():
@@ -409,6 +455,33 @@ def test_minimality_of_recorded_solutions(flat_rec, aniso_rec):
     for rec in (flat_rec, aniso_rec):
         rep = vr.minimality_test(rec, n_random=60)
         assert rep.ok, rep.failures[:3]
+
+
+def test_windowed_margins_equal_the_global_functional(aniso_rec):
+    # a bump, dent or plateau shift is scored on its window; its margin is
+    # J(v) - J(u) of the whole functional up to rounding
+    rec = aniso_rec
+    dom, u = rec.domain, rec.u
+    bulk = vr.frozen_bulk(rec)
+    base = vr.functional_on_function(dom, u, bulk)
+    rep = vr.minimality_test(rec, n_random=60)
+    comps = list(vr._competitors(rec, 60, 5))
+    assert [c[0] for c in comps] == [row[0] for row in rep.rows]
+    families = set()
+    for (name, lo, v), (_, margin) in zip(comps, rep.rows):
+        if lo is not None:
+            hi = lo + len(v)
+            # the window ends on a node of u at each side of the support,
+            # unless the support reaches that end of the domain
+            assert lo == 0 or v[0] == u[lo], name
+            assert hi == len(u) or v[-1] == u[hi - 1], name
+            assert np.any(v != u[lo:hi]), name
+            v = np.concatenate([u[:lo], v, u[hi:]])
+        exact = vr.functional_on_function(dom, v, bulk) - base
+        assert margin == pytest.approx(exact, abs=1e-9 * (abs(base) + 1.0))
+        families.add((name.split("[")[0], lo is None))
+    assert families == {("bump", False), ("dent", False),
+                        ("plateau_shift", False), ("level_dilation", True)}
 
 
 def test_minimality_detects_corruption(aniso_rec):
