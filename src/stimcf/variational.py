@@ -11,7 +11,7 @@ weights, which ``SetProblem`` enforces, and both are checked against
 subset of up to 20 free cells by doubling (O(2^k) additions into tables of
 at most 2^16 floats).  The function-level functional, the minimality
 sweep, the area identity and Q(t) run on the radial lane only; the sweep
-scores each bump, dent and plateau shift in O(its support).
+scores each competitor in O(its support).
 """
 
 import numpy as np
@@ -349,11 +349,10 @@ def minimality_test(rec, n_random=60, seed=5):
     competitor beating the solution by more than TOL_MIN_REL of the local
     energy scale.
 
-    A bump, dent or plateau shift changes u on a window only, so its margin
-    J(v) - J(u) is summed there, in O(its support): the faces of the window
-    add fa (|dv| - |du|) and its nodes (v - u) bulk vol.  The two level
-    dilations change u everywhere and are scored by
-    ``functional_on_function``.
+    Each margin J(v) - J(u) is summed on the competitor's window, in
+    O(its support): the faces of the window add fa (|dv| - |du|) and its
+    nodes (v - u) bulk vol.  A bump, dent or plateau shift changes u on a
+    window only; the window of a level dilation is the whole domain.
     """
     dom = rec.domain
     dom.require_radial("minimality sweep")
@@ -365,13 +364,10 @@ def minimality_test(rec, n_random=60, seed=5):
     scale = abs(base) + 1.0
     rep = MinimalityReport()
     for name, lo, v in _competitors(rec, n_random, seed):
-        if lo is None:
-            margin = functional_on_function(dom, v, bulk) - base
-        else:
-            hi = lo + len(v)
-            uw = u[lo:hi]
-            dtv = np.abs(v[1:] - v[:-1]) - np.abs(uw[1:] - uw[:-1])
-            margin = float(fa[lo:hi - 1] @ dtv + (v - uw) @ bulk_vol[lo:hi])
+        hi = lo + len(v)
+        uw = u[lo:hi]
+        dtv = np.abs(v[1:] - v[:-1]) - np.abs(uw[1:] - uw[:-1])
+        margin = float(fa[lo:hi - 1] @ dtv + (v - uw) @ bulk_vol[lo:hi])
         rep.rows.append((name, margin))
         if margin < -TOL_MIN_REL * scale:
             rep.failures.append((name, margin))
@@ -384,7 +380,7 @@ def _competitors(rec, n_random, seed):
     v is the competitor on nodes lo..lo+len(v)-1, and u elsewhere; the
     window holds one node of u on each side of {v != u} (unless that side
     is the domain's end), so every face whose slope changes lies inside
-    it.  A level dilation comes with lo None and v on every node.
+    it.  A level dilation comes with lo 0 and v on every node.
     """
     dom = rec.domain
     rng = np.random.default_rng(seed)
@@ -416,7 +412,7 @@ def _competitors(rec, n_random, seed):
         cut = np.clip((rmax - r) / max(rmax - r[0], dom.h), 0, 1)
         cut = np.minimum(cut, np.clip((r - r[0]) / 0.5, 0, 1))
         us = np.interp(np.clip(sdil * r, r[0], r[-1]), r, u)
-        yield f"level_dilation[{sdil}]", None, u + cut * (us - u)
+        yield f"level_dilation[{sdil}]", 0, u + cut * (us - u)
 
 
 # -- area identity and the monotone quantity ------------------------------------

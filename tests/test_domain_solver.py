@@ -446,15 +446,6 @@ def test_default_start_converges_into_barrier_window():
     assert from_v.converged or from_v.diagnostic is not None
 
 
-def test_radial_h_plus_is_the_profile_mean_curvature_of_e0(aniso_dom):
-    # criterion (iii) reads H+ = max(H(r_in), 0), which the domain computes
-    # once for every a-priori monitor call
-    dom = aniso_dom
-    H = float(dom.profile.mean_curvature(dom.r_in))
-    zeros = np.zeros(dom.n_unknowns)
-    assert dom.boundary_gradients(zeros, 0.0)[0] == max(H, 0.0) > 0.0
-
-
 def test_eps_above_feasibility_reports_diagnostic(flat_dom, monkeypatch):
     feas = flat_dom.feasibility()
     eps_bad = 1.5 * feas["eps_divergence_bound"]
@@ -763,6 +754,11 @@ def test_grid_h_plus_is_the_metric_mean_curvature_of_e0():
                         alpha=1.9, h=1 / 4., mode="grid")
     assert flat.boundary_gradients(np.zeros(flat.n_unknowns), 0.0)[0] == \
         pytest.approx(2.0, abs=1e-6)
+    # the radial lane reads H+ = max(H(r_in), 0) exactly, computed once for
+    # every a-priori monitor call
+    radial = build_domain(ids, {"radius": 1.0}, L=2.2, alpha=1.9, h=1 / 4.)
+    zeros = np.zeros(radial.n_unknowns)
+    assert radial.boundary_gradients(zeros, 0.0)[0] == max(H, 0.0) > 0.0
 
 
 def test_grid_domain_refuses_a_box_that_cannot_fit_in_memory(monkeypatch):

@@ -151,34 +151,24 @@ def random_chain(rng, halves, gaps=False):
                          core, free)
 
 
-def test_chain_cut_matches_dinic_and_enumeration():
-    rng = np.random.default_rng(17)
+@pytest.mark.parametrize("gaps", [False, True])
+def test_chain_cut_matches_dinic_and_enumeration(gaps):
+    # with gaps: excluded cells inside the universe, and tails of up to 40
+    # excluded cells, of which the scan reads only the first; the value is
+    # still that of the whole problem
+    rng = np.random.default_rng(29 if gaps else 17)
     ties = 0
     for k in range(150):
-        prob = random_chain(rng, halves=k % 3 == 0)
+        prob = random_chain(rng, halves=k % 3 == 0, gaps=gaps)
         best, masks, minimal = vr.exhaustive_minimizers(prob)
         ties += len(masks) > 1
         for cut in (vr._chain_cut, vr._dinic_cut):
             mask, val = cut(prob)
             assert np.array_equal(mask, minimal), (k, cut.__name__)
             assert val == pytest.approx(best, abs=1e-9)
-    # chains with more than one minimizer: 10 of the 150
-    assert ties >= 5
-
-
-def test_chain_cut_matches_with_excluded_gaps_and_tails():
-    # excluded cells inside the universe, and tails of up to 40 excluded
-    # cells, of which the scan reads only the first; the value is still
-    # that of the whole problem
-    rng = np.random.default_rng(29)
-    for k in range(120):
-        prob = random_chain(rng, halves=k % 3 == 0, gaps=True)
-        best, masks, minimal = vr.exhaustive_minimizers(prob)
-        for cut in (vr._chain_cut, vr._dinic_cut):
-            mask, val = cut(prob)
-            assert np.array_equal(mask, minimal), (k, cut.__name__)
-            assert val == pytest.approx(best, abs=1e-9)
         assert vr._chain_cut(prob)[1] == prob.value(minimal)
+    # chains with more than one minimizer: 10 of the 150 without gaps
+    assert ties >= 5
 
 
 def test_dinic_runs_a_long_path_without_recursion(monkeypatch):
@@ -469,19 +459,17 @@ def test_windowed_margins_equal_the_global_functional(aniso_rec):
     assert [c[0] for c in comps] == [row[0] for row in rep.rows]
     families = set()
     for (name, lo, v), (_, margin) in zip(comps, rep.rows):
-        if lo is not None:
-            hi = lo + len(v)
-            # the window ends on a node of u at each side of the support,
-            # unless the support reaches that end of the domain
-            assert lo == 0 or v[0] == u[lo], name
-            assert hi == len(u) or v[-1] == u[hi - 1], name
-            assert np.any(v != u[lo:hi]), name
-            v = np.concatenate([u[:lo], v, u[hi:]])
+        hi = lo + len(v)
+        # the window ends on a node of u at each side of the support,
+        # unless the support reaches that end of the domain
+        assert lo == 0 or v[0] == u[lo], name
+        assert hi == len(u) or v[-1] == u[hi - 1], name
+        assert np.any(v != u[lo:hi]), name
+        v = np.concatenate([u[:lo], v, u[hi:]])
         exact = vr.functional_on_function(dom, v, bulk) - base
         assert margin == pytest.approx(exact, abs=1e-9 * (abs(base) + 1.0))
-        families.add((name.split("[")[0], lo is None))
-    assert families == {("bump", False), ("dent", False),
-                        ("plateau_shift", False), ("level_dilation", True)}
+        families.add(name.split("[")[0])
+    assert families == {"bump", "dent", "plateau_shift", "level_dilation"}
 
 
 def test_minimality_detects_corruption(aniso_rec):
