@@ -8,7 +8,6 @@ every CSV.  Exit codes: 0 success, 2 configuration error, 3 solver
 non-convergence, 4 invariant violation.
 """
 
-import argparse
 import itertools
 import os
 import sys
@@ -223,6 +222,7 @@ def cmd_oracle(args):
 
 
 def main(argv=None):
+    import argparse     # only a parsed command line needs it
     ap = argparse.ArgumentParser(prog="stimcf")
     sub = ap.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("flow", help="run a configured flow to a record dir")

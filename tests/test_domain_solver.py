@@ -785,7 +785,7 @@ def test_grid_domain_refuses_a_box_that_cannot_fit_in_memory(monkeypatch):
 def test_grid_domain_guard_names_an_h_that_fits(monkeypatch):
     # with a small cap the 190^2 box of the flat n = 1 case at h = 1/8 is
     # refused, and the h the message names builds a box within the cap
-    monkeypatch.setattr("stimcf.domain.MAX_GRID_CELLS", 20_000)
+    monkeypatch.setattr("stimcf.grid.MAX_GRID_CELLS", 20_000)
     ids = build_preset("flat", n=1)
     with pytest.raises(DomainError, match="190\\^2 = 36,100") as err:
         build_domain(ids, {"radius": 1.0}, L=2.2, alpha=0.9, h=1 / 8.,

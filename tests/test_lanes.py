@@ -14,9 +14,12 @@ import stimcf
 from stimcf import build_preset, build_domain
 from stimcf import solver as sv
 from stimcf import weak_flow as wf
-from stimcf.domain import GridDomain, RadialDomain, _gtsv, outer_radius
+from stimcf.domain import RadialDomain, _gtsv, outer_radius
+from stimcf.grid import GridDomain
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stimcf"
+# the modules that define the lane classes
+LANE_MODULES = ("domain.py", "grid.py")
 
 
 def test_no_lane_branches_outside_the_protocol():
@@ -298,11 +301,15 @@ def test_every_stored_attribute_has_a_reader():
 
 def test_every_lane_method_has_a_reader():
     # a public method of either lane is read as an attribute by a module of
-    # the package other than domain.py, or by the benchmark; a protocol
-    # method that only the lanes or the tests read has no caller in a run
+    # the package other than the lane modules, or by the benchmark; a
+    # protocol method that only the lanes or the tests read has no caller
+    # in a run
     reads = _attribute_reads(
-        [path for path in sorted(SRC.glob("*.py")) if path.name != "domain.py"]
+        [path for path in sorted(SRC.glob("*.py"))
+         if path.name not in LANE_MODULES]
         + sorted(PERFBENCH.glob("*.py")))
+    assert [pathlib.Path(sys.modules[cls.__module__].__file__).name
+            for cls in (RadialDomain, GridDomain)] == list(LANE_MODULES)
     unread = sorted(f"{cls.__name__}.{name}"
                     for cls in (RadialDomain, GridDomain)
                     for name, value in vars(cls).items()
@@ -337,9 +344,12 @@ def test_a_record_is_built_in_one_place():
 def test_lane_operators_keep_no_state():
     # the linearization travels from residual to jacobian as a value, so a
     # domain shared by two solves holds nothing from either
-    tree = ast.parse((SRC / "domain.py").read_text())
+    lanes = [cls for name in LANE_MODULES
+             for cls in ast.parse((SRC / name).read_text()).body]
+    assert {cls.name for cls in lanes if isinstance(cls, ast.ClassDef)} \
+        >= {"RadialDomain", "GridDomain"}
     hits = []
-    for cls in tree.body:
+    for cls in lanes:
         if not (isinstance(cls, ast.ClassDef)
                 and cls.name in ("RadialDomain", "GridDomain")):
             continue
@@ -519,13 +529,16 @@ def test_benchmark_spans_count_every_continuation_rung():
 
 SCIPY_LOADED = ("sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy')")
+# and the grid lane's module, which a radial run never loads either
+GRID_LOADED = "'stimcf.grid' in sys.modules"
 
 
 def test_import_and_set_up_leave_scipy_unloaded():
     # scipy loads where a run calls it: the grid lane, and the radial
     # solve's solve_banded fallback where numpy bundles no dgtsv.  Importing
     # the package and building a radial domain, its radial profile and a set
-    # problem in it load no scipy module
+    # problem in it load no scipy module, no grid lane, and no argparse,
+    # which only a parsed command line needs
     code = "\n".join([
         "import sys, stimcf, stimcf.cli",
         "from stimcf import build_domain, build_preset",
@@ -535,16 +548,16 @@ def test_import_and_set_up_leave_scipy_unloaded():
         "                   h=1 / 32.)",
         "orc.RadialProfile.from_initial_data(ids)",
         "vr.radial_set_problem(dom, 1.5, 3.0)",
-        f"print({SCIPY_LOADED})"])
+        f"print({SCIPY_LOADED}, {GRID_LOADED}, 'argparse' in sys.modules)"])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False False"
 
 
 def test_record_readers_load_no_scipy(tmp_path):
     # stimcf verify and plotdata read a radial record without solving, so
-    # a fresh process running either loads no scipy module
+    # a fresh process running either loads no scipy module and no grid lane
     from stimcf import cli
     cfg = tmp_path / "flat.cfg"
     cfg.write_text("preset = flat\nn = 2\ne0_radius_chart = 1.0\n"
@@ -553,8 +566,8 @@ def test_record_readers_load_no_scipy(tmp_path):
     rec = tmp_path / "rec"
     assert cli.main(["flow", "--config", str(cfg), "--out", str(rec)]) == 0
     code = ("import sys; from stimcf import cli; "
-            f"status = cli.main(sys.argv[1:]); print({SCIPY_LOADED}); "
-            "sys.exit(status)")
+            "status = cli.main(sys.argv[1:]); "
+            f"print({SCIPY_LOADED}, {GRID_LOADED}); sys.exit(status)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     for args in (["verify", str(rec)],
                  ["plotdata", str(rec), "--kind", "Q-trace",
@@ -562,7 +575,7 @@ def test_record_readers_load_no_scipy(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, (args[0], out.stdout, out.stderr)
-        assert out.stdout.strip().splitlines()[-1] == "[]", args[0]
+        assert out.stdout.strip().splitlines()[-1] == "[] False", args[0]
 
 
 # one paper_anisotropic sweep (a K != 0 s-ladder), run the same way in this
@@ -612,9 +625,9 @@ needs_gtsv = pytest.mark.skipif(_gtsv() is None,
 @needs_gtsv
 def test_radial_run_loads_no_scipy(tmp_path):
     # a radial solve calls numpy's dgtsv, so a fresh process that sweeps or
-    # runs stimcf flow on a radial config loads no scipy module; this
-    # process has scipy.linalg loaded and so solves with solve_banded, and
-    # both routes give the same u
+    # runs stimcf flow on a radial config loads no scipy module and no grid
+    # lane; this process has scipy.linalg loaded and so solves with
+    # solve_banded, and both routes give the same u
     import scipy.linalg  # noqa: F401
     ns = {}
     exec(ANISO_SWEEP, ns)
@@ -624,14 +637,15 @@ def test_radial_run_loads_no_scipy(tmp_path):
                    "grid_h_chart = 0.03125\n"
                    "eps_last_per_length = 0.0078125\n")
     code = "\n".join([
-        ANISO_SWEEP, "print(u_digest())", f"print({SCIPY_LOADED})",
+        ANISO_SWEEP, "print(u_digest())",
+        f"print({SCIPY_LOADED}, {GRID_LOADED})",
         "from stimcf import cli",
         "status = cli.main(['flow', '--config', sys.argv[1],",
         "                   '--out', sys.argv[2]])",
-        f"print(status, {SCIPY_LOADED})"])
+        f"print(status, {SCIPY_LOADED}, {GRID_LOADED})"])
     lines = _run_fresh(code, str(cfg), str(tmp_path / "rec"))
-    assert lines[:2] == [ns["u_digest"](), "[]"]
-    assert lines[-1] == "0 []"
+    assert lines[:2] == [ns["u_digest"](), "[] False"]
+    assert lines[-1] == "0 [] False"
 
 
 @needs_gtsv

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stimcf import build_preset
-from stimcf import extraction
+from stimcf import grid
 from stimcf import surface_geometry as sg
 from tests.test_radial_oracle import R_STAR_ANISO
 
@@ -198,7 +198,7 @@ def test_marching_tetrahedra_contours_the_unit_sphere(flat3, h, radius_tol,
     x = (np.arange(round(3.2 / h)) + 0.5) * h - 1.6
     values = np.linalg.norm(np.stack(np.meshgrid(x, x, x, indexing="ij")),
                             axis=0)
-    mesh = extraction.extract_isosurface(values, np.full(3, x[0]), h, 1.0)
+    mesh = grid.extract_isosurface(values, np.full(3, x[0]), h, 1.0)
     # closed: every edge lies in exactly two facets
     F = mesh.facets
     edges = np.sort(np.concatenate([F[:, [0, 1]], F[:, [1, 2]],
@@ -225,7 +225,7 @@ def test_contouring_through_samples_on_the_level(d, on_level, radius_tol):
     values = np.linalg.norm(np.stack(np.meshgrid(*[x] * d, indexing="ij")),
                             axis=0)
     assert np.sum(values == 1.0) == on_level
-    mesh = extraction.extract_isosurface(values, np.full(d, x[0]), h, 1.0)
+    mesh = grid.extract_isosurface(values, np.full(d, x[0]), h, 1.0)
     F = mesh.facets
     # every vertex is used; every curve vertex ends two segments, and every
     # surface edge lies in two triangles
