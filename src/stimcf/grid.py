@@ -444,7 +444,7 @@ def marching_segments(values, origin, h, level, interior_point=None):
     if not verts:
         return None
     return sg.SurfaceMesh(np.array(verts), np.array(segs, int),
-                       interior_point=interior_point)
+                          interior_point=interior_point)
 
 
 def marching_tetrahedra(values, origin, h, level, interior_point=None):
@@ -500,7 +500,7 @@ def marching_tetrahedra(values, origin, h, level, interior_point=None):
     if not verts:
         return None
     return sg.SurfaceMesh(np.array(verts), np.array(tris, int),
-                       interior_point=interior_point)
+                          interior_point=interior_point)
 
 
 def extract_isosurface(values, origin, h, level, interior_point=None):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -161,14 +162,18 @@ def test_jacobian_reuses_the_rhs_roots_bit_for_bit(flat_dom, aniso_dom,
         cases.append((dom, 0.7, 0.2, u))
     rhs_value = domain.rhs_value
     for dom, s, bc, x in cases:
+        # patch the module that defines the lane, where its methods look up
+        # rhs_value and rhs_derivs
+        mod = sys.modules[type(dom).__module__]
         seen = []
         with monkeypatch.context() as m:
-            m.setattr(domain, "rhs_value",
+            m.setattr(mod, "rhs_value",
                       lambda W2, *a: seen.append(W2) or rhs_value(W2, *a))
             _, lin = dom.residual(x, 0.03, s, bc, variant)
+        assert seen
         got = dom.jacobian(lin)
         with monkeypatch.context() as m:
-            m.setattr(domain, "rhs_derivs",
+            m.setattr(mod, "rhs_derivs",
                       lambda roots, T, s, variant: _rhs_derivs_from_w2(
                           seen[0], T, s, variant))
             want = dom.jacobian(lin)
