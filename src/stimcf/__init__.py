@@ -1,6 +1,6 @@
 """stimcf: weak inverse spacetime mean curvature flow at desk scale."""
 
-from .initial_data import (InitialDataSet, build_preset, verify_decay,
+from .initial_data import (InitialDataSet, build_preset,
                            constraint_densities, save_grid_data,
                            load_grid_data)
 from .radial_oracle import (RadialProfile, smooth_flow_ode,
@@ -11,7 +11,7 @@ from .solver import (newton_solve, continuation_solve, imcf_reference_solve,
                      apriori_monitor, ScalarSolution)
 
 __all__ = [
-    "InitialDataSet", "build_preset", "verify_decay", "constraint_densities",
+    "InitialDataSet", "build_preset", "constraint_densities",
     "save_grid_data", "load_grid_data",
     "RadialProfile", "smooth_flow_ode", "level_set_quadrature",
     "horizon_root", "evolution_equation_check",

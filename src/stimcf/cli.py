@@ -26,13 +26,15 @@ from .domain import DomainError, LaneError
 def cmd_flow(args):
     """Run the configured sweep and write its record with ``report.txt``:
     ``status`` (the exit code), ``cauchy_ok``, a ``suggestion`` for a sweep
-    that is not Cauchy, ``normals_cauchy``, one ``jump`` line per jump (t0,
-    outer radius, horizon residual and band excess) and one ``violation``
-    line per failed a-priori or interior-extremum check."""
+    that is not Cauchy, ``normals_cauchy``, ``decay`` (each fall-off clause
+    of ``ids.validate()`` as clause=slope:ok or :FAIL, data and not a
+    gate), one ``jump`` line per jump (t0, outer radius, horizon residual
+    and band excess) and one ``violation`` line per failed a-priori or
+    interior-extremum check."""
     try:
         cfg = records.parse_config(args.config)
         ids, dom = records.build_from_config(cfg)
-        ids.validate()
+        decay = ids.validate()
     except (ValueError, DomainError, idm.InitialDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -64,6 +66,9 @@ def cmd_flow(args):
         if rec.suggestion:
             fh.write(f"suggestion {rec.suggestion}\n")
         fh.write(f"normals_cauchy {normals.cauchy_ok}\n")
+        fh.write("decay " + " ".join(
+            f"{key}={slope:.4g}:{'ok' if ok else 'FAIL'}"
+            for key, (slope, ok) in decay.items()) + "\n")
         for j in rec.jumps:
             hr = wf.verify_horizon(rec, j)
             fh.write(f"jump t0={j.value:.17g} outer_radius="

@@ -46,7 +46,7 @@ No scipy module loads with a radial run, its oracle checks included: the
 radial solve calls LAPACK ``dgtsv`` from numpy's bundled OpenBLAS
 (``_gtsv``), or ``scipy.linalg.solve_banded`` (same routine, same bits)
 where numpy bundles none or ``scipy.linalg`` is loaded already.  The grid
-lane loads ``scipy.sparse`` and ``scipy.ndimage`` inside its methods.
+lane loads ``scipy.sparse`` (with its ``csgraph``) inside its methods.
 """
 
 import ctypes

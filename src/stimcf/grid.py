@@ -310,13 +310,22 @@ class GridDomain:
     # geometry read off a solution ------------------------------------------
     def components(self, mask):
         """Connected (face-adjacent) groups of active cells where mask
-        holds, as active-cell indices."""
-        from scipy import ndimage
-        full = np.zeros(len(self.active), bool)
-        full[self.active] = mask
-        lab, nlab = ndimage.label(full.reshape(self.shape))
-        lab = lab.ravel()[self.active]
-        return [np.where(lab == li)[0] for li in range(1, nlab + 1)]
+        holds, as active-cell indices, in the order of their smallest cell:
+        the components of the graph of the faces whose two cells are both
+        active and masked."""
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+        on = np.append(np.asarray(mask, bool), False)   # idx -1: a ghost
+        lo, hi = self.idx[self.f_lo], self.idx[self.f_hi]
+        link = on[lo] & on[hi]
+        nact = self.n_unknowns
+        _, lab = connected_components(sp.csr_matrix(
+            (np.ones(int(np.sum(link))), (lo[link], hi[link])),
+            shape=(nact, nact)), directed=False)
+        cells = np.where(mask)[0]
+        lab = lab[cells]
+        _, first = np.unique(lab, return_index=True)
+        return [cells[lab == lab[i]] for i in np.sort(first)]
 
     def plateau_radii(self, sol, comp, t0, knee_floor):
         rads = self.r_act[comp]

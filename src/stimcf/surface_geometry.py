@@ -1,12 +1,12 @@
-"""Extrinsic geometry of hypersurfaces: H, P and classification.
+"""Extrinsic geometry of meshed hypersurfaces: H and P, for the grid lane.
 
 Meshes are simplicial (segments in a 2D chart, triangles in 3D) with
 per-facet diagnostics.  Mean curvature comes from the divergence of the
 extended unit normal when the surface is described as a level set (spheres),
 and from the discrete first variation of metric area for free meshes.  Sign
 convention: outward normal, H = n/r > 0 on round spheres in the flat chart.
-``classify`` reads samples of H and P from any source: a mesh's facets, or
-the one exact value of a centred sphere that ``RadialProfile`` gives.
+``grid`` is the package's one importer, so radial runs never load this
+module; ``weak_flow.classify`` labels samples of H and P from any source.
 """
 
 import numpy as np
@@ -24,8 +24,8 @@ class SurfaceMesh:
     """Closed simplicial hypersurface with cached per-facet diagnostics.
 
     The per-facet fields H and P are filled by ``mean_curvature`` and
-    ``k_trace`` (both by ``populate_diagnostics``); ``classify`` reads the
-    expansions H +- P off them.
+    ``k_trace`` (both by ``populate_diagnostics``); ``weak_flow.classify``
+    reads the expansions H +- P off them.
     """
 
     def __init__(self, vertices, facets, interior_point=None):
@@ -210,30 +210,6 @@ def k_trace(ids, surf):
     P = trK - np.einsum('mi,mj,mij->m', nu, nu, K)
     surf.P = P
     return P
-
-
-def classify(H, P, tol):
-    """Classify a surface from samples of its H and P (per facet, or one
-    exact value on a centred sphere): the medians of H, P and the
-    expansions theta+- = H +- P against the absolute tolerance `tol`.
-
-    Returns a set drawn from {untrapped, trapped, MOTS, MITS,
-    generalized_horizon}; a MOTS or MITS is in particular a generalized
-    apparent horizon, so several labels may coexist.
-    """
-    tp, tm, H, P = (float(np.median(x)) for x in (H + P, H - P, H, P))
-    labels = set()
-    if abs(tp) <= tol:
-        labels.add("MOTS")
-    if abs(tm) <= tol:
-        labels.add("MITS")
-    if abs(H - abs(P)) <= tol and H >= -tol:
-        labels.add("generalized_horizon")
-    if H > abs(P) + tol and H > 0:
-        labels.add("untrapped")
-    if H < abs(P) - tol:
-        labels.add("trapped")
-    return labels
 
 
 def weak_mean_curvature(ids, surf):

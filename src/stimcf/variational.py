@@ -17,6 +17,7 @@ scores each competitor in O(its support).
 import numpy as np
 
 from ._maxflow import MaxFlow
+from .domain import _cumulative_trapezoid
 from .radial_oracle import sphere_area
 from .weak_flow import level_radius
 
@@ -426,19 +427,13 @@ def area_identity_check(rec, jump):
     """
     dom = rec.domain
     dom.require_radial("area identity")
-    omega = sphere_area(dom.n)
-
-    def area(rad):
-        b = float(dom.ids.radial.b(rad))
-        return omega * (b * rad) ** dom.n
-
-    a_in = area(jump.inner_radius)
-    a_out = area(jump.outer_radius)
+    area = dom.profile.area
+    a_in = float(area(jump.inner_radius))
+    a_out = float(area(jump.outer_radius))
     rr = np.linspace(jump.inner_radius, jump.outer_radius, 4097)
-    b = np.asarray(dom.ids.radial.b(rr), float)
     a = np.asarray(dom.ids.radial.a(rr), float)
     p = np.abs(np.asarray(dom.ids.radial.kappa_r(rr), float))
-    integrand = p * omega * (b * rr) ** dom.n * a
+    integrand = p * area(rr) * a
     bulk = float(np.trapezoid(integrand, rr))
     residual = a_out - (a_in + bulk)
     return {"outer_area": a_out, "inner_area": a_in, "bulk": bulk,
@@ -466,19 +461,15 @@ def monotone_quantity(rec):
     dom.require_radial("Q(t) tracing")
     lo, hi = rec.valid_time_range()
     times = np.linspace(lo, hi - 0.05 * (hi - lo), N_Q_TIMES)
-    omega = sphere_area(dom.n)
+    prof = dom.profile
     r = dom.r
-    vols = dom.volumes()
-    pnode = np.abs(dom.kr)
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (pnode[1:] * vols[1:] + pnode[:-1] * vols[:-1]))])
+    cum = _cumulative_trapezoid(np.abs(dom.kr) * dom.volumes())
     with np.errstate(divide="ignore", invalid="ignore"):
-        dQ_node = np.gradient(omega * dom.A + cum, r) / np.gradient(rec.u, r)
+        dQ_node = np.gradient(prof.area(r) + cum, r) / np.gradient(rec.u, r)
 
     radii = level_radius(rec, times)
-    areas = omega * (np.asarray(dom.ids.radial.b(radii)) * radii) ** dom.n
+    areas = prof.area(radii)
     Q = areas + np.interp(radii, r, cum)
-    prof = dom.profile
     H = prof.mean_curvature(radii)
     P = prof.k_trace(radii)
     with np.errstate(divide="ignore", invalid="ignore"):

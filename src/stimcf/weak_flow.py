@@ -28,7 +28,6 @@ import weakref
 import numpy as np
 
 from . import solver as sv
-from . import surface_geometry as sg
 from .domain import VARIANTS
 
 TRUNCATION_MARGIN = 1.0     # flow times within this of s(L-2) are boundary-driven
@@ -286,6 +285,30 @@ def reconstruct_normal_field(rec):
 
 # -- horizon verification -----------------------------------------------------
 
+def classify(H, P, tol):
+    """Classify a surface from samples of its H and P (per facet, or one
+    exact value on a centred sphere): the medians of H, P and the
+    expansions theta+- = H +- P against the absolute tolerance `tol`.
+
+    Returns a set drawn from {untrapped, trapped, MOTS, MITS,
+    generalized_horizon}; a MOTS or MITS is in particular a generalized
+    apparent horizon, so several labels may coexist.
+    """
+    tp, tm, H, P = (float(np.median(x)) for x in (H + P, H - P, H, P))
+    labels = set()
+    if abs(tp) <= tol:
+        labels.add("MOTS")
+    if abs(tm) <= tol:
+        labels.add("MITS")
+    if abs(H - abs(P)) <= tol and H >= -tol:
+        labels.add("generalized_horizon")
+    if H > abs(P) + tol and H > 0:
+        labels.add("untrapped")
+    if H < abs(P) - tol:
+        labels.add("trapped")
+    return labels
+
+
 class HorizonReport:
     def __init__(self, radius, max_rel_residual, weak_inner_ok, labels):
         self.radius = radius
@@ -325,7 +348,7 @@ def verify_horizon(rec, jump):
     scale = np.maximum(np.maximum(np.abs(H), np.abs(P)),
                        rec.ids.n / max(jump.outer_radius, 1e-12))
     rel = np.abs(H - np.abs(P)) / scale
-    labels = sg.classify(H, P, tol=TOL_HORIZON * float(np.median(scale)))
+    labels = classify(H, P, tol=TOL_HORIZON * float(np.median(scale)))
     coincide = (jump.outer_radius - jump.inner_radius) < 2.5 * dom.h
     inner = (dom.boundary_curvatures(rec.solution, jump, "inner")
              if coincide else None)

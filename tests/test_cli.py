@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stimcf import build_domain, build_preset, cli, records, save_grid_data
+from stimcf import initial_data as idm
 from stimcf import weak_flow as wf
 from stimcf.solver import ScalarSolution
 
@@ -141,6 +142,8 @@ def test_flow_report_reads_the_normals_and_the_jump_band(flat_record,
                                                        aniso_record):
     flat = (flat_record / "report.txt").read_text().splitlines()
     assert "normals_cauchy True" in flat
+    assert ("decay g_minus_delta=-inf:ok r_dg=-inf:ok r2_d2g=-inf:ok "
+            "K=-inf:ok r_dK=-inf:ok") in flat
     assert not [line for line in flat if line.startswith("jump ")]
     aniso = (aniso_record / "report.txt").read_text().splitlines()
     jumps = [line for line in aniso if line.startswith("jump ")]
@@ -385,6 +388,16 @@ def _grid_file_config(tmp_path):
                    "level_L_flowtime = 2.2\nalpha_exponent = 0.9\n"
                    "grid_h_chart = 0.25\neps_last_per_length = 1e-2\n")
     return data, cfg
+
+
+def test_flat_grid_file_samples_decay(tmp_path):
+    # interpolated flat samples are the identity up to rounding, and their
+    # centred differences are rounding noise (r2_d2g up to 7e-7 on the
+    # outer shells), which reads as zero, not as a sup growing like r^2
+    data, _ = _grid_file_config(tmp_path)
+    rep = idm.load_grid_data(data).validate()
+    assert len(rep) == 5
+    assert rep == {key: (-np.inf, True) for key in rep}
 
 
 def test_flow_over_another_record_drops_its_payloads(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from stimcf import build_preset
 from stimcf import grid
 from stimcf import surface_geometry as sg
+from stimcf import weak_flow as wf
 from tests.test_radial_oracle import R_STAR_ANISO
 
 
@@ -102,15 +103,15 @@ def test_classification(flat3, aniso):
     unit = sphere_mesh(1.0)
     sg.populate_diagnostics(flat3, unit,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert sg.classify(unit.H, unit.P, tol=5e-3) == {"untrapped"}
+    assert wf.classify(unit.H, unit.P, tol=5e-3) == {"untrapped"}
     trapped = sphere_mesh(1.0)
     sg.populate_diagnostics(aniso, trapped,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert "trapped" in sg.classify(trapped.H, trapped.P, tol=5e-3)
+    assert "trapped" in wf.classify(trapped.H, trapped.P, tol=5e-3)
     horizon = sphere_mesh(R_STAR_ANISO, sub=5)
     sg.populate_diagnostics(aniso, horizon,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    labels = sg.classify(horizon.H, horizon.P, tol=5e-3)
+    labels = wf.classify(horizon.H, horizon.P, tol=5e-3)
     assert "generalized_horizon" in labels
 
 
@@ -122,7 +123,7 @@ def test_classify_invariant_under_reordering_and_refinement(aniso):
     base = sphere_mesh(R_STAR_ANISO, sub=3)
     sg.populate_diagnostics(aniso, base,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    labels = sg.classify(base.H, base.P, tol=tol)
+    labels = wf.classify(base.H, base.P, tol=tol)
     # P < 0 on this horizon, so theta+ = H + P vanishes there too: the
     # surface is simultaneously a MOTS and a generalized horizon
     assert labels == {"MOTS", "generalized_horizon"}
@@ -130,11 +131,11 @@ def test_classify_invariant_under_reordering_and_refinement(aniso):
     shuffled = sg.SurfaceMesh(base.vertices, base.facets[perm])
     sg.populate_diagnostics(aniso, shuffled,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert sg.classify(shuffled.H, shuffled.P, tol=tol) == labels
+    assert wf.classify(shuffled.H, shuffled.P, tol=tol) == labels
     fine = sphere_mesh(R_STAR_ANISO, sub=4)
     sg.populate_diagnostics(aniso, fine,
                             level_set=sg.sphere_level_set([0, 0, 0]))
-    assert sg.classify(fine.H, fine.P, tol=tol) == labels
+    assert wf.classify(fine.H, fine.P, tol=tol) == labels
 
 
 def test_weak_mean_curvature_refinement(flat3):
